@@ -38,7 +38,9 @@ from .circular import (
     sec_derivative_via_li,
     tan_derivative_poly,
 )
-from .combinatorics import binomial, eulerian_b, eulerian_b_row, factorial, stirling2, stirling2_row
+from .combinatorics import (
+    binomial, eulerian_b, eulerian_b_row, factorial, stirling2, stirling2_row, stirling_power_sum,
+)
 from .errors import (
     DomainError,
     ImaginaryResidueError,
@@ -78,10 +80,8 @@ from .ladder import (
     verify_ladder_sec_variant,
 )
 from .polylog import (
-    PolylogClosedForm,
     chi_from_li,
     chi_neg,
-    closed_form,
     li_neg,
     li_neg_operator,
     li_neg_stirling,

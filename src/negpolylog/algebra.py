@@ -159,9 +159,6 @@ class GaussianRational:
             k >>= 1
         return out
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def norm2(self):
         return self.re * self.re + self.im * self.im
 
@@ -309,6 +306,8 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
+            if isinstance(other, (int, Fraction, GaussianRational)):
+                return self.scale(other)
             return NotImplemented
         self._check_var(other)
         if self.is_zero() or other.is_zero():
@@ -322,6 +321,8 @@ class Polynomial:
                 if not cb.is_zero():
                     out[i + j] = out[i + j] + ca * cb
         return Polynomial(out, self.var)
+
+    __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
@@ -563,10 +564,6 @@ class RationalFunction:
         self.den = Polynomial([GaussianRational(a, b) for a, b in dpairs], num.var)
 
     # -- constructors ----------------------------------------------------
-    @classmethod
-    def from_coeffs(cls, num, den, var: str = "z") -> "RationalFunction":
-        return cls(Polynomial(num, var), Polynomial(den, var))
-
     @classmethod
     def constant(cls, c, var: str = "z") -> "RationalFunction":
         return cls(Polynomial([c], var), Polynomial.one(var), _reduced=True)

@@ -5,7 +5,7 @@ those polynomials are constructed two ways:
 
 * expanding the exact half-angle sums in Gaussian-rational arithmetic
   (every imaginary part must cancel and every coefficient must land on an
-  integer, both asserted), and
+  integer, both checked), and
 * the classical symbolic recurrence P_{n+1} = m(u) * P_n'(u) with
   m = -(1 + u^2) for cot and m = (1 + u^2) for tan.
 
@@ -33,9 +33,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import GaussianRational, I, Polynomial, rf_eval
-from .combinatorics import binomial, eulerian_b_row, factorial, stirling2_row
-from .errors import SingularityError
+from .algebra import I, Polynomial, rf_eval
+from .combinatorics import binomial, eulerian_b_row, factorial, stirling2_row, stirling_power_sum
+from .errors import ImaginaryResidueError, NegPolylogError
+from .jets import require_clear
 from .numutil import checked_real, i_power
 from .polylog import li_neg
 
@@ -58,8 +59,6 @@ __all__ = [
 # the sec poles at odd multiples of pi/2.
 TRIG_GRID = (0.3, 0.7, 1.0, 1.4, 2.0, 2.8)
 
-_GUARD = 1e-6
-
 
 @dataclass(frozen=True)
 class DerivativePolynomial:
@@ -69,8 +68,9 @@ class DerivativePolynomial:
     order: int
     poly: Polynomial
 
-    def __call__(self, u: float) -> float:
-        acc = 0.0
+    def __call__(self, u):
+        """P(u) by float Horner; complex u gives a complex value."""
+        acc = 0j if isinstance(u, complex) else 0.0
         for c in reversed(self.poly.coeffs):
             acc = acc * u + float(c.re)
         return acc
@@ -83,19 +83,26 @@ def _u() -> Polynomial:
     return Polynomial([0, 1], "u")
 
 
-def _expand(n: int, base: Polynomial, term_coef, prefactor: GaussianRational, target: str) -> DerivativePolynomial:
-    row = stirling2_row(n + 1)
-    acc = Polynomial.zero("u")
-    bp = base
-    for k in range(n + 1):
-        acc = acc + bp.scale(term_coef(k) * row[k + 1])
-        if k < n:
-            bp = bp * base
-    acc = acc.scale(prefactor)
-    assert acc.is_real() and acc.is_integral(), (
-        f"{target} derivative polynomial failed to cancel to real integers (bug)"
-    )
-    return DerivativePolynomial(target, n, acc)
+def _stirling_poly(target: str, n: int, base: Polynomial, weight, prefactor):
+    """prefactor(n) * stirling_power_sum(n, base, weight), checked to be real and integral.
+
+    Order 0 is the function itself, P(u) = u.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0:
+        return DerivativePolynomial(target, 0, _u())
+    p = stirling_power_sum(n, base, weight).scale(prefactor(n))
+    if not p.is_real():
+        raise ImaginaryResidueError(f"{target} derivative polynomial n={n} is not real (bug)")
+    if not p.is_integral():
+        raise NegPolylogError(f"{target} derivative polynomial n={n} is not integral (bug)")
+    return DerivativePolynomial(target, n, p)
+
+
+def _alternating_weight(k: int) -> Fraction:
+    """(-1)^k k!/2^k, the weight of the tan, coth and tanh expansions."""
+    return Fraction((-1) ** k * factorial(k), 2**k)
 
 
 def cot_derivative_poly(n: int) -> DerivativePolynomial:
@@ -104,25 +111,16 @@ def cot_derivative_poly(n: int) -> DerivativePolynomial:
     Expands sum_k (k!/2^(k+1)) {n+1 brace k+1} (i u - 1)^(k+1) and scales by
     2 * 2^n * i^(n-1).
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return DerivativePolynomial("cot", 0, _u())
-    base = Polynomial([-1, I], "u")
-    pref = (I ** ((n - 1) % 4)) * (2 ** (n + 1))
-    return _expand(n, base, lambda k: Fraction(factorial(k), 2 ** (k + 1)), pref, "cot")
+    return _stirling_poly(
+        "cot", n, Polynomial([-1, I], "u"), lambda k: Fraction(factorial(k), 2 ** (k + 1)),
+        lambda n: I ** ((n - 1) % 4) * 2 ** (n + 1),
+    )
 
 
 def tan_derivative_poly(n: int) -> DerivativePolynomial:
     """P with (d/dx)^n tan x = P(tan x), from the alternating sum on (1 + i u)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return DerivativePolynomial("tan", 0, _u())
-    base = Polynomial([1, I], "u")
-    pref = (I ** ((n - 1) % 4)) * (2**n)
-    return _expand(
-        n, base, lambda k: Fraction((-1) ** k * factorial(k), 2**k), pref, "tan"
+    return _stirling_poly(
+        "tan", n, Polynomial([1, I], "u"), _alternating_weight, lambda n: I ** ((n - 1) % 4) * 2**n
     )
 
 
@@ -147,14 +145,9 @@ def derivative_poly_recurrence(target: str, n: int) -> DerivativePolynomial:
     return DerivativePolynomial(target, n, p)
 
 
-def _require_clear(x: float, offset: float, what: str):
-    if abs(math.remainder(x - offset, math.pi)) < _GUARD:
-        raise SingularityError(f"{what} evaluated within {_GUARD} of a pole, x = {x}")
-
-
 def csc_derivative_eval(n: int, x: float) -> float:
     """(d/dx)^n csc x by the Eulerian single sum with phase exp(i(2k-n-2)x)."""
-    _require_clear(x, 0.0, "csc")
+    require_clear("csc", x, 0.0, period=math.pi)
     row = eulerian_b_row(n)
     total = 0j
     for k in range(1, n + 2):
@@ -165,7 +158,7 @@ def csc_derivative_eval(n: int, x: float) -> float:
 
 def csc_derivative_via_li(n: int, x: float) -> float:
     """(d/dx)^n csc x as i^(n-1) times the polylogarithm difference at exp(ix)."""
-    _require_clear(x, 0.0, "csc")
+    require_clear("csc", x, 0.0, period=math.pi)
     z = cmath.exp(1j * x)
     f = li_neg(n)
     val = i_power(n - 1) * (rf_eval(f, z) - rf_eval(f, -z))
@@ -174,7 +167,7 @@ def csc_derivative_via_li(n: int, x: float) -> float:
 
 def csc_derivative_binomial(n: int, x: float) -> float:
     """(d/dx)^n csc x by the literal half-angle double sum."""
-    _require_clear(x, 0.0, "csc")
+    require_clear("csc", x, 0.0, period=math.pi)
     t = math.tan(x / 2)
     c = math.cos(x / 2) / math.sin(x / 2)
     row = stirling2_row(n + 1)
@@ -190,7 +183,7 @@ def csc_derivative_binomial(n: int, x: float) -> float:
 
 def sec_derivative_eval(n: int, x: float) -> float:
     """(d/dx)^n sec x by the alternating Eulerian single sum."""
-    _require_clear(x, math.pi / 2, "sec")
+    require_clear("sec", x, math.pi / 2, period=math.pi)
     row = eulerian_b_row(n)
     total = 0j
     for k in range(1, n + 2):
@@ -201,7 +194,7 @@ def sec_derivative_eval(n: int, x: float) -> float:
 
 def sec_derivative_via_li(n: int, x: float) -> float:
     """(d/dx)^n sec x as i^(n-1) times the polylogarithm difference at i*exp(ix)."""
-    _require_clear(x, math.pi / 2, "sec")
+    require_clear("sec", x, math.pi / 2, period=math.pi)
     z = cmath.exp(1j * x)
     f = li_neg(n)
     val = i_power(n - 1) * (rf_eval(f, 1j * z) - rf_eval(f, -1j * z))
@@ -210,7 +203,7 @@ def sec_derivative_via_li(n: int, x: float) -> float:
 
 def sec_derivative_binomial(n: int, x: float) -> float:
     """(d/dx)^n sec x by the literal tan/sec triple sum."""
-    _require_clear(x, math.pi / 2, "sec")
+    require_clear("sec", x, math.pi / 2, period=math.pi)
     t = math.tan(x)
     s = 1.0 / math.cos(x)
     row = stirling2_row(n + 1)

@@ -12,30 +12,26 @@ Commands
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage
 error, 3 domain or pole error.  All results go to stdout, diagnostics to
 stderr.  Text output is ASCII only; output is deterministic for given
-arguments (the --seed flag is reserved).  Complex literals follow
-FLOAT(("+"|"-")FLOAT"i")?, e.g. 0.5 or 0.3+0.2i.
+arguments.  Complex literals follow FLOAT(("+"|"-")FLOAT"i")?, e.g. 0.5 or
+0.3+0.2i.  The suites themselves live in negpolylog.suites.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 
-from . import circular, hyperbolic, inverse, ladder
+from . import circular, hyperbolic, ladder
 from .algebra import poly_text, rf_eval, rf_to_json, rf_to_latex, rf_to_text
-from .circular import TRIG_GRID, DerivativePolynomial
+from .circular import DerivativePolynomial
 from .errors import DomainError, NegPolylogError, PoleError, SingularityError
-from .hyperbolic import HYP_GRID
-from .jets import nth_derivative
 from .polylog import chi_neg, li_neg, ti_neg
-from .reports import PointCheck, VerificationReport, rel_err
+from .reports import VerificationReport
+from .suites import SweepRangeError, run_suite
 
 MAX_ORDER = 64
-MAX_EXACT_SWEEP = 15
-MAX_NUMERIC_SWEEP = 10
 
 _CLOSED_FORM_KINDS = ("li", "chi", "ti", "cot-poly", "tan-poly", "coth-poly", "tanh-poly")
 
@@ -47,6 +43,15 @@ _POLY_BUILDERS = {
 }
 
 _RF_BUILDERS = {"li": li_neg, "chi": chi_neg, "ti": ti_neg}
+
+# format -> (Li term, coefficient, standard arrangement, halved arrangement)
+_LADDER_FORMATS = {
+    "text": ("Li[{k}]({arg})", "{}*", "{lhs} = (2/z) * [{rhs}]", "(z/2) * [{lhs}] = {rhs}"),
+    "latex": (
+        r"\operatorname{{Li}}_{{{k}}}\!\left({arg}\right)", "{} ",
+        r"{lhs} = \frac{{2}}{{z}}\left[{rhs}\right]", r"\frac{{z}}{{2}}\left[{lhs}\right] = {rhs}",
+    ),
+}
 
 _COMPLEX_RE = re.compile(
     r"^(?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -109,8 +114,7 @@ def cmd_eval(kind: str, n: int, z_text: str, fmt: str) -> int:
     _check_order(n)
     z = parse_complex(z_text)
     if kind in _POLY_BUILDERS:
-        dp = _POLY_BUILDERS[kind](n)
-        val = complex(dp(z.real)) if z.imag == 0 else _poly_eval_complex(dp, z)
+        val = complex(_POLY_BUILDERS[kind](n)(z.real if z.imag == 0 else z))
     else:
         val = rf_eval(_RF_BUILDERS[kind](n), z)
     if fmt == "json":
@@ -123,162 +127,8 @@ def cmd_eval(kind: str, n: int, z_text: str, fmt: str) -> int:
     return 0
 
 
-def _poly_eval_complex(dp: DerivativePolynomial, z: complex) -> complex:
-    acc = 0j
-    for c in reversed(dp.poly.coeffs):
-        acc = acc * z + complex(float(c.re), float(c.im))
-    return acc
-
-
-# ---------------------------------------------------------------------------
-# verification suites
-# ---------------------------------------------------------------------------
-
-
-def _suite_trig(n_max: int, tol: float) -> list[VerificationReport]:
-    reports = []
-    routes = {
-        "csc single-sum": circular.csc_derivative_eval,
-        "csc polylog-difference": circular.csc_derivative_via_li,
-        "csc binomial": circular.csc_derivative_binomial,
-        "csc leibniz": ladder.leibniz_csc_route,
-    }
-    sec_routes = {
-        "sec single-sum": circular.sec_derivative_eval,
-        "sec polylog-difference": circular.sec_derivative_via_li,
-        "sec binomial": circular.sec_derivative_binomial,
-    }
-    for name, route in {**routes, **sec_routes}.items():
-        oracle_fn = "csc" if name.startswith("csc") else "sec"
-        for n in range(n_max + 1):
-            points = []
-            for x in TRIG_GRID:
-                want = nth_derivative(oracle_fn, x, n)
-                got = route(n, x)
-                r = rel_err(got, want)
-                points.append(PointCheck(x, got, want, r, r <= tol))
-            reports.append(VerificationReport(f"{name} vs jet oracle", n, tol, points))
-    # double-angle consequence: 2 cot 2x = cot x - tan x
-    points = []
-    for i in range(1, 11):
-        x = 0.11 * i
-        lhs = 2.0 * math.cos(2 * x) / math.sin(2 * x)
-        rhs = math.cos(x) / math.sin(x) - math.tan(x)
-        r = rel_err(lhs, rhs)
-        points.append(PointCheck(x, lhs, rhs, r, r <= 1e-12))
-    reports.append(VerificationReport("cot double angle", 0, 1e-12, points))
-    return reports
-
-
-def _suite_hyperbolic(n_max: int, tol: float) -> list[VerificationReport]:
-    reports = []
-    for target, builder in (("coth", hyperbolic.coth_derivative_poly),
-                            ("tanh", hyperbolic.tanh_derivative_poly)):
-        for n in range(1, min(n_max, MAX_EXACT_SWEEP) + 1):
-            same = builder(n).poly == circular.derivative_poly_recurrence(target, n).poly
-            rep = VerificationReport(f"{target} polynomial vs recurrence", n, 0.0, exact=True)
-            rep.points.append(PointCheck(0.0, 0.0, 0.0, 0.0 if same else 1.0, same))
-            reports.append(rep)
-    for name, route, fn in (("csch single-sum", hyperbolic.csch_derivative_eval, "csch"),
-                            ("sech single-sum", hyperbolic.sech_derivative_eval, "sech")):
-        for n in range(n_max + 1):
-            points = []
-            for x in HYP_GRID:
-                want = nth_derivative(fn, x, n)
-                got = route(n, x)
-                r = rel_err(got, want)
-                points.append(PointCheck(x, got, want, r, r <= tol))
-            reports.append(VerificationReport(f"{name} vs jet oracle", n, tol, points))
-    for n in range(1, n_max + 1):
-        points = []
-        for x in HYP_GRID:
-            lhs = rf_eval(li_neg(n), math.exp(x)).real
-            rhs = hyperbolic.li_relation_coth(n, x)
-            r = rel_err(lhs, rhs)
-            points.append(PointCheck(x, lhs, rhs, r, r <= tol, label="coth"))
-            lhs = rf_eval(li_neg(n), -math.exp(x)).real
-            rhs = hyperbolic.li_relation_tanh(n, x)
-            r = rel_err(lhs, rhs)
-            points.append(PointCheck(x, lhs, rhs, r, r <= tol, label="tanh"))
-        reports.append(VerificationReport("polylog half-argument relations", n, tol, points))
-    for n in range(1, n_max + 1):
-        for x in HYP_GRID:
-            reports.append(hyperbolic.chi_ti_hyperbolic_relations(n, x, tol))
-    return reports
-
-
-def _suite_inverse(n_max: int, tol: float, name: str | None) -> list[VerificationReport]:
-    reports = []
-    for ident in inverse.registry():
-        if name is not None and ident.name != name:
-            continue
-        for n in range(n_max + 1):
-            reports.append(inverse.verify_identity(ident, n, tol))
-    if name is None:
-        for f, xs in (("sin", (0.5, 1.0, 2.0)), ("cos", (0.4, 1.0, 1.8))):
-            for n in range(min(n_max, 8) + 1):
-                for x in xs:
-                    reports.append(inverse.verify_generic_operand(f, n, x, 1e-9))
-    return reports
-
-
-def _suite_core(n_max: int) -> list[VerificationReport]:
-    """Exact closed-form identities: route equality, cross-routes, duplication."""
-    from .algebra import substitute
-    from .polylog import chi_from_li, li_neg_operator, li_neg_stirling, ti_from_chi
-
-    reports = []
-    cap = min(n_max, MAX_EXACT_SWEEP)
-    for n in range(cap + 1):
-        checks = (
-            ("construction route equality", li_neg_operator(n) == li_neg_stirling(n) == li_neg(n)),
-            ("chi from polylog difference", chi_from_li(n) == chi_neg(n)),
-            ("Ti from rotated chi", ti_from_chi(n) == ti_neg(n)),
-            (
-                "duplication identity",
-                li_neg(n) + substitute(li_neg(n), "negate_z")
-                == substitute(li_neg(n), "square_z") * (2 ** (1 + n)),
-            ),
-        )
-        for label, ok in checks:
-            rep = VerificationReport(label, n, 0.0, exact=True)
-            rep.points.append(PointCheck(0.0, 0.0, 0.0, 0.0 if ok else 1.0, ok))
-            reports.append(rep)
-    return reports
-
-
-def _suite_ladder(n_max: int) -> list[VerificationReport]:
-    reports = []
-    cap = min(n_max, MAX_EXACT_SWEEP)
-    for n in range(cap + 1):
-        for label, ok in (
-            ("ladder main relation", ladder.verify_ladder_exact(n)),
-            ("ladder chi form", ladder.chi_ladder(n)),
-            ("ladder Ti form", ladder.ti_ladder(n)),
-            ("ladder rotated variant", ladder.verify_ladder_sec_variant(n, 0.7)),
-        ):
-            rep = VerificationReport(label, n, 0.0, exact=True)
-            rep.points.append(PointCheck(0.0, 0.0, 0.0, 0.0 if ok else 1.0, ok))
-            reports.append(rep)
-    return reports
-
-
 def cmd_verify(suite: str, n_max: int, tol: float | None, fmt: str, name: str | None) -> int:
-    if suite in ("trig", "hyperbolic", "inverse") and n_max > MAX_NUMERIC_SWEEP:
-        raise UsageError(f"numeric suites support --n-max up to {MAX_NUMERIC_SWEEP}")
-    if suite in ("ladder", "all") and n_max > MAX_EXACT_SWEEP:
-        raise UsageError(f"exact suites support --n-max up to {MAX_EXACT_SWEEP}")
-    reports: list[VerificationReport] = []
-    if suite == "all":
-        reports += _suite_core(n_max)
-    if suite in ("trig", "all"):
-        reports += _suite_trig(min(n_max, MAX_NUMERIC_SWEEP), tol or 1e-7)
-    if suite in ("hyperbolic", "all"):
-        reports += _suite_hyperbolic(min(n_max, MAX_NUMERIC_SWEEP), tol or 1e-8)
-    if suite in ("inverse", "all"):
-        reports += _suite_inverse(min(n_max, MAX_NUMERIC_SWEEP), tol or 1e-7, name)
-    if suite in ("ladder", "all"):
-        reports += _suite_ladder(n_max)
+    reports = run_suite(suite, n_max, tol, name)
     if fmt == "json":
         print(json.dumps([r.to_dict() for r in reports]))
     else:
@@ -307,32 +157,13 @@ def cmd_ladder(n: int, fmt: str, arrangement: str) -> int:
         print(json.dumps({"n": n, "coefficients": [str(c) for c in coeffs],
                           "arrangement": arrangement}))
         return 0
-    if fmt == "latex":
-        li = lambda k, arg: rf"\operatorname{{Li}}_{{{-k}}}\!\left({arg}\right)"  # noqa: E731
-        terms = []
-        for k, c in enumerate(coeffs):
-            mag = "" if abs(c) == 1 else f"{abs(c)} "
-            term = f"{mag}{li(k, 'z^2')}"
-            terms.append(("- " if c < 0 else "+ ") + term if k else ("-" if c < 0 else "") + term)
-        rhs = " ".join(terms)
-        lhs = rf"{li(n, 'z')} - {li(n, '-z')}"
-        if arrangement == "standard":
-            print(rf"{lhs} = \frac{{2}}{{z}}\left[{rhs}\right]")
-        else:
-            print(rf"\frac{{z}}{{2}}\left[{lhs}\right] = {rhs}")
-        return 0
-    li = lambda k, arg: f"Li[{-k}]({arg})"  # noqa: E731
+    li, mag, standard, halved = _LADDER_FORMATS[fmt]
     terms = []
     for k, c in enumerate(coeffs):
-        mag = "" if abs(c) == 1 else f"{abs(c)}*"
-        term = f"{mag}{li(k, 'z^2')}"
+        term = ("" if abs(c) == 1 else mag.format(abs(c))) + li.format(k=-k, arg="z^2")
         terms.append(("- " if c < 0 else "+ ") + term if k else ("-" if c < 0 else "") + term)
-    rhs = " ".join(terms)
-    lhs = f"{li(n, 'z')} - {li(n, '-z')}"
-    if arrangement == "standard":
-        print(f"{lhs} = (2/z) * [{rhs}]")
-    else:
-        print(f"(z/2) * [{lhs}] = {rhs}")
+    lhs = f"{li.format(k=-n, arg='z')} - {li.format(k=-n, arg='-z')}"
+    print((standard if arrangement == "standard" else halved).format(lhs=lhs, rhs=" ".join(terms)))
     return 0
 
 
@@ -371,8 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arrangement", choices=("standard", "halved"), default="standard",
                    help="factor 2/z on the right, or z/2 on the left")
     add_format(p)
-
-    parser.add_argument("--seed", type=int, default=None, help="reserved; output is deterministic")
     return parser
 
 
@@ -385,13 +214,11 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return cmd_eval(args.kind, args.n, args.z, args.format)
         if args.command == "verify":
-            if args.n_max < 0:
-                raise UsageError("--n-max must be >= 0")
             return cmd_verify(args.suite, args.n_max, args.tolerance, args.format, args.name)
         if args.command == "ladder":
             return cmd_ladder(args.n, args.format, args.arrangement)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
+    except (UsageError, SweepRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (PoleError, DomainError, SingularityError) as exc:

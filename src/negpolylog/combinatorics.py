@@ -20,7 +20,10 @@ from __future__ import annotations
 
 from math import comb, factorial
 
-__all__ = ["stirling2", "stirling2_row", "eulerian_b", "eulerian_b_row", "binomial", "factorial"]
+__all__ = [
+    "stirling2", "stirling2_row", "stirling_power_sum", "eulerian_b", "eulerian_b_row", "binomial",
+    "factorial",
+]
 
 _STIRLING_ROWS: dict[int, tuple[int, ...]] = {0: (1,)}
 _EULERIAN_B_ROWS: dict[int, tuple[int, ...]] = {}
@@ -62,6 +65,24 @@ def stirling2(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return stirling2_row(n)[k]
+
+
+def stirling_power_sum(n: int, base, weight):
+    """sum_{k=0..n} weight(k) {n+1 brace k+1} base^(k+1), the paper's central identity.
+
+    ``base`` is any exact value closed under ``+`` and ``*`` that also takes
+    exact scalars on the right (a ``RationalFunction``, ``Polynomial`` or
+    ``Fraction``);
+    ``weight(k)`` returns an exact scalar.  Powers are built incrementally,
+    one multiplication by ``base`` per term.
+    """
+    row = stirling2_row(n + 1)
+    power = base
+    acc = power * (weight(0) * row[1])
+    for k in range(1, n + 1):
+        power = power * base
+        acc = acc + power * (weight(k) * row[k + 1])
+    return acc
 
 
 def eulerian_b(n: int, k: int) -> int:

@@ -8,9 +8,10 @@ module a genuinely independent code path from the circular one.
 Routes provided:
 
 * coth/tanh derivative polynomials from the exact sum over (1 + u)^(k+1)
-  with weights (-1)^k k!/2^k {n+1 brace k+1} and prefactor 2^n, checked to
-  land on integers (coth and tanh satisfy the same first-order equation
-  f' = 1 - f^2, so they share one polynomial family);
+  with weights (-1)^k k!/2^k {n+1 brace k+1} and prefactor 2^n, built and
+  checked to land on integers by the same helper as cot/tan (coth and tanh
+  satisfy the same first-order equation f' = 1 - f^2, so they share one
+  polynomial family);
 * csch/sech single-sum evaluators over the type-B Eulerian row with real
   exponential phases;
 * the polylogarithm relations Li(e^x) = -(1/2) (d/dx)^n coth(x/2) and
@@ -29,13 +30,11 @@ the recurrence cross-check covers the same ground.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .algebra import GaussianRational, Polynomial, rf_eval
-from .circular import DerivativePolynomial
-from .combinatorics import eulerian_b_row, factorial, stirling2_row
-from .errors import SingularityError
-from .jets import nth_derivative
+from .algebra import Polynomial, rf_eval
+from .circular import DerivativePolynomial, _alternating_weight, _stirling_poly
+from .combinatorics import eulerian_b_row
+from .jets import nth_derivative, require_clear
 from .polylog import chi_neg, ti_neg
 from .reports import PointCheck, VerificationReport, rel_err
 
@@ -54,37 +53,15 @@ __all__ = [
 # the only singularity of coth and csch.
 HYP_GRID = (0.3, 0.5, 0.8, 1.2, 2.0)
 
-_GUARD = 1e-6
-
-
-def _hyp_poly(n: int, target: str) -> DerivativePolynomial:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return DerivativePolynomial(target, 0, Polynomial([0, 1], "u"))
-    base = Polynomial([1, 1], "u")  # 1 + u
-    row = stirling2_row(n + 1)
-    acc = Polynomial.zero("u")
-    bp = base
-    for k in range(n + 1):
-        acc = acc + bp.scale(Fraction((-1) ** k * factorial(k), 2**k) * row[k + 1])
-        if k < n:
-            bp = bp * base
-    acc = acc.scale(GaussianRational(2**n))
-    assert acc.is_real() and acc.is_integral(), (
-        f"{target} derivative polynomial failed to land on integers (bug)"
-    )
-    return DerivativePolynomial(target, n, acc)
-
 
 def coth_derivative_poly(n: int) -> DerivativePolynomial:
     """P with (d/dx)^n coth x = P(coth x); real arithmetic throughout."""
-    return _hyp_poly(n, "coth")
+    return _stirling_poly("coth", n, Polynomial([1, 1], "u"), _alternating_weight, lambda n: 2**n)
 
 
 def tanh_derivative_poly(n: int) -> DerivativePolynomial:
     """P with (d/dx)^n tanh x = P(tanh x); identical family to coth's."""
-    return _hyp_poly(n, "tanh")
+    return _stirling_poly("tanh", n, Polynomial([1, 1], "u"), _alternating_weight, lambda n: 2**n)
 
 
 def li_relation_coth(n: int, x: float) -> float:
@@ -94,8 +71,7 @@ def li_relation_coth(n: int, x: float) -> float:
     test suite's job.  Valid for n >= 1 (the n = 0 statement misses the
     constant -1/2).
     """
-    if abs(x) < _GUARD:
-        raise SingularityError(f"coth(x/2) is singular at x = 0, got {x}")
+    require_clear("coth(x/2)", x, 0.0)
     return -0.5 * 2.0**-n * nth_derivative("coth", x / 2, n)
 
 
@@ -106,8 +82,7 @@ def li_relation_tanh(n: int, x: float) -> float:
 
 def csch_derivative_eval(n: int, x: float) -> float:
     """(d/dx)^n csch x by the Eulerian single sum, pure real arithmetic."""
-    if abs(x) < _GUARD:
-        raise SingularityError(f"csch is singular at x = 0, got {x}")
+    require_clear("csch", x, 0.0)
     row = eulerian_b_row(n)
     total = 0.0
     for k in range(1, n + 2):
@@ -126,8 +101,7 @@ def sech_derivative_eval(n: int, x: float) -> float:
 
 def chi_ti_hyperbolic_relations(n: int, x: float, tol: float = 1e-8) -> VerificationReport:
     """Check 2*chi(e^x) = -(d/dx)^n csch x and 2*Ti(e^x) = (d/dx)^n sech x."""
-    if abs(x) < _GUARD:
-        raise SingularityError(f"the csch relation is singular at x = 0, got {x}")
+    require_clear("the csch relation", x, 0.0)
     ex = math.exp(x)
     points = []
 

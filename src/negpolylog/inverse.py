@@ -215,6 +215,7 @@ def verify_generic_operand(f: str, n: int, x: float, tol: float = 1e-9) -> Verif
         raise DomainError(f"substitution diverges where {f}(x) = -1; x = {x}")
     zstar = fx / (1.0 + fx)
     lhs = rf_eval(li_neg(n), zstar).real
+    # fx ** (k+1), not stirling_power_sum: its running product rounds differently and changes rhs
     row = stirling2_row(n + 1)
     rhs = 0.0
     for k in range(n + 1):

@@ -29,6 +29,7 @@ __all__ = [
     "Jet",
     "FUNCTION_IDS",
     "SINGULARITY_GUARD",
+    "require_clear",
     "jet_lift",
     "nth_derivative",
     "apply_operator_power",
@@ -77,11 +78,6 @@ class Jet:
     @property
     def value(self) -> float:
         return self.coeffs[0]
-
-    def truncate(self, order: int) -> "Jet":
-        if order > self.order:
-            raise ValueError("cannot extend a jet by truncation")
-        return Jet(self.x0, self.coeffs[: order + 1])
 
     def _pair(self, other: "Jet") -> tuple[tuple, tuple]:
         if self.x0 != other.x0:
@@ -204,8 +200,15 @@ def _compose(outer: Jet, inner: Jet) -> Jet:
     return acc
 
 
-def _dist_to_grid(x: float, offset: float, period: float) -> float:
-    return abs(math.remainder(x - offset, period))
+def require_clear(what: str, x: float, *poles: float, period: float | None = None) -> None:
+    """Raise SingularityError if x lies within SINGULARITY_GUARD of a pole.
+
+    With ``period`` the poles repeat: each one stands for pole + k * period.
+    """
+    for pole in poles:
+        d = abs(x - pole) if period is None else abs(math.remainder(x - pole, period))
+        if d < SINGULARITY_GUARD:
+            raise SingularityError(f"{what} is singular within {SINGULARITY_GUARD} of x = {x}")
 
 
 _PI = math.pi
@@ -213,41 +216,34 @@ _PI = math.pi
 
 def _check_point(fn: str, x0: float):
     """Raise SingularityError within the guard radius, DomainError outside the domain."""
-
-    def sing(d: float):
-        if d < SINGULARITY_GUARD:
-            raise SingularityError(f"{fn} is singular within {SINGULARITY_GUARD} of x0={x0}")
-
     if fn in ("tan", "sec"):
-        sing(_dist_to_grid(x0, _PI / 2, _PI))
+        require_clear(fn, x0, _PI / 2, period=_PI)
     elif fn in ("cot", "csc"):
-        sing(_dist_to_grid(x0, 0.0, _PI))
-    elif fn in ("coth", "csch"):
-        sing(abs(x0))
+        require_clear(fn, x0, 0.0, period=_PI)
+    elif fn in ("coth", "csch", "arccsch"):
+        require_clear(fn, x0, 0.0)
     elif fn == "log":
-        sing(abs(x0))
+        require_clear(fn, x0, 0.0)
         if x0 <= 0:
             raise DomainError(f"log needs x0 > 0, got {x0}")
     elif fn in ("arctanh", "arcsin", "arccos"):
-        sing(min(abs(x0 - 1.0), abs(x0 + 1.0)))
+        require_clear(fn, x0, 1.0, -1.0)
         if abs(x0) >= 1:
             raise DomainError(f"{fn} needs |x0| < 1, got {x0}")
     elif fn == "arccoth":
-        sing(min(abs(x0 - 1.0), abs(x0 + 1.0)))
+        require_clear(fn, x0, 1.0, -1.0)
         if abs(x0) <= 1:
             raise DomainError(f"arccoth needs |x0| > 1, got {x0}")
     elif fn == "arccosh":
-        sing(abs(x0 - 1.0))
+        require_clear(fn, x0, 1.0)
         if x0 < 1:
             raise DomainError(f"arccosh needs x0 >= 1, got {x0}")
     elif fn in ("arccsc", "arcsec"):
-        sing(min(abs(x0 - 1.0), abs(x0 + 1.0)))
+        require_clear(fn, x0, 1.0, -1.0)
         if abs(x0) <= 1:
             raise DomainError(f"{fn} needs |x0| > 1, got {x0}")
-    elif fn == "arccsch":
-        sing(abs(x0))
     elif fn == "arcsech":
-        sing(min(abs(x0), abs(x0 - 1.0)))
+        require_clear(fn, x0, 0.0, 1.0)
         if not 0 < x0 <= 1:
             raise DomainError(f"arcsech needs 0 < x0 <= 1, got {x0}")
 

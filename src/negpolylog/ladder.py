@@ -38,7 +38,7 @@ from functools import lru_cache
 
 from .algebra import I, Polynomial, RationalFunction, rf_eval, substitute
 from .combinatorics import binomial
-from .errors import SingularityError
+from .jets import require_clear
 from .numutil import checked_real, i_power
 from .polylog import chi_neg, li_neg, ti_neg
 
@@ -51,9 +51,6 @@ __all__ = [
     "verify_ladder_sec_variant",
     "leibniz_csc_route",
 ]
-
-_GUARD = 1e-6
-
 
 @dataclass(frozen=True)
 class LadderCoefficients:
@@ -125,8 +122,7 @@ def verify_ladder_sec_variant(n: int, x: float, tol: float = 1e-10) -> bool:
     The numeric side evaluates Li[-n](i e^(ix)) - Li[-n](-i e^(ix)) against
     -2i e^(-ix) sum_k c_k Li[-k](-e^(2ix)).
     """
-    if abs(math.remainder(x - math.pi / 2, math.pi)) < _GUARD:
-        raise SingularityError(f"rotated-ladder evaluation too close to a pole, x = {x}")
+    require_clear("the rotated ladder", x, math.pi / 2, period=math.pi)
     f = li_neg(n)
     w = cmath.exp(1j * x)
     lhs = rf_eval(f, 1j * w) - rf_eval(f, -1j * w)
@@ -141,8 +137,7 @@ def verify_ladder_sec_variant(n: int, x: float, tol: float = 1e-10) -> bool:
 
 def leibniz_csc_route(n: int, x: float) -> float:
     """(d/dx)^n csc x from the Leibniz expansion of exp(-ix)(i + cot x)."""
-    if abs(math.remainder(x, math.pi)) < _GUARD:
-        raise SingularityError(f"csc is singular within {_GUARD} of x = {x}")
+    require_clear("csc", x, 0.0, period=math.pi)
     c = ladder_coefficients(n).coefficients
     z2 = cmath.exp(2j * x)
     s = 0j

@@ -18,7 +18,6 @@ disk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -28,11 +27,10 @@ from .algebra import (
     substitute,
     z_ddz,
 )
-from .combinatorics import eulerian_b_row, factorial, stirling2_row
-from .errors import DomainError, NonConvergenceError
+from .combinatorics import eulerian_b_row, factorial, stirling_power_sum
+from .errors import DomainError, ImaginaryResidueError, NonConvergenceError
 
 __all__ = [
-    "PolylogClosedForm",
     "li_neg",
     "li_neg_operator",
     "li_neg_stirling",
@@ -49,15 +47,6 @@ SERIES_TERM_CAP = 10**6
 _LI_CACHE: dict[int, RationalFunction] = {}
 _CHI_CACHE: dict[int, RationalFunction] = {}
 _TI_CACHE: dict[int, RationalFunction] = {}
-
-
-@dataclass(frozen=True)
-class PolylogClosedForm:
-    """A closed form together with the route that produced it."""
-
-    order: int
-    function: RationalFunction
-    construction: str  # operator | stirling | chi_closed | ti_closed | li_difference
 
 
 def _li_base() -> RationalFunction:
@@ -119,15 +108,7 @@ def li_neg_stirling(n: int) -> RationalFunction:
     """Closed form by the Stirling-weighted sum of powers of z/(1-z)."""
     if n < 0:
         raise ValueError("order index n must be >= 0")
-    base = _li_base()
-    row = stirling2_row(n + 1)
-    acc = RationalFunction.zero()
-    power = base
-    for k in range(n + 1):
-        acc = acc + power * (factorial(k) * row[k + 1])
-        if k < n:
-            power = power * base
-    return acc
+    return stirling_power_sum(n, _li_base(), factorial)
 
 
 def chi_neg(n: int) -> RationalFunction:
@@ -172,26 +153,12 @@ def ti_from_chi(n: int) -> RationalFunction:
     """Inverse tangent integral as -i * chi(i z), built in Gaussian arithmetic.
 
     The canonical result must come out with purely real coefficients; that is
-    asserted rather than silently repaired.
+    checked rather than silently repaired.
     """
     t = substitute(chi_neg(n), "i_times_z") * GaussianRational(0, -1)
-    assert t.is_real(), "ti_from_chi produced non-real coefficients (bug)"
+    if not t.is_real():
+        raise ImaginaryResidueError(f"ti_from_chi produced non-real coefficients at n={n} (bug)")
     return t
-
-
-def closed_form(kind: str, n: int) -> PolylogClosedForm:
-    """Build a tagged closed form; kinds: li, li_stirling, chi, ti, chi_from_li."""
-    builders = {
-        "li": (li_neg_operator, "operator"),
-        "li_stirling": (li_neg_stirling, "stirling"),
-        "chi": (chi_neg, "chi_closed"),
-        "ti": (ti_neg, "ti_closed"),
-        "chi_from_li": (chi_from_li, "li_difference"),
-    }
-    if kind not in builders:
-        raise ValueError(f"unknown closed-form kind {kind!r}")
-    fn, tag = builders[kind]
-    return PolylogClosedForm(n, fn(n), tag)
 
 
 def li_series_eval(s: int, z, tol: float = 1e-12) -> complex:

@@ -60,7 +60,8 @@ class VerificationReport:
             d["exact"] = True
         return d
 
-    def summary(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        kind = "exact" if self.exact else f"max rel err {self.max_rel_err:.2e}"
-        return f"{status} {self.identity} (n={self.n}, {kind})"
+
+def exact_report(identity: str, n: int, ok: bool) -> VerificationReport:
+    """Report of one exact identity check, as a single placeholder point."""
+    point = PointCheck(0.0, 0.0, 0.0, 0.0 if ok else 1.0, ok)
+    return VerificationReport(identity, n, 0.0, [point], exact=True)

@@ -47,6 +47,11 @@ def test_poly_basics():
     assert P(0, 0, 1).derivative() == P(0, 2)  # d/dz z^2 = 2z
     assert P(1, -1) * P(1, 1) == P(1, 0, -1)  # (1-z)(1+z) = 1-z^2
     assert P(0, 1, 0, 1) + P(0, 0, 0, -1) == P(0, 1)  # (z+z^3) + (-z^3) = z
+    # exact scalars on either side scale every coefficient
+    assert P(1, 2) * 3 == 3 * P(1, 2) == P(3, 6)
+    assert Fraction(1, 2) * P(2, 4) == P(1, 2)
+    assert P(1, 1) * I == I * P(1, 1) == P(I, I)
+    assert P(1, 1) * 0 == Polynomial.zero()
 
 
 def test_poly_variable_mismatch():

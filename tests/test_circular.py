@@ -1,6 +1,11 @@
 """Derivative polynomials and the multi-route csc/sec evaluators."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -119,3 +124,37 @@ def test_singularity_guards():
         csc_derivative_eval(2, math.pi)
     with pytest.raises(SingularityError):
         sec_derivative_via_li(1, math.pi / 2)
+
+
+# Under python -O each exactness check must still raise: the derivative-polynomial
+# check when the expansion is fed a non-real or non-integral sum, and the
+# ti_from_chi check when the rotated closed form comes out non-real.
+_OPTIMIZED_PROBE = textwrap.dedent("""
+    from fractions import Fraction
+    from negpolylog import circular, hyperbolic, polylog
+    from negpolylog.algebra import I, Polynomial
+    from negpolylog.errors import ImaginaryResidueError, NegPolylogError
+
+    def raised(fn, exc_type):
+        try:
+            fn()
+        except NegPolylogError as exc:
+            return type(exc) is exc_type
+        return False
+
+    circular.stirling_power_sum = lambda n, base, weight: Polynomial([I], "u")
+    results = [raised(lambda: circular.cot_derivative_poly(3), ImaginaryResidueError)]
+    circular.stirling_power_sum = lambda n, base, weight: Polynomial([Fraction(1, 3)], "u")
+    results.append(raised(lambda: hyperbolic.tanh_derivative_poly(3), NegPolylogError))
+    polylog.chi_neg = polylog.li_neg
+    results.append(raised(lambda: polylog.ti_from_chi(2), ImaginaryResidueError))
+    print(__debug__, results)
+""")
+
+
+def test_exactness_checks_survive_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_PROBE], env=env,
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    assert out.strip() == "False [True, True, True]"

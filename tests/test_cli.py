@@ -56,6 +56,9 @@ def test_eval(capsys):
     assert code == 0 and "i" in out
     code, out, _ = run(capsys, "eval", "tan-poly", "2", "0.5")
     assert code == 0 and float(out) == pytest.approx(2 * 0.5 + 2 * 0.5**3)
+    code, out, _ = run(capsys, "eval", "tan-poly", "2", "0.5+0.5i", "--format", "json")
+    blob, u = json.loads(out), 0.5 + 0.5j
+    assert code == 0 and complex(blob["re"], blob["im"]) == pytest.approx(2 * u + 2 * u**3)
 
 
 def test_eval_pole_exit_code(capsys):

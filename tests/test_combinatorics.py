@@ -1,10 +1,15 @@
 """Exact-sequence tests; small values pinned against brute-force enumeration."""
 
+from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from negpolylog.combinatorics import binomial, eulerian_b, eulerian_b_row, stirling2
+from negpolylog.algebra import rf_eval_exact
+from negpolylog.combinatorics import (
+    binomial, eulerian_b, eulerian_b_row, stirling2, stirling_power_sum,
+)
+from negpolylog.polylog import li_neg
 
 
 def set_partitions(elems):
@@ -99,3 +104,12 @@ def test_binomial():
     for n in range(1, 15):
         for k in range(n + 1):
             assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
+
+
+def test_stirling_power_sum_over_rationals():
+    # with base w = z/(1-z) the sum is Li[-n](z); z = 1/3 gives w = 1/2
+    for n in range(8):
+        total = stirling_power_sum(n, Fraction(1, 2), factorial)
+        assert rf_eval_exact(li_neg(n), Fraction(1, 3)) == total, n
+    # {3 brace 1..3} = 1, 3, 1: 1/2 + 3/4 + 1/8
+    assert stirling_power_sum(2, Fraction(1, 2), lambda k: 1) == Fraction(11, 8)

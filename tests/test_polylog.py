@@ -13,7 +13,6 @@ from negpolylog.errors import DomainError, NonConvergenceError
 from negpolylog.polylog import (
     chi_from_li,
     chi_neg,
-    closed_form,
     li_neg,
     li_neg_operator,
     li_neg_stirling,
@@ -84,14 +83,6 @@ def test_li_numerator_is_z_times_palindrome():
         assert len(inner) == n  # degree n-1 polynomial times z
         assert all(c > 0 and c.denominator == 1 for c in inner)
         assert inner == inner[::-1]
-
-
-def test_closed_form_tags():
-    cf = closed_form("li", 2)
-    assert (cf.order, cf.construction) == (2, "operator")
-    assert cf.function == li_neg(2)
-    with pytest.raises(ValueError):
-        closed_form("banana", 2)
 
 
 def test_series_examples():

@@ -1,0 +1,45 @@
+"""The verification-suite registry used by ``negpolylog verify``."""
+
+import pytest
+
+from negpolylog.suites import MAX_EXACT_SWEEP, MAX_NUMERIC_SWEEP, SUITES, SweepRangeError, run_suite
+
+
+def test_exact_suites_pass():
+    reports = run_suite("ladder", 3)
+    assert len(reports) == 4 * 4
+    assert all(r.passed and r.exact and r.tolerance == 0.0 for r in reports)
+    core = run_suite("core", 2)
+    assert {r.identity for r in core} == {
+        "construction route equality", "chi from polylog difference",
+        "Ti from rotated chi", "duplication identity",
+    }
+    assert all(r.passed for r in core)
+
+
+def test_default_and_overridden_tolerances():
+    assert {r.tolerance for r in run_suite("trig", 1) if r.identity != "cot double angle"} == {1e-7}
+    reports = run_suite("inverse", 1, tol=1e-6, name="arctan")
+    assert {(r.identity, r.tolerance) for r in reports} == {("arctan", 1e-6)}
+    assert [r.n for r in reports] == [0, 1]
+
+
+def test_all_runs_every_suite_clipped_to_its_cap(monkeypatch):
+    calls = []
+    for suite, (_, cap, tol) in list(SUITES.items()):
+        def record(n_max, tol, name, suite=suite):
+            calls.append((suite, n_max, tol))
+            return []
+        monkeypatch.setitem(SUITES, suite, (record, cap, tol))
+    run_suite("all", 12)
+    assert calls == [("core", 12, 0.0), ("trig", 10, 1e-7), ("hyperbolic", 10, 1e-8),
+                     ("inverse", 10, 1e-7), ("ladder", 12, 0.0)]
+
+
+def test_caps():
+    for suite, n_max in (("trig", MAX_NUMERIC_SWEEP + 1), ("ladder", MAX_EXACT_SWEEP + 1),
+                         ("all", MAX_EXACT_SWEEP + 1), ("inverse", -1)):
+        with pytest.raises(SweepRangeError, match="n-max"):
+            run_suite(suite, n_max)
+    with pytest.raises(ValueError, match="unknown suite"):
+        run_suite("banana", 1)
