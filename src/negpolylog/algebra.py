@@ -11,10 +11,28 @@ imaginary unit can be carried exactly through intermediate algebra.  A
 
 which makes structural equality of the stored pair a valid identity test.
 
-Polynomial gcds use a primitive pseudo-remainder sequence over the Gaussian
-integers; degrees in this library stay small (about ``2n + 2`` for order
-``n <= 64``), so no modular tricks are needed.  Values are immutable after
-construction and all operations are pure.
+Polynomial gcds use a primitive pseudo-remainder sequence (PRS) over the
+Gaussian integers, the only path that computes a gcd of positive degree.
+Most pairs met in canonicalization are coprime, and a modular certificate
+proves that without the PRS (Brown 1971):
+
+* the prime is p = 998244353, below 2**30 so residues stay one-digit
+  integers, and large enough that a coprime pair rarely meets the
+  fallback below; since p = 1 (mod 4), -1 has a square root s mod p, so
+  i -> s is a ring map from the Gaussian integers onto the field F_p and
+  no extension field is needed;
+* if the primitive a and b share a factor h of positive degree, Gauss's
+  lemma makes h a Gaussian-integer polynomial whose leading coefficient
+  divides both leading coefficients; when neither leading coefficient maps
+  to 0, the image of h keeps its degree and divides both images, so their
+  gcd mod p is not constant;
+* hence a constant gcd mod p, with both leading coefficients nonzero mod p,
+  proves a and b coprime over Q(i), and the unit 1 is returned;
+* any other outcome (a leading coefficient that maps to 0, or a gcd of
+  positive degree mod p, which a coprime pair gets when p divides its
+  resultant) falls through to the PRS.
+
+Values are immutable after construction and all operations are pure.
 
 Numeric evaluation (:func:`rf_eval`) runs Horner's scheme with exact
 coefficient arithmetic and rounds once at the end.  Expanded high powers such
@@ -480,8 +498,44 @@ def _pairs_pseudo_rem(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> lis
     return r
 
 
+_MOD_P = 998244353
+_MOD_I = pow(3, (_MOD_P - 1) // 4, _MOD_P)  # 3 generates F_p^*, so this squares to -1
+
+
+def _coprime_mod_p(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> bool:
+    """True when the images of a, b in F_p[z] keep their degrees and have a constant gcd.
+
+    A True answer proves a and b coprime over Q(i) (see the module docstring);
+    False proves nothing.
+    """
+    p, s = _MOD_P, _MOD_I
+    f = [(x + y * s) % p for x, y in a]
+    g = [(x + y * s) % p for x, y in b]
+    if not f[-1] or not g[-1]:
+        return False
+    while len(g) > 1:
+        dg = len(g) - 1
+        inv = pow(g[-1], -1, p)
+        low = g[:dg]
+        for k in range(len(f) - 1 - dg, -1, -1):
+            c = f[dg + k] * inv % p
+            if c:
+                f[k:dg + k] = [(x - c * y) % p for x, y in zip(f[k:dg + k], low)]
+        del f[dg:]
+        while f and not f[-1]:
+            f.pop()
+        if not f:
+            return False
+        f, g = g, f
+    return True
+
+
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Primitive gcd via a primitive pseudo-remainder sequence (unit-ambiguous)."""
+    """Primitive gcd via a primitive pseudo-remainder sequence (unit-ambiguous).
+
+    A pair the modular certificate proves coprime returns the unit 1 without
+    running the sequence.
+    """
     f._check_var(g)
     a = _pairs_primitive(_pairs_from_poly(f)) if not f.is_zero() else []
     b = _pairs_primitive(_pairs_from_poly(g)) if not g.is_zero() else []
@@ -489,6 +543,8 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
         a, b = b, a
     if len(a) < len(b):
         a, b = b, a
+    if b and _coprime_mod_p(a, b):
+        return Polynomial.one(f.var)
     while b:
         a, b = b, _pairs_primitive(_pairs_pseudo_rem(a, b))
     return Polynomial([GaussianRational(x, y) for x, y in a], f.var)
@@ -686,10 +742,21 @@ class RationalFunction:
 
 
 def z_ddz(f: RationalFunction) -> RationalFunction:
-    """The derivation z * d/dz applied once, quotient rule then canonicalized."""
-    zp = Polynomial.variable(f.var)
-    num = zp * (f.num.derivative() * f.den - f.num * f.den.derivative())
-    return RationalFunction(num, f.den * f.den)
+    """The derivation z * d/dz applied once, quotient rule then canonicalized.
+
+    With f = p/q and g = gcd(q, q'), the quotient rule is taken over g first:
+    z (p' (q/g) - p (q'/g)) / (q (q/g)) instead of z (p' q - p q') / q**2.
+    Both are the same function, and the canonical form is unique.
+    """
+    p, q = f.num, f.den
+    dq = q.derivative()
+    g = poly_gcd(q, dq)
+    if g.degree > 0:
+        u, v = poly_exact_div(q, g), poly_exact_div(dq, g)
+    else:
+        u, v = q, dq
+    num = Polynomial.variable(f.var) * (p.derivative() * u - p * v)
+    return RationalFunction(num, q * u)
 
 
 _SUBSTITUTIONS = ("negate_z", "square_z", "invert_z", "i_times_z")

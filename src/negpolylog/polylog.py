@@ -112,7 +112,13 @@ def li_neg_stirling(n: int) -> RationalFunction:
 
 
 def chi_neg(n: int) -> RationalFunction:
-    """Legendre chi at order -n: odd numerator over (1 - z^2)**(n+1)."""
+    """Legendre chi at order -n: odd numerator over (1 - z^2)**(n+1).
+
+    The numerator is sum_k B(n, k) z^(2k+1) over the type-B Eulerian row,
+    which sums to 2^n n!.  So it is 2^n n! at z = 1 and -2^n n! at z = -1,
+    never zero at a root of (1 - z^2)**(n+1): the pair is coprime by
+    construction and skips the gcd.
+    """
     if n < 0:
         raise ValueError("order index n must be >= 0")
     f = _CHI_CACHE.get(n)
@@ -122,13 +128,19 @@ def chi_neg(n: int) -> RationalFunction:
         for k in range(1, n + 2):
             coeffs[2 * k - 1] = row[k - 1]
         den = Polynomial([1, 0, -1]) ** (n + 1)
-        f = RationalFunction(Polynomial(coeffs), den)
+        f = RationalFunction(Polynomial(coeffs), den, _reduced=True)
         _CHI_CACHE[n] = f
     return f
 
 
 def ti_neg(n: int) -> RationalFunction:
-    """Inverse tangent integral at order -n: alternating numerator over (1 + z^2)**(n+1)."""
+    """Inverse tangent integral at order -n: alternating numerator over (1 + z^2)**(n+1).
+
+    The numerator is sum_k (-1)^k B(n, k) z^(2k+1).  At z = i each term is
+    i B(n, k), so the value is i 2^n n! (the type-B row sum), and -i 2^n n!
+    at z = -i.  It never vanishes at a root of (1 + z^2)**(n+1): the pair is
+    coprime by construction and skips the gcd.
+    """
     if n < 0:
         raise ValueError("order index n must be >= 0")
     f = _TI_CACHE.get(n)
@@ -138,7 +150,7 @@ def ti_neg(n: int) -> RationalFunction:
         for k in range(1, n + 2):
             coeffs[2 * k - 1] = -((-1) ** k) * row[k - 1]
         den = Polynomial([1, 0, 1]) ** (n + 1)
-        f = RationalFunction(Polynomial(coeffs), den)
+        f = RationalFunction(Polynomial(coeffs), den, _reduced=True)
         _TI_CACHE[n] = f
     return f
 

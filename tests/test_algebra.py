@@ -8,11 +8,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from negpolylog import algebra
 from negpolylog.algebra import (
     GaussianRational,
     I,
     Polynomial,
     RationalFunction,
+    poly_exact_div,
+    poly_gcd,
     poly_text,
     rf_eval,
     rf_eval_exact,
@@ -38,6 +41,9 @@ small_ints = st.integers(-5, 5)
 polys = st.lists(small_ints, min_size=0, max_size=5).map(Polynomial)
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
 rationals = st.builds(RationalFunction, polys, nonzero_polys)
+gauss_polys = st.lists(
+    st.builds(GaussianRational, small_ints, small_ints), min_size=1, max_size=4
+).map(Polynomial).filter(lambda p: not p.is_zero())
 
 
 # -- polynomial arithmetic -------------------------------------------------
@@ -57,6 +63,59 @@ def test_poly_basics():
 def test_poly_variable_mismatch():
     with pytest.raises(ValueError, match="variable mismatch"):
         Polynomial([1], "z") + Polynomial([1], "u")
+
+
+# -- gcd: modular coprimality certificate and PRS fallback --------------------
+
+
+@given(gauss_polys, gauss_polys, gauss_polys)
+@settings(max_examples=150)
+def test_gcd_recovers_planted_factor(a, b, h):
+    f, g = a * h, b * h
+    d = poly_gcd(f, g)
+    assert d.degree >= h.degree
+    poly_exact_div(f, d)
+    poly_exact_div(g, d)
+
+
+def _prs_steps(monkeypatch):
+    calls = []
+    real = algebra._pairs_pseudo_rem
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(algebra, "_pairs_pseudo_rem", counted)
+    return calls
+
+
+def test_gcd_certificate_skips_prs_on_coprime_pair(monkeypatch):
+    calls = _prs_steps(monkeypatch)
+    assert poly_gcd(P(1, -1) ** 5, P(0, 1, 1, 1)) == Polynomial.one()
+    assert not calls
+
+
+def test_gcd_falls_back_to_prs_when_certificate_declines(monkeypatch):
+    p, s = algebra._MOD_P, algebra._MOD_I
+    calls = _prs_steps(monkeypatch)
+    cases = [
+        # coprime over Q(i), but z and z - p have the same image mod p
+        (P(0, 1), P(-p, 1), 0),
+        # leading coefficients divisible by p: the common factor 1 + pz maps to 1
+        (P(1, p) * P(3, 1), P(1, p) * P(1, 1), 1),
+        # non-real: s - i maps to 0 mod p, so 1 + (s - i)z also maps to 1
+        (P(1, s - I) * P(2, 1), P(1, s - I) * P(0, 1), 1),
+        # non-real: coprime z - i and z - s share an image; 2 + iz is common
+        (P(-I, 1) * P(2, I), P(-s, 1) * P(2, I), 1),
+    ]
+    for f, g, want in cases:
+        calls.clear()
+        d = poly_gcd(f, g)
+        assert calls, (f, g)
+        assert d.degree == want, (f, g)
+        poly_exact_div(f, d)
+        poly_exact_div(g, d)
 
 
 def test_gaussian_rational_arithmetic():
@@ -92,6 +151,8 @@ def test_z_ddz_examples():
     assert z_ddz(RF([0, 1], [1, -1])) == RF([0, 1], [1, -2, 1])
     assert z_ddz(RF([1], [1])).is_zero()
     assert z_ddz(RF([0, 0, 1], [1])) == RF([0, 0, 2], [1])  # z * 2z = 2z^2
+    # gcd(q, q') = (1-z)^2 is divided out first: z d/dz [1/(1-z)^3] = 3z/(1-z)^4
+    assert z_ddz(RF([1], [1, -3, 3, -1])) == RF([0, 3], [1, -4, 6, -4, 1])
 
 
 def test_substitute_examples():

@@ -9,6 +9,7 @@ from negpolylog.algebra import (
     rf_eval,
     substitute,
 )
+from negpolylog.combinatorics import eulerian_b_row
 from negpolylog.errors import DomainError, NonConvergenceError
 from negpolylog.polylog import (
     chi_from_li,
@@ -36,7 +37,7 @@ def test_operator_first_orders():
 
 def test_stirling_route_matches_operator():
     assert li_neg_stirling(0) == RF([0, 1], [1, -1])
-    for n in (3, 6):
+    for n in (3, 6, 64):
         assert li_neg_stirling(n) == li_neg_operator(n) == li_neg(n)
 
 
@@ -53,16 +54,23 @@ def test_chi_ti_closed_forms():
     assert ti_neg(3) == RationalFunction(
         Polynomial([0, 1, 0, -23, 0, 23, 0, -1]), Polynomial([1, 0, 1]) ** 4
     )
+    # the skipped gcd: equal to the construction that runs it in full
+    for n in (0, 1, 40, 64):
+        row = eulerian_b_row(n)
+        chi_num = Polynomial([0, 1]) * Polynomial(row).square_arg()
+        ti_num = Polynomial([0, 1]) * Polynomial([(-1) ** k * b for k, b in enumerate(row)]).square_arg()
+        assert chi_neg(n) == RationalFunction(chi_num, Polynomial([1, 0, -1]) ** (n + 1))
+        assert ti_neg(n) == RationalFunction(ti_num, Polynomial([1, 0, 1]) ** (n + 1))
 
 
 def test_chi_from_li_route():
     assert chi_from_li(0) == chi_neg(0)
-    for n in range(21):
+    for n in [*range(21), 40, 64]:
         assert chi_from_li(n) == chi_neg(n)
 
 
 def test_ti_gaussian_route():
-    for n in range(21):
+    for n in [*range(21), 40, 64]:
         assert ti_from_chi(n) == ti_neg(n)
 
 
