@@ -177,9 +177,6 @@ class GaussianRational:
             k >>= 1
         return out
 
-    def norm2(self):
-        return self.re * self.re + self.im * self.im
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -794,22 +791,18 @@ def substitute(f: RationalFunction, kind: str) -> RationalFunction:
 def rf_eval(f: RationalFunction, z) -> complex:
     """Evaluate at a complex double by exact-coefficient Horner, rounding once.
 
-    Raises PoleError when |den(z)| < 1e-12 * (1 + |z|**deg den), the scale at
-    which a double-precision evaluation of the denominator could no longer be
-    distinguished from zero.
+    The double z is read as the Gaussian rational it represents exactly, and
+    the exact value there is rounded to the nearest double in each part; a
+    part beyond double range rounds to +-inf, as float arithmetic does.
+    Raises PoleError only when the exact denominator is zero at that point:
+    a small nonzero denominator is not a pole.
     """
     zc = complex(z)
     zg = GaussianRational(Fraction(zc.real), Fraction(zc.imag))
     den_val = f.den.horner(zg)
-    abs_den = math.sqrt(_frac_to_float(den_val.norm2()))
-    try:
-        scale = 1.0 + abs(zc) ** f.den.degree
-    except OverflowError:
-        scale = math.inf
-    if abs_den < 1e-12 * scale:
-        raise PoleError(f"evaluation at or near a pole: |den({zc})| = {abs_den:.3e}")
-    num_val = f.num.horner(zg)
-    return (num_val / den_val).to_complex()
+    if den_val.is_zero():
+        raise PoleError(f"evaluation at a pole: den({zc}) = 0")
+    return (f.num.horner(zg) / den_val).to_complex()
 
 
 def rf_eval_exact(f: RationalFunction, z) -> GaussianRational:

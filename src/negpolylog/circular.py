@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import I, Polynomial, rf_eval
@@ -60,13 +60,10 @@ __all__ = [
 TRIG_GRID = (0.3, 0.7, 1.0, 1.4, 2.0, 2.8)
 
 
-@dataclass(frozen=True)
-class DerivativePolynomial:
+class DerivativePolynomial(namedtuple("DerivativePolynomial", "target order poly")):
     """P with (d/dx)^n target(x) = P(target(x)); P has integer coefficients."""
 
-    target: str
-    order: int
-    poly: Polynomial
+    __slots__ = ()
 
     def __call__(self, u):
         """P(u) by float Horner; complex u gives a complex value."""

@@ -10,9 +10,9 @@ Commands
   ladder --n N                       print the ladder identity with exact coefficients
 
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage
-error, 3 domain or pole error.  All results go to stdout, diagnostics to
-stderr.  Text output is ASCII only; output is deterministic for given
-arguments.  Complex literals follow FLOAT(("+"|"-")FLOAT"i")?, e.g. 0.5 or
+error, 3 domain error or a pole (an exact zero denominator).  All results go
+to stdout, diagnostics to stderr.  Text output is ASCII only; output is
+deterministic for given arguments.  Complex literals follow FLOAT(("+"|"-")FLOAT"i")?, e.g. 0.5 or
 0.3+0.2i.  The suites themselves live in negpolylog.suites.
 """
 

@@ -10,7 +10,7 @@ class DomainError(NegPolylogError):
 
 
 class PoleError(NegPolylogError):
-    """Rational-function evaluation requested at (or numerically at) a pole."""
+    """Rational-function evaluation at a pole: the exact denominator is zero there."""
 
 
 class SingularityError(NegPolylogError):

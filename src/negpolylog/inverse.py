@@ -38,8 +38,7 @@ jet-liftable at the chosen points).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
 
 from .algebra import rf_eval
 from .combinatorics import factorial, stirling2_row
@@ -51,19 +50,20 @@ from .reports import PointCheck, VerificationReport, rel_err
 __all__ = ["InverseIdentity", "registry", "verify_identity", "verify_generic_operand"]
 
 
-@dataclass(frozen=True)
-class InverseIdentity:
-    name: str
-    side: str  # "chi" | "ti"
-    target: str  # jet FunctionId receiving the operator
-    arg_tag: str  # human-readable g(x)
-    operator_tag: str  # human-readable a(x) d/dx
-    outer_sign: int
-    arg: Callable[[float], float]
-    coefficient: Callable[[float, int], Jet]
-    domain: str
-    sample_points: tuple[float, ...]
-    rationale: str
+class InverseIdentity(namedtuple("InverseIdentity", [
+    "name",
+    "side",  # "chi" | "ti"
+    "target",  # jet FunctionId receiving the operator
+    "arg_tag",  # human-readable g(x)
+    "operator_tag",  # human-readable a(x) d/dx
+    "outer_sign",  # +1 or -1
+    "arg",  # g: float -> float
+    "coefficient",  # a: (x, order) -> Jet
+    "domain",
+    "sample_points",  # tuple of floats
+    "rationale",
+])):
+    __slots__ = ()
 
     def describe(self) -> str:
         side = "chi" if self.side == "chi" else "Ti"

@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
-from .algebra import I, Polynomial, RationalFunction, rf_eval, substitute
+from .algebra import I, Polynomial, RationalFunction, poly_exact_div, rf_eval, substitute
 from .combinatorics import binomial
 from .jets import require_clear
 from .numutil import checked_real, i_power
@@ -52,12 +52,10 @@ __all__ = [
     "leibniz_csc_route",
 ]
 
-@dataclass(frozen=True)
-class LadderCoefficients:
+class LadderCoefficients(namedtuple("LadderCoefficients", "n coefficients")):
     """c[k] = (-1)^(n-k) * 2^k * C(n, k), k = 0..n."""
 
-    n: int
-    coefficients: tuple[int, ...]
+    __slots__ = ()
 
 
 def ladder_coefficients(n: int) -> LadderCoefficients:
@@ -67,22 +65,34 @@ def ladder_coefficients(n: int) -> LadderCoefficients:
     return LadderCoefficients(n, coeffs)
 
 
-def _li_even(k: int) -> RationalFunction:
-    """Li[-k](z^2)."""
-    return substitute(li_neg(k), "square_z")
+def _li_even(k: int) -> tuple[Polynomial, Polynomial]:
+    """Numerator and denominator of Li[-k](z^2)."""
+    f = li_neg(k)
+    return f.num.square_arg(), f.den.square_arg()
 
 
-def _li_even_neg(k: int) -> RationalFunction:
-    """Li[-k](-z^2)."""
-    return substitute(substitute(li_neg(k), "negate_z"), "square_z")
+def _li_even_neg(k: int) -> tuple[Polynomial, Polynomial]:
+    """Numerator and denominator of Li[-k](-z^2)."""
+    f = li_neg(k)
+    return f.num.negate_arg().square_arg(), f.den.negate_arg().square_arg()
 
 
 def _weighted_sum(n: int, term) -> RationalFunction:
+    """sum_k c_k term(k), built as one numerator over the last term's denominator.
+
+    Up to sign, the k-th denominator is (z^2 - 1)^(k+1) for Li[-k](z^2) and
+    (z^2 + 1)^(k+1) for Li[-k](-z^2), so each one divides the next.  The
+    running numerator is carried forward by that exact quotient (poly_exact_div
+    raises if it is not one), and the sum is canonicalized once, with a full gcd.
+    """
     c = ladder_coefficients(n).coefficients
-    acc = RationalFunction.zero()
-    for k in range(n + 1):
-        acc = acc + term(k) * c[k]
-    return acc
+    num, den = term(0)
+    num = num * c[0]
+    for k in range(1, n + 1):
+        p, q = term(k)
+        num = num * poly_exact_div(q, den) + p * c[k]
+        den = q
+    return RationalFunction(num, den)
 
 
 def verify_ladder_exact(n: int) -> bool:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
 def rel_err(a: float, b: float) -> float:
@@ -13,15 +13,10 @@ def rel_err(a: float, b: float) -> float:
     return abs(a - b) / m
 
 
-@dataclass
-class PointCheck:
-    x: float
-    lhs: float
-    rhs: float
-    rel_err: float
-    ok: bool
-    label: str = ""
-    note: str = ""
+class PointCheck(namedtuple("PointCheck", "x lhs rhs rel_err ok label note", defaults=("", ""))):
+    """One sample point: x, both sides, their relative error, and the verdict."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         d = {"x": self.x, "lhs": self.lhs, "rhs": self.rhs, "rel_err": self.rel_err}
@@ -32,13 +27,13 @@ class PointCheck:
         return d
 
 
-@dataclass
-class VerificationReport:
-    identity: str
-    n: int
-    tolerance: float
-    points: list[PointCheck] = field(default_factory=list)
-    exact: bool = False
+class VerificationReport(namedtuple("VerificationReport", "identity n tolerance points exact")):
+    """The PointChecks of one identity at order n against a tolerance."""
+
+    __slots__ = ()
+
+    def __new__(cls, identity: str, n: int, tolerance: float, points=None, exact: bool = False):
+        return super().__new__(cls, identity, n, tolerance, [] if points is None else points, exact)
 
     @property
     def passed(self) -> bool:

@@ -2,6 +2,7 @@
 argument transforms, and evaluation."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from negpolylog.algebra import (
     z_ddz,
 )
 from negpolylog.errors import PoleError
+from negpolylog.polylog import li_neg
 
 
 def P(*coeffs):
@@ -181,6 +183,20 @@ def test_rf_eval_examples():
         rf_eval(f, 1.0)
     g = RF([0, 1], [1, 0, -1])
     assert rf_eval(g, 2.0).real == pytest.approx(-2 / 3)  # hand arithmetic
+
+
+def test_rf_eval_raises_only_at_an_exact_pole():
+    # large values far from any pole: the exact value at the exact double, rounded once
+    for n, z in ((64, 0.5), (30, 0.7)):
+        exact = rf_eval_exact(li_neg(n), Fraction(z))
+        assert rf_eval(li_neg(n), z) == complex(float(exact.re), float(exact.im))
+    # one ulp below the pole of 1/(1 - z) the denominator is 2**-53, not zero
+    below = math.nextafter(1.0, 0.0)
+    assert rf_eval(RF([1], [1, -1]), below) == 2.0**53
+    with pytest.raises(PoleError):
+        rf_eval(RF([1], [1, -1]), 1.0)
+    # a value beyond double range rounds to inf, as float arithmetic does
+    assert rf_eval(li_neg(64), below) == complex(math.inf, 0.0)
 
 
 # -- canonical-form properties ----------------------------------------------

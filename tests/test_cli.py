@@ -1,6 +1,10 @@
 """Command-line surface: output formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +68,18 @@ def test_eval(capsys):
 def test_eval_pole_exit_code(capsys):
     code, _, err = run(capsys, "eval", "li", "0", "1")
     assert code == 3 and "pole" in err.lower()
+    code, out, _ = run(capsys, "eval", "li", "64", "0.5")  # 2.8e99, no pole
+    assert code == 0 and float(out) == pytest.approx(2.816838379668915e99, rel=1e-15)
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = ("import negpolylog.cli, sys; "
+             "print([m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_usage_errors(capsys):

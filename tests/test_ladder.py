@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from negpolylog import ladder
 from negpolylog.algebra import Polynomial, RationalFunction, substitute
 from negpolylog.circular import (
     TRIG_GRID,
@@ -16,6 +17,10 @@ from negpolylog.circular import (
 from negpolylog.errors import SingularityError
 from negpolylog.jets import nth_derivative
 from negpolylog.ladder import (
+    LadderCoefficients,
+    _li_even,
+    _li_even_neg,
+    _weighted_sum,
     chi_ladder,
     ladder_coefficients,
     leibniz_csc_route,
@@ -52,14 +57,55 @@ def test_coefficient_sum_is_one(n):
 
 
 def test_main_relation_exact():
-    for n in range(16):
+    for n in [*range(16), 40, 64]:
         assert verify_ladder_exact(n), n
 
 
 def test_chi_ti_ladders_exact():
-    for n in range(11):
+    for n in [*range(11), 40, 64]:
         assert chi_ladder(n), n
         assert ti_ladder(n), n
+
+
+def _pairwise_sum(n: int, negate: bool) -> RationalFunction:
+    """sum_k c_k Li[-k](+-z^2) as canonical pairwise rational-function additions."""
+    c = ladder_coefficients(n).coefficients
+    acc = RationalFunction.zero()
+    for k in range(n + 1):
+        f = li_neg(k)
+        if negate:
+            f = substitute(f, "negate_z")
+        acc = acc + substitute(f, "square_z") * c[k]
+    return acc
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 20, 40])
+def test_weighted_sum_matches_pairwise_accumulation(n):
+    assert _weighted_sum(n, _li_even) == _pairwise_sum(n, negate=False)
+    assert _weighted_sum(n, _li_even_neg) == _pairwise_sum(n, negate=True)
+
+
+def test_weighted_sum_rejects_a_broken_denominator_chain():
+    def term(k):  # 1/(1 + 2z), then 1/(1 + 3z): the first does not divide the second
+        return Polynomial([1]), Polynomial([1, k + 2])
+
+    with pytest.raises(ArithmeticError):
+        _weighted_sum(1, term)
+
+
+def test_perturbed_coefficient_fails_every_exact_ladder(monkeypatch):
+    exact = ladder.ladder_coefficients
+
+    def perturbed(n):
+        c = list(exact(n).coefficients)
+        c[n // 2] += 1
+        return LadderCoefficients(n, tuple(c))
+
+    monkeypatch.setattr(ladder, "ladder_coefficients", perturbed)
+    for n in (0, 3, 12):
+        assert not verify_ladder_exact(n), n
+        assert not chi_ladder(n), n
+        assert not ti_ladder(n), n
 
 
 def test_main_and_chi_forms_are_mutually_consistent():

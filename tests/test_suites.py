@@ -2,6 +2,7 @@
 
 import pytest
 
+from negpolylog.reports import PointCheck, exact_report
 from negpolylog.suites import MAX_EXACT_SWEEP, MAX_NUMERIC_SWEEP, SUITES, SweepRangeError, run_suite
 
 
@@ -15,6 +16,13 @@ def test_exact_suites_pass():
         "Ti from rotated chi", "duplication identity",
     }
     assert all(r.passed for r in core)
+    assert exact_report("x", 2, False).to_dict() == {
+        "identity": "x", "n": 2, "tolerance": 0.0, "exact": True, "pass": False,
+        "points": [{"x": 0.0, "lhs": 0.0, "rhs": 0.0, "rel_err": 1.0}],
+    }
+    point = PointCheck(1.0, 2.0, 3.0, 0.5, False, "l", "m")
+    assert (point.to_dict(), point.ok) == (
+        {"x": 1.0, "lhs": 2.0, "rhs": 3.0, "rel_err": 0.5, "label": "l", "note": "m"}, False)
 
 
 def test_default_and_overridden_tolerances():
