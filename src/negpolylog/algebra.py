@@ -34,6 +34,24 @@ proves that without the PRS (Brown 1971):
 
 Values are immutable after construction and all operations are pure.
 
+The kernel takes an integer path wherever its input already allows one, and
+gives the same values as the general path:
+
+* canonicalization reads the integer parts directly when every coefficient
+  is integral (no common denominator to clear), and divides by a joint
+  content that is a real integer with ``//``; a non-real content goes
+  through Gaussian-integer division;
+* exact division by a polynomial whose leading coefficient is a unit
+  (1, -1, i or -i) multiplies by the inverse unit, so integer parts stay
+  ``int``; any other divisor divides through ``Fraction``.
+
+Every zero coefficient the kernel builds from integer parts (in canonical
+forms and gcds) or pads a coefficient list with is the one shared object
+``_ZERO``, so the many zero coefficients of the even and odd closed forms do
+not cost an object each.  Sharing is sound only because no code assigns to
+``re``/``im`` outside ``GaussianRational.__init__``; a test walks the
+package's syntax trees to keep it so.
+
 Numeric evaluation (:func:`rf_eval`) runs Horner's scheme with exact
 coefficient arithmetic and rounds once at the end.  Expanded high powers such
 as ``(1 - z^2)^11`` are catastrophically ill-conditioned in double-precision
@@ -206,6 +224,7 @@ class GaussianRational:
 
 
 I = GaussianRational(0, 1)
+_ZERO = GaussianRational(0)
 
 _UNITS = (
     GaussianRational(1),
@@ -213,6 +232,13 @@ _UNITS = (
     GaussianRational(-1),
     GaussianRational(0, -1),
 )
+# (re, im) of each unit -> its inverse: 1/i = -i and 1/(-i) = i
+_UNIT_INVERSES = {(1, 0): _UNITS[0], (0, 1): _UNITS[3], (-1, 0): _UNITS[2], (0, -1): _UNITS[1]}
+
+
+def _from_pair(a: int, b: int) -> GaussianRational:
+    """The coefficient a + b*i of integer parts; every zero is the shared ``_ZERO``."""
+    return GaussianRational(a, b) if a or b else _ZERO
 
 
 def _frac_to_float(fr) -> float:
@@ -284,11 +310,8 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
     def constant(self) -> GaussianRational:
-        return self.coeffs[0] if self.coeffs else GaussianRational(0)
+        return self.coeffs[0] if self.coeffs else _ZERO
 
     def lead(self) -> GaussianRational:
         if not self.coeffs:
@@ -328,7 +351,7 @@ class Polynomial:
         if self.is_zero() or other.is_zero():
             return Polynomial.zero(self.var)
         a, b = self.coeffs, other.coeffs
-        out = [GaussianRational(0)] * (len(a) + len(b) - 1)
+        out = [_ZERO] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca.is_zero():
                 continue
@@ -370,7 +393,7 @@ class Polynomial:
 
     def horner(self, z: GaussianRational) -> GaussianRational:
         """Exact evaluation at a Gaussian rational point."""
-        acc = GaussianRational(0)
+        acc = _ZERO
         for c in reversed(self.coeffs):
             acc = acc * z + c
         return acc
@@ -382,7 +405,7 @@ class Polynomial:
         )
 
     def square_arg(self) -> "Polynomial":
-        out = [GaussianRational(0)] * (2 * len(self.coeffs))
+        out = [_ZERO] * (2 * len(self.coeffs))
         for k, c in enumerate(self.coeffs):
             out[2 * k] = c
         return Polynomial(out, self.var)
@@ -407,22 +430,22 @@ class Polynomial:
         return f"Polynomial({poly_text(self)!r}, var={self.var!r})"
 
 
-def _int_pairs(p: Polynomial, lam: Fraction) -> list[tuple[int, int]]:
-    out = []
-    for c in p.coeffs:
-        re = c.re * lam
-        im = c.im * lam
-        out.append((re.numerator, im.numerator))
-    return out
+def _int_pairs(p: Polynomial, lam: int) -> list[tuple[int, int]]:
+    """Integer parts of lam * p, for lam a common denominator of p's coefficients."""
+    if lam == 1:
+        return [(c.re.numerator, c.im.numerator) for c in p.coeffs]
+    return [((c.re * lam).numerator, (c.im * lam).numerator) for c in p.coeffs]
 
 
-def _denominator_lcm(polys) -> Fraction:
+def _denominator_lcm(polys) -> int:
     lam = 1
     for p in polys:
         for c in p.coeffs:
-            lam = lam * c.re.denominator // math.gcd(lam, c.re.denominator)
-            lam = lam * c.im.denominator // math.gcd(lam, c.im.denominator)
-    return Fraction(lam)
+            if type(c.re) is not int:
+                lam = math.lcm(lam, c.re.denominator)
+            if type(c.im) is not int:
+                lam = math.lcm(lam, c.im.denominator)
+    return lam
 
 
 def _content(pairs) -> tuple[int, int]:
@@ -447,15 +470,22 @@ def _pairs_from_poly(p: Polynomial) -> list[tuple[int, int]]:
     return _int_pairs(p, _denominator_lcm([p]))
 
 
+def _divide_content(pairs: list[tuple[int, int]], g: tuple[int, int]) -> list[tuple[int, int]]:
+    """Exact division of every pair by a content g; a real g divides with ``//``."""
+    if g == (1, 0):
+        return pairs
+    gr, gi = g
+    if not gi:
+        return [(a // gr, b // gr) for a, b in pairs]
+    return [_gauss_int_div(c, g) for c in pairs]
+
+
 def _pairs_primitive(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
     while pairs and pairs[-1] == (0, 0):
         pairs.pop()
     if not pairs:
         return pairs
-    g = _content(pairs)
-    if g != (1, 0):
-        pairs = [_gauss_int_div(c, g) for c in pairs]
-    return pairs
+    return _divide_content(pairs, _content(pairs))
 
 
 def _to_int_primitive(p: Polynomial) -> Polynomial:
@@ -463,7 +493,7 @@ def _to_int_primitive(p: Polynomial) -> Polynomial:
     if p.is_zero():
         return p
     pairs = _pairs_primitive(_pairs_from_poly(p))
-    return Polynomial([GaussianRational(a, b) for a, b in pairs], p.var)
+    return Polynomial([_from_pair(a, b) for a, b in pairs], p.var)
 
 
 def _pairs_pseudo_rem(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -544,7 +574,7 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
         return Polynomial.one(f.var)
     while b:
         a, b = b, _pairs_primitive(_pairs_pseudo_rem(a, b))
-    return Polynomial([GaussianRational(x, y) for x, y in a], f.var)
+    return Polynomial([_from_pair(x, y) for x, y in a], f.var)
 
 
 def _poly_divmod(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
@@ -553,11 +583,13 @@ def _poly_divmod(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
     a._check_var(b)
     if a.degree < b.degree:
         return Polynomial.zero(a.var), a
-    q = [GaussianRational(0)] * (a.degree - b.degree + 1)
+    q = [_ZERO] * (a.degree - b.degree + 1)
     r = list(a.coeffs)
     lcb = b.coeffs[-1]
+    # a unit lead divides as a product with its inverse, so integer parts stay int
+    inv = _UNIT_INVERSES.get((lcb.re, lcb.im))
     for k in range(a.degree - b.degree, -1, -1):
-        c = r[b.degree + k] / lcb
+        c = r[b.degree + k] * inv if inv is not None else r[b.degree + k] / lcb
         q[k] = c
         if not c.is_zero():
             for i, bc in enumerate(b.coeffs):
@@ -604,17 +636,16 @@ class RationalFunction:
         npairs = _int_pairs(num, lam)
         dpairs = _int_pairs(den, lam)
         g = _content(npairs + dpairs)
-        if g != (1, 0):
-            npairs = [_gauss_int_div(c, g) for c in npairs]
-            dpairs = [_gauss_int_div(c, g) for c in dpairs]
+        npairs = _divide_content(npairs, g)
+        dpairs = _divide_content(dpairs, g)
         u = _sector_unit(GaussianRational(*dpairs[-1]))
         if not u.is_one():
             ur, ui = u.re, u.im
             rot = lambda a, b: (a * ur - b * ui, a * ui + b * ur)  # noqa: E731
             npairs = [rot(a, b) for a, b in npairs]
             dpairs = [rot(a, b) for a, b in dpairs]
-        self.num = Polynomial([GaussianRational(a, b) for a, b in npairs], num.var)
-        self.den = Polynomial([GaussianRational(a, b) for a, b in dpairs], num.var)
+        self.num = Polynomial([_from_pair(a, b) for a, b in npairs], num.var)
+        self.den = Polynomial([_from_pair(a, b) for a, b in dpairs], num.var)
 
     # -- constructors ----------------------------------------------------
     @classmethod
@@ -779,7 +810,7 @@ def substitute(f: RationalFunction, kind: str) -> RationalFunction:
         var = f.var
 
         def rev(p: Polynomial) -> Polynomial:
-            out = [GaussianRational(0)] * (d + 1)
+            out = [_ZERO] * (d + 1)
             for k, c in enumerate(p.coeffs):
                 out[d - k] = c
             return Polynomial(out, var)
@@ -955,10 +986,6 @@ _COEF_RE = re.compile(
 )
 
 
-def _coef_to_str(c: GaussianRational) -> str:
-    return str(c)
-
-
 def _coef_from_str(s: str) -> GaussianRational:
     s = s.strip().replace(" ", "")
     if not s:
@@ -985,8 +1012,8 @@ def _coef_from_str(s: str) -> GaussianRational:
 def rf_to_json(f: RationalFunction) -> dict:
     """JSON form {"num": [...], "den": [...]} with coefficients as decimal strings."""
     return {
-        "num": [_coef_to_str(c) for c in f.num.coeffs],
-        "den": [_coef_to_str(c) for c in f.den.coeffs],
+        "num": [str(c) for c in f.num.coeffs],
+        "den": [str(c) for c in f.den.coeffs],
     }
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -76,6 +77,25 @@ def parse_complex(text: str) -> complex:
     return complex(re_part, im)
 
 
+def _json(obj) -> str:
+    """Strict JSON: non-finite floats become the strings "inf", "-inf" and "nan".
+
+    The bare tokens Infinity and NaN that json.dumps writes by default are not
+    JSON, and strict parsers reject them.
+    """
+
+    def finite(x):
+        if isinstance(x, float) and not math.isfinite(x):
+            return str(x)
+        if isinstance(x, dict):
+            return {k: finite(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [finite(v) for v in x]
+        return x
+
+    return json.dumps(finite(obj), allow_nan=False)
+
+
 def _check_order(n: int):
     if not 0 <= n <= MAX_ORDER:
         raise UsageError(f"n must be in 0..{MAX_ORDER}, got {n}")
@@ -118,7 +138,7 @@ def cmd_eval(kind: str, n: int, z_text: str, fmt: str) -> int:
     else:
         val = rf_eval(_RF_BUILDERS[kind](n), z)
     if fmt == "json":
-        print(json.dumps({"kind": kind, "n": n, "z": z_text, "re": val.real, "im": val.imag}))
+        print(_json({"kind": kind, "n": n, "z": z_text, "re": val.real, "im": val.imag}))
     elif abs(val.imag) <= 1e-13 * (1.0 + abs(val.real)):
         print(val.real)
     else:
@@ -130,7 +150,7 @@ def cmd_eval(kind: str, n: int, z_text: str, fmt: str) -> int:
 def cmd_verify(suite: str, n_max: int, tol: float | None, fmt: str, name: str | None) -> int:
     reports = run_suite(suite, n_max, tol, name)
     if fmt == "json":
-        print(json.dumps([r.to_dict() for r in reports]))
+        print(_json([r.to_dict() for r in reports]))
     else:
         # one summary line per identity, aggregated over n
         by_name: dict[str, list[VerificationReport]] = {}

@@ -1,12 +1,14 @@
 """Polynomial / rational-function layer: exact arithmetic, canonical form,
 argument transforms, and evaluation."""
 
+import ast
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from negpolylog import algebra
@@ -28,7 +30,7 @@ from negpolylog.algebra import (
     z_ddz,
 )
 from negpolylog.errors import PoleError
-from negpolylog.polylog import li_neg
+from negpolylog.polylog import chi_neg, li_neg, ti_neg
 
 
 def P(*coeffs):
@@ -46,6 +48,11 @@ rationals = st.builds(RationalFunction, polys, nonzero_polys)
 gauss_polys = st.lists(
     st.builds(GaussianRational, small_ints, small_ints), min_size=1, max_size=4
 ).map(Polynomial).filter(lambda p: not p.is_zero())
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+# nonzero Gaussian rationals with a denominator to clear
+fractional_scalars = st.builds(GaussianRational, small_fractions, small_fractions).filter(
+    lambda s: not s.is_zero() and not s.is_integer()
+)
 
 
 # -- polynomial arithmetic -------------------------------------------------
@@ -60,6 +67,24 @@ def test_poly_basics():
     assert Fraction(1, 2) * P(2, 4) == P(1, 2)
     assert P(1, 1) * I == I * P(1, 1) == P(I, I)
     assert P(1, 1) * 0 == Polynomial.zero()
+
+
+UNITS = (GaussianRational(1), GaussianRational(-1), I, -I)
+
+
+@given(gauss_polys, gauss_polys, st.sampled_from(UNITS + (GaussianRational(2), GaussianRational(1, 1))))
+@settings(max_examples=150)
+def test_exact_division_by_unit_and_non_unit_leads(q, body, lead):
+    b = Polynomial(body.coeffs + (lead,))
+    a = q * b
+    got = poly_exact_div(a, b)
+    assert got == q
+    # a non-unit lead divides through Fraction, the general path
+    assert poly_exact_div(a.scale(3), b.scale(3)) == got
+    if lead in UNITS:
+        assert all(type(c.re) is int and type(c.im) is int for c in got.coeffs)
+    with pytest.raises(ArithmeticError):
+        poly_exact_div(a + Polynomial.one(), b)
 
 
 def test_poly_variable_mismatch():
@@ -213,15 +238,62 @@ def test_canonicalization_idempotent(num, den):
 @given(
     polys,
     nonzero_polys,
-    st.sampled_from(
-        [2, -3, Fraction(5, 7), GaussianRational(0, 2), GaussianRational(1, 1), GaussianRational(Fraction(-2, 3), 5)]
+    st.one_of(
+        st.sampled_from(
+            [2, -3, Fraction(5, 7), GaussianRational(0, 2), GaussianRational(1, 1), GaussianRational(Fraction(-2, 3), 5)]
+        ),
+        fractional_scalars,
     ),
 )
+@example(P(7), P(14, 21), Fraction(1, 7))  # integral values held as Fractions
 @settings(max_examples=150)
 def test_canonical_form_kills_common_scalars(num, den, s):
     f = RationalFunction(num, den)
     g = RationalFunction(num.scale(s), den.scale(s))
     assert f == g
+    assert all(type(c.re) is int and type(c.im) is int for c in g.num.coeffs + g.den.coeffs)
+
+
+def test_zero_coefficients_are_one_shared_object():
+    for n in (0, 1, 40, 64):
+        for f in (chi_neg(n), ti_neg(n)):
+            zeros = [c for c in f.num.coeffs + f.den.coeffs if c.is_zero()]
+            assert zeros and all(c is algebra._ZERO for c in zeros), n
+
+
+_SETATTR_NAMES = ("setattr", "delattr", "__setattr__", "__delattr__")
+
+
+def _writes_gaussian_part(node) -> bool:
+    """Whether a syntax node assigns or deletes an attribute named re or im."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("re", "im") and isinstance(node.ctx, (ast.Store, ast.Del))
+    if isinstance(node, ast.Call):
+        f = node.func
+        name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+        return name in _SETATTR_NAMES and any(
+            isinstance(a, ast.Constant) and a.value in ("re", "im") for a in node.args
+        )
+    return False
+
+
+def test_gaussian_parts_are_assigned_only_in_init():
+    # the shared zero coefficient is sound only while every GaussianRational is immutable
+    offenders = []
+    for path in sorted(Path(algebra.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        allowed = set()
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name == "GaussianRational":
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                        allowed.update(id(n) for n in ast.walk(fn))
+        offenders += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if _writes_gaussian_part(node) and id(node) not in allowed
+        ]
+    assert not offenders
 
 
 @given(rationals, rationals)

@@ -1,6 +1,7 @@
 """Command-line surface: output formats, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from negpolylog import cli
 from negpolylog.algebra import rf_from_json
 from negpolylog.cli import main, parse_complex
 from negpolylog.polylog import chi_neg
@@ -70,6 +72,20 @@ def test_eval_pole_exit_code(capsys):
     assert code == 3 and "pole" in err.lower()
     code, out, _ = run(capsys, "eval", "li", "64", "0.5")  # 2.8e99, no pole
     assert code == 0 and float(out) == pytest.approx(2.816838379668915e99, rel=1e-15)
+
+
+def _reject_token(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_json_output_is_strict_for_non_finite_values(capsys):
+    for args in (("cot-poly", "64", "1e300"), ("li", "64", "0.9999999999999999")):
+        code, out, _ = run(capsys, "eval", *args, "--format", "json")
+        blob = json.loads(out, parse_constant=_reject_token)
+        assert code == 0 and blob["re"] == "inf" and blob["im"] == 0.0
+    # verify --format json writes its reports through the same helper
+    text = cli._json([{"lhs": -math.inf, "points": [(math.nan, 1.5)]}])
+    assert json.loads(text, parse_constant=_reject_token) == [{"lhs": "-inf", "points": [["nan", 1.5]]}]
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
