@@ -68,12 +68,12 @@ class DerivativePolynomial(namedtuple("DerivativePolynomial", "target order poly
     def __call__(self, u):
         """P(u) by float Horner; complex u gives a complex value."""
         acc = 0j if isinstance(u, complex) else 0.0
-        for c in reversed(self.poly.coeffs):
-            acc = acc * u + float(c.re)
+        for c in reversed(self.poly.re):
+            acc = acc * u + float(c)
         return acc
 
     def coefficient_ints(self) -> tuple[int, ...]:
-        return tuple(int(c.re) for c in self.poly.coeffs)
+        return self.poly.re
 
 
 def _u() -> Polynomial:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from .errors import ImaginaryResidueError
 
 # exact integer powers of i; complex exponentiation would round them
@@ -14,9 +16,12 @@ def i_power(k: int) -> complex:
 
 def checked_real(val: complex, *, bound: float = 1e-9, context: str = "") -> float:
     """Real part of ``val`` after asserting the imaginary residue is negligible."""
-    if abs(val.imag) > bound * (1.0 + abs(val.real)):
+    limit = bound * (1.0 + abs(val.real))
+    if abs(val.imag) > limit:
         raise ImaginaryResidueError(
-            f"imaginary residue {val.imag!r} too large relative to {val.real!r}"
+            f"imaginary residue {val.imag!r} too large relative to {val.real!r}: "
+            f"|im| exceeds bound*(1+|re|) = {limit!r} by a ratio of "
+            f"{abs(val.imag) / limit if limit else math.inf:.3g}"
             + (f" in {context}" if context else "")
         )
     return val.real

@@ -119,18 +119,7 @@ def chi_neg(n: int) -> RationalFunction:
     never zero at a root of (1 - z^2)**(n+1): the pair is coprime by
     construction and skips the gcd.
     """
-    if n < 0:
-        raise ValueError("order index n must be >= 0")
-    f = _CHI_CACHE.get(n)
-    if f is None:
-        row = eulerian_b_row(n)
-        coeffs = [0] * (2 * n + 2)
-        for k in range(1, n + 2):
-            coeffs[2 * k - 1] = row[k - 1]
-        den = Polynomial([1, 0, -1]) ** (n + 1)
-        f = RationalFunction(Polynomial(coeffs), den, _reduced=True)
-        _CHI_CACHE[n] = f
-    return f
+    return _type_b_form(n, 1, _CHI_CACHE)
 
 
 def ti_neg(n: int) -> RationalFunction:
@@ -141,17 +130,19 @@ def ti_neg(n: int) -> RationalFunction:
     at z = -i.  It never vanishes at a root of (1 + z^2)**(n+1): the pair is
     coprime by construction and skips the gcd.
     """
+    return _type_b_form(n, -1, _TI_CACHE)
+
+
+def _type_b_form(n: int, sign: int, cache: dict) -> RationalFunction:
+    """sum_k sign^(k+1) B(n, k) z^(2k-1) over (1 - sign z^2)^(n+1), memoized in ``cache``."""
     if n < 0:
         raise ValueError("order index n must be >= 0")
-    f = _TI_CACHE.get(n)
+    f = cache.get(n)
     if f is None:
-        row = eulerian_b_row(n)
         coeffs = [0] * (2 * n + 2)
-        for k in range(1, n + 2):
-            coeffs[2 * k - 1] = -((-1) ** k) * row[k - 1]
-        den = Polynomial([1, 0, 1]) ** (n + 1)
-        f = RationalFunction(Polynomial(coeffs), den, _reduced=True)
-        _TI_CACHE[n] = f
+        coeffs[1::2] = [sign ** k * b for k, b in enumerate(eulerian_b_row(n))]
+        den = Polynomial([1, 0, -sign]) ** (n + 1)
+        f = cache[n] = RationalFunction(Polynomial(coeffs), den, _reduced=True)
     return f
 
 

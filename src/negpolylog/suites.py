@@ -16,6 +16,7 @@ import math
 from . import circular, hyperbolic, inverse, ladder
 from .algebra import rf_eval, substitute
 from .circular import TRIG_GRID
+from .errors import NegPolylogError
 from .hyperbolic import HYP_GRID
 from .jets import nth_derivative
 from .polylog import (
@@ -48,13 +49,21 @@ def _core(n_max: int, tol: float, name: str | None) -> list[VerificationReport]:
 
 
 def _jet_reports(label: str, route, fn: str, grid, n_max: int, tol: float) -> list:
-    """One report per order comparing ``route(n, x)`` with the jet derivative of ``fn``."""
+    """One report per order comparing ``route(n, x)`` with the jet derivative of ``fn``.
+
+    A route that raises a library error fails its point, with the error as the note.
+    """
     reports = []
     for n in range(n_max + 1):
         points = []
         for x in grid:
             want = nth_derivative(fn, x, n)
-            got = route(n, x)
+            try:
+                got = route(n, x)
+            except NegPolylogError as exc:
+                points.append(PointCheck(x, math.nan, math.nan, math.inf, False,
+                                         note=f"{type(exc).__name__}: {exc}"))
+                continue
             r = rel_err(got, want)
             points.append(PointCheck(x, got, want, r, r <= tol))
         reports.append(VerificationReport(f"{label} vs jet oracle", n, tol, points))
@@ -173,5 +182,5 @@ def run_suite(suite: str, n_max: int, tol: float | None = None,
     reports: list[VerificationReport] = []
     for s in names:
         runner, suite_cap, default_tol = SUITES[s]
-        reports += runner(min(n_max, suite_cap), tol or default_tol, name)
+        reports += runner(min(n_max, suite_cap), default_tol if tol is None else tol, name)
     return reports

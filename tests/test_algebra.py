@@ -2,6 +2,7 @@
 argument transforms, and evaluation."""
 
 import ast
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -30,7 +31,7 @@ from negpolylog.algebra import (
     z_ddz,
 )
 from negpolylog.errors import PoleError
-from negpolylog.polylog import chi_neg, li_neg, ti_neg
+from negpolylog.polylog import chi_neg, li_neg, li_neg_stirling, ti_neg
 
 
 def P(*coeffs):
@@ -81,10 +82,62 @@ def test_exact_division_by_unit_and_non_unit_leads(q, body, lead):
     assert got == q
     # a non-unit lead divides through Fraction, the general path
     assert poly_exact_div(a.scale(3), b.scale(3)) == got
+    # a divisor with a content leaves a rational quotient
+    assert poly_exact_div(a, b.scale(3)) == q.scale(Fraction(1, 3))
+    half_conj = GaussianRational(Fraction(1, 2), Fraction(-1, 2))  # 1/(1 + i)
+    assert poly_exact_div(a, b.scale(GaussianRational(1, 1))) == q.scale(half_conj)
     if lead in UNITS:
         assert all(type(c.re) is int and type(c.im) is int for c in got.coeffs)
     with pytest.raises(ArithmeticError):
         poly_exact_div(a + Polynomial.one(), b)
+
+
+def _schoolbook(a, b):
+    """Reference product of two lists of (re, im) integer pairs."""
+    out = [(0, 0)] * (len(a) + len(b) - 1)
+    for i, (x, y) in enumerate(a):
+        for j, (u, v) in enumerate(b):
+            r, s = out[i + j]
+            out[i + j] = (r + x * u - y * v, s + x * v + y * u)
+    return out
+
+
+# powers of two and their neighbours put the slot maxima next to a byte boundary
+_edges = st.sampled_from(
+    [s * (2**k + d) for k in (6, 7, 8, 14, 15, 16, 30, 31, 62, 63, 64, 299, 300)
+     for d in (-1, 0) for s in (1, -1)]
+)
+_parts = st.one_of(st.just(0), st.integers(-5, 5), st.integers(-(2**300), 2**300), _edges)
+_vectors = st.lists(st.tuples(_parts, _parts), min_size=1, max_size=30)
+
+
+@given(_vectors, _vectors, st.booleans(), st.booleans())
+@settings(max_examples=300)
+# Gaussian slots reach 2 * max|a| * max|b| * min(len) with that bound 63 bits long:
+# one bit less of slot width than bitlen + 2 overflows them
+@example([(2**30 - 1, 2**30 - 1)] * 8, [(2**30 - 1, -(2**30 - 1))] * 8, False, False)
+@example([(2**30 - 1, 2**30 - 1)] * 10, [(2**29 - 1, -(2**29 - 1))] * 10, False, False)
+@example([(-(2**62), 0)] * 12, [(-(2**62), 0)] * 3, True, True)
+def test_packed_product_matches_schoolbook(a, b, a_real, b_real):
+    a = [(x, 0) for x, _ in a] if a_real else a
+    b = [(x, 0) for x, _ in b] if b_real else b
+    assume(any(x or y for x, y in a) and any(x or y for x, y in b))  # zero never reaches a product
+    want = _schoolbook(a, b)
+    parts = (*zip(*a), *zip(*b))
+    for product in (algebra._kronecker, algebra._rows, algebra._product):
+        re, im = product(*parts)
+        assert list(zip(re, im)) == want, product.__name__
+    pa = Polynomial([GaussianRational(x, y) for x, y in a])
+    pb = Polynomial([GaussianRational(x, y) for x, y in b])
+    assert pa * pb == Polynomial([GaussianRational(x, y) for x, y in want])
+
+
+def test_unpack_reads_every_slot_at_the_signed_extremes():
+    for nb in (1, 2, 5):
+        top = 2 ** (8 * nb - 1) - 1  # the largest |slot| the width admits
+        ones = int.from_bytes((b"\x01" + bytes(nb - 1)) * 4, "little")
+        for v in itertools.product((top, -top, -1, 0, 1), repeat=4):
+            assert algebra._unpack(algebra._pack(v, nb, ones), nb, 4) == list(v)
 
 
 def test_poly_variable_mismatch():
@@ -246,22 +299,47 @@ def test_canonicalization_idempotent(num, den):
     ),
 )
 @example(P(7), P(14, 21), Fraction(1, 7))  # integral values held as Fractions
+@example(P(1), P(1, I), 1)  # a primitive denominator whose lead i must turn to 1
 @settings(max_examples=150)
 def test_canonical_form_kills_common_scalars(num, den, s):
     f = RationalFunction(num, den)
     g = RationalFunction(num.scale(s), den.scale(s))
     assert f == g
+    lead = g.den.lead()
+    assert lead.re > 0 and lead.im >= 0
     assert all(type(c.re) is int and type(c.im) is int for c in g.num.coeffs + g.den.coeffs)
 
 
-def test_zero_coefficients_are_one_shared_object():
+def _check_storage(p):
+    assert type(p.re) is tuple and type(p.im) is tuple and len(p.re) == len(p.im)
+    assert all(type(x) is int for x in p.re + p.im)
+    assert not p.re or p.re[-1] or p.im[-1]  # trailing zeros stripped
+    assert type(p.den) is int and p.den >= 1
+    assert math.gcd(p.den, *p.re, *p.im) == 1
+
+
+def test_storage_invariants():
     for n in (0, 1, 40, 64):
-        for f in (chi_neg(n), ti_neg(n)):
-            zeros = [c for c in f.num.coeffs + f.den.coeffs if c.is_zero()]
-            assert zeros and all(c is algebra._ZERO for c in zeros), n
+        for f in (li_neg(n), chi_neg(n), ti_neg(n)):
+            for p in (f.num, f.den):
+                _check_storage(p)
+                assert p.den == 1, n
+    # non-canonical polynomials: fractional, Gaussian, zero, reduced by scaling
+    for p in (P(Fraction(1, 2), 1), P(Fraction(2, 6), Fraction(4, 6)), P(0, 0), Polynomial([]),
+              P(1, Fraction(1, 3)).scale(3), P(Fraction(1, 4), GaussianRational(0, Fraction(1, 6))),
+              P(1, 2) * Fraction(1, 2) * P(2, 0, 2), P(Fraction(1, 2), 0, 0).derivative()):
+        _check_storage(p)
+    # equal canonical forms built by separate routes share one stored copy
+    for n in (1, 20):
+        assert li_neg_stirling(n).num is li_neg(n).num and li_neg_stirling(n).den is li_neg(n).den
+    assert P(Fraction(2, 6), Fraction(4, 6)).den == 3
+    assert P(1, Fraction(1, 3)).scale(3) == P(3, 1)
+    assert Polynomial([0, 0]).re == () and Polynomial([]).den == 1
 
 
 _SETATTR_NAMES = ("setattr", "delattr", "__setattr__", "__delattr__")
+# where a GaussianRational or a Polynomial gets its parts: its constructor, or algebra._raw
+_CONSTRUCTORS = {("GaussianRational", "__init__"), ("Polynomial", "__init__"), (None, "_raw")}
 
 
 def _writes_gaussian_part(node) -> bool:
@@ -278,16 +356,17 @@ def _writes_gaussian_part(node) -> bool:
 
 
 def test_gaussian_parts_are_assigned_only_in_init():
-    # the shared zero coefficient is sound only while every GaussianRational is immutable
+    # hash-consed canonical polynomials are shared, which is sound only while
+    # no code changes the parts of a Polynomial (or a GaussianRational) after construction
     offenders = []
     for path in sorted(Path(algebra.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         allowed = set()
-        for cls in ast.walk(tree):
-            if isinstance(cls, ast.ClassDef) and cls.name == "GaussianRational":
-                for fn in cls.body:
-                    if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
-                        allowed.update(id(n) for n in ast.walk(fn))
+        scopes = [(None, tree)] + [(c.name, c) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)]
+        for owner, scope in scopes:
+            for fn in scope.body:
+                if isinstance(fn, ast.FunctionDef) and (owner, fn.name) in _CONSTRUCTORS:
+                    allowed.update(id(n) for n in ast.walk(fn))
         offenders += [
             f"{path.name}:{node.lineno}"
             for node in ast.walk(tree)
@@ -343,6 +422,26 @@ def test_rf_text_rendering():
 def test_rf_latex_rendering():
     assert rf_to_latex(RF([0, 1], [1, -1])) == r"\frac{z}{(1-z)}"
     assert rf_to_latex(RF([0, 1, 1], [1, -3, 3, -1])) == r"\frac{z + z^{2}}{(1-z)^{3}}"
+
+
+def test_gaussian_power_display_is_pinned():
+    # the displayed base is a primitive part of a gcd quotient; which Gaussian
+    # associate the content computation picks shows in the text
+    cases = [
+        ({"num": ["0", "-3+3i", "-36+36i", "81"],
+          "den": ["648-648i", "-144+144i", "-856+856i", "1392-96i", "144-288i", "-864", "324+324i"]},
+         "((3/4)iz + 9iz^2 + (81/8-81/8i)z^3)/((-9+9i)+(1-i)z+(6-6i)z^2-9z^3)^2"),
+        ({"num": ["-16+16i", "48i", "24-120i", "-184", "240+744i", "336-216i", "-1440-816i",
+                  "504+1704i", "3120+1080i", "-1704-800i", "-2184+1008i", "3528+1176i", "2744"],
+          "den": ["-128-128i", "-1728i", "4464-2928i", "4104+7008i", "-10824+2328i", "10356-14640i",
+                  "16940+7836i", "-20010+12456i", "5370-10350i", "18575-648i", "-9666+5832i", "-972",
+                  "5832"]},
+         "((-16+16i) + 48iz + (24-120i)z^2 - 184z^3 + (240+744i)z^4 + (336-216i)z^5"
+         " + (-1440-816i)z^6 + (504+1704i)z^7 + (3120+1080i)z^8 + (-1704-800i)z^9"
+         " + (-2184+1008i)z^10 + (3528+1176i)z^11 + 2744z^12)/((4-4i)+18z+(-10+6i)z^2-z^3+18z^4)^3"),
+    ]
+    for blob, text in cases:
+        assert rf_to_text(rf_from_json(blob)) == text
 
 
 def test_json_round_trip():

@@ -21,8 +21,9 @@ from negpolylog.circular import (
     sec_derivative_via_li,
     tan_derivative_poly,
 )
-from negpolylog.errors import SingularityError
+from negpolylog.errors import ImaginaryResidueError, SingularityError
 from negpolylog.jets import nth_derivative
+from negpolylog.numutil import checked_real
 from negpolylog.reports import rel_err
 
 CSC_ROUTES = (csc_derivative_eval, csc_derivative_via_li, csc_derivative_binomial)
@@ -158,3 +159,13 @@ def test_exactness_checks_survive_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_PROBE], env=env,
                          capture_output=True, text=True, timeout=120, check=True).stdout
     assert out.strip() == "False [True, True, True]"
+
+
+def test_imaginary_residue_error_states_its_bound_and_ratio():
+    assert checked_real(3.0 + 4e-9j) == 3.0  # |im| <= 1e-9 * (1 + 3)
+    with pytest.raises(ImaginaryResidueError) as exc:
+        checked_real(1.0 + 0.5j, context="csc test")
+    assert str(exc.value) == (
+        "imaginary residue 0.5 too large relative to 1.0: |im| exceeds "
+        "bound*(1+|re|) = 2e-09 by a ratio of 2.5e+08 in csc test"
+    )

@@ -107,6 +107,12 @@ def test_usage_errors(capsys):
         main(["frobnicate"])
     assert exc.value.code == 2
     capsys.readouterr()
+    for tol in ("-1e-9", "nan", "inf", "-inf"):
+        code, out, err = run(capsys, "verify", "trig", "--n-max", "1", f"--tolerance={tol}")
+        assert code == 2 and "--tolerance" in err and not out, tol
+    # zero is a valid tolerance: the float routes miss it, a failed verification
+    code, out, _ = run(capsys, "verify", "trig", "--n-max", "2", "--tolerance", "0")
+    assert code == 1 and "22/22" not in out
 
 
 def test_parse_complex():

@@ -1,7 +1,11 @@
 """The verification-suite registry used by ``negpolylog verify``."""
 
+import math
+
 import pytest
 
+from negpolylog import suites
+from negpolylog.errors import ImaginaryResidueError
 from negpolylog.reports import PointCheck, exact_report
 from negpolylog.suites import MAX_EXACT_SWEEP, MAX_NUMERIC_SWEEP, SUITES, SweepRangeError, run_suite
 
@@ -30,6 +34,26 @@ def test_default_and_overridden_tolerances():
     reports = run_suite("inverse", 1, tol=1e-6, name="arctan")
     assert {(r.identity, r.tolerance) for r in reports} == {("arctan", 1e-6)}
     assert [r.n for r in reports] == [0, 1]
+    # a zero tolerance is a tolerance, not "use the default"
+    zero = [r for r in run_suite("trig", 1, tol=0.0) if r.identity != "cot double angle"]
+    assert {r.tolerance for r in zero} == {0.0}
+    assert not all(r.passed for r in zero)
+
+
+def test_a_raising_route_fails_its_points_and_the_suite_goes_on():
+    def broken(n, x):
+        if n == 1:
+            raise ImaginaryResidueError("residue")
+        return 1.0 / math.sin(x)
+
+    reports = suites._jet_reports("csc stub", broken, "csc", (0.5, 1.0), 2, 1e-7)
+    assert [r.n for r in reports] == [0, 1, 2]
+    failed = reports[1].points
+    assert [(p.x, p.ok, p.rel_err, p.note) for p in failed] == [
+        (0.5, False, math.inf, "ImaginaryResidueError: residue"),
+        (1.0, False, math.inf, "ImaginaryResidueError: residue"),
+    ]
+    assert all(math.isnan(p.lhs) and math.isnan(p.rhs) for p in failed)
 
 
 def test_all_runs_every_suite_clipped_to_its_cap(monkeypatch):
