@@ -49,6 +49,21 @@ divides its resultant) falls through to the PRS.  Exact division divides by
 the divisor's primitive part, over which the quotient has Gaussian-integer
 coefficients (Gauss's lemma again).
 
+Canonicalization runs a gcd only where coprimality is not known from the
+inputs.  Each place that skips one rests on a proof:
+
+* a sum p1/q1 + p2/q2 divides by g = gcd(q1, q2) first, and then only
+  gcd(p1 v + p2 u, g) can be nontrivial, with u = q1/g, v = q2/g
+  (Henrici 1956); when g = 1 no second gcd runs;
+* a product of two canonical forms can cancel only crosswise, p1 against q2
+  and p2 against q1;
+* a product or quotient by a nonzero exact scalar c: c p and q have the
+  common factors of p and q, that is none;
+* ``z_ddz``: the pair it builds is coprime but for one factor z, which it
+  removes when q(0) = 0 (proof in its docstring);
+* the argument transforms of ``substitute`` map a coprime pair to a
+  coprime pair.
+
 Numeric evaluation (:func:`rf_eval`) is unchanged by the integer storage: it
 runs Horner's scheme with exact coefficient arithmetic and rounds once at
 the end.  Expanded high powers such as ``(1 - z^2)^11`` are catastrophically
@@ -746,7 +761,14 @@ class RationalFunction:
     def __neg__(self):
         return RationalFunction(-self.num, self.den, _reduced=True)
 
+    def _scaled(self, c) -> "RationalFunction":
+        """c * self for an exact scalar c, with no gcd: a nonzero constant creates no
+        common factor, and c = 0 gives a zero numerator, which is the zero form."""
+        return RationalFunction(self.num.scale(c), self.den, _reduced=True)
+
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            return self._scaled(other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -766,6 +788,8 @@ class RationalFunction:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            return self._scaled(GaussianRational(1) / other)  # raises for a zero scalar
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -807,8 +831,13 @@ def z_ddz(f: RationalFunction) -> RationalFunction:
     """The derivation z * d/dz applied once, quotient rule then canonicalized.
 
     With f = p/q and g = gcd(q, q'), the quotient rule is taken over g first:
-    z (p' (q/g) - p (q'/g)) / (q (q/g)) instead of z (p' q - p q') / q**2.
-    Both are the same function, and the canonical form is unique.
+    z N / (q u) with u = q/g, v = q'/g and N = p' u - p v, instead of
+    z (p' q - p q') / q**2.  That pair needs no second gcd.  A root r of q of
+    multiplicity m is a root of g of multiplicity m - 1 (characteristic 0),
+    so u(r) = 0 and v(r) != 0; p(r) != 0 as p/q is canonical; hence
+    N(r) = -p(r) v(r) != 0, and N is coprime to q u, whose roots are those of
+    q.  So z N and q u share at most one factor z, exactly when q(0) = 0,
+    and that z is shifted out of q u.
     """
     p, q = f.num, f.den
     dq = q.derivative()
@@ -817,8 +846,12 @@ def z_ddz(f: RationalFunction) -> RationalFunction:
         u, v = poly_exact_div(q, g), poly_exact_div(dq, g)
     else:
         u, v = q, dq
-    num = Polynomial.variable(f.var) * (p.derivative() * u - p * v)
-    return RationalFunction(num, q * u)
+    num, den = p.derivative() * u - p * v, q * u
+    if q.re[0] or q.im[0]:
+        num = Polynomial.variable(f.var) * num
+    else:
+        den = _raw(den.re[1:], den.im[1:], den.var, den.den)
+    return RationalFunction(num, den, _reduced=True)
 
 
 _SUBSTITUTIONS = ("negate_z", "square_z", "invert_z", "i_times_z")
@@ -947,17 +980,16 @@ def powered_parts(f: RationalFunction) -> tuple[Polynomial, Polynomial, int]:
     num, den = f.num, f.den
     if den.degree <= 0:
         return num, den, 1
-    # (base, e, whether a negative imaginary c0 flips too); den itself always fits
-    candidates = [(den, 1, True)]
+    candidates = [(den, 1)]  # den itself always fits
     g = poly_gcd(den, den.derivative())
     if g.degree > 0:
         q = poly_exact_div(den, g)
         rad = _raw(*_primitive(q.re, q.im), den.var)
         if den.degree % rad.degree == 0 and den.degree > rad.degree:
-            candidates = [(rad, den.degree // rad.degree, True), (den, 1, False)]
-    for base, e, flip_imaginary in candidates:
+            candidates = [(rad, den.degree // rad.degree), (den, 1)]
+    for base, e in candidates:
         c0 = base.constant() if not base.constant().is_zero() else base.lead()
-        if c0.is_real() and c0.re < 0 or flip_imaginary and not c0.re and c0.im < 0:
+        if _split_sign(c0)[0]:
             base = -base
         pw = base**e
         s = pw.lead() / den.lead()

@@ -64,6 +64,19 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a token matching the complex-literal grammar as a value.
+
+    argparse takes a token that starts with "-" for an option unless it is a
+    plain negative number, so -1e-3 or -0.3+0.2i would not reach z or
+    --tolerance.  Subparsers are built with the same class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _COMPLEX_RE
+
+
 def parse_complex(text: str) -> complex:
     m = _COMPLEX_RE.match(text.strip().replace("−", "-"))
     if not m:
@@ -190,7 +203,7 @@ def cmd_ladder(n: int, fmt: str, arrangement: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="negpolylog",
         description="Exact closed forms and identity verification for negative-order "
         "polylogarithms and their derived special functions.",

@@ -67,20 +67,26 @@ def stirling2(n: int, k: int) -> int:
     return stirling2_row(n)[k]
 
 
-def stirling_power_sum(n: int, base, weight):
+def stirling_power_sum(n: int, base, weight, den=None):
     """sum_{k=0..n} weight(k) {n+1 brace k+1} base^(k+1), the paper's central identity.
 
     ``base`` is any exact value closed under ``+`` and ``*`` that also takes
-    exact scalars on the right (a ``RationalFunction``, ``Polynomial`` or
-    ``Fraction``);
+    exact scalars on the right (a ``Polynomial`` or ``Fraction``);
     ``weight(k)`` returns an exact scalar.  Powers are built incrementally,
     one multiplication by ``base`` per term.
+
+    With a common denominator ``den`` = q, the sum is that of the powers of
+    base/q, and this returns its numerator over q^(n+1):
+    sum_k weight(k) {n+1 brace k+1} base^(k+1) q^(n-k), accumulated by the
+    step acc <- acc * q + term, so no quotient is ever formed.
     """
     row = stirling2_row(n + 1)
     power = base
     acc = power * (weight(0) * row[1])
     for k in range(1, n + 1):
         power = power * base
+        if den is not None:
+            acc = acc * den
         acc = acc + power * (weight(k) * row[k + 1])
     return acc
 

@@ -49,10 +49,6 @@ _CHI_CACHE: dict[int, RationalFunction] = {}
 _TI_CACHE: dict[int, RationalFunction] = {}
 
 
-def _li_base() -> RationalFunction:
-    return RationalFunction(Polynomial.variable(), Polynomial([1, -1]))
-
-
 _LI_NUM_CACHE: dict[int, Polynomial] = {}
 
 
@@ -98,17 +94,22 @@ def li_neg_operator(n: int) -> RationalFunction:
     """Closed form by n applications of z d/dz to z/(1-z), computed afresh."""
     if n < 0:
         raise ValueError("order index n must be >= 0")
-    f = _li_base()
+    f = RationalFunction(Polynomial.variable(), Polynomial([1, -1]))
     for _ in range(n):
         f = z_ddz(f)
     return f
 
 
 def li_neg_stirling(n: int) -> RationalFunction:
-    """Closed form by the Stirling-weighted sum of powers of z/(1-z)."""
+    """Closed form by the Stirling-weighted sum of powers of z/(1-z).
+
+    The sum is taken over its common denominator (1 - z)**(n+1) and
+    canonicalized once, with a full gcd.
+    """
     if n < 0:
         raise ValueError("order index n must be >= 0")
-    return stirling_power_sum(n, _li_base(), factorial)
+    q = Polynomial([1, -1])
+    return RationalFunction(stirling_power_sum(n, Polynomial.variable(), factorial, q), q ** (n + 1))
 
 
 def chi_neg(n: int) -> RationalFunction:

@@ -310,6 +310,23 @@ def test_canonical_form_kills_common_scalars(num, den, s):
     assert all(type(c.re) is int and type(c.im) is int for c in g.num.coeffs + g.den.coeffs)
 
 
+@given(
+    st.one_of(rationals, st.builds(RationalFunction, gauss_polys, gauss_polys)),
+    st.sampled_from([3, -2, 1, Fraction(-3, 4), I, GaussianRational(2, -1),
+                     GaussianRational(Fraction(1, 2), 3), 0, Fraction(0)]),
+)
+@settings(max_examples=150)
+def test_scalar_products_match_the_full_gcd_form(f, c):
+    want = RationalFunction(f.num.scale(c), f.den)
+    assert f * c == want and c * f == want
+    if c == 0:
+        assert want.is_zero()
+        with pytest.raises(ZeroDivisionError):
+            f / c
+    else:
+        assert f / c == RationalFunction(f.num.scale(GaussianRational(1) / c), f.den)
+
+
 def _check_storage(p):
     assert type(p.re) is tuple and type(p.im) is tuple and len(p.re) == len(p.im)
     assert all(type(x) is int for x in p.re + p.im)
@@ -373,6 +390,30 @@ def test_gaussian_parts_are_assigned_only_in_init():
             if _writes_gaussian_part(node) and id(node) not in allowed
         ]
     assert not offenders
+
+
+short_gauss_polys = st.lists(
+    st.builds(GaussianRational, small_ints, small_ints), min_size=1, max_size=3
+).map(Polynomial).filter(lambda p: not p.is_zero())
+Z = Polynomial.variable()
+
+
+@given(
+    st.one_of(st.just(Polynomial.zero()), gauss_polys), short_gauss_polys, short_gauss_polys,
+    st.integers(1, 3), st.integers(0, 2),
+)
+@example(P(1), P(1), P(1), 1, 0)  # constant q
+@example(P(2, I), P(1), P(1, -1), 1, 0)  # squarefree q, q(0) != 0
+@example(P(1, I), P(2), P(-I, 1), 2, 0)  # the repeated Gaussian root i, q(0) != 0
+@example(P(3, 0, I), P(1, 1), P(1, -1), 3, 1)  # q(0) = 0 at a simple root
+@example(P(1, 2), P(1), P(1, -1), 2, 2)  # q(0) = 0 at a double root
+@settings(max_examples=150)
+def test_z_ddz_matches_the_full_gcd_quotient_rule(num, base, h, k, j):
+    # q = base * h^k * z^j: Gaussian coefficients, repeated roots, q(0) = 0, constant q
+    f = RationalFunction(num, base * h**k * Z**j)
+    p, q = f.num, f.den
+    want = RationalFunction(Z * (p.derivative() * q - p * q.derivative()), q * q)
+    assert z_ddz(f) == want
 
 
 @given(rationals, rationals)
@@ -460,3 +501,13 @@ def test_powered_display_handles_sign_flips():
     f = RF([0, 1], [1, 0, -1])
     assert f.den.lead() == GaussianRational(1)  # stored as z^2 - 1 style
     assert rf_to_text(f) == "z/(1-z^2)"
+    # a negative imaginary constant term flips too, on the perfect-power path
+    # and on its fallback: 1/((z+2i)^3 (z+1)) has a square-free part of even degree
+    # but is no perfect power, 1/((z-2i)(z+1)) has no repeated root
+    cases = [
+        (P(2 * I, 1) ** 3 * P(1, 1), "-1/(8i+(12+8i)z+(12-6i)z^2+(-1-6i)z^3-z^4)"),
+        (P(-2 * I, 1) * P(1, 1), "-1/(2i+(-1+2i)z-z^2)"),
+        (P(-2 * I, 1) ** 3, "-1/(2i-z)^3"),
+    ]
+    for den, text in cases:
+        assert rf_to_text(RationalFunction(P(1), den)) == text

@@ -65,6 +65,12 @@ def test_eval(capsys):
     code, out, _ = run(capsys, "eval", "tan-poly", "2", "0.5+0.5i", "--format", "json")
     blob, u = json.loads(out), 0.5 + 0.5j
     assert code == 0 and complex(blob["re"], blob["im"]) == pytest.approx(2 * u + 2 * u**3)
+    # a negative literal with an exponent or an imaginary part is a value, not an option
+    for z_text, z in (("-1e-3", -1e-3), ("-2.5E+0", -2.5), ("-.3-0.2i", -0.3 - 0.2j)):
+        code, out, _ = run(capsys, "eval", "li", "2", z_text, "--format", "json")
+        blob = json.loads(out)
+        assert code == 0 and blob["z"] == z_text, z_text
+        assert complex(blob["re"], blob["im"]) == pytest.approx(z * (1 + z) / (1 - z) ** 3)
 
 
 def test_eval_pole_exit_code(capsys):
@@ -110,6 +116,10 @@ def test_usage_errors(capsys):
     for tol in ("-1e-9", "nan", "inf", "-inf"):
         code, out, err = run(capsys, "verify", "trig", "--n-max", "1", f"--tolerance={tol}")
         assert code == 2 and "--tolerance" in err and not out, tol
+    # a negative tolerance given as its own token gets the same usage error
+    for tol in ("-1e-9", "-0.5", "-1"):
+        code, out, err = run(capsys, "verify", "trig", "--n-max", "1", "--tolerance", tol)
+        assert code == 2 and "--tolerance must be finite and >= 0" in err and not out, tol
     # zero is a valid tolerance: the float routes miss it, a failed verification
     code, out, _ = run(capsys, "verify", "trig", "--n-max", "2", "--tolerance", "0")
     assert code == 1 and "22/22" not in out

@@ -37,7 +37,7 @@ def test_operator_first_orders():
 
 def test_stirling_route_matches_operator():
     assert li_neg_stirling(0) == RF([0, 1], [1, -1])
-    for n in (3, 6, 64):
+    for n in (0, 1, 2, 3, 6, 64, 128):
         assert li_neg_stirling(n) == li_neg_operator(n) == li_neg(n)
 
 
