@@ -64,9 +64,9 @@ inputs.  Each place that skips one rests on a proof:
 * the argument transforms of ``substitute`` map a coprime pair to a
   coprime pair.
 
-Numeric evaluation (:func:`rf_eval`) is unchanged by the integer storage: it
-runs Horner's scheme with exact coefficient arithmetic and rounds once at
-the end.  Expanded high powers such as ``(1 - z^2)^11`` are catastrophically
+Numeric evaluation (:func:`rf_eval`) runs the exact Horner scheme of
+:func:`rf_eval_exact` at the double's exact value and rounds once at the
+end.  Expanded high powers such as ``(1 - z^2)^11`` are catastrophically
 ill-conditioned in double-precision Horner near ``|z| = 1``; exact
 accumulation keeps every multi-route identity check meaningful at the
 stated tolerances.
@@ -884,7 +884,7 @@ def substitute(f: RationalFunction, kind: str) -> RationalFunction:
 
 
 def rf_eval(f: RationalFunction, z) -> complex:
-    """Evaluate at a complex double by exact-coefficient Horner, rounding once.
+    """Evaluate at a complex double: ``rf_eval_exact`` there, rounded once.
 
     The double z is read as the Gaussian rational it represents exactly, and
     the exact value there is rounded to the nearest double in each part; a
@@ -893,19 +893,15 @@ def rf_eval(f: RationalFunction, z) -> complex:
     a small nonzero denominator is not a pole.
     """
     zc = complex(z)
-    zg = GaussianRational(Fraction(zc.real), Fraction(zc.imag))
-    den_val = f.den.horner(zg)
-    if den_val.is_zero():
-        raise PoleError(f"evaluation at a pole: den({zc}) = 0")
-    return (f.num.horner(zg) / den_val).to_complex()
+    return rf_eval_exact(f, GaussianRational(zc.real, zc.imag)).to_complex()
 
 
 def rf_eval_exact(f: RationalFunction, z) -> GaussianRational:
-    """Evaluate exactly at a Gaussian rational (or int/Fraction) point."""
+    """Evaluate exactly at a Gaussian rational (or int/Fraction) point, by Horner."""
     zg = z if isinstance(z, GaussianRational) else GaussianRational(z)
     den_val = f.den.horner(zg)
     if den_val.is_zero():
-        raise PoleError(f"exact evaluation at a pole: z = {zg}")
+        raise PoleError(f"evaluation at a pole: z = {zg}")
     return f.num.horner(zg) / den_val
 
 

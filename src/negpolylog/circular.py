@@ -142,13 +142,27 @@ def derivative_poly_recurrence(target: str, n: int) -> DerivativePolynomial:
     return DerivativePolynomial(target, n, p)
 
 
+def _eulerian_sum(n: int, sign: int, phase, total):
+    """sum_{k=1..n+1} sign^k S(n, k) phase(n - 2k), the single sum of csc, sec, csch and sech.
+
+    ``total`` is the zero to start from (0j or 0.0).  Terms are added left to
+    right with ``+=``: ``sum()`` compensates float sums from Python 3.12 on.
+    """
+    for k, b in enumerate(eulerian_b_row(n), 1):
+        total += sign**k * b * phase(n - 2 * k)
+    return total
+
+
+def _polylog_difference(n: int, w: complex) -> complex:
+    """i^(n-1) (Li[-n](w) - Li[-n](-w)): csc at w = exp(ix), sec at w = i exp(ix)."""
+    f = li_neg(n)
+    return i_power(n - 1) * (rf_eval(f, w) - rf_eval(f, -w))
+
+
 def csc_derivative_eval(n: int, x: float) -> float:
     """(d/dx)^n csc x by the Eulerian single sum with phase exp(i(2k-n-2)x)."""
     require_clear("csc", x, 0.0, period=math.pi)
-    row = eulerian_b_row(n)
-    total = 0j
-    for k in range(1, n + 2):
-        total += row[k - 1] * cmath.exp(-1j * (n - 2 * k) * x)
+    total = _eulerian_sum(n, 1, lambda m: cmath.exp(-1j * m * x), 0j)
     val = ((-1) ** n / 2**n) * cmath.exp(-2j * x) * (1.0 / math.sin(x)) ** (n + 1) * total
     return checked_real(val, context=f"csc single sum n={n}, x={x}")
 
@@ -156,9 +170,7 @@ def csc_derivative_eval(n: int, x: float) -> float:
 def csc_derivative_via_li(n: int, x: float) -> float:
     """(d/dx)^n csc x as i^(n-1) times the polylogarithm difference at exp(ix)."""
     require_clear("csc", x, 0.0, period=math.pi)
-    z = cmath.exp(1j * x)
-    f = li_neg(n)
-    val = i_power(n - 1) * (rf_eval(f, z) - rf_eval(f, -z))
+    val = _polylog_difference(n, cmath.exp(1j * x))
     return checked_real(val, context=f"csc polylog difference n={n}, x={x}")
 
 
@@ -181,10 +193,7 @@ def csc_derivative_binomial(n: int, x: float) -> float:
 def sec_derivative_eval(n: int, x: float) -> float:
     """(d/dx)^n sec x by the alternating Eulerian single sum."""
     require_clear("sec", x, math.pi / 2, period=math.pi)
-    row = eulerian_b_row(n)
-    total = 0j
-    for k in range(1, n + 2):
-        total += (-1) ** k * row[k - 1] * cmath.exp(-1j * (n - 2 * k) * x)
+    total = _eulerian_sum(n, -1, lambda m: cmath.exp(-1j * m * x), 0j)
     val = -(i_power(n) / 2**n) * cmath.exp(-2j * x) * (1.0 / math.cos(x)) ** (n + 1) * total
     return checked_real(val, context=f"sec single sum n={n}, x={x}")
 
@@ -192,9 +201,7 @@ def sec_derivative_eval(n: int, x: float) -> float:
 def sec_derivative_via_li(n: int, x: float) -> float:
     """(d/dx)^n sec x as i^(n-1) times the polylogarithm difference at i*exp(ix)."""
     require_clear("sec", x, math.pi / 2, period=math.pi)
-    z = cmath.exp(1j * x)
-    f = li_neg(n)
-    val = i_power(n - 1) * (rf_eval(f, 1j * z) - rf_eval(f, -1j * z))
+    val = _polylog_difference(n, 1j * cmath.exp(1j * x))
     return checked_real(val, context=f"sec polylog difference n={n}, x={x}")
 
 

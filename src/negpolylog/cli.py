@@ -82,11 +82,9 @@ def parse_complex(text: str) -> complex:
     if not m:
         raise UsageError(f"cannot parse complex literal {text!r}")
     re_part = float(m.group("re"))
-    if m.group("im") is None:
-        return complex(re_part, 0.0)
-    im = float(m.group("im"))
-    if m.group("sign") == "-":
-        im = -im
+    im = 0.0 if m.group("im") is None else float(m.group("sign") + m.group("im"))
+    if not (math.isfinite(re_part) and math.isfinite(im)):
+        raise UsageError(f"complex literal {text!r} is not finite in double precision")
     return complex(re_part, im)
 
 

@@ -11,13 +11,14 @@ indexing: row n here has n+1 entries k = 1..n+1 and equals row n+1 of
 OEIS A060187, i.e. S(n, k) = A060187(n+1, k).
 
 All values are Python ints (arbitrary precision); everything is exact.
-Row caches are plain dicts: concurrent readers are safe, and concurrent
-first-writers at worst duplicate a row computation before one of the
-identical results is published.
+Rows are memoized with ``functools.cache``, whose reads are thread-safe;
+concurrent first calls for one row may each compute it, and every caller
+gets an equal row.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import comb, factorial
 
 __all__ = [
@@ -25,37 +26,20 @@ __all__ = [
     "factorial",
 ]
 
-_STIRLING_ROWS: dict[int, tuple[int, ...]] = {0: (1,)}
-_EULERIAN_B_ROWS: dict[int, tuple[int, ...]] = {}
-
-
+@cache
 def stirling2_row(n: int) -> tuple[int, ...]:
     """Row ({n brace 0}, ..., {n brace n}) of Stirling numbers of the second kind."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    row = _STIRLING_ROWS.get(n)
-    if row is not None:
-        return row
-    # walk down to the nearest cached row with .get only: iterating the dict
-    # itself would race against concurrent first-writers
-    top = n - 1
-    prev = None
-    while top > 0:
-        prev = _STIRLING_ROWS.get(top)
-        if prev is not None:
-            break
-        top -= 1
-    if prev is None:
-        top, prev = 0, (1,)
-    for m in range(top + 1, n + 1):
+    row = (1,)
+    for m in range(1, n + 1):
         # {m brace k} = k*{m-1 brace k} + {m-1 brace k-1}
         cur = [0] * (m + 1)
         for k in range(1, m):
-            cur[k] = k * prev[k] + prev[k - 1]
+            cur[k] = k * row[k] + row[k - 1]
         cur[m] = 1
-        prev = tuple(cur)
-        _STIRLING_ROWS[m] = prev
-    return prev
+        row = tuple(cur)
+    return row
 
 
 def stirling2(n: int, k: int) -> int:
@@ -100,18 +84,15 @@ def eulerian_b(n: int, k: int) -> int:
     return eulerian_b_row(n)[k - 1]
 
 
+@cache
 def eulerian_b_row(n: int) -> tuple[int, ...]:
     """Row (S(n, 1), ..., S(n, n+1))."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    row = _EULERIAN_B_ROWS.get(n)
-    if row is None:
-        row = tuple(
-            sum((-1) ** (k - j) * comb(n + 1, k - j) * (2 * j - 1) ** n for j in range(1, k + 1))
-            for k in range(1, n + 2)
-        )
-        _EULERIAN_B_ROWS[n] = row
-    return row
+    return tuple(
+        sum((-1) ** (k - j) * comb(n + 1, k - j) * (2 * j - 1) ** n for j in range(1, k + 1))
+        for k in range(1, n + 2)
+    )
 
 
 def binomial(n: int, k: int) -> int:

@@ -12,8 +12,8 @@ Routes provided:
   checked to land on integers by the same helper as cot/tan (coth and tanh
   satisfy the same first-order equation f' = 1 - f^2, so they share one
   polynomial family);
-* csch/sech single-sum evaluators over the type-B Eulerian row with real
-  exponential phases;
+* csch/sech single sums over the type-B Eulerian row, in the summation loop
+  of csc/sec but with real exponential phases;
 * the polylogarithm relations Li(e^x) = -(1/2) (d/dx)^n coth(x/2) and
   Li(-e^x) = -(1/2) (d/dx)^n tanh(x/2) for n >= 1 (at n = 0 both sides
   differ by the constant 1/2, so n = 0 is excluded from sweeps), and the
@@ -32,8 +32,7 @@ from __future__ import annotations
 import math
 
 from .algebra import Polynomial, rf_eval
-from .circular import DerivativePolynomial, _alternating_weight, _stirling_poly
-from .combinatorics import eulerian_b_row
+from .circular import DerivativePolynomial, _alternating_weight, _eulerian_sum, _stirling_poly
 from .jets import nth_derivative, require_clear
 from .polylog import chi_neg, ti_neg
 from .reports import PointCheck, VerificationReport, rel_err
@@ -83,19 +82,13 @@ def li_relation_tanh(n: int, x: float) -> float:
 def csch_derivative_eval(n: int, x: float) -> float:
     """(d/dx)^n csch x by the Eulerian single sum, pure real arithmetic."""
     require_clear("csch", x, 0.0)
-    row = eulerian_b_row(n)
-    total = 0.0
-    for k in range(1, n + 2):
-        total += row[k - 1] * math.exp((n - 2 * k) * x)
+    total = _eulerian_sum(n, 1, lambda m: math.exp(m * x), 0.0)
     return ((-1) ** n / 2**n) * math.exp(2 * x) * (1.0 / math.sinh(x)) ** (n + 1) * total
 
 
 def sech_derivative_eval(n: int, x: float) -> float:
     """(d/dx)^n sech x by the alternating Eulerian single sum."""
-    row = eulerian_b_row(n)
-    total = 0.0
-    for k in range(1, n + 2):
-        total += (-1) ** k * row[k - 1] * math.exp((n - 2 * k) * x)
+    total = _eulerian_sum(n, -1, lambda m: math.exp(m * x), 0.0)
     return -((-1) ** n / 2**n) * math.exp(2 * x) * (1.0 / math.cosh(x)) ** (n + 1) * total
 
 

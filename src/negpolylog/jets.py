@@ -38,18 +38,6 @@ __all__ = [
 
 SINGULARITY_GUARD = 1e-6
 
-FUNCTION_IDS = frozenset(
-    {
-        "exp", "log",
-        "sin", "cos", "tan", "cot", "csc", "sec",
-        "sinh", "cosh", "tanh", "coth", "csch", "sech",
-        "arctan", "arctanh", "arccot", "arccoth",
-        "arcsin", "arccos", "arcsinh", "arccosh",
-        "arccsc", "arcsec", "arccsch", "arcsech",
-    }
-)
-
-
 class Jet:
     """Taylor coefficients of a function at ``x0`` through a fixed order."""
 
@@ -352,6 +340,8 @@ _BUILDERS = {
     "arccsch": _via_reciprocal_arg("arcsinh"),
     "arcsech": _via_reciprocal_arg("arccosh"),
 }
+
+FUNCTION_IDS = frozenset(_BUILDERS)
 
 
 def jet_lift(fn: str, x0: float, order: int) -> Jet:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from functools import lru_cache
+from functools import cache
 
 from .algebra import I, Polynomial, RationalFunction, poly_exact_div, rf_eval, substitute
 from .combinatorics import binomial
@@ -116,7 +116,7 @@ def ti_ladder(n: int) -> bool:
     return z * ti_neg(n) == -_weighted_sum(n, _li_even_neg)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _sec_variant_exact(n: int) -> bool:
     """Exact check of the rotated relation, i.e. the main one under z -> iz."""
     f = li_neg(n)

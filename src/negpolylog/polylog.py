@@ -19,6 +19,7 @@ disk.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .algebra import (
     GaussianRational,
@@ -44,50 +45,27 @@ __all__ = [
 
 SERIES_TERM_CAP = 10**6
 
-_LI_CACHE: dict[int, RationalFunction] = {}
-_CHI_CACHE: dict[int, RationalFunction] = {}
-_TI_CACHE: dict[int, RationalFunction] = {}
 
-
-_LI_NUM_CACHE: dict[int, Polynomial] = {}
-
-
-def _li_numerator(n: int) -> Polynomial:
-    """Numerator P_n of the closed form over (1 - z)**(n+1).
-
-    Writing the order step as a polynomial recurrence,
-    P_0 = z and P_{m+1} = z (P_m' (1 - z) + (m+1) P_m), avoids re-reducing
-    the quotient-rule denominator at every order.  P_n(1) = n! != 0, so the
-    pair is coprime by construction.
-    """
-    p = _LI_NUM_CACHE.get(n)
-    if p is None:
-        if n == 0:
-            p = Polynomial.variable()
-        else:
-            prev = _li_numerator(n - 1)
-            p = Polynomial.variable() * (
-                prev.derivative() * Polynomial([1, -1]) + prev.scale(n)
-            )
-        _LI_NUM_CACHE[n] = p
-    return p
-
-
+@cache
 def li_neg(n: int) -> RationalFunction:
     """Memoized canonical closed form of the order -n polylogarithm.
 
     Exact equality with both public construction routes is part of the test
-    suite; this accessor just builds it the cheapest way.
+    suite; this accessor just builds it the cheapest way, by one step of
+    z d/dz from the cached pair P/Q of order -(n-1), starting from z/(1 - z).
+    With Q = +-(1 - z)**n the quotient rule cancels (1 - z)**(n-1), leaving
+    z (P' (1 - z) + n P) / (Q (1 - z)).  Its numerator is n P(1) = +-n! at
+    z = 1, the only root of Q (1 - z) (by induction from P_0(1) = 1), so the
+    pair is coprime by construction and skips the gcd.
     """
     if n < 0:
         raise ValueError("order index n must be >= 0")
-    f = _LI_CACHE.get(n)
-    if f is None:
-        f = RationalFunction(
-            _li_numerator(n), Polynomial([1, -1]) ** (n + 1), _reduced=True
-        )
-        _LI_CACHE[n] = f
-    return f
+    one_minus_z = Polynomial([1, -1])
+    if n == 0:
+        return RationalFunction(Polynomial.variable(), one_minus_z, _reduced=True)
+    prev = li_neg(n - 1)
+    num = Polynomial.variable() * (prev.num.derivative() * one_minus_z + prev.num.scale(n))
+    return RationalFunction(num, prev.den * one_minus_z, _reduced=True)
 
 
 def li_neg_operator(n: int) -> RationalFunction:
@@ -120,7 +98,7 @@ def chi_neg(n: int) -> RationalFunction:
     never zero at a root of (1 - z^2)**(n+1): the pair is coprime by
     construction and skips the gcd.
     """
-    return _type_b_form(n, 1, _CHI_CACHE)
+    return _type_b_form(n, 1)
 
 
 def ti_neg(n: int) -> RationalFunction:
@@ -131,20 +109,18 @@ def ti_neg(n: int) -> RationalFunction:
     at z = -i.  It never vanishes at a root of (1 + z^2)**(n+1): the pair is
     coprime by construction and skips the gcd.
     """
-    return _type_b_form(n, -1, _TI_CACHE)
+    return _type_b_form(n, -1)
 
 
-def _type_b_form(n: int, sign: int, cache: dict) -> RationalFunction:
-    """sum_k sign^(k+1) B(n, k) z^(2k-1) over (1 - sign z^2)^(n+1), memoized in ``cache``."""
+@cache
+def _type_b_form(n: int, sign: int) -> RationalFunction:
+    """sum_k sign^(k+1) B(n, k) z^(2k-1) over (1 - sign z^2)^(n+1), memoized."""
     if n < 0:
         raise ValueError("order index n must be >= 0")
-    f = cache.get(n)
-    if f is None:
-        coeffs = [0] * (2 * n + 2)
-        coeffs[1::2] = [sign ** k * b for k, b in enumerate(eulerian_b_row(n))]
-        den = Polynomial([1, 0, -sign]) ** (n + 1)
-        f = cache[n] = RationalFunction(Polynomial(coeffs), den, _reduced=True)
-    return f
+    coeffs = [0] * (2 * n + 2)
+    coeffs[1::2] = [sign ** k * b for k, b in enumerate(eulerian_b_row(n))]
+    den = Polynomial([1, 0, -sign]) ** (n + 1)
+    return RationalFunction(Polynomial(coeffs), den, _reduced=True)
 
 
 def chi_from_li(n: int) -> RationalFunction:

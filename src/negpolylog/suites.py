@@ -162,7 +162,7 @@ SUITES = {
 
 
 class SweepRangeError(ValueError):
-    """n_max is negative or above the requested suite's cap."""
+    """n_max is negative or above the suite's cap, or name selects no identity of it."""
 
 
 def run_suite(suite: str, n_max: int, tol: float | None = None,
@@ -171,10 +171,15 @@ def run_suite(suite: str, n_max: int, tol: float | None = None,
 
     ``tol`` overrides each numeric suite's default tolerance; ``name``
     restricts the inverse suite to one identity.  Raises SweepRangeError when
-    n_max lies outside 0..cap.
+    n_max lies outside 0..cap, or when ``name`` is given to a suite without
+    named identities (any but inverse and all) or names none of them.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
+    if name is not None and suite not in ("inverse", "all"):
+        raise SweepRangeError(f"the {suite} suite has no named identities to select")
+    if name is not None and name not in {ident.name for ident in inverse.registry()}:
+        raise SweepRangeError(f"no identity named {name!r} in the inverse suite")
     names = list(SUITES) if suite == "all" else [suite]
     cap = max(SUITES[s][1] for s in names)
     if not 0 <= n_max <= cap:

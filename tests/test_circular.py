@@ -1,5 +1,6 @@
 """Derivative polynomials and the multi-route csc/sec evaluators."""
 
+import cmath
 import math
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from negpolylog.algebra import rf_eval
 from negpolylog.circular import (
     TRIG_GRID,
     cot_derivative_poly,
@@ -21,9 +23,12 @@ from negpolylog.circular import (
     sec_derivative_via_li,
     tan_derivative_poly,
 )
+from negpolylog.combinatorics import eulerian_b_row
 from negpolylog.errors import ImaginaryResidueError, SingularityError
+from negpolylog.hyperbolic import HYP_GRID, csch_derivative_eval, sech_derivative_eval
 from negpolylog.jets import nth_derivative
-from negpolylog.numutil import checked_real
+from negpolylog.numutil import checked_real, i_power
+from negpolylog.polylog import li_neg
 from negpolylog.reports import rel_err
 
 CSC_ROUTES = (csc_derivative_eval, csc_derivative_via_li, csc_derivative_binomial)
@@ -169,3 +174,67 @@ def test_imaginary_residue_error_states_its_bound_and_ratio():
         "imaginary residue 0.5 too large relative to 1.0: |im| exceeds "
         "bound*(1+|re|) = 2e-09 by a ratio of 2.5e+08 in csc test"
     )
+
+
+# The single-sum loops and polylog-difference bodies as they were written
+# before csc, sec, csch and sech shared one kernel each: reference copies.
+def _csc_sum_loop(n, x):
+    row = eulerian_b_row(n)
+    total = 0j
+    for k in range(1, n + 2):
+        total += row[k - 1] * cmath.exp(-1j * (n - 2 * k) * x)
+    val = ((-1) ** n / 2**n) * cmath.exp(-2j * x) * (1.0 / math.sin(x)) ** (n + 1) * total
+    return checked_real(val)
+
+
+def _sec_sum_loop(n, x):
+    row = eulerian_b_row(n)
+    total = 0j
+    for k in range(1, n + 2):
+        total += (-1) ** k * row[k - 1] * cmath.exp(-1j * (n - 2 * k) * x)
+    val = -(i_power(n) / 2**n) * cmath.exp(-2j * x) * (1.0 / math.cos(x)) ** (n + 1) * total
+    return checked_real(val)
+
+
+def _csch_sum_loop(n, x):
+    row = eulerian_b_row(n)
+    total = 0.0
+    for k in range(1, n + 2):
+        total += row[k - 1] * math.exp((n - 2 * k) * x)
+    return ((-1) ** n / 2**n) * math.exp(2 * x) * (1.0 / math.sinh(x)) ** (n + 1) * total
+
+
+def _sech_sum_loop(n, x):
+    row = eulerian_b_row(n)
+    total = 0.0
+    for k in range(1, n + 2):
+        total += (-1) ** k * row[k - 1] * math.exp((n - 2 * k) * x)
+    return -((-1) ** n / 2**n) * math.exp(2 * x) * (1.0 / math.cosh(x)) ** (n + 1) * total
+
+
+def _csc_difference_body(n, x):
+    z = cmath.exp(1j * x)
+    f = li_neg(n)
+    return checked_real(i_power(n - 1) * (rf_eval(f, z) - rf_eval(f, -z)))
+
+
+def _sec_difference_body(n, x):
+    z = cmath.exp(1j * x)
+    f = li_neg(n)
+    return checked_real(i_power(n - 1) * (rf_eval(f, 1j * z) - rf_eval(f, -1j * z)))
+
+
+def test_shared_kernels_match_the_loops_they_replaced():
+    cases = (
+        (csc_derivative_eval, _csc_sum_loop, TRIG_GRID),
+        (sec_derivative_eval, _sec_sum_loop, TRIG_GRID),
+        (csc_derivative_via_li, _csc_difference_body, TRIG_GRID),
+        (sec_derivative_via_li, _sec_difference_body, TRIG_GRID),
+        (csch_derivative_eval, _csch_sum_loop, HYP_GRID),
+        (sech_derivative_eval, _sech_sum_loop, HYP_GRID),
+    )
+    for route, reference, grid in cases:
+        for n in range(11):
+            for x in grid:
+                got, want = route(n, x), reference(n, x)
+                assert got == want and repr(got) == repr(want), (route.__name__, n, x)

@@ -120,6 +120,14 @@ def test_usage_errors(capsys):
     for tol in ("-1e-9", "-0.5", "-1"):
         code, out, err = run(capsys, "verify", "trig", "--n-max", "1", "--tolerance", tol)
         assert code == 2 and "--tolerance must be finite and >= 0" in err and not out, tol
+    # --name must select an inverse identity, and only the inverse and all suites have them
+    for suite, name in (("inverse", "bogus"), ("all", "bogus"), ("trig", "arctan")):
+        code, out, err = run(capsys, "verify", suite, "--n-max", "1", "--name", name)
+        assert code == 2 and "error:" in err and not out, (suite, name)
+    # a literal beyond double range is not a point
+    for kind, z in (("li", "1e400"), ("li", "0.5+1e400i"), ("tan-poly", "1e400"), ("li", "-1e400")):
+        code, out, err = run(capsys, "eval", kind, "2", z)
+        assert code == 2 and "finite" in err and not out, z
     # zero is a valid tolerance: the float routes miss it, a failed verification
     code, out, _ = run(capsys, "verify", "trig", "--n-max", "2", "--tolerance", "0")
     assert code == 1 and "22/22" not in out

@@ -7,7 +7,7 @@ import pytest
 
 from negpolylog.algebra import rf_eval_exact
 from negpolylog.combinatorics import (
-    binomial, eulerian_b, eulerian_b_row, stirling2, stirling_power_sum,
+    binomial, eulerian_b, eulerian_b_row, stirling2, stirling2_row, stirling_power_sum,
 )
 from negpolylog.polylog import li_neg
 
@@ -75,24 +75,35 @@ def test_eulerian_b_row_sum_and_symmetry():
 
 
 def test_concurrent_first_computation_is_safe():
-    # cache contract: concurrent readers and first-writers must all see
-    # correct values (duplicated computation is fine)
+    # cache contract: concurrent first calls may compute a value twice, and
+    # every caller sees an equal value
+    import sys
+    import threading
     from concurrent.futures import ThreadPoolExecutor
 
-    import negpolylog.combinatorics as comb
+    from negpolylog import polylog
 
-    comb._STIRLING_ROWS.clear()
-    comb._STIRLING_ROWS[0] = (1,)
-    comb._EULERIAN_B_ROWS.clear()
+    for cached in (stirling2_row, eulerian_b_row, polylog.li_neg, polylog._type_b_form):
+        cached.cache_clear()
+    start = threading.Barrier(8, timeout=60)
 
     def worker(_):
-        return (stirling2(40, 17), eulerian_b(25, 12))
+        start.wait()
+        return (stirling2(40, 17), eulerian_b(25, 12),
+                polylog.li_neg(40), polylog.chi_neg(40), polylog.ti_neg(40))
 
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = set(pool.map(worker, range(32)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = set(pool.map(worker, range(8), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
     assert len(results) == 1
-    s, e = results.pop()
+    s, e, li, chi, ti = results.pop()
     assert s == stirling2(40, 17) and e == eulerian_b(25, 12)
+    assert li == polylog.li_neg_stirling(40)
+    assert chi == polylog.chi_from_li(40) and ti == polylog.ti_from_chi(40)
 
 
 def test_binomial():

@@ -1,5 +1,7 @@
 """Closed-form construction routes, their exact agreement, and the series oracle."""
 
+from math import comb
+
 import pytest
 
 from negpolylog.algebra import (
@@ -61,6 +63,17 @@ def test_chi_ti_closed_forms():
         ti_num = Polynomial([0, 1]) * Polynomial([(-1) ** k * b for k, b in enumerate(row)]).square_arg()
         assert chi_neg(n) == RationalFunction(chi_num, Polynomial([1, 0, -1]) ** (n + 1))
         assert ti_neg(n) == RationalFunction(ti_num, Polynomial([1, 0, 1]) ** (n + 1))
+
+
+def test_li_closed_form_matches_the_full_gcd_form():
+    # the accessor's skipped gcd, against z A_n(z)/(1 - z)^(n+1) with the
+    # Eulerian numbers A(n, m) from their explicit sum, canonicalized in full
+    def eulerian(n, m):
+        return sum((-1) ** j * comb(n + 1, j) * (m + 1 - j) ** n for j in range(m + 2))
+
+    for n in (0, 1, 40, 64):
+        num = [0, *(eulerian(n, m) for m in range(n))] if n else [0, 1]
+        assert li_neg(n) == RationalFunction(Polynomial(num), Polynomial([1, -1]) ** (n + 1))
 
 
 def test_chi_from_li_route():

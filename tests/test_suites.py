@@ -75,3 +75,13 @@ def test_caps():
             run_suite(suite, n_max)
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite("banana", 1)
+
+
+def test_name_must_select_an_inverse_identity():
+    for suite in ("inverse", "all"):
+        with pytest.raises(ValueError, match="no identity named 'bogus'"):
+            run_suite(suite, 1, name="bogus")
+    for suite in ("core", "trig", "hyperbolic", "ladder"):
+        with pytest.raises(ValueError, match="no named identities"):
+            run_suite(suite, 1, name="arctan")
+    assert {r.identity for r in run_suite("inverse", 0, name="arccsc")} == {"arccsc"}
