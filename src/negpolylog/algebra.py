@@ -100,11 +100,6 @@ __all__ = [
     "powered_parts",
 ]
 
-def _q(x):
-    """Promote an int to Fraction so division stays exact."""
-    return Fraction(x) if type(x) is int else x
-
-
 class GaussianRational:
     """An exact complex number ``re + im*i``.
 
@@ -181,11 +176,11 @@ class GaussianRational:
         if o.is_zero():
             raise ZeroDivisionError("division by zero Gaussian rational")
         if not self.im and not o.im:
-            return GaussianRational(_q(self.re) / o.re)
+            return GaussianRational(Fraction(self.re) / o.re)
         n = o.re * o.re + o.im * o.im
         return GaussianRational(
-            _q(self.re * o.re + self.im * o.im) / n,
-            _q(self.im * o.re - self.re * o.im) / n,
+            Fraction(self.re * o.re + self.im * o.im) / n,
+            Fraction(self.im * o.re - self.re * o.im) / n,
         )
 
     def __neg__(self):
@@ -431,9 +426,6 @@ class Polynomial:
         return acc / self.den if self.den != 1 else acc
 
     # argument transforms used by `substitute`
-    def negate_arg(self) -> "Polynomial":
-        return self.turn_arg(2)
-
     def turn_arg(self, step: int) -> "Polynomial":
         """p(i**step * z): coefficient k times i**(k*step)."""
         re, im = list(self.re), list(self.im)
@@ -865,7 +857,7 @@ def substitute(f: RationalFunction, kind: str) -> RationalFunction:
     multiplying numerator and denominator by z**max(deg num, deg den).
     """
     if kind == "negate_z":
-        return RationalFunction(f.num.negate_arg(), f.den.negate_arg(), _reduced=True)
+        return RationalFunction(f.num.turn_arg(2), f.den.turn_arg(2), _reduced=True)
     if kind == "square_z":
         return RationalFunction(f.num.square_arg(), f.den.square_arg(), _reduced=True)
     if kind == "i_times_z":

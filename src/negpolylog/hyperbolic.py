@@ -35,7 +35,7 @@ from .algebra import Polynomial, rf_eval
 from .circular import DerivativePolynomial, _alternating_weight, _eulerian_sum, _stirling_poly
 from .jets import nth_derivative, require_clear
 from .polylog import chi_neg, ti_neg
-from .reports import PointCheck, VerificationReport, rel_err
+from .reports import VerificationReport, check
 
 __all__ = [
     "HYP_GRID",
@@ -96,16 +96,10 @@ def chi_ti_hyperbolic_relations(n: int, x: float, tol: float = 1e-8) -> Verifica
     """Check 2*chi(e^x) = -(d/dx)^n csch x and 2*Ti(e^x) = (d/dx)^n sech x."""
     require_clear("the csch relation", x, 0.0)
     ex = math.exp(x)
-    points = []
-
-    lhs = 2.0 * rf_eval(chi_neg(n), ex).real
-    rhs = -nth_derivative("csch", x, n)
-    r = rel_err(lhs, rhs)
-    points.append(PointCheck(x, lhs, rhs, r, r <= tol, label="chi-csch"))
-
-    lhs = 2.0 * rf_eval(ti_neg(n), ex).real
-    rhs = nth_derivative("sech", x, n)
-    r = rel_err(lhs, rhs)
-    points.append(PointCheck(x, lhs, rhs, r, r <= tol, label="ti-sech"))
-
+    points = [
+        check(x, lambda: (2.0 * rf_eval(chi_neg(n), ex).real, -nth_derivative("csch", x, n)),
+              tol, "chi-csch"),
+        check(x, lambda: (2.0 * rf_eval(ti_neg(n), ex).real, nth_derivative("sech", x, n)),
+              tol, "ti-sech"),
+    ]
     return VerificationReport("hyperbolic chi/Ti relations", n, tol, points)

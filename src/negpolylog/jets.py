@@ -11,7 +11,9 @@ hyperbolic versions come from jet division).  Inverse functions are lifted
 by building the jet of their derivative from rational/square-root
 recurrences and integrating once, taking the constant term from the math
 library.  Reciprocal-argument companions (arccsc, arcsec, arccsch, arcsech)
-are composed as outer(1/x).
+are composed as outer(1/x).  Every lift first looks its point up in one
+table, ``_DOMAINS`` (poles, their period, the real domain): within the guard
+radius of a pole it raises SingularityError, outside the domain DomainError.
 
 Jets are double precision on purpose: this oracle's job is numeric
 cross-checking at tolerances of 1e-7..1e-9, while all exact checking lives
@@ -109,18 +111,7 @@ class Jet:
     __rmul__ = __mul__
 
     def reciprocal(self) -> "Jet":
-        b = self.coeffs
-        if b[0] == 0.0:
-            raise ZeroDivisionError("reciprocal of a jet with zero value")
-        n = len(b)
-        out = [0.0] * n
-        out[0] = 1.0 / b[0]
-        for k in range(1, n):
-            s = 0.0
-            for j in range(k):
-                s += out[j] * b[k - j]
-            out[k] = -s / b[0]
-        return Jet(self.x0, out)
+        return Jet.constant(1.0, self.x0, self.order) / self
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
@@ -201,46 +192,32 @@ def require_clear(what: str, x: float, *poles: float, period: float | None = Non
 
 _PI = math.pi
 
+# fn -> (poles, their period or None, outside-the-domain test or None, the domain as text)
+_DOMAINS = {
+    **dict.fromkeys(("tan", "sec"), ((_PI / 2,), _PI, None, "")),
+    **dict.fromkeys(("cot", "csc"), ((0.0,), _PI, None, "")),
+    **dict.fromkeys(("coth", "csch", "arccsch"), ((0.0,), None, None, "")),
+    "log": ((0.0,), None, lambda x: x <= 0, "x0 > 0"),
+    **dict.fromkeys(("arctanh", "arcsin", "arccos"),
+                    ((1.0, -1.0), None, lambda x: abs(x) >= 1, "|x0| < 1")),
+    **dict.fromkeys(("arccoth", "arccsc", "arcsec"),
+                    ((1.0, -1.0), None, lambda x: abs(x) <= 1, "|x0| > 1")),
+    "arccosh": ((1.0,), None, lambda x: x < 1, "x0 >= 1"),
+    "arcsech": ((0.0, 1.0), None, lambda x: not 0 < x <= 1, "0 < x0 <= 1"),
+}
+
 
 def _check_point(fn: str, x0: float):
     """Raise SingularityError within the guard radius, DomainError outside the domain."""
-    if fn in ("tan", "sec"):
-        require_clear(fn, x0, _PI / 2, period=_PI)
-    elif fn in ("cot", "csc"):
-        require_clear(fn, x0, 0.0, period=_PI)
-    elif fn in ("coth", "csch", "arccsch"):
-        require_clear(fn, x0, 0.0)
-    elif fn == "log":
-        require_clear(fn, x0, 0.0)
-        if x0 <= 0:
-            raise DomainError(f"log needs x0 > 0, got {x0}")
-    elif fn in ("arctanh", "arcsin", "arccos"):
-        require_clear(fn, x0, 1.0, -1.0)
-        if abs(x0) >= 1:
-            raise DomainError(f"{fn} needs |x0| < 1, got {x0}")
-    elif fn == "arccoth":
-        require_clear(fn, x0, 1.0, -1.0)
-        if abs(x0) <= 1:
-            raise DomainError(f"arccoth needs |x0| > 1, got {x0}")
-    elif fn == "arccosh":
-        require_clear(fn, x0, 1.0)
-        if x0 < 1:
-            raise DomainError(f"arccosh needs x0 >= 1, got {x0}")
-    elif fn in ("arccsc", "arcsec"):
-        require_clear(fn, x0, 1.0, -1.0)
-        if abs(x0) <= 1:
-            raise DomainError(f"{fn} needs |x0| > 1, got {x0}")
-    elif fn == "arcsech":
-        require_clear(fn, x0, 0.0, 1.0)
-        if not 0 < x0 <= 1:
-            raise DomainError(f"arcsech needs 0 < x0 <= 1, got {x0}")
+    poles, period, outside, domain = _DOMAINS.get(fn, ((), None, None, ""))
+    require_clear(fn, x0, *poles, period=period)
+    if outside is not None and outside(x0):
+        raise DomainError(f"{fn} needs {domain}, got {x0}")
 
 
 def _cyclic(vals, x0: float, n: int) -> Jet:
-    out = []
-    for k in range(n + 1):
-        out.append(vals[k % 4] / factorial(k))
-    return Jet(x0, out)
+    """Jet whose k-th derivative is vals[k % len(vals)]: exp, sin, cos, sinh, cosh."""
+    return Jet(x0, [vals[k % len(vals)] / factorial(k) for k in range(n + 1)])
 
 
 def _build_sin(x0, n):
@@ -254,18 +231,17 @@ def _build_cos(x0, n):
 
 
 def _build_exp(x0, n):
-    e = math.exp(x0)
-    return Jet(x0, [e / factorial(k) for k in range(n + 1)])
+    return _cyclic((math.exp(x0),), x0, n)
 
 
 def _build_sinh(x0, n):
     s, c = math.sinh(x0), math.cosh(x0)
-    return Jet(x0, [(s if k % 2 == 0 else c) / factorial(k) for k in range(n + 1)])
+    return _cyclic((s, c), x0, n)
 
 
 def _build_cosh(x0, n):
     s, c = math.sinh(x0), math.cosh(x0)
-    return Jet(x0, [(c if k % 2 == 0 else s) / factorial(k) for k in range(n + 1)])
+    return _cyclic((c, s), x0, n)
 
 
 def _via_derivative(deriv, value):
@@ -359,16 +335,16 @@ def nth_derivative(fn: str, x0: float, n: int) -> float:
     return jet_lift(fn, x0, n).derivative_value(n)
 
 
-def apply_operator_power(a, fn: str, n: int, x0: float, *, order_guard: int = 2) -> float:
+def apply_operator_power(a, fn: str, n: int, x0: float) -> float:
     """Value at x0 of (a(x) d/dx)**n applied to fn.
 
     ``a`` maps (x0, order) to the coefficient function's jet.  Each round
     differentiates the running jet (consuming one order) and multiplies by
-    the coefficient jet; the initial order is n + order_guard.
+    the coefficient jet; the initial order is n + 2.
     """
     if n < 0:
         raise ValueError("operator power must be >= 0")
-    total = n + order_guard
+    total = n + 2
     f = jet_lift(fn, x0, total)
     if n == 0:
         return f.value

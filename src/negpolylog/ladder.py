@@ -74,7 +74,7 @@ def _li_even(k: int) -> tuple[Polynomial, Polynomial]:
 def _li_even_neg(k: int) -> tuple[Polynomial, Polynomial]:
     """Numerator and denominator of Li[-k](-z^2)."""
     f = li_neg(k)
-    return f.num.negate_arg().square_arg(), f.den.negate_arg().square_arg()
+    return f.num.turn_arg(2).square_arg(), f.den.turn_arg(2).square_arg()
 
 
 def _weighted_sum(n: int, term) -> RationalFunction:
@@ -93,6 +93,15 @@ def _weighted_sum(n: int, term) -> RationalFunction:
         num = num * poly_exact_div(q, den) + p * c[k]
         den = q
     return RationalFunction(num, den)
+
+
+def _li_sum(n: int, w: complex) -> complex:
+    """sum_k c_k Li[-k](w) in floats, added left to right."""
+    c = ladder_coefficients(n).coefficients
+    s = 0j
+    for k in range(n + 1):
+        s += c[k] * rf_eval(li_neg(k), w)
+    return s
 
 
 def verify_ladder_exact(n: int) -> bool:
@@ -136,11 +145,7 @@ def verify_ladder_sec_variant(n: int, x: float, tol: float = 1e-10) -> bool:
     f = li_neg(n)
     w = cmath.exp(1j * x)
     lhs = rf_eval(f, 1j * w) - rf_eval(f, -1j * w)
-    c = ladder_coefficients(n).coefficients
-    s = 0j
-    for k in range(n + 1):
-        s += c[k] * rf_eval(li_neg(k), -cmath.exp(2j * x))
-    rhs = -2j * cmath.exp(-1j * x) * s
+    rhs = -2j * cmath.exp(-1j * x) * _li_sum(n, -cmath.exp(2j * x))
     numeric_ok = abs(lhs - rhs) <= tol * (1.0 + abs(lhs))
     return numeric_ok and _sec_variant_exact(n)
 
@@ -148,10 +153,5 @@ def verify_ladder_sec_variant(n: int, x: float, tol: float = 1e-10) -> bool:
 def leibniz_csc_route(n: int, x: float) -> float:
     """(d/dx)^n csc x from the Leibniz expansion of exp(-ix)(i + cot x)."""
     require_clear("csc", x, 0.0, period=math.pi)
-    c = ladder_coefficients(n).coefficients
-    z2 = cmath.exp(2j * x)
-    s = 0j
-    for k in range(n + 1):
-        s += c[k] * rf_eval(li_neg(k), z2)
-    val = 2 * i_power(n - 1) * cmath.exp(-1j * x) * s
+    val = 2 * i_power(n - 1) * cmath.exp(-1j * x) * _li_sum(n, cmath.exp(2j * x))
     return checked_real(val, context=f"Leibniz csc route n={n}, x={x}")

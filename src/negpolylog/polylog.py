@@ -63,7 +63,8 @@ def li_neg(n: int) -> RationalFunction:
     one_minus_z = Polynomial([1, -1])
     if n == 0:
         return RationalFunction(Polynomial.variable(), one_minus_z, _reduced=True)
-    prev = li_neg(n - 1)
+    for k in range(n):  # ascending, so a cold call nests at most one level
+        prev = li_neg(k)
     num = Polynomial.variable() * (prev.num.derivative() * one_minus_z + prev.num.scale(n))
     return RationalFunction(num, prev.den * one_minus_z, _reduced=True)
 

@@ -1,8 +1,18 @@
-"""Machine-readable verification outcomes shared by the sweep modules."""
+"""Machine-readable verification outcomes shared by the sweep modules.
+
+Every numeric point is judged by :func:`check`: ``sides()`` gives the two
+sides, and the point passes when their relative error is at most the
+tolerance.  A library error raised while computing either side fails the
+point, with the error in its note, so one bad point never aborts a suite;
+any other exception propagates.
+"""
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
+
+from .errors import NegPolylogError
 
 
 def rel_err(a: float, b: float) -> float:
@@ -25,6 +35,17 @@ class PointCheck(namedtuple("PointCheck", "x lhs rhs rel_err ok label note", def
         if self.note:
             d["note"] = self.note
         return d
+
+
+def check(x: float, sides, tol: float, label: str = "") -> PointCheck:
+    """Judge one point: ``sides()`` returns (lhs, rhs); pass when rel_err <= tol."""
+    try:
+        lhs, rhs = sides()
+    except NegPolylogError as exc:
+        note = f"{type(exc).__name__}: {exc}"
+        return PointCheck(x, math.nan, math.nan, math.inf, False, label, note)
+    r = rel_err(lhs, rhs)
+    return PointCheck(x, lhs, rhs, r, r <= tol, label)
 
 
 class VerificationReport(namedtuple("VerificationReport", "identity n tolerance points exact")):

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from negpolylog import hyperbolic
 from negpolylog.algebra import rf_eval
 from negpolylog.circular import derivative_poly_recurrence
 from negpolylog.errors import SingularityError
@@ -88,6 +89,19 @@ def test_chi_ti_relations_hand_values():
     assert ti_point.lhs == pytest.approx(2 * math.e / (1 + math.e**2))
     assert ti_point.lhs == pytest.approx(1 / math.cosh(1.0))
     assert rep.passed
+
+
+def test_a_raising_side_fails_only_its_point(monkeypatch):
+    def oracle(fn, x, n):
+        if fn == "csch":
+            raise SingularityError("stub")
+        return nth_derivative(fn, x, n)
+
+    monkeypatch.setattr(hyperbolic, "nth_derivative", oracle)
+    chi, ti = chi_ti_hyperbolic_relations(2, 0.8).points
+    assert (chi.label, chi.ok, chi.rel_err, chi.note) == (
+        "chi-csch", False, math.inf, "SingularityError: stub")
+    assert (ti.label, ti.ok, ti.note) == ("ti-sech", True, "")
 
 
 def test_chi_ti_relations_sweep():

@@ -1,5 +1,6 @@
 """The binomial ladder sum, its chi/Ti restatements and the Leibniz csc route."""
 
+import cmath
 import math
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from negpolylog import ladder
-from negpolylog.algebra import Polynomial, RationalFunction, substitute
+from negpolylog.algebra import Polynomial, RationalFunction, rf_eval, substitute
 from negpolylog.circular import (
     TRIG_GRID,
     csc_derivative_binomial,
@@ -28,6 +29,7 @@ from negpolylog.ladder import (
     verify_ladder_exact,
     verify_ladder_sec_variant,
 )
+from negpolylog.numutil import checked_real, i_power
 from negpolylog.polylog import chi_neg, li_neg
 from negpolylog.reports import rel_err
 
@@ -149,3 +151,27 @@ def test_leibniz_route_agrees_with_all_csc_routes():
             got = leibniz_csc_route(n, x)
             for other in (csc_derivative_eval, csc_derivative_via_li, csc_derivative_binomial):
                 assert rel_err(got, other(n, x)) < 1e-7, (other.__name__, n, x)
+
+
+def test_li_sum_matches_the_loops_it_replaced():
+    def leibniz_loop(n, x):
+        c = ladder_coefficients(n).coefficients
+        z2 = cmath.exp(2j * x)
+        s = 0j
+        for k in range(n + 1):
+            s += c[k] * rf_eval(li_neg(k), z2)
+        return checked_real(2 * i_power(n - 1) * cmath.exp(-1j * x) * s)
+
+    def rotated_loop(n, x):
+        c = ladder_coefficients(n).coefficients
+        s = 0j
+        for k in range(n + 1):
+            s += c[k] * rf_eval(li_neg(k), -cmath.exp(2j * x))
+        return s
+
+    for n in range(11):
+        for x in TRIG_GRID:
+            got, want = leibniz_csc_route(n, x), leibniz_loop(n, x)
+            assert (got, repr(got)) == (want, repr(want)), (n, x)
+            got, want = ladder._li_sum(n, -cmath.exp(2j * x)), rotated_loop(n, x)
+            assert (got, repr(got)) == (want, repr(want)), (n, x)

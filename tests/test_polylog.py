@@ -1,5 +1,6 @@
 """Closed-form construction routes, their exact agreement, and the series oracle."""
 
+import sys
 from math import comb
 
 import pytest
@@ -74,6 +75,20 @@ def test_li_closed_form_matches_the_full_gcd_form():
     for n in (0, 1, 40, 64):
         num = [0, *(eulerian(n, m) for m in range(n))] if n else [0, 1]
         assert li_neg(n) == RationalFunction(Polynomial(num), Polynomial([1, -1]) ** (n + 1))
+
+
+def test_cold_li_neg_nests_one_level():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    li_neg.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 30)
+    try:
+        got = li_neg(64)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == li_neg_stirling(64)
 
 
 def test_chi_from_li_route():

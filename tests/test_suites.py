@@ -5,8 +5,8 @@ import math
 import pytest
 
 from negpolylog import suites
-from negpolylog.errors import ImaginaryResidueError
-from negpolylog.reports import PointCheck, exact_report
+from negpolylog.errors import ImaginaryResidueError, PoleError
+from negpolylog.reports import PointCheck, check, exact_report, rel_err
 from negpolylog.suites import MAX_EXACT_SWEEP, MAX_NUMERIC_SWEEP, SUITES, SweepRangeError, run_suite
 
 
@@ -54,6 +54,29 @@ def test_a_raising_route_fails_its_points_and_the_suite_goes_on():
         (1.0, False, math.inf, "ImaginaryResidueError: residue"),
     ]
     assert all(math.isnan(p.lhs) and math.isnan(p.rhs) for p in failed)
+    # the oracle side raising at its pole fails that point alone
+    reports = suites._jet_reports("csc stub", lambda n, x: 1.0, "csc", (math.pi, 1.0), 1, 10.0)
+    for report in reports:
+        at_pole, clear = report.points
+        assert (at_pole.ok, at_pole.rel_err, at_pole.note) == (
+            False, math.inf, f"SingularityError: csc is singular within 1e-06 of x = {math.pi}")
+        assert (clear.ok, clear.note) == (True, "")
+
+
+def test_check_judges_one_point():
+    assert check(0.5, lambda: (1.0, 1.0 + 1e-9), 1e-8, "l") == PointCheck(
+        0.5, 1.0, 1.0 + 1e-9, rel_err(1.0, 1.0 + 1e-9), True, "l")
+    assert not check(0.5, lambda: (1.0, 1.1), 1e-8).ok
+    assert check(0.5, lambda: (2.0, 2.0), 0.0).ok  # the tolerance itself passes
+
+    def pole():
+        raise PoleError("evaluation at a pole: z = 1")
+
+    failed = check(0.5, pole, 1e-8, "l")
+    assert (failed.ok, failed.rel_err, failed.label, failed.note) == (
+        False, math.inf, "l", "PoleError: evaluation at a pole: z = 1")
+    with pytest.raises(ZeroDivisionError):  # not a library error: it propagates
+        check(0.5, lambda: (1.0 / 0.0, 1.0), 1e-8)
 
 
 def test_all_runs_every_suite_clipped_to_its_cap(monkeypatch):
