@@ -23,16 +23,16 @@ print("cot: (d/dx)^n cot x = P_n(cot x)")
 for n in range(1, 6):
     p = cot_derivative_poly(n)
     same = p.poly == derivative_poly_recurrence("cot", n).poly
-    print(f"  P_{n}(u) = {poly_text(p.poly):<40} [matches recurrence: {same}]")
+    print(f"  P_{n}(u) = {poly_text(p.poly, var='u'):<40} [matches recurrence: {same}]")
 
 print("\ntan: (d/dx)^n tan x = P_n(tan x)")
 for n in range(1, 6):
-    print(f"  P_{n}(u) = {poly_text(tan_derivative_poly(n).poly)}")
+    print(f"  P_{n}(u) = {poly_text(tan_derivative_poly(n).poly, var='u')}")
 
 print("\ncoth and tanh share one family (both solve f' = 1 - f^2):")
 for n in range(1, 6):
     same = coth_derivative_poly(n).poly == tanh_derivative_poly(n).poly
-    print(f"  P_{n}(u) = {poly_text(coth_derivative_poly(n).poly):<40} [coth == tanh: {same}]")
+    print(f"  P_{n}(u) = {poly_text(coth_derivative_poly(n).poly, var='u'):<40} [coth == tanh: {same}]")
 
 x = 0.8
 n = 5

@@ -15,9 +15,10 @@ Storage: a :class:`Polynomial` holds two equal-length tuples of ``int``,
 ``(re[k] + i*im[k]) / den``.  Trailing zero coefficients are stripped and
 ``den`` is coprime to the content of the parts, so each polynomial has one
 representation and ``==`` compares the fields; ``den`` is 1 in every
-canonical form.  Gaussian rationals appear only at the edges: constructor
-inputs, scalars, the ``coeffs`` view for rendering and JSON, and exact
-evaluation.  Values are immutable and all operations are pure.
+canonical form.  It has no variable: the letter is an argument of the
+renderer, :func:`poly_text`.  Gaussian rationals appear only at the edges:
+constructor inputs, scalars, the ``coeffs`` view for rendering and JSON,
+and exact evaluation.  Values are immutable and all operations are pure.
 
 Products use Kronecker substitution (Kronecker 1882; Schoenhage 1982): each
 part is packed into one integer, sum c[k] * 2**(w*k), with w a multiple of 8
@@ -295,14 +296,14 @@ def _part(x: int, d: int):
     return x // d if x % d == 0 else Fraction(x, d)
 
 
-def _raw(re, im, var: str, den: int = 1) -> "Polynomial":
+def _raw(re, im, den: int = 1) -> "Polynomial":
     """A polynomial from parts that already meet the storage contract."""
     p = object.__new__(Polynomial)
-    p.re, p.im, p.den, p.var = tuple(re), tuple(im), den, var
+    p.re, p.im, p.den = tuple(re), tuple(im), den
     return p
 
 
-def _poly(re, im, var: str, den: int = 1) -> "Polynomial":
+def _poly(re, im, den: int = 1) -> "Polynomial":
     """A polynomial from integer parts over den > 0: strips trailing zeros, reduces den."""
     n = len(re)
     while n and not re[n - 1] and not im[n - 1]:
@@ -312,31 +313,31 @@ def _poly(re, im, var: str, den: int = 1) -> "Polynomial":
         g = math.gcd(den, *re, *im)
         if g != 1:
             re, im, den = [x // g for x in re], [y // g for y in im], den // g
-    return _raw(re, im, var, den)
+    return _raw(re, im, den)
 
 
 class Polynomial:
     """Dense univariate polynomial (re + i*im)/den over int tuples (see the module docstring)."""
 
-    __slots__ = ("re", "im", "den", "var", "__weakref__")
+    __slots__ = ("re", "im", "den", "__weakref__")
 
-    def __init__(self, coeffs=(), var: str = "z"):
+    def __init__(self, coeffs=()):
         cs = [c if isinstance(c, GaussianRational) else GaussianRational(c) for c in coeffs]
         den = math.lcm(*[x.denominator for c in cs for x in (c.re, c.im)])
-        p = _poly([int(c.re * den) for c in cs], [int(c.im * den) for c in cs], var, den)
-        self.re, self.im, self.den, self.var = p.re, p.im, p.den, var
+        p = _poly([int(c.re * den) for c in cs], [int(c.im * den) for c in cs], den)
+        self.re, self.im, self.den = p.re, p.im, p.den
 
     @classmethod
-    def zero(cls, var: str = "z") -> "Polynomial":
-        return _raw((), (), var)
+    def zero(cls) -> "Polynomial":
+        return _raw((), ())
 
     @classmethod
-    def one(cls, var: str = "z") -> "Polynomial":
-        return _raw((1,), (0,), var)
+    def one(cls) -> "Polynomial":
+        return _raw((1,), (0,))
 
     @classmethod
-    def variable(cls, var: str = "z") -> "Polynomial":
-        return _raw((0, 1), (0, 0), var)
+    def variable(cls) -> "Polynomial":
+        return _raw((0, 1), (0, 0))
 
     @property
     def degree(self) -> int:
@@ -361,61 +362,55 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading coefficient")
         return self._coeff(-1)
 
-    def _check_var(self, other: "Polynomial"):
-        if self.var != other.var:
-            raise ValueError(f"variable mismatch: {self.var!r} vs {other.var!r}")
-
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check_var(other)
         den = math.lcm(self.den, other.den)
         s, t = den // self.den, den // other.den
         return _poly(_vadd(_times(self.re, s), _times(other.re, t)),
-                     _vadd(_times(self.im, s), _times(other.im, t)), self.var, den)
+                     _vadd(_times(self.im, s), _times(other.im, t)), den)
 
     def __sub__(self, other):
         return self + (-other) if isinstance(other, Polynomial) else NotImplemented
 
     def __neg__(self):
-        return _raw(*_rotate(self.re, self.im, 2), self.var, self.den)
+        return _raw(*_rotate(self.re, self.im, 2), self.den)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             if isinstance(other, (int, Fraction, GaussianRational)):
                 return self.scale(other)
             return NotImplemented
-        self._check_var(other)
         if not self.re or not other.re:
-            return Polynomial.zero(self.var)
+            return Polynomial.zero()
         re, im = _product(self.re, self.im, other.re, other.im)
-        return _poly(re, im, self.var, self.den * other.den)
+        return _poly(re, im, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative polynomial power")
-        return _power(self, k, Polynomial.one(self.var))
+        return _power(self, k, Polynomial.one())
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return (self.var, self.re, self.im, self.den) == (other.var, other.re, other.im, other.den)
+        return (self.re, self.im, self.den) == (other.re, other.im, other.den)
 
     def __hash__(self):
-        return hash((self.var, self.re, self.im, self.den))
+        return hash((self.re, self.im, self.den))
 
     def scale(self, c) -> "Polynomial":
         c = c if isinstance(c, GaussianRational) else GaussianRational(c)
         d = math.lcm(c.re.denominator, c.im.denominator)
         parts = _rows((int(c.re * d),), (int(c.im * d),), self.re, self.im)
-        return _poly(*parts, self.var, self.den * d)
+        return _poly(*parts, self.den * d)
 
     def derivative(self) -> "Polynomial":
         k = range(1, len(self.re))
         return _poly([*map(operator.mul, k, self.re[1:])], [*map(operator.mul, k, self.im[1:])],
-                     self.var, self.den)
+                     self.den)
 
     def horner(self, z: GaussianRational) -> GaussianRational:
         """Exact evaluation at a Gaussian rational point."""
@@ -431,12 +426,12 @@ class Polynomial:
         re, im = list(self.re), list(self.im)
         for k in (1, 2, 3):
             re[k::4], im[k::4] = _rotate(re[k::4], im[k::4], k * step)
-        return _raw(re, im, self.var, self.den)
+        return _raw(re, im, self.den)
 
     def square_arg(self) -> "Polynomial":
         re, im = [0] * (2 * len(self.re) - 1), [0] * (2 * len(self.re) - 1)
         re[::2], im[::2] = self.re, self.im
-        return _raw(re, im, self.var, self.den)
+        return _raw(re, im, self.den)
 
     def is_real(self) -> bool:
         return not any(self.im)
@@ -448,7 +443,7 @@ class Polynomial:
         return poly_text(self)
 
     def __repr__(self):
-        return f"Polynomial({poly_text(self)!r}, var={self.var!r})"
+        return f"Polynomial({poly_text(self)!r})"
 
 
 # -- products -----------------------------------------------------------------
@@ -612,22 +607,20 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     A pair the modular certificate proves coprime returns the unit 1 without
     running the sequence.
     """
-    f._check_var(g)
     a, b = _primitive(f.re, f.im), _primitive(g.re, g.im)
     if len(a[0]) < len(b[0]):
         a, b = b, a
     if b[0] and _coprime_mod_p(a, b):
-        return Polynomial.one(f.var)
+        return Polynomial.one()
     while b[0]:
         a, b = b, _primitive(*_pairs_pseudo_rem(a, b))
-    return _raw(*a, f.var)
+    return _raw(*a)
 
 
 def poly_exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
     """The quotient a/b; raises ArithmeticError unless b divides a exactly."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    a._check_var(b)
     # a/b = (A/B) * (b.den/a.den) for the integer parts A and B; over B's primitive
     # part the quotient has Gaussian-integer coefficients (Gauss's lemma)
     c = _content(b.re, b.im)
@@ -642,7 +635,7 @@ def poly_exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
             _eliminate(rr, ri, k, t, (br, bi), gauss)
     if any(rr) or any(ri):
         raise ArithmeticError("polynomial division was not exact")
-    q = _poly(qr, qi, a.var)
+    q = _poly(qr, qi)
     if c == (1, 0) and a.den == b.den:
         return q
     return q.scale(GaussianRational(Fraction(b.den, a.den)) / GaussianRational(*c))
@@ -654,9 +647,9 @@ def poly_exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
 _CANONICAL = weakref.WeakValueDictionary()
 
 
-def _canonical(re, im, var: str) -> Polynomial:
-    p = _raw(re, im, var)
-    return _CANONICAL.setdefault((var, p.re, p.im), p)
+def _canonical(re, im) -> Polynomial:
+    p = _raw(re, im)
+    return _CANONICAL.setdefault((p.re, p.im), p)
 
 
 def _sector_turns(lr: int, li: int) -> int:
@@ -671,13 +664,11 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Polynomial, den: Polynomial, *, _reduced: bool = False):
-        num._check_var(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator rational function")
-        var = num.var
         if num.is_zero():
-            self.num = Polynomial.zero(var)
-            self.den = Polynomial.one(var)
+            self.num = Polynomial.zero()
+            self.den = Polynomial.one()
             return
         if not _reduced:
             g = poly_gcd(num, den)
@@ -689,21 +680,17 @@ class RationalFunction:
         re, im = _primitive([*_times(num.re, b), *_times(den.re, a)],
                             [*_times(num.im, b), *_times(den.im, a)])
         re, im = _rotate(re, im, _sector_turns(re[-1], im[-1]))
-        self.num = _canonical(re[:n], im[:n], var)
-        self.den = _canonical(re[n:], im[n:], var)
+        self.num = _canonical(re[:n], im[:n])
+        self.den = _canonical(re[n:], im[n:])
 
     # -- constructors ----------------------------------------------------
     @classmethod
-    def constant(cls, c, var: str = "z") -> "RationalFunction":
-        return cls(Polynomial([c], var), Polynomial.one(var), _reduced=True)
+    def constant(cls, c) -> "RationalFunction":
+        return cls(Polynomial([c]), Polynomial.one(), _reduced=True)
 
     @classmethod
-    def zero(cls, var: str = "z") -> "RationalFunction":
-        return cls(Polynomial.zero(var), Polynomial.one(var), _reduced=True)
-
-    @property
-    def var(self) -> str:
-        return self.num.var
+    def zero(cls) -> "RationalFunction":
+        return cls(Polynomial.zero(), Polynomial.one(), _reduced=True)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -715,7 +702,7 @@ class RationalFunction:
         if isinstance(x, RationalFunction):
             return x
         if isinstance(x, (int, Fraction, GaussianRational)):
-            return RationalFunction.constant(x, self.var)
+            return RationalFunction.constant(x)
         return None
 
     # -- arithmetic ------------------------------------------------------
@@ -766,7 +753,7 @@ class RationalFunction:
             return NotImplemented
         p1, q1, p2, q2 = self.num, self.den, o.num, o.den
         if p1.is_zero() or p2.is_zero():
-            return RationalFunction.zero(self.var)
+            return RationalFunction.zero()
         g1 = poly_gcd(p1, q2)
         if g1.degree > 0:
             p1 = poly_exact_div(p1, g1)
@@ -801,7 +788,7 @@ class RationalFunction:
                 raise ZeroDivisionError("zero rational function to a negative power")
             return RationalFunction(self.den, self.num, _reduced=True) ** (-k)
         if k == 0:
-            return RationalFunction.constant(1, self.var)
+            return RationalFunction.constant(1)
         return RationalFunction(self.num**k, self.den**k, _reduced=True)
 
     def __eq__(self, other):
@@ -840,9 +827,9 @@ def z_ddz(f: RationalFunction) -> RationalFunction:
         u, v = q, dq
     num, den = p.derivative() * u - p * v, q * u
     if q.re[0] or q.im[0]:
-        num = Polynomial.variable(f.var) * num
+        num = Polynomial.variable() * num
     else:
-        den = _raw(den.re[1:], den.im[1:], den.var, den.den)
+        den = _raw(den.re[1:], den.im[1:], den.den)
     return RationalFunction(num, den, _reduced=True)
 
 
@@ -869,7 +856,7 @@ def substitute(f: RationalFunction, kind: str) -> RationalFunction:
 
         def rev(p: Polynomial) -> Polynomial:  # z**d * p(1/z)
             pad = [0] * (d - p.degree)
-            return _poly(pad + list(p.re[::-1]), pad + list(p.im[::-1]), p.var, p.den)
+            return _poly(pad + list(p.re[::-1]), pad + list(p.im[::-1]), p.den)
 
         return RationalFunction(rev(f.num), rev(f.den), _reduced=True)
     raise ValueError(f"unknown substitution {kind!r}; expected one of {_SUBSTITUTIONS}")
@@ -936,8 +923,8 @@ def _power_text(var: str, k: int, latex: bool) -> str:
     return f"{var}^{{{k}}}" if latex else f"{var}^{k}"
 
 
-def poly_text(p: Polynomial, *, spaced: bool = True, latex: bool = False) -> str:
-    """Render ascending-power text such as ``z + 6z^3 + z^5`` (ASCII minus)."""
+def poly_text(p: Polynomial, *, spaced: bool = True, latex: bool = False, var: str = "z") -> str:
+    """Ascending-power text such as ``z + 6z^3 + z^5``, in the letter ``var`` (ASCII minus)."""
     if p.is_zero():
         return "0"
     parts: list[str] = []
@@ -945,7 +932,7 @@ def poly_text(p: Polynomial, *, spaced: bool = True, latex: bool = False) -> str
         if c.is_zero():
             continue
         neg, mag = _split_sign(c)
-        body = _magnitude_text(mag, k, latex) + _power_text(p.var, k, latex)
+        body = _magnitude_text(mag, k, latex) + _power_text(var, k, latex)
         if not body:
             body = "1"
         if not parts:
@@ -972,7 +959,7 @@ def powered_parts(f: RationalFunction) -> tuple[Polynomial, Polynomial, int]:
     g = poly_gcd(den, den.derivative())
     if g.degree > 0:
         q = poly_exact_div(den, g)
-        rad = _raw(*_primitive(q.re, q.im), den.var)
+        rad = _raw(*_primitive(q.re, q.im))
         if den.degree % rad.degree == 0 and den.degree > rad.degree:
             candidates = [(rad, den.degree // rad.degree), (den, 1)]
     for base, e in candidates:
@@ -987,7 +974,7 @@ def powered_parts(f: RationalFunction) -> tuple[Polynomial, Polynomial, int]:
 
 def _den_text(base: Polynomial, e: int, latex: bool) -> str:
     body = poly_text(base, spaced=False, latex=latex)
-    if base != Polynomial.variable(base.var) and (base.degree > 0 or e > 1):
+    if base != Polynomial.variable() and (base.degree > 0 or e > 1):
         body = f"({body})"
     return body if e == 1 else body + (f"^{{{e}}}" if latex else f"^{e}")
 
@@ -1030,6 +1017,6 @@ def rf_to_json(f: RationalFunction) -> dict:
     return {"num": [str(c) for c in f.num.coeffs], "den": [str(c) for c in f.den.coeffs]}
 
 
-def rf_from_json(obj: dict, var: str = "z") -> RationalFunction:
-    num, den = (Polynomial([_coef_from_str(s) for s in obj[k]], var) for k in ("num", "den"))
+def rf_from_json(obj: dict) -> RationalFunction:
+    num, den = (Polynomial([_coef_from_str(s) for s in obj[k]]) for k in ("num", "den"))
     return RationalFunction(num, den)

@@ -33,10 +33,10 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import I, Polynomial, rf_eval
+from .algebra import I, Polynomial, RationalFunction, rf_eval
 from .combinatorics import binomial, eulerian_b_row, factorial, stirling2_row, stirling_power_sum
 from .errors import ImaginaryResidueError, NegPolylogError
-from .jets import require_clear
+from .jets import check_point
 from .numutil import checked_real, i_power
 from .polylog import li_neg
 
@@ -66,18 +66,12 @@ class DerivativePolynomial(namedtuple("DerivativePolynomial", "target order poly
     __slots__ = ()
 
     def __call__(self, u):
-        """P(u) by float Horner; complex u gives a complex value."""
-        acc = 0j if isinstance(u, complex) else 0.0
-        for c in reversed(self.poly.re):
-            acc = acc * u + float(c)
-        return acc
+        """P(u) exact at the double u, rounded once (``rf_eval``); a real u gives a float."""
+        val = rf_eval(RationalFunction(self.poly, Polynomial.one(), _reduced=True), u)
+        return val if isinstance(u, complex) else val.real
 
     def coefficient_ints(self) -> tuple[int, ...]:
         return self.poly.re
-
-
-def _u() -> Polynomial:
-    return Polynomial([0, 1], "u")
 
 
 def _stirling_poly(target: str, n: int, base: Polynomial, weight, prefactor):
@@ -88,7 +82,7 @@ def _stirling_poly(target: str, n: int, base: Polynomial, weight, prefactor):
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
-        return DerivativePolynomial(target, 0, _u())
+        return DerivativePolynomial(target, 0, Polynomial.variable())
     p = stirling_power_sum(n, base, weight).scale(prefactor(n))
     if not p.is_real():
         raise ImaginaryResidueError(f"{target} derivative polynomial n={n} is not real (bug)")
@@ -109,7 +103,7 @@ def cot_derivative_poly(n: int) -> DerivativePolynomial:
     2 * 2^n * i^(n-1).
     """
     return _stirling_poly(
-        "cot", n, Polynomial([-1, I], "u"), lambda k: Fraction(factorial(k), 2 ** (k + 1)),
+        "cot", n, Polynomial([-1, I]), lambda k: Fraction(factorial(k), 2 ** (k + 1)),
         lambda n: I ** ((n - 1) % 4) * 2 ** (n + 1),
     )
 
@@ -117,15 +111,15 @@ def cot_derivative_poly(n: int) -> DerivativePolynomial:
 def tan_derivative_poly(n: int) -> DerivativePolynomial:
     """P with (d/dx)^n tan x = P(tan x), from the alternating sum on (1 + i u)."""
     return _stirling_poly(
-        "tan", n, Polynomial([1, I], "u"), _alternating_weight, lambda n: I ** ((n - 1) % 4) * 2**n
+        "tan", n, Polynomial([1, I]), _alternating_weight, lambda n: I ** ((n - 1) % 4) * 2**n
     )
 
 
 _RECURRENCE_MULT = {
-    "cot": Polynomial([-1, 0, -1], "u"),
-    "tan": Polynomial([1, 0, 1], "u"),
-    "coth": Polynomial([1, 0, -1], "u"),
-    "tanh": Polynomial([1, 0, -1], "u"),
+    "cot": Polynomial([-1, 0, -1]),
+    "tan": Polynomial([1, 0, 1]),
+    "coth": Polynomial([1, 0, -1]),
+    "tanh": Polynomial([1, 0, -1]),
 }
 
 
@@ -136,7 +130,7 @@ def derivative_poly_recurrence(target: str, n: int) -> DerivativePolynomial:
     if n < 0:
         raise ValueError("n must be >= 0")
     mult = _RECURRENCE_MULT[target]
-    p = _u()
+    p = Polynomial.variable()
     for _ in range(n):
         p = mult * p.derivative()
     return DerivativePolynomial(target, n, p)
@@ -161,7 +155,7 @@ def _polylog_difference(n: int, w: complex) -> complex:
 
 def csc_derivative_eval(n: int, x: float) -> float:
     """(d/dx)^n csc x by the Eulerian single sum with phase exp(i(2k-n-2)x)."""
-    require_clear("csc", x, 0.0, period=math.pi)
+    check_point("csc", x)
     total = _eulerian_sum(n, 1, lambda m: cmath.exp(-1j * m * x), 0j)
     val = ((-1) ** n / 2**n) * cmath.exp(-2j * x) * (1.0 / math.sin(x)) ** (n + 1) * total
     return checked_real(val, context=f"csc single sum n={n}, x={x}")
@@ -169,14 +163,14 @@ def csc_derivative_eval(n: int, x: float) -> float:
 
 def csc_derivative_via_li(n: int, x: float) -> float:
     """(d/dx)^n csc x as i^(n-1) times the polylogarithm difference at exp(ix)."""
-    require_clear("csc", x, 0.0, period=math.pi)
+    check_point("csc", x)
     val = _polylog_difference(n, cmath.exp(1j * x))
     return checked_real(val, context=f"csc polylog difference n={n}, x={x}")
 
 
 def csc_derivative_binomial(n: int, x: float) -> float:
     """(d/dx)^n csc x by the literal half-angle double sum."""
-    require_clear("csc", x, 0.0, period=math.pi)
+    check_point("csc", x)
     t = math.tan(x / 2)
     c = math.cos(x / 2) / math.sin(x / 2)
     row = stirling2_row(n + 1)
@@ -192,7 +186,7 @@ def csc_derivative_binomial(n: int, x: float) -> float:
 
 def sec_derivative_eval(n: int, x: float) -> float:
     """(d/dx)^n sec x by the alternating Eulerian single sum."""
-    require_clear("sec", x, math.pi / 2, period=math.pi)
+    check_point("sec", x)
     total = _eulerian_sum(n, -1, lambda m: cmath.exp(-1j * m * x), 0j)
     val = -(i_power(n) / 2**n) * cmath.exp(-2j * x) * (1.0 / math.cos(x)) ** (n + 1) * total
     return checked_real(val, context=f"sec single sum n={n}, x={x}")
@@ -200,14 +194,14 @@ def sec_derivative_eval(n: int, x: float) -> float:
 
 def sec_derivative_via_li(n: int, x: float) -> float:
     """(d/dx)^n sec x as i^(n-1) times the polylogarithm difference at i*exp(ix)."""
-    require_clear("sec", x, math.pi / 2, period=math.pi)
+    check_point("sec", x)
     val = _polylog_difference(n, 1j * cmath.exp(1j * x))
     return checked_real(val, context=f"sec polylog difference n={n}, x={x}")
 
 
 def sec_derivative_binomial(n: int, x: float) -> float:
     """(d/dx)^n sec x by the literal tan/sec triple sum."""
-    require_clear("sec", x, math.pi / 2, period=math.pi)
+    check_point("sec", x)
     t = math.tan(x)
     s = 1.0 / math.cos(x)
     row = stirling2_row(n + 1)

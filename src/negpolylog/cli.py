@@ -114,13 +114,11 @@ def _check_order(n: int):
 
 def _emit_poly(kind: str, n: int, fmt: str) -> str:
     dp: DerivativePolynomial = _POLY_BUILDERS[kind](n)
-    if fmt == "text":
-        return poly_text(dp.poly)
-    if fmt == "latex":
-        return poly_text(dp.poly, latex=True)
-    return json.dumps(
-        {"target": dp.target, "n": dp.order, "coeffs": [str(c) for c in dp.coefficient_ints()]}
-    )
+    if fmt == "json":
+        return json.dumps(
+            {"target": dp.target, "n": dp.order, "coeffs": [str(c) for c in dp.coefficient_ints()]}
+        )
+    return poly_text(dp.poly, latex=fmt == "latex", var="u")
 
 
 def _emit_rf(kind: str, n: int, fmt: str) -> str:
@@ -144,10 +142,8 @@ def cmd_closed_form(kind: str, n: int, fmt: str) -> int:
 def cmd_eval(kind: str, n: int, z_text: str, fmt: str) -> int:
     _check_order(n)
     z = parse_complex(z_text)
-    if kind in _POLY_BUILDERS:
-        val = complex(_POLY_BUILDERS[kind](n)(z.real if z.imag == 0 else z))
-    else:
-        val = rf_eval(_RF_BUILDERS[kind](n), z)
+    poly = _POLY_BUILDERS.get(kind)
+    val = poly(n)(z) if poly else rf_eval(_RF_BUILDERS[kind](n), z)
     if fmt == "json":
         print(_json({"kind": kind, "n": n, "z": z_text, "re": val.real, "im": val.imag}))
     elif abs(val.imag) <= 1e-13 * (1.0 + abs(val.real)):
@@ -208,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "latex", "json"), default="text")
+    def add_format(p, choices=("text", "latex", "json")):
+        p.add_argument("--format", choices=choices, default="text")
 
     for kind in _CLOSED_FORM_KINDS:
         p = sub.add_parser(kind, help=f"print the {kind} closed form of index n")
@@ -220,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=_CLOSED_FORM_KINDS)
     p.add_argument("n", type=int)
     p.add_argument("z", help="complex literal, e.g. 0.5 or 0.3+0.2i")
-    add_format(p)
+    add_format(p, ("text", "json"))
 
     p = sub.add_parser("verify", help="run a verification sweep")
     p.add_argument("suite", choices=("trig", "hyperbolic", "inverse", "ladder", "all"))
@@ -228,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=None,
                    help="override the per-suite default tolerance (numeric suites only)")
     p.add_argument("--name", default=None, help="restrict the inverse suite to one identity")
-    add_format(p)
+    add_format(p, ("text", "json"))
 
     p = sub.add_parser("ladder", help="print the ladder identity with exact coefficients")
     p.add_argument("--n", type=int, required=True)

@@ -33,7 +33,7 @@ import math
 
 from .algebra import Polynomial, rf_eval
 from .circular import DerivativePolynomial, _alternating_weight, _eulerian_sum, _stirling_poly
-from .jets import nth_derivative, require_clear
+from .jets import check_point, nth_derivative, require_clear
 from .polylog import chi_neg, ti_neg
 from .reports import VerificationReport, check
 
@@ -55,12 +55,12 @@ HYP_GRID = (0.3, 0.5, 0.8, 1.2, 2.0)
 
 def coth_derivative_poly(n: int) -> DerivativePolynomial:
     """P with (d/dx)^n coth x = P(coth x); real arithmetic throughout."""
-    return _stirling_poly("coth", n, Polynomial([1, 1], "u"), _alternating_weight, lambda n: 2**n)
+    return _stirling_poly("coth", n, Polynomial([1, 1]), _alternating_weight, lambda n: 2**n)
 
 
 def tanh_derivative_poly(n: int) -> DerivativePolynomial:
     """P with (d/dx)^n tanh x = P(tanh x); identical family to coth's."""
-    return _stirling_poly("tanh", n, Polynomial([1, 1], "u"), _alternating_weight, lambda n: 2**n)
+    return _stirling_poly("tanh", n, Polynomial([1, 1]), _alternating_weight, lambda n: 2**n)
 
 
 def li_relation_coth(n: int, x: float) -> float:
@@ -81,7 +81,7 @@ def li_relation_tanh(n: int, x: float) -> float:
 
 def csch_derivative_eval(n: int, x: float) -> float:
     """(d/dx)^n csch x by the Eulerian single sum, pure real arithmetic."""
-    require_clear("csch", x, 0.0)
+    check_point("csch", x)
     total = _eulerian_sum(n, 1, lambda m: math.exp(m * x), 0.0)
     return ((-1) ** n / 2**n) * math.exp(2 * x) * (1.0 / math.sinh(x)) ** (n + 1) * total
 

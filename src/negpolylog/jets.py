@@ -11,9 +11,9 @@ hyperbolic versions come from jet division).  Inverse functions are lifted
 by building the jet of their derivative from rational/square-root
 recurrences and integrating once, taking the constant term from the math
 library.  Reciprocal-argument companions (arccsc, arcsec, arccsch, arcsech)
-are composed as outer(1/x).  Every lift first looks its point up in one
-table, ``_DOMAINS`` (poles, their period, the real domain): within the guard
-radius of a pole it raises SingularityError, outside the domain DomainError.
+are composed as outer(1/x).  :func:`check_point` guards every lift and the
+csc, sec and csch routes with one table, ``_DOMAINS`` (poles, their period, the
+real domain): SingularityError within the guard radius, DomainError outside.
 
 Jets are double precision on purpose: this oracle's job is numeric
 cross-checking at tolerances of 1e-7..1e-9, while all exact checking lives
@@ -32,6 +32,7 @@ __all__ = [
     "FUNCTION_IDS",
     "SINGULARITY_GUARD",
     "require_clear",
+    "check_point",
     "jet_lift",
     "nth_derivative",
     "apply_operator_power",
@@ -207,7 +208,7 @@ _DOMAINS = {
 }
 
 
-def _check_point(fn: str, x0: float):
+def check_point(fn: str, x0: float):
     """Raise SingularityError within the guard radius, DomainError outside the domain."""
     poles, period, outside, domain = _DOMAINS.get(fn, ((), None, None, ""))
     require_clear(fn, x0, *poles, period=period)
@@ -326,7 +327,7 @@ def jet_lift(fn: str, x0: float, order: int) -> Jet:
         raise ValueError(f"unknown function id {fn!r}")
     if order < 0:
         raise ValueError("order must be >= 0")
-    _check_point(fn, float(x0))
+    check_point(fn, float(x0))
     return _BUILDERS[fn](float(x0), order)
 
 

@@ -38,7 +38,7 @@ from functools import cache
 
 from .algebra import I, Polynomial, RationalFunction, poly_exact_div, rf_eval, substitute
 from .combinatorics import binomial
-from .jets import require_clear
+from .jets import check_point, require_clear
 from .numutil import checked_real, i_power
 from .polylog import chi_neg, li_neg, ti_neg
 
@@ -152,6 +152,6 @@ def verify_ladder_sec_variant(n: int, x: float, tol: float = 1e-10) -> bool:
 
 def leibniz_csc_route(n: int, x: float) -> float:
     """(d/dx)^n csc x from the Leibniz expansion of exp(-ix)(i + cot x)."""
-    require_clear("csc", x, 0.0, period=math.pi)
+    check_point("csc", x)
     val = 2 * i_power(n - 1) * cmath.exp(-1j * x) * _li_sum(n, cmath.exp(2j * x))
     return checked_real(val, context=f"Leibniz csc route n={n}, x={x}")

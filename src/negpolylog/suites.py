@@ -11,6 +11,7 @@ each clipped to its own cap.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from . import circular, hyperbolic, inverse, ladder
@@ -47,19 +48,21 @@ def _core(n_max: int, tol: float, name: str | None) -> list[VerificationReport]:
     return reports
 
 
-def _jet_reports(label: str, route, fn: str, grid, n_max: int, tol: float) -> list:
-    """One report per order comparing ``route(n, x)`` with the jet derivative of ``fn``.
+def _jet_reports(label: str, route, fn: str, grid, n_max: int, tol: float,
+                 derivative=nth_derivative) -> list:
+    """One report per order comparing ``route(n, x)`` with ``derivative(fn, x, n)``.
 
     A library error of either side fails its point, with the error as the note.
     """
     return [VerificationReport(f"{label} vs jet oracle", n, tol,
-                               [check(x, lambda: (route(n, x), nth_derivative(fn, x, n)), tol)
+                               [check(x, lambda: (route(n, x), derivative(fn, x, n)), tol)
                                 for x in grid])
             for n in range(n_max + 1)]
 
 
 def _trig(n_max: int, tol: float, name: str | None) -> list[VerificationReport]:
     reports = []
+    derivative = functools.cache(nth_derivative)  # one jet per (fn, x, n) for all routes of fn
     for label, route in (
         ("csc single-sum", circular.csc_derivative_eval),
         ("csc polylog-difference", circular.csc_derivative_via_li),
@@ -69,7 +72,7 @@ def _trig(n_max: int, tol: float, name: str | None) -> list[VerificationReport]:
         ("sec polylog-difference", circular.sec_derivative_via_li),
         ("sec binomial", circular.sec_derivative_binomial),
     ):
-        reports += _jet_reports(label, route, label.split()[0], TRIG_GRID, n_max, tol)
+        reports += _jet_reports(label, route, label.split()[0], TRIG_GRID, n_max, tol, derivative)
     # double-angle consequence: 2 cot 2x = cot x - tan x
     points = [check(x, lambda: (2.0 * math.cos(2 * x) / math.sin(2 * x),
                                 math.cos(x) / math.sin(x) - math.tan(x)), 1e-12)

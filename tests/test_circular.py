@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,9 @@ from negpolylog.circular import (
 )
 from negpolylog.combinatorics import eulerian_b_row
 from negpolylog.errors import ImaginaryResidueError, SingularityError
-from negpolylog.hyperbolic import HYP_GRID, csch_derivative_eval, sech_derivative_eval
+from negpolylog.hyperbolic import (
+    HYP_GRID, coth_derivative_poly, csch_derivative_eval, sech_derivative_eval, tanh_derivative_poly,
+)
 from negpolylog.jets import nth_derivative
 from negpolylog.numutil import checked_real, i_power
 from negpolylog.polylog import li_neg
@@ -84,6 +87,29 @@ def test_polynomial_evaluation_matches_jet():
             got = q(math.tan(x))
             assert rel_err(got, want) < 1e-9
 
+
+def _exact_rounded(coeffs, u: complex) -> tuple[float, float]:
+    """sum c_k u^k over Fractions at the double u, each part rounded once."""
+    a, b = Fraction(u.real), Fraction(u.imag)
+    re = im = Fraction(0)
+    for c in reversed(coeffs):
+        re, im = re * a - im * b + c, re * b + im * a
+    return float(re), float(im)
+
+
+def test_derivative_polynomials_evaluate_exactly_rounded_once():
+    # near |u| = 1 and on the imaginary axis P_n cancels badly; float Horner lost every digit
+    points = (0.3, 0.999, -0.999, 1.001, -1.001, 2.5, 0.999j, 0.01 + 1j, -0.2 + 1.01j)
+    for build in (cot_derivative_poly, tan_derivative_poly, coth_derivative_poly, tanh_derivative_poly):
+        for n in (0, 1, 10, 30, 64):
+            p = build(n)
+            for u in points:
+                re, im = _exact_rounded(p.coefficient_ints(), complex(u))
+                got = p(u)
+                if isinstance(u, complex):
+                    assert (got.real, got.imag) == (re, im), (p.target, n, u)
+                else:
+                    assert type(got) is float and got == re, (p.target, n, u)
 
 def test_csc_examples():
     assert csc_derivative_eval(0, math.pi / 2) == pytest.approx(1.0)
@@ -148,9 +174,9 @@ _OPTIMIZED_PROBE = textwrap.dedent("""
             return type(exc) is exc_type
         return False
 
-    circular.stirling_power_sum = lambda n, base, weight: Polynomial([I], "u")
+    circular.stirling_power_sum = lambda n, base, weight: Polynomial([I])
     results = [raised(lambda: circular.cot_derivative_poly(3), ImaginaryResidueError)]
-    circular.stirling_power_sum = lambda n, base, weight: Polynomial([Fraction(1, 3)], "u")
+    circular.stirling_power_sum = lambda n, base, weight: Polynomial([Fraction(1, 3)])
     results.append(raised(lambda: hyperbolic.tanh_derivative_poly(3), NegPolylogError))
     polylog.chi_neg = polylog.li_neg
     results.append(raised(lambda: polylog.ti_from_chi(2), ImaginaryResidueError))

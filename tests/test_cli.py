@@ -65,6 +65,9 @@ def test_eval(capsys):
     code, out, _ = run(capsys, "eval", "tan-poly", "2", "0.5+0.5i", "--format", "json")
     blob, u = json.loads(out), 0.5 + 0.5j
     assert code == 0 and complex(blob["re"], blob["im"]) == pytest.approx(2 * u + 2 * u**3)
+    # exact at the input, rounded once: float Horner cancels to -1.68e19 here
+    code, out, _ = run(capsys, "eval", "tanh-poly", "30", "1.001")
+    assert code == 0 and out.strip() == "280322079747348.78"
     # a negative literal with an exponent or an imaginary part is a value, not an option
     for z_text, z in (("-1e-3", -1e-3), ("-2.5E+0", -2.5), ("-.3-0.2i", -0.3 - 0.2j)):
         code, out, _ = run(capsys, "eval", "li", "2", z_text, "--format", "json")
@@ -113,6 +116,12 @@ def test_usage_errors(capsys):
         main(["frobnicate"])
     assert exc.value.code == 2
     capsys.readouterr()
+    # eval and verify write text or json only
+    for args in (("eval", "li", "1", "0.5"), ("verify", "trig", "--n-max", "1")):
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--format", "latex"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and "invalid choice: 'latex'" in err and not out, args
     for tol in ("-1e-9", "nan", "inf", "-inf"):
         code, out, err = run(capsys, "verify", "trig", "--n-max", "1", f"--tolerance={tol}")
         assert code == 2 and "--tolerance" in err and not out, tol

@@ -204,7 +204,7 @@ def _check_point_chain(fn, x0):
 
 def _use_reference_copies(monkeypatch):
     monkeypatch.setattr(Jet, "reciprocal", _reciprocal_loop)
-    monkeypatch.setattr(jets, "_check_point", _check_point_chain)
+    monkeypatch.setattr(jets, "check_point", _check_point_chain)
     for fn, build in (("exp", _exp_builder), ("sinh", _sinh_builder), ("cosh", _cosh_builder)):
         monkeypatch.setattr(jets, f"_build_{fn}", build)
         monkeypatch.setitem(jets._BUILDERS, fn, build)
@@ -261,7 +261,7 @@ def test_domain_table_raises_as_the_chain_did():
             for offset in (0.0, 0.5, -0.5, 2.0, -2.0):
                 x0 = base + offset * SINGULARITY_GUARD
                 want = _check_outcome(_check_point_chain, fn, x0)
-                assert _check_outcome(jets._check_point, fn, x0) == want, (fn, x0)
+                assert _check_outcome(jets.check_point, fn, x0) == want, (fn, x0)
                 kinds.add(want and want[0])
         assert (SingularityError in kinds) == bool(poles), fn
         assert (DomainError in kinds) == (outside is not None), fn
