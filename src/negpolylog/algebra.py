@@ -31,7 +31,11 @@ into its neighbour.  Unpacking reads each slot as a signed w-bit integer
 and adds back the 1 that a negative slot borrowed from the one above it.  A
 real product costs one big-integer product, a Gaussian one three
 (Karatsuba's trick on the parts).  Up to ``_SCHOOLBOOK_MAX`` coefficients in
-the shorter operand, a row-by-row schoolbook product is faster.
+the shorter operand, a row-by-row schoolbook product is faster.  A whole sum
+of integer polynomials is evaluated once at x = 2**w and read back the same
+way (:func:`evaluate_packed`).  Its bound is the sum evaluated on the
+coefficient 1-norms (sum |c[k]|, subadditive and submultiplicative) of its
+polynomials and the absolute values of its scalars.
 
 Polynomial gcds use a primitive pseudo-remainder sequence (PRS) over the
 Gaussian integers, the only path that computes a gcd of positive degree.
@@ -99,6 +103,7 @@ __all__ = [
     "rf_to_json",
     "rf_from_json",
     "powered_parts",
+    "evaluate_packed",
 ]
 
 class GaussianRational:
@@ -404,8 +409,11 @@ class Polynomial:
     def scale(self, c) -> "Polynomial":
         c = c if isinstance(c, GaussianRational) else GaussianRational(c)
         d = math.lcm(c.re.denominator, c.im.denominator)
-        parts = _rows((int(c.re * d),), (int(c.im * d),), self.re, self.im)
-        return _poly(*parts, self.den * d)
+        cr, ci = int(c.re * d), int(c.im * d)
+        if not ci:
+            return _poly(_times(self.re, cr), _times(self.im, cr), self.den * d)
+        return _poly([cr * x - ci * y for x, y in zip(self.re, self.im)],
+                     [cr * y + ci * x for x, y in zip(self.re, self.im)], self.den * d)
 
     def derivative(self) -> "Polynomial":
         k = range(1, len(self.re))
@@ -473,8 +481,7 @@ def _rows(ar, ai, br, bi) -> tuple[list, list]:
 def _kronecker(ar, ai, br, bi) -> tuple[list, list]:
     """Packed product: one big-integer product if both are real, two or three if not."""
     n = len(ar) + len(br) - 1
-    bound = max(map(abs, [*ar, *ai])) * max(map(abs, [*br, *bi])) * min(len(ar), len(br))
-    nb = (bound.bit_length() + 9) // 8  # w = 8*nb >= bitlen(bound) + 2
+    nb = _slot_bytes(max(map(abs, [*ar, *ai])) * max(map(abs, [*br, *bi])) * min(len(ar), len(br)))
     ones = int.from_bytes((b"\x01" + bytes(nb - 1)) * max(len(ar), len(br)), "little")
     if not any(ai):  # when only one operand is real, let it be b
         ar, ai, br, bi = br, bi, ar, ai
@@ -485,6 +492,18 @@ def _kronecker(ar, ai, br, bi) -> tuple[list, list]:
     qa, qb = _pack(ai, nb, ones), _pack(bi, nb, ones)
     rr, ii = pa * pb, qa * qb
     return _unpack(rr - ii, nb, n), _unpack((pa + qa) * (pb + qb) - rr - ii, nb, n)
+
+
+def _slot_bytes(bound: int) -> int:
+    """The slot width nb in bytes for parts up to ``bound``: w = 8*nb >= bitlen(bound) + 2."""
+    return (bound.bit_length() + 9) // 8
+
+
+def evaluate_packed(expr, bound: int, length: int) -> Polynomial:
+    """p from expr(2**w) = p(2**w), an int or int-part GaussianRational; |parts| <= bound."""
+    nb = _slot_bytes(bound)
+    v = GaussianRational._coerce(expr(1 << (8 * nb)))
+    return _poly(_unpack(v.re, nb, length), _unpack(v.im, nb, length))
 
 
 def _pack(v, nb: int, ones: int) -> int:

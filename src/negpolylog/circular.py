@@ -3,8 +3,9 @@
 For cot and tan the n-th derivative is a polynomial in the function value;
 those polynomials are constructed two ways:
 
-* expanding the exact half-angle sums in Gaussian-rational arithmetic
-  (every imaginary part must cancel and every coefficient must land on an
+* evaluating the exact half-angle sums, over the denominator 2, at one
+  packed Gaussian-integer point and reading the coefficients back (every
+  imaginary part must cancel and every coefficient must land on an
   integer, both checked), and
 * the classical symbolic recurrence P_{n+1} = m(u) * P_n'(u) with
   m = -(1 + u^2) for cot and m = (1 + u^2) for tan.
@@ -31,9 +32,8 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from fractions import Fraction
 
-from .algebra import I, Polynomial, RationalFunction, rf_eval
+from .algebra import I, Polynomial, RationalFunction, evaluate_packed, rf_eval
 from .combinatorics import binomial, eulerian_b_row, factorial, stirling2_row, stirling_power_sum
 from .errors import ImaginaryResidueError, NegPolylogError
 from .jets import check_point
@@ -41,16 +41,9 @@ from .numutil import checked_real, i_power
 from .polylog import li_neg
 
 __all__ = [
-    "DerivativePolynomial",
-    "TRIG_GRID",
-    "cot_derivative_poly",
-    "tan_derivative_poly",
-    "derivative_poly_recurrence",
-    "csc_derivative_eval",
-    "csc_derivative_via_li",
-    "csc_derivative_binomial",
-    "sec_derivative_eval",
-    "sec_derivative_via_li",
+    "DerivativePolynomial", "TRIG_GRID", "cot_derivative_poly", "tan_derivative_poly",
+    "derivative_poly_recurrence", "csc_derivative_eval", "csc_derivative_via_li",
+    "csc_derivative_binomial", "sec_derivative_eval", "sec_derivative_via_li",
     "sec_derivative_binomial",
 ]
 
@@ -74,16 +67,21 @@ class DerivativePolynomial(namedtuple("DerivativePolynomial", "target order poly
         return self.poly.re
 
 
-def _stirling_poly(target: str, n: int, base: Polynomial, weight, prefactor):
-    """prefactor(n) * stirling_power_sum(n, base, weight), checked to be real and integral.
+def _stirling_poly(target: str, n: int, base, sign: int, prefactor):
+    """prefactor * sum_k sign^k k! {n+1 brace k+1} b^(k+1) 2^(n-k), b = base[0] + base[1] u.
 
-    Order 0 is the function itself, P(u) = u.
+    The Stirling sum over the denominator 2, evaluated once at a packed point;
+    base[0] and base[1] are units, so the same sum at b = 2 with weights k!
+    bounds its parts.  It is checked to be real and integral.  Order 0 is the
+    function itself, P(u) = u.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return DerivativePolynomial(target, 0, Polynomial.variable())
-    p = stirling_power_sum(n, base, weight).scale(prefactor(n))
+    (b0, b1), weight = base, lambda k: sign**k * factorial(k)
+    p = evaluate_packed(lambda x: stirling_power_sum(n, b0 + b1 * x, weight, 2) * prefactor,
+                        stirling_power_sum(n, 2, factorial, 2), n + 2)
     if not p.is_real():
         raise ImaginaryResidueError(f"{target} derivative polynomial n={n} is not real (bug)")
     if not p.is_integral():
@@ -91,28 +89,20 @@ def _stirling_poly(target: str, n: int, base: Polynomial, weight, prefactor):
     return DerivativePolynomial(target, n, p)
 
 
-def _alternating_weight(k: int) -> Fraction:
-    """(-1)^k k!/2^k, the weight of the tan, coth and tanh expansions."""
-    return Fraction((-1) ** k * factorial(k), 2**k)
-
-
 def cot_derivative_poly(n: int) -> DerivativePolynomial:
     """P with (d/dx)^n cot x = P(cot x), built from the half-angle sum.
 
-    Expands sum_k (k!/2^(k+1)) {n+1 brace k+1} (i u - 1)^(k+1) and scales by
-    2 * 2^n * i^(n-1).
+    P is i^(n-1) sum_k k! {n+1 brace k+1} (i u - 1)^(k+1) 2^(n-k), over the denominator 2.
     """
-    return _stirling_poly(
-        "cot", n, Polynomial([-1, I]), lambda k: Fraction(factorial(k), 2 ** (k + 1)),
-        lambda n: I ** ((n - 1) % 4) * 2 ** (n + 1),
-    )
+    return _stirling_poly("cot", n, (-1, I), 1, I ** ((n - 1) % 4))
 
 
 def tan_derivative_poly(n: int) -> DerivativePolynomial:
-    """P with (d/dx)^n tan x = P(tan x), from the alternating sum on (1 + i u)."""
-    return _stirling_poly(
-        "tan", n, Polynomial([1, I]), _alternating_weight, lambda n: I ** ((n - 1) % 4) * 2**n
-    )
+    """P with (d/dx)^n tan x = P(tan x), from the alternating sum on (1 + i u).
+
+    P is i^(n-1) sum_k (-1)^k k! {n+1 brace k+1} (1 + i u)^(k+1) 2^(n-k), as for cot.
+    """
+    return _stirling_poly("tan", n, (1, I), -1, I ** ((n - 1) % 4))
 
 
 _RECURRENCE_MULT = {

@@ -146,7 +146,7 @@ def cmd_eval(kind: str, n: int, z_text: str, fmt: str) -> int:
     val = poly(n)(z) if poly else rf_eval(_RF_BUILDERS[kind](n), z)
     if fmt == "json":
         print(_json({"kind": kind, "n": n, "z": z_text, "re": val.real, "im": val.imag}))
-    elif abs(val.imag) <= 1e-13 * (1.0 + abs(val.real)):
+    elif val.imag == 0:
         print(val.real)
     else:
         sign = "+" if val.imag >= 0 else "-"

@@ -55,7 +55,8 @@ def stirling_power_sum(n: int, base, weight, den=None):
     """sum_{k=0..n} weight(k) {n+1 brace k+1} base^(k+1), the paper's central identity.
 
     ``base`` is any exact value closed under ``+`` and ``*`` that also takes
-    exact scalars on the right (a ``Polynomial`` or ``Fraction``);
+    exact scalars on the right (an ``int``, as at the packed points of
+    ``algebra.evaluate_packed``, a ``Fraction`` or a ``GaussianRational``);
     ``weight(k)`` returns an exact scalar.  Powers are built incrementally,
     one multiplication by ``base`` per term.
 

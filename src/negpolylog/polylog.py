@@ -22,25 +22,14 @@ from fractions import Fraction
 from functools import cache
 
 from .algebra import (
-    GaussianRational,
-    Polynomial,
-    RationalFunction,
-    substitute,
-    z_ddz,
+    GaussianRational, Polynomial, RationalFunction, evaluate_packed, substitute, z_ddz,
 )
 from .combinatorics import eulerian_b_row, factorial, stirling_power_sum
 from .errors import DomainError, ImaginaryResidueError, NonConvergenceError
 
 __all__ = [
-    "li_neg",
-    "li_neg_operator",
-    "li_neg_stirling",
-    "chi_neg",
-    "ti_neg",
-    "chi_from_li",
-    "ti_from_chi",
-    "li_series_eval",
-    "SERIES_TERM_CAP",
+    "li_neg", "li_neg_operator", "li_neg_stirling", "chi_neg", "ti_neg", "chi_from_li",
+    "ti_from_chi", "li_series_eval", "SERIES_TERM_CAP",
 ]
 
 SERIES_TERM_CAP = 10**6
@@ -83,12 +72,14 @@ def li_neg_stirling(n: int) -> RationalFunction:
     """Closed form by the Stirling-weighted sum of powers of z/(1-z).
 
     The sum is taken over its common denominator (1 - z)**(n+1) and
-    canonicalized once, with a full gcd.
+    canonicalized once, with a full gcd.  The numerator is evaluated once at a
+    packed point, bounded by the same sum at the 1-norms 1 of z and 2 of 1 - z.
     """
     if n < 0:
         raise ValueError("order index n must be >= 0")
-    q = Polynomial([1, -1])
-    return RationalFunction(stirling_power_sum(n, Polynomial.variable(), factorial, q), q ** (n + 1))
+    num = evaluate_packed(lambda x: stirling_power_sum(n, x, factorial, 1 - x),
+                          stirling_power_sum(n, 1, factorial, 2), n + 2)
+    return RationalFunction(num, Polynomial([1, -1]) ** (n + 1))
 
 
 def chi_neg(n: int) -> RationalFunction:

@@ -132,6 +132,35 @@ def test_packed_product_matches_schoolbook(a, b, a_real, b_real):
     assert pa * pb == Polynomial([GaussianRational(x, y) for x, y in want])
 
 
+@st.composite
+def _bounded_vectors(draw):
+    """(bound, vector): 1 to 70 real or Gaussian integer coefficients, parts in [-bound, bound]."""
+    bound = draw(st.one_of(st.integers(0, 5), st.integers(0, 2**300), _edges.map(abs)))
+    part = st.one_of(st.sampled_from((0, bound, -bound)), st.integers(-bound, bound))
+    im = part if draw(st.booleans()) else st.just(0)
+    n = draw(st.integers(1, 70))
+    return bound, draw(st.lists(st.tuples(part, im), min_size=n, max_size=n))
+
+
+@given(_bounded_vectors())
+@settings(max_examples=200)
+@example((0, [(0, 0)] * 70))
+@example((2**63, [(2**63, -(2**63)), (-(2**63), 2**63)] * 35))
+@example((1, [(-1, 0), (1, 0)] * 35))
+def test_evaluate_packed_recovers_bounded_vectors(case):
+    bound, v = case
+    gauss = any(y for _, y in v)
+
+    def at(x):  # Horner at the packed point: an int for a real vector
+        acc = GaussianRational(0) if gauss else 0
+        for re, im in reversed(v):
+            acc = acc * x + (GaussianRational(re, im) if gauss else re)
+        return acc
+
+    got = algebra.evaluate_packed(at, bound, len(v))
+    assert got == Polynomial([GaussianRational(x, y) for x, y in v])
+
+
 def test_unpack_reads_every_slot_at_the_signed_extremes():
     for nb in (1, 2, 5):
         top = 2 ** (8 * nb - 1) - 1  # the largest |slot| the width admits

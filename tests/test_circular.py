@@ -60,7 +60,7 @@ def test_recurrence_base_cases():
 
 
 def test_polynomial_routes_agree_exactly():
-    for n in range(1, 16):
+    for n in (*range(1, 17), 24, 40, 64):  # up to the CLI's cap
         assert cot_derivative_poly(n).poly == derivative_poly_recurrence("cot", n).poly
         assert tan_derivative_poly(n).poly == derivative_poly_recurrence("tan", n).poly
 
@@ -159,7 +159,7 @@ def test_singularity_guards():
 
 
 # Under python -O each exactness check must still raise: the derivative-polynomial
-# check when the expansion is fed a non-real or non-integral sum, and the
+# check when the packed evaluation returns a non-real or non-integral sum, and the
 # ti_from_chi check when the rotated closed form comes out non-real.
 _OPTIMIZED_PROBE = textwrap.dedent("""
     from fractions import Fraction
@@ -174,9 +174,9 @@ _OPTIMIZED_PROBE = textwrap.dedent("""
             return type(exc) is exc_type
         return False
 
-    circular.stirling_power_sum = lambda n, base, weight: Polynomial([I])
+    circular.evaluate_packed = lambda expr, bound, length: Polynomial([I])
     results = [raised(lambda: circular.cot_derivative_poly(3), ImaginaryResidueError)]
-    circular.stirling_power_sum = lambda n, base, weight: Polynomial([Fraction(1, 3)])
+    circular.evaluate_packed = lambda expr, bound, length: Polynomial([Fraction(1, 3)])
     results.append(raised(lambda: hyperbolic.tanh_derivative_poly(3), NegPolylogError))
     polylog.chi_neg = polylog.li_neg
     results.append(raised(lambda: polylog.ti_from_chi(2), ImaginaryResidueError))

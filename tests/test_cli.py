@@ -76,6 +76,28 @@ def test_eval(capsys):
         assert complex(blob["re"], blob["im"]) == pytest.approx(z * (1 + z) / (1 - z) ** 3)
 
 
+def _text_parts(text: str) -> tuple[float, float]:
+    """(re, im) of an eval text value: "re", "re + imi" or "re - imi"."""
+    re, _, rest = text.strip().partition(" ")
+    sign, _, im = rest.partition(" ")
+    return float(re), float(sign + im.removesuffix("i")) if rest else 0.0
+
+
+def test_eval_text_keeps_every_nonzero_imaginary_part(capsys):
+    # an imaginary part tiny against the real part, or as large as it, is printed
+    for args, want in (
+        (("li", "3", "1e200+1e200i"), "5e-201 - 5e-201i"),
+        (("ti", "36", "--", "-0.11992969410327783-0.9927823872693825i"),
+         "-2.044049200828424e+75 - 7.7988035994838e+60i"),
+        (("tan-poly", "64", "1e200+1e200i"), "inf + infi"),
+    ):
+        code, text, _ = run(capsys, "eval", "--format", "text", *args)
+        assert code == 0 and text.strip() == want, args
+        code, out, _ = run(capsys, "eval", "--format", "json", *args)
+        blob = json.loads(out, parse_constant=_reject_token)
+        assert code == 0 and _text_parts(text) == (float(blob["re"]), float(blob["im"])), args
+
+
 def test_eval_pole_exit_code(capsys):
     code, _, err = run(capsys, "eval", "li", "0", "1")
     assert code == 3 and "pole" in err.lower()
