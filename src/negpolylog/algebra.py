@@ -39,20 +39,24 @@ polynomials and the absolute values of its scalars.
 
 Polynomial gcds use a primitive pseudo-remainder sequence (PRS) over the
 Gaussian integers, the only path that computes a gcd of positive degree.
-Most pairs met in canonicalization are coprime, and a modular certificate
-proves that without the PRS (Brown 1971).  The prime p = 998244353 is below
-2**30, so residues stay one-digit integers, and p = 1 (mod 4), so -1 has a
-square root s mod p and i -> s maps the Gaussian integers onto F_p.  If the
-primitive a and b share a factor h of positive degree, Gauss's lemma makes
-h a Gaussian-integer polynomial whose leading coefficient divides both
-leading coefficients; when neither of those maps to 0, the image of h keeps
-its degree and divides both images.  Hence a constant gcd mod p, with both
-leading coefficients nonzero mod p, proves a and b coprime over Q(i) and the
-unit 1 is returned.  Any other outcome (a leading coefficient that maps to
-0, or a gcd of positive degree mod p, which a coprime pair gets when p
-divides its resultant) falls through to the PRS.  Exact division divides by
-the divisor's primitive part, over which the quotient has Gaussian-integer
-coefficients (Gauss's lemma again).
+Most pairs met in canonicalization are coprime, which one integer gcd at a
+point proves without the PRS: the heuristic gcd of Char, Geddes and Gonnet
+(1989), made a proof by Fujiwara's root bound (1916).  For primitive a, b
+with d = deg b >= 1, M = bitlen(max(|re b_d|, |im b_d|)) and L_k =
+bitlen(|re b_k| + |im b_k|), every root of b is below 2**e in absolute value,
+e = 1 + max(0, max over k < d of ceil((L_k - M + 1)/(d - k))); N = 2**w, w
+the least prime >= e + 64.  If a and b share a factor, by Gauss's lemma a
+primitive h in Z[i][z] (Z[z] for a real pair) with deg h >= 1 divides both,
+so h(N) divides a(N) and b(N) and its norm divides both norms, while |h(N)|
+>= |lc h| * prod |N - r| >= N - 2**e over the roots r of h, roots of b.  So
+gcd(a(N), b(N)) < N - 2**e for a real pair, or else gcd(|a(N)|**2,
+|b(N)|**2) < (N - 2**e)**2 (a real value normed too), proves the pair
+coprime over Q(i) and the unit 1 is returned; any other outcome runs the
+PRS.  w is prime because the library's denominators have their roots at 0,
++-1 and +-i, so chance common factors of the two values come from N +- 1 and
+N**2 + 1: 2**w - 1 has no prime factor below 2w + 1, 2**w + 1 only 3, and
+2**(2w) + 1 only 5.  Exact division divides by the divisor's primitive part,
+over which the quotient has Gaussian-integer coefficients (Gauss's lemma).
 
 Canonicalization runs a gcd only where coprimality is not known from the
 inputs.  Each place that skips one rests on a proof:
@@ -79,6 +83,7 @@ stated tolerances.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import weakref
@@ -588,48 +593,43 @@ def _pairs_pseudo_rem(a, b):
     return rr, ri
 
 
-_MOD_P = 998244353
-_MOD_I = pow(3, (_MOD_P - 1) // 4, _MOD_P)  # 3 generates F_p^*, so this squares to -1
+@functools.cache
+def _prime_at_least(n: int) -> int:
+    return n if all(n % d for d in range(2, math.isqrt(n) + 1)) else _prime_at_least(n + 1)
 
 
-def _coprime_mod_p(a, b) -> bool:
-    """True when the images of a, b in F_p[z] keep their degrees and have a constant gcd.
+def _at(v, w: int) -> int:
+    """sum v[k] * 2**(w*k) by Horner with shifts; the v[k] may be wider than w bits."""
+    return functools.reduce(lambda acc, c: (acc << w) + c, reversed(v), 0)
 
-    a and b are (re, im) pairs of integer vectors.  A True answer proves them
-    coprime over Q(i) (see the module docstring); False proves nothing.
-    """
-    p, s = _MOD_P, _MOD_I
-    f = [(x + y * s) % p for x, y in zip(*a)]
-    g = [(x + y * s) % p for x, y in zip(*b)]
-    if not f[-1] or not g[-1]:
-        return False
-    while len(g) > 1:
-        dg = len(g) - 1
-        inv = pow(g[-1], -1, p)
-        low = g[:dg]
-        for k in range(len(f) - 1 - dg, -1, -1):
-            c = f[dg + k] * inv % p
-            if c:
-                f[k:dg + k] = [(x - c * y) % p for x, y in zip(f[k:dg + k], low)]
-        del f[dg:]
-        while f and not f[-1]:
-            f.pop()
-        if not f:
-            return False
-        f, g = g, f
-    return True
+
+def _coprime_at_point(a, b) -> bool:
+    """True proves the primitive pair a, b (a the longer) coprime over Q(i); False, nothing."""
+    (ar, ai), (br, bi) = a, b
+    d = len(br) - 1
+    if not d:
+        return True  # a primitive constant is a unit
+    # every root of b is below 2**e (Fujiwara): |b_k / b_d| < 2**(L_k - m + 1)
+    m = max(abs(br[d]), abs(bi[d])).bit_length()
+    e = 1 + max(0, *[((abs(x) + abs(y)).bit_length() - m + d - k) // (d - k)
+                     for k, (x, y) in enumerate(zip(br[:d], bi[:d]))])
+    w = _prime_at_least(e + 64)
+    gap = (1 << w) - (1 << e)
+    if not any(ai) and not any(bi):
+        return math.gcd(_at(ar, w), _at(br, w)) < gap
+    x, y, u, v = _at(ar, w), _at(ai, w), _at(br, w), _at(bi, w)
+    return math.gcd(x * x + y * y, u * u + v * v) < gap * gap
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Primitive gcd via a primitive pseudo-remainder sequence (unit-ambiguous).
 
-    A pair the modular certificate proves coprime returns the unit 1 without
-    running the sequence.
+    A pair proved coprime at a point returns the unit 1 without the sequence.
     """
     a, b = _primitive(f.re, f.im), _primitive(g.re, g.im)
     if len(a[0]) < len(b[0]):
         a, b = b, a
-    if b[0] and _coprime_mod_p(a, b):
+    if b[0] and _coprime_at_point(a, b):
         return Polynomial.one()
     while b[0]:
         a, b = b, _primitive(*_pairs_pseudo_rem(a, b))

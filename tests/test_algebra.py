@@ -169,7 +169,7 @@ def test_unpack_reads_every_slot_at_the_signed_extremes():
             assert algebra._unpack(algebra._pack(v, nb, ones), nb, 4) == list(v)
 
 
-# -- gcd: modular coprimality certificate and PRS fallback --------------------
+# -- gcd: coprimality certificate at a point and PRS fallback -------------
 
 
 @given(gauss_polys, gauss_polys, gauss_polys)
@@ -201,17 +201,18 @@ def test_gcd_certificate_skips_prs_on_coprime_pair(monkeypatch):
 
 
 def test_gcd_falls_back_to_prs_when_certificate_declines(monkeypatch):
-    p, s = algebra._MOD_P, algebra._MOD_I
+    n = 1 << algebra._prime_at_least(2 + 64)  # the root of 1 + z is below 2**2
     calls = _prs_steps(monkeypatch)
     cases = [
-        # coprime over Q(i), but z and z - p have the same image mod p
-        (P(0, 1), P(-p, 1), 0),
-        # leading coefficients divisible by p: the common factor 1 + pz maps to 1
-        (P(1, p) * P(3, 1), P(1, p) * P(1, 1), 1),
-        # non-real: s - i maps to 0 mod p, so 1 + (s - i)z also maps to 1
-        (P(1, s - I) * P(2, 1), P(1, s - I) * P(0, 1), 1),
-        # non-real: coprime z - i and z - s share an image; 2 + iz is common
-        (P(-I, 1) * P(2, I), P(-s, 1) * P(2, I), 1),
+        # planted common factors: real, Gaussian, real in a mixed pair, and z
+        (P(3, 1) * P(1, 2), P(-2, 1) * P(1, 2), 1),
+        (P(2, I) * P(-I, 1), P(3, 1) * P(-I, 1), 1),
+        (P(2, 1) * P(1, 1), P(1, I) * P(1, 1), 1),
+        (P(0, 1) * P(5, -1), P(0, 1) * P(7, 1), 1),
+        # coprime, but conjugate: the values at N have equal norms
+        (P(1, -I) ** 5, P(1, I) ** 5, 0),
+        # coprime, but (z - N)(z + 2) vanishes at N, so the gcd there is |N + 1|
+        (P(-n, 1) * P(2, 1), P(1, 1), 0),
     ]
     for f, g, want in cases:
         calls.clear()
@@ -220,6 +221,88 @@ def test_gcd_falls_back_to_prs_when_certificate_declines(monkeypatch):
         assert d.degree == want, (f, g)
         poly_exact_div(f, d)
         poly_exact_div(g, d)
+
+
+def _certify(f: Polynomial, g: Polynomial) -> bool:
+    """The certificate on the ordered primitive pair, as ``poly_gcd`` calls it."""
+    a, b = algebra._primitive(f.re, f.im), algebra._primitive(g.re, g.im)
+    if len(a[0]) < len(b[0]):
+        a, b = b, a
+    return algebra._coprime_at_point(a, b)
+
+
+def _prs_degree(f: Polynomial, g: Polynomial) -> int:
+    """Degree of the gcd from the primitive PRS alone."""
+    a, b = algebra._primitive(f.re, f.im), algebra._primitive(g.re, g.im)
+    while b[0]:
+        a, b = b, algebra._primitive(*algebra._pairs_pseudo_rem(a, b))
+    return len(a[0]) - 1
+
+
+_wide_parts = st.one_of(small_ints, st.integers(-(10**30), 10**30))
+
+
+@st.composite
+def _certificate_cases(draw):
+    """(f, g, h): real, Gaussian or mixed; h is 1 or a planted factor of degree >= 1."""
+    kind = draw(st.sampled_from(("real", "gauss", "mixed")))
+
+    def poly(gauss: bool, min_degree: int) -> Polynomial:
+        im = _wide_parts if gauss else st.just(0)
+        cs = draw(st.lists(st.builds(GaussianRational, _wide_parts, im), min_size=1, max_size=7))
+        p = Polynomial(cs)
+        assume(p.degree >= min_degree)
+        return p
+
+    f, g = poly(kind == "gauss", 0), poly(kind != "real", 0)
+    h = poly(kind == "gauss", 1) if draw(st.booleans()) else Polynomial.one()
+    return f, g, h
+
+
+@given(_certificate_cases())
+@settings(max_examples=300)
+@example((P(7), P(3, 1), P(1)))  # a constant operand is a unit
+@example((P(1, 2), P(3, 1), P(0, 1)))  # common factor z
+@example((P(10**30, -(10**30), 1), P(-(10**30), 1), P(10**30, 1, -(10**30))))
+# mixed pair with a real common factor: a real value must be normed too
+@example((P(2, 1), P(1, I), P(1, 1)))
+def test_certificate_never_proves_a_shared_factor(case):
+    f, g, h = case
+    a, b = f * h, g * h
+    proved = _certify(a, b)
+    if h.degree > 0:
+        assert not proved
+    if proved:
+        assert _prs_degree(a, b) == 0
+
+
+def test_certificate_proves_the_library_forms_coprime(monkeypatch):
+    calls = _prs_steps(monkeypatch)
+    # each form's denominator is its base to the power n + 1; the bases are
+    # products of the irreducibles z - 1, z + 1 and z^2 + 1, so two share a
+    # factor exactly when they share a real root
+    bases = {"li": P(-1, 1), "negate_z": P(1, 1), "square_z": P(-1, 0, 1),
+             "chi": P(-1, 0, 1), "ti": P(1, 0, 1)}
+    roots = {"li": {1}, "negate_z": {-1}, "square_z": {1, -1}, "chi": {1, -1}, "ti": set()}
+    proved = declined = 0
+    for n in range(65):
+        li = li_neg(n)
+        forms = {"li": li, "negate_z": substitute(li, "negate_z"),
+                 "square_z": substitute(li, "square_z"), "chi": chi_neg(n), "ti": ti_neg(n)}
+        for name, f in forms.items():
+            assert f.is_real() and f.den == bases[name] ** (n + 1)
+            assert poly_gcd(f.num, f.den).degree == 0
+            proved += 1
+        for x, y in itertools.combinations(forms, 2):
+            p, q = forms[x].den, forms[y].den
+            if roots[x] & roots[y]:
+                assert not _certify(p, q)
+                declined += 1
+            else:
+                assert poly_gcd(p, q).degree == 0
+                proved += 1
+    assert not calls
+    assert (proved, declined) == (650, 325)
 
 
 def test_gaussian_rational_arithmetic():
