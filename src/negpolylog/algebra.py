@@ -1,6 +1,6 @@
-"""Canonical dense polynomials and rational functions over exact coefficients.
+"""Canonical dense polynomials and rational functions over the Gaussian integers.
 
-Coefficients are Gaussian rationals, so the imaginary unit is carried
+Coefficients are Gaussian integers, so the imaginary unit is carried
 exactly through intermediate algebra.  A :class:`RationalFunction` is always
 stored in canonical form: numerator and denominator are coprime, all
 coefficients are Gaussian integers with joint content 1, and the
@@ -11,14 +11,16 @@ numerators and denominators are hash-consed: equal ones are one shared
 object, whose table entry lives as long as the polynomial.
 
 Storage: a :class:`Polynomial` holds two equal-length tuples of ``int``,
-``re`` and ``im``, over one positive ``int`` ``den``; coefficient k is
-``(re[k] + i*im[k]) / den``.  Trailing zero coefficients are stripped and
-``den`` is coprime to the content of the parts, so each polynomial has one
-representation and ``==`` compares the fields; ``den`` is 1 in every
-canonical form.  It has no variable: the letter is an argument of the
-renderer, :func:`poly_text`.  Gaussian rationals appear only at the edges:
-constructor inputs, scalars, the ``coeffs`` view for rendering and JSON,
-and exact evaluation.  Values are immutable and all operations are pure.
+``re`` and ``im``; coefficient k is the Gaussian integer ``re[k] + i*im[k]``.
+Trailing zero coefficients are stripped, so each polynomial has one
+representation and ``==`` compares the fields.  It has no variable: the
+letter is an argument of the renderer, :func:`poly_text`.  Every closed form
+of the library has integer coefficients, so a rational value lives only at
+the edges where the library meets one: a rational scalar applied to a
+:class:`RationalFunction` (its denominator scales the form's denominator),
+JSON input (whose denominators are cleared before the form is built), the
+display numerator of a non-real form (:func:`powered_parts`), and exact
+evaluation.  Values are immutable and all operations are pure.
 
 Products use Kronecker substitution (Kronecker 1882; Schoenhage 1982): each
 part is packed into one integer, sum c[k] * 2**(w*k), with w a multiple of 8
@@ -55,8 +57,9 @@ coprime over Q(i) and the unit 1 is returned; any other outcome runs the
 PRS.  w is prime because the library's denominators have their roots at 0,
 +-1 and +-i, so chance common factors of the two values come from N +- 1 and
 N**2 + 1: 2**w - 1 has no prime factor below 2w + 1, 2**w + 1 only 3, and
-2**(2w) + 1 only 5.  Exact division divides by the divisor's primitive part,
-over which the quotient has Gaussian-integer coefficients (Gauss's lemma).
+2**(2w) + 1 only 5.  Exact division divides by the divisor itself; every
+divisor the library passes is primitive (a gcd, or a canonical denominator of
+content 1), so the quotient has Gaussian-integer coefficients (Gauss's lemma).
 
 Canonicalization runs a gcd only where coprimality is not known from the
 inputs.  Each place that skips one rests on a proof:
@@ -83,13 +86,14 @@ stated tolerances.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import operator
 import weakref
 from fractions import Fraction
 
-from .errors import PoleError
+from .errors import DomainError, PoleError
 
 __all__ = [
     "GaussianRational",
@@ -301,41 +305,41 @@ def _vadd(x, y) -> list:
     return [*map(operator.add, x, y), *x[len(y):]]
 
 
-def _part(x: int, d: int):
-    """x/d as an int when it is integral, else as a Fraction."""
-    return x // d if x % d == 0 else Fraction(x, d)
+def _gauss_int(c) -> tuple[int, int]:
+    """(re, im) of an exact Gaussian integer: an int, an integral Fraction or float, or a
+    GaussianRational with integral parts; ValueError for a non-integral value."""
+    c = c if isinstance(c, GaussianRational) else GaussianRational(c)
+    if not c.is_integer():
+        raise ValueError(f"{c} is not a Gaussian integer")
+    return int(c.re), int(c.im)
 
 
-def _raw(re, im, den: int = 1) -> "Polynomial":
+def _raw(re, im) -> "Polynomial":
     """A polynomial from parts that already meet the storage contract."""
     p = object.__new__(Polynomial)
-    p.re, p.im, p.den = tuple(re), tuple(im), den
+    p.re, p.im = tuple(re), tuple(im)
     return p
 
 
-def _poly(re, im, den: int = 1) -> "Polynomial":
-    """A polynomial from integer parts over den > 0: strips trailing zeros, reduces den."""
+def _poly(re, im) -> "Polynomial":
+    """A polynomial from integer parts: strips trailing zeros."""
     n = len(re)
     while n and not re[n - 1] and not im[n - 1]:
         n -= 1
-    re, im = re[:n], im[:n]
-    if den != 1:
-        g = math.gcd(den, *re, *im)
-        if g != 1:
-            re, im, den = [x // g for x in re], [y // g for y in im], den // g
-    return _raw(re, im, den)
+    return _raw(re[:n], im[:n])
 
 
 class Polynomial:
-    """Dense univariate polynomial (re + i*im)/den over int tuples (see the module docstring)."""
+    """Dense univariate polynomial re + i*im over int tuples (see the module docstring).
 
-    __slots__ = ("re", "im", "den", "__weakref__")
+    ``Polynomial(coeffs)`` and ``scale(c)`` take exact Gaussian integers only."""
+
+    __slots__ = ("re", "im", "__weakref__")
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, GaussianRational) else GaussianRational(c) for c in coeffs]
-        den = math.lcm(*[x.denominator for c in cs for x in (c.re, c.im)])
-        p = _poly([int(c.re * den) for c in cs], [int(c.im * den) for c in cs], den)
-        self.re, self.im, self.den = p.re, p.im, p.den
+        parts = [_gauss_int(c) for c in coeffs]
+        p = _poly([x for x, _ in parts], [y for _, y in parts])
+        self.re, self.im = p.re, p.im
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -356,35 +360,29 @@ class Polynomial:
     @property
     def coeffs(self) -> tuple:
         """The coefficients as Gaussian rationals, for rendering and inspection."""
-        return tuple(map(self._coeff, range(len(self.re))))
-
-    def _coeff(self, k: int) -> GaussianRational:
-        return GaussianRational(_part(self.re[k], self.den), _part(self.im[k], self.den))
+        return tuple(map(GaussianRational, self.re, self.im))
 
     def is_zero(self) -> bool:
         return not self.re
 
     def constant(self) -> GaussianRational:
-        return self._coeff(0) if self.re else GaussianRational(0)
+        return GaussianRational(self.re[0], self.im[0]) if self.re else GaussianRational(0)
 
     def lead(self) -> GaussianRational:
         if not self.re:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self._coeff(-1)
+        return GaussianRational(self.re[-1], self.im[-1])
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        den = math.lcm(self.den, other.den)
-        s, t = den // self.den, den // other.den
-        return _poly(_vadd(_times(self.re, s), _times(other.re, t)),
-                     _vadd(_times(self.im, s), _times(other.im, t)), den)
+        return _poly(_vadd(self.re, other.re), _vadd(self.im, other.im))
 
     def __sub__(self, other):
         return self + (-other) if isinstance(other, Polynomial) else NotImplemented
 
     def __neg__(self):
-        return _raw(*_rotate(self.re, self.im, 2), self.den)
+        return _raw(*_rotate(self.re, self.im, 2))
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
@@ -393,8 +391,7 @@ class Polynomial:
             return NotImplemented
         if not self.re or not other.re:
             return Polynomial.zero()
-        re, im = _product(self.re, self.im, other.re, other.im)
-        return _poly(re, im, self.den * other.den)
+        return _raw(*_product(self.re, self.im, other.re, other.im))
 
     __rmul__ = __mul__
 
@@ -406,24 +403,21 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return (self.re, self.im, self.den) == (other.re, other.im, other.den)
+        return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im, self.den))
+        return hash((self.re, self.im))
 
     def scale(self, c) -> "Polynomial":
-        c = c if isinstance(c, GaussianRational) else GaussianRational(c)
-        d = math.lcm(c.re.denominator, c.im.denominator)
-        cr, ci = int(c.re * d), int(c.im * d)
+        cr, ci = _gauss_int(c)
         if not ci:
-            return _poly(_times(self.re, cr), _times(self.im, cr), self.den * d)
+            return _poly(_times(self.re, cr), _times(self.im, cr))
         return _poly([cr * x - ci * y for x, y in zip(self.re, self.im)],
-                     [cr * y + ci * x for x, y in zip(self.re, self.im)], self.den * d)
+                     [cr * y + ci * x for x, y in zip(self.re, self.im)])
 
     def derivative(self) -> "Polynomial":
         k = range(1, len(self.re))
-        return _poly([*map(operator.mul, k, self.re[1:])], [*map(operator.mul, k, self.im[1:])],
-                     self.den)
+        return _raw([*map(operator.mul, k, self.re[1:])], [*map(operator.mul, k, self.im[1:])])
 
     def horner(self, z: GaussianRational) -> GaussianRational:
         """Exact evaluation at a Gaussian rational point."""
@@ -431,7 +425,7 @@ class Polynomial:
         for x, y in zip(reversed(self.re), reversed(self.im)):
             acc = acc * z
             acc = GaussianRational(acc.re + x, acc.im + y)
-        return acc / self.den if self.den != 1 else acc
+        return acc
 
     # argument transforms used by `substitute`
     def turn_arg(self, step: int) -> "Polynomial":
@@ -439,18 +433,15 @@ class Polynomial:
         re, im = list(self.re), list(self.im)
         for k in (1, 2, 3):
             re[k::4], im[k::4] = _rotate(re[k::4], im[k::4], k * step)
-        return _raw(re, im, self.den)
+        return _raw(re, im)
 
     def square_arg(self) -> "Polynomial":
         re, im = [0] * (2 * len(self.re) - 1), [0] * (2 * len(self.re) - 1)
         re[::2], im[::2] = self.re, self.im
-        return _raw(re, im, self.den)
+        return _raw(re, im)
 
     def is_real(self) -> bool:
         return not any(self.im)
-
-    def is_integral(self) -> bool:
-        return self.den == 1
 
     def __str__(self):
         return poly_text(self)
@@ -505,10 +496,9 @@ def _slot_bytes(bound: int) -> int:
 
 
 def evaluate_packed(expr, bound: int, length: int) -> Polynomial:
-    """p from expr(2**w) = p(2**w), an int or int-part GaussianRational; |parts| <= bound."""
+    """The integer polynomial p with p(2**w) = expr(2**w), an int; |coefficients| <= bound."""
     nb = _slot_bytes(bound)
-    v = GaussianRational._coerce(expr(1 << (8 * nb)))
-    return _poly(_unpack(v.re, nb, length), _unpack(v.im, nb, length))
+    return _poly(_unpack(expr(1 << (8 * nb)), nb, length), [0] * length)
 
 
 def _pack(v, nb: int, ones: int) -> int:
@@ -557,17 +547,13 @@ def _content(re, im) -> tuple[int, int]:
     return g
 
 
-def _divide(re, im, g: tuple[int, int]):
-    """Exact division of every coefficient by g; a real g divides with ``//``."""
+def _primitive(re, im):
+    """The vector divided by its content (the empty vector stays empty); a real one with ``//``."""
+    g = _content(re, im) if re else (1, 0)
     if g[1]:
         pairs = [_gauss_int_div(c, g) for c in zip(re, im)]
         return [x for x, _ in pairs], [y for _, y in pairs]
     return ([x // g[0] for x in re], [y // g[0] for y in im]) if g[0] != 1 else (re, im)
-
-
-def _primitive(re, im):
-    """The vector divided by its content (the empty vector stays empty)."""
-    return _divide(re, im, _content(re, im)) if re else (re, im)
 
 
 def _pairs_pseudo_rem(a, b):
@@ -637,13 +623,11 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def poly_exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
-    """The quotient a/b; raises ArithmeticError unless b divides a exactly."""
+    """The quotient a/b, each coefficient an exact Gaussian division by lc(b); raises ArithmeticError
+    unless b divides a in Z[i][z], as a primitive b that divides a over Q(i) does (Gauss's lemma)."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    # a/b = (A/B) * (b.den/a.den) for the integer parts A and B; over B's primitive
-    # part the quotient has Gaussian-integer coefficients (Gauss's lemma)
-    c = _content(b.re, b.im)
-    br, bi = _divide(b.re, b.im, c)
+    br, bi = b.re, b.im
     rr, ri = list(a.re), list(a.im)
     db, gauss = len(br) - 1, any(ri) or any(bi)
     qr, qi = [0] * (len(rr) - db), [0] * (len(rr) - db)
@@ -654,10 +638,7 @@ def poly_exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
             _eliminate(rr, ri, k, t, (br, bi), gauss)
     if any(rr) or any(ri):
         raise ArithmeticError("polynomial division was not exact")
-    q = _poly(qr, qi)
-    if c == (1, 0) and a.den == b.den:
-        return q
-    return q.scale(GaussianRational(Fraction(b.den, a.den)) / GaussianRational(*c))
+    return _poly(qr, qi)
 
 
 # Canonical numerators and denominators are hash-consed: equal ones are one
@@ -694,10 +675,9 @@ class RationalFunction:
             if g.degree > 0:
                 num = poly_exact_div(num, g)
                 den = poly_exact_div(den, g)
-        # (N/a)/(D/b) = (N*b)/(D*a), then content 1 and a sector-normal lead
-        a, b, n = num.den, den.den, len(num.re)
-        re, im = _primitive([*_times(num.re, b), *_times(den.re, a)],
-                            [*_times(num.im, b), *_times(den.im, a)])
+        # joint content 1 and a sector-normal lead
+        n = len(num.re)
+        re, im = _primitive([*num.re, *den.re], [*num.im, *den.im])
         re, im = _rotate(re, im, _sector_turns(re[-1], im[-1]))
         self.num = _canonical(re[:n], im[:n])
         self.den = _canonical(re[n:], im[n:])
@@ -705,7 +685,7 @@ class RationalFunction:
     # -- constructors ----------------------------------------------------
     @classmethod
     def constant(cls, c) -> "RationalFunction":
-        return cls(Polynomial([c]), Polynomial.one(), _reduced=True)
+        return cls(Polynomial.one(), Polynomial.one(), _reduced=True)._scaled(c)
 
     @classmethod
     def zero(cls) -> "RationalFunction":
@@ -760,9 +740,12 @@ class RationalFunction:
         return RationalFunction(-self.num, self.den, _reduced=True)
 
     def _scaled(self, c) -> "RationalFunction":
-        """c * self for an exact scalar c, with no gcd: a nonzero constant creates no
-        common factor, and c = 0 gives a zero numerator, which is the zero form."""
-        return RationalFunction(self.num.scale(c), self.den, _reduced=True)
+        """c * self for an exact scalar c = g/d, with no gcd: g, a Gaussian integer, scales the
+        numerator and d, the lcm of the denominators of c's parts, the denominator.  Nonzero
+        constants create no common factor, and c = 0 gives a zero numerator, the zero form."""
+        c = c if isinstance(c, GaussianRational) else GaussianRational(c)
+        d = math.lcm(c.re.denominator, c.im.denominator)
+        return RationalFunction(self.num.scale(c * d), self.den.scale(d), _reduced=True)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -848,7 +831,7 @@ def z_ddz(f: RationalFunction) -> RationalFunction:
     if q.re[0] or q.im[0]:
         num = Polynomial.variable() * num
     else:
-        den = _raw(den.re[1:], den.im[1:], den.den)
+        den = _raw(den.re[1:], den.im[1:])
     return RationalFunction(num, den, _reduced=True)
 
 
@@ -875,7 +858,7 @@ def substitute(f: RationalFunction, kind: str) -> RationalFunction:
 
         def rev(p: Polynomial) -> Polynomial:  # z**d * p(1/z)
             pad = [0] * (d - p.degree)
-            return _poly(pad + list(p.re[::-1]), pad + list(p.im[::-1]), p.den)
+            return _poly(pad + list(p.re[::-1]), pad + list(p.im[::-1]))
 
         return RationalFunction(rev(f.num), rev(f.den), _reduced=True)
     raise ValueError(f"unknown substitution {kind!r}; expected one of {_SUBSTITUTIONS}")
@@ -888,9 +871,12 @@ def rf_eval(f: RationalFunction, z) -> complex:
     the exact value there is rounded to the nearest double in each part; a
     part beyond double range rounds to +-inf, as float arithmetic does.
     Raises PoleError only when the exact denominator is zero at that point:
-    a small nonzero denominator is not a pole.
+    a small nonzero denominator is not a pole; raises DomainError when a part
+    of z is not finite.
     """
     zc = complex(z)
+    if not cmath.isfinite(zc):
+        raise DomainError(f"evaluation needs a finite point, got z = {zc}")
     return rf_eval_exact(f, GaussianRational(zc.real, zc.imag)).to_complex()
 
 
@@ -944,10 +930,13 @@ def _power_text(var: str, k: int, latex: bool) -> str:
 
 def poly_text(p: Polynomial, *, spaced: bool = True, latex: bool = False, var: str = "z") -> str:
     """Ascending-power text such as ``z + 6z^3 + z^5``, in the letter ``var`` (ASCII minus)."""
-    if p.is_zero():
-        return "0"
+    return _terms_text(p.coeffs, spaced, latex, var)
+
+
+def _terms_text(coeffs, spaced: bool = True, latex: bool = False, var: str = "z") -> str:
+    """The text of the polynomial with exact coefficients ``coeffs``, ascending."""
     parts: list[str] = []
-    for k, c in enumerate(p.coeffs):
+    for k, c in enumerate(coeffs):
         if c.is_zero():
             continue
         neg, mag = _split_sign(c)
@@ -960,20 +949,22 @@ def poly_text(p: Polynomial, *, spaced: bool = True, latex: bool = False, var: s
             parts.append((" - " if neg else " + ") + body)
         else:
             parts.append(("-" if neg else "+") + body)
-    return "".join(parts)
+    return "".join(parts) or "0"
 
 
-def powered_parts(f: RationalFunction) -> tuple[Polynomial, Polynomial, int]:
+def powered_parts(f: RationalFunction) -> tuple[tuple, Polynomial, int]:
     """Display form (num, base, e) with f = num / base**e and a positive base.
 
     The stored canonical pair normalizes the denominator's leading
     coefficient; for display the base is flipped to have a positive constant
     term (the usual ``1 - z^2`` convention), with the sign folded into the
-    numerator.
+    numerator.  ``num`` is the tuple of the numerator's exact coefficients,
+    ascending: for a non-real form, matching den to a power of a primitive
+    base can leave them non-integral.
     """
     num, den = f.num, f.den
     if den.degree <= 0:
-        return num, den, 1
+        return num.coeffs, den, 1
     candidates = [(den, 1)]  # den itself always fits
     g = poly_gcd(den, den.derivative())
     if g.degree > 0:
@@ -986,9 +977,9 @@ def powered_parts(f: RationalFunction) -> tuple[Polynomial, Polynomial, int]:
         if _split_sign(c0)[0]:
             base = -base
         pw = base**e
-        s = pw.lead() / den.lead()
-        if den.scale(s) == pw:  # not a clean perfect power otherwise
-            return num.scale(s), base, e
+        if den.scale(pw.lead()) == pw.scale(den.lead()):  # not a clean perfect power otherwise
+            s = pw.lead() / den.lead()
+            return tuple(c * s for c in num.coeffs), base, e
 
 
 def _den_text(base: Polynomial, e: int, latex: bool) -> str:
@@ -1011,12 +1002,12 @@ def _rf_render(f: RationalFunction, latex: bool) -> str:
     if f.num.is_zero():
         return "0"
     num, base, e = powered_parts(f)
-    num_str = poly_text(num, latex=latex)
+    num_str = _terms_text(num, latex=latex)
     if base.degree == 0 and base.constant().is_one() and e == 1:
         return num_str
     if latex:
         return rf"\frac{{{num_str}}}{{{_den_text(base, e, latex=True)}}}"
-    if sum(map(any, zip(num.re, num.im))) > 1:
+    if sum(not c.is_zero() for c in num) > 1:
         num_str = f"({num_str})"
     return f"{num_str}/{_den_text(base, e, latex=False)}"
 
@@ -1037,5 +1028,7 @@ def rf_to_json(f: RationalFunction) -> dict:
 
 
 def rf_from_json(obj: dict) -> RationalFunction:
-    num, den = (Polynomial([_coef_from_str(s) for s in obj[k]]) for k in ("num", "den"))
-    return RationalFunction(num, den)
+    """The canonical form of a JSON pair; coefficient denominators are cleared first."""
+    num, den = ([_coef_from_str(s) for s in obj[k]] for k in ("num", "den"))
+    d = math.lcm(*[x.denominator for c in num + den for x in (c.re, c.im)])
+    return RationalFunction(Polynomial([c * d for c in num]), Polynomial([c * d for c in den]))

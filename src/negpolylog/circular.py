@@ -3,10 +3,10 @@
 For cot and tan the n-th derivative is a polynomial in the function value;
 those polynomials are constructed two ways:
 
-* evaluating the exact half-angle sums, over the denominator 2, at one
-  packed Gaussian-integer point and reading the coefficients back (every
-  imaginary part must cancel and every coefficient must land on an
-  integer, both checked), and
+* evaluating the exact half-angle sums, over the denominator 2, in integers
+  at one packed point and reading the coefficients back; for cot and tan the
+  argument is then turned by i and the result by a power of i, and every
+  imaginary part must cancel (checked), and
 * the classical symbolic recurrence P_{n+1} = m(u) * P_n'(u) with
   m = -(1 + u^2) for cot and m = (1 + u^2) for tan.
 
@@ -35,7 +35,7 @@ from collections import namedtuple
 
 from .algebra import I, Polynomial, RationalFunction, evaluate_packed, rf_eval
 from .combinatorics import binomial, eulerian_b_row, factorial, stirling2_row, stirling_power_sum
-from .errors import ImaginaryResidueError, NegPolylogError
+from .errors import ImaginaryResidueError
 from .jets import check_point
 from .numutil import checked_real, i_power
 from .polylog import li_neg
@@ -67,42 +67,42 @@ class DerivativePolynomial(namedtuple("DerivativePolynomial", "target order poly
         return self.poly.re
 
 
-def _stirling_poly(target: str, n: int, base, sign: int, prefactor):
-    """prefactor * sum_k sign^k k! {n+1 brace k+1} b^(k+1) 2^(n-k), b = base[0] + base[1] u.
+def _stirling_poly(target: str, n: int, b0: int, sign: int, step: int):
+    """P(u) = i^(step (n-1)) Q(i^step u), with Q the Stirling sum over the denominator 2.
 
-    The Stirling sum over the denominator 2, evaluated once at a packed point;
-    base[0] and base[1] are units, so the same sum at b = 2 with weights k!
-    bounds its parts.  It is checked to be real and integral.  Order 0 is the
-    function itself, P(u) = u.
+    Q(v) = sum_k sign^k k! {n+1 brace k+1} (b0 + v)^(k+1) 2^(n-k) is summed in
+    integers once at a packed point; b0 is a unit, so the same sum at 2 with
+    weights k! bounds its coefficients.  P is checked to be real.  Order 0 is
+    the function itself, P(u) = u.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return DerivativePolynomial(target, 0, Polynomial.variable())
-    (b0, b1), weight = base, lambda k: sign**k * factorial(k)
-    p = evaluate_packed(lambda x: stirling_power_sum(n, b0 + b1 * x, weight, 2) * prefactor,
+    q = evaluate_packed(lambda x: stirling_power_sum(n, b0 + x, lambda k: sign**k * factorial(k), 2),
                         stirling_power_sum(n, 2, factorial, 2), n + 2)
+    p = q.turn_arg(step).scale(I ** (step * (n - 1) % 4))
     if not p.is_real():
         raise ImaginaryResidueError(f"{target} derivative polynomial n={n} is not real (bug)")
-    if not p.is_integral():
-        raise NegPolylogError(f"{target} derivative polynomial n={n} is not integral (bug)")
     return DerivativePolynomial(target, n, p)
 
 
 def cot_derivative_poly(n: int) -> DerivativePolynomial:
     """P with (d/dx)^n cot x = P(cot x), built from the half-angle sum.
 
-    P is i^(n-1) sum_k k! {n+1 brace k+1} (i u - 1)^(k+1) 2^(n-k), over the denominator 2.
+    P(u) is i^(n-1) Q(i u), Q(v) = sum_k k! {n+1 brace k+1} (v - 1)^(k+1) 2^(n-k)
+    over the denominator 2: Q is built over Z, then its argument turned by i.
     """
-    return _stirling_poly("cot", n, (-1, I), 1, I ** ((n - 1) % 4))
+    return _stirling_poly("cot", n, -1, 1, 1)
 
 
 def tan_derivative_poly(n: int) -> DerivativePolynomial:
     """P with (d/dx)^n tan x = P(tan x), from the alternating sum on (1 + i u).
 
-    P is i^(n-1) sum_k (-1)^k k! {n+1 brace k+1} (1 + i u)^(k+1) 2^(n-k), as for cot.
+    P(u) is i^(n-1) Q(i u), Q(v) = sum_k (-1)^k k! {n+1 brace k+1} (1 + v)^(k+1) 2^(n-k),
+    built over Z as for cot.
     """
-    return _stirling_poly("tan", n, (1, I), -1, I ** ((n - 1) % 4))
+    return _stirling_poly("tan", n, 1, -1, 1)
 
 
 _RECURRENCE_MULT = {

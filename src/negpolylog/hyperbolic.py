@@ -8,8 +8,8 @@ module a genuinely independent code path from the circular one.
 Routes provided:
 
 * coth/tanh derivative polynomials from the exact sum over (1 + u)^(k+1)
-  with weights (-1)^k k! {n+1 brace k+1} over the denominator 2, built and
-  checked to land on integers by the same helper as cot/tan (coth and tanh
+  with weights (-1)^k k! {n+1 brace k+1} over the denominator 2, summed in
+  integers by the same helper as cot/tan (coth and tanh
   satisfy the same first-order equation f' = 1 - f^2, so they share one
   polynomial family);
 * csch/sech single sums over the type-B Eulerian row, in the summation loop
@@ -55,12 +55,12 @@ HYP_GRID = (0.3, 0.5, 0.8, 1.2, 2.0)
 
 def coth_derivative_poly(n: int) -> DerivativePolynomial:
     """P with (d/dx)^n coth x = P(coth x); real arithmetic throughout."""
-    return _stirling_poly("coth", n, (1, 1), -1, 1)
+    return _stirling_poly("coth", n, 1, -1, 0)
 
 
 def tanh_derivative_poly(n: int) -> DerivativePolynomial:
     """P with (d/dx)^n tanh x = P(tanh x); identical family to coth's."""
-    return _stirling_poly("tanh", n, (1, 1), -1, 1)
+    return _stirling_poly("tanh", n, 1, -1, 0)
 
 
 def li_relation_coth(n: int, x: float) -> float:

@@ -141,9 +141,9 @@ def li_series_eval(s: int, z, tol: float = 1e-12) -> complex:
     (reachable as |z| -> 1 with s <= 0).
     """
     zc = complex(z)
-    if abs(zc) >= 1:
+    if not abs(zc) < 1:  # a NaN z fails here too
         raise DomainError(f"series evaluation needs |z| < 1, got |z| = {abs(zc)}")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     partial = 0j
     power = 1 + 0j

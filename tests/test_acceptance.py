@@ -139,10 +139,10 @@ def test_criterion_6_trig_derivative_polynomials():
     with criterion(6, "cot/tan polynomials equal the recurrence oracle exactly, n<=15"):
         for n in range(1, 16):
             built = cot_derivative_poly(n)
-            assert built.poly.is_real() and built.poly.is_integral()
+            assert built.poly.is_real() and all(type(x) is int for x in built.poly.re + built.poly.im)
             assert built.poly == derivative_poly_recurrence("cot", n).poly, ("cot", n)
             built = tan_derivative_poly(n)
-            assert built.poly.is_real() and built.poly.is_integral()
+            assert built.poly.is_real() and all(type(x) is int for x in built.poly.re + built.poly.im)
             assert built.poly == derivative_poly_recurrence("tan", n).poly, ("tan", n)
 
 
@@ -226,7 +226,11 @@ def _canonical_form_idempotence(num, den, s):
     f = RationalFunction(num, den)
     again = RationalFunction(f.num, f.den)
     assert (again.num.coeffs, again.den.coeffs) == (f.num.coeffs, f.den.coeffs)
-    assert RationalFunction(num.scale(s), den.scale(s)) == f
+    # s = g/d: scale both sides by its Gaussian-integer numerator g, and by its denominator d
+    s = s if isinstance(s, GaussianRational) else GaussianRational(s)
+    d = math.lcm(s.re.denominator, s.im.denominator)
+    for c in (s * d, d):
+        assert RationalFunction(num.scale(c), den.scale(c)) == f
 
 
 @given(st.integers(0, 100))

@@ -30,8 +30,9 @@ from negpolylog.algebra import (
     substitute,
     z_ddz,
 )
-from negpolylog.errors import PoleError
-from negpolylog.polylog import chi_neg, li_neg, li_neg_stirling, ti_neg
+from negpolylog.circular import cot_derivative_poly
+from negpolylog.errors import DomainError, PoleError
+from negpolylog.polylog import chi_neg, li_neg, li_neg_stirling, li_series_eval, ti_neg
 
 
 def P(*coeffs):
@@ -56,6 +57,13 @@ fractional_scalars = st.builds(GaussianRational, small_fractions, small_fraction
 )
 
 
+def split_scalar(s):
+    """(g, d) with s = g/d, g a Gaussian integer and d the lcm of the denominators of s's parts."""
+    s = s if isinstance(s, GaussianRational) else GaussianRational(s)
+    d = math.lcm(s.re.denominator, s.im.denominator)
+    return s * d, d
+
+
 # -- polynomial arithmetic -------------------------------------------------
 
 
@@ -65,9 +73,40 @@ def test_poly_basics():
     assert P(0, 1, 0, 1) + P(0, 0, 0, -1) == P(0, 1)  # (z+z^3) + (-z^3) = z
     # exact scalars on either side scale every coefficient
     assert P(1, 2) * 3 == 3 * P(1, 2) == P(3, 6)
-    assert Fraction(1, 2) * P(2, 4) == P(1, 2)
+    assert Fraction(4, 2) * P(1, 2) == P(2, 4)
     assert P(1, 1) * I == I * P(1, 1) == P(I, I)
     assert P(1, 1) * 0 == Polynomial.zero()
+
+
+def test_coefficients_and_scalars_are_gaussian_integers():
+    for bad in (Fraction(1, 2), 0.5, GaussianRational(Fraction(1, 2), Fraction(1, 2))):
+        with pytest.raises(ValueError):
+            Polynomial([bad])
+        with pytest.raises(ValueError):
+            P(1, 2).scale(bad)
+    assert P(Fraction(4, 2), 2.0, GaussianRational(3, -1)) == P(2, 2, GaussianRational(3, -1))
+    for c in (Fraction(4, 2), 2.0):
+        assert P(1, 2).scale(c) == P(2, 4)
+    assert P(1, 2).scale(GaussianRational(3, -1)) == P(GaussianRational(3, -1), GaussianRational(6, -2))
+    with pytest.raises(ArithmeticError):
+        poly_exact_div(P(1, 1), P(2, 2))
+    assert poly_exact_div(P(2, 2), P(2)) == P(1, 1)
+
+
+def test_rational_scalars_and_json_meet_only_the_rational_function():
+    # canonical coefficient tuples (num.re, num.im, den.re, den.im), pinned from the earlier
+    # storage that gave every polynomial a rational denominator
+    def parts(g):
+        return g.num.re, g.num.im, g.den.re, g.den.im
+
+    f = RationalFunction(P(GaussianRational(1, 2), 3, I), P(4, 0, GaussianRational(2, -2)))
+    assert parts(f) == ((-2, 0, -1), (1, 3, 0), (0, 0, 2), (4, 0, 2))
+    half = ((-2, 0, -1), (1, 3, 0), (0, 0, 4), (8, 0, 4))
+    assert parts(RationalFunction.constant(Fraction(5, 7))) == ((5,), (0,), (7,), (0,))
+    assert parts(f * Fraction(1, 2)) == parts(Fraction(1, 2) * f) == half
+    assert parts(f / GaussianRational(1, 1)) == ((1, 3, 0), (2, 0, 1), (4, 0, 4), (4, 0, 0))
+    blob = {"num": ["1/2", "0", "-3/4+1/6i"], "den": ["2/3", "1/5i"]}
+    assert parts(rf_from_json(blob)) == ((0, 0, 10), (-30, 0, 45), (0, 12), (-40, 0))
 
 
 UNITS = (GaussianRational(1), GaussianRational(-1), I, -I)
@@ -80,14 +119,15 @@ def test_exact_division_by_unit_and_non_unit_leads(q, body, lead):
     a = q * b
     got = poly_exact_div(a, b)
     assert got == q
-    # a non-unit lead divides through Fraction, the general path
+    assert all(type(x) is int for x in got.re + got.im)
+    # a non-unit lead divides each quotient coefficient exactly
     assert poly_exact_div(a.scale(3), b.scale(3)) == got
-    # a divisor with a content leaves a rational quotient
-    assert poly_exact_div(a, b.scale(3)) == q.scale(Fraction(1, 3))
-    half_conj = GaussianRational(Fraction(1, 2), Fraction(-1, 2))  # 1/(1 + i)
-    assert poly_exact_div(a, b.scale(GaussianRational(1, 1))) == q.scale(half_conj)
-    if lead in UNITS:
-        assert all(type(c.re) is int and type(c.im) is int for c in got.coeffs)
+    assert poly_exact_div(a.scale(GaussianRational(1, 1)), b.scale(GaussianRational(1, 1))) == got
+    assert poly_exact_div(a.scale(3), b) == q.scale(3)
+    # a divisor with a content that does not divide the quotient leaves no Gaussian-integer one
+    if any(x % 3 for x in q.re + q.im):
+        with pytest.raises(ArithmeticError):
+            poly_exact_div(a, b.scale(3))
     with pytest.raises(ArithmeticError):
         poly_exact_div(a + Polynomial.one(), b)
 
@@ -134,31 +174,29 @@ def test_packed_product_matches_schoolbook(a, b, a_real, b_real):
 
 @st.composite
 def _bounded_vectors(draw):
-    """(bound, vector): 1 to 70 real or Gaussian integer coefficients, parts in [-bound, bound]."""
+    """(bound, vector): 1 to 70 integer coefficients in [-bound, bound]."""
     bound = draw(st.one_of(st.integers(0, 5), st.integers(0, 2**300), _edges.map(abs)))
     part = st.one_of(st.sampled_from((0, bound, -bound)), st.integers(-bound, bound))
-    im = part if draw(st.booleans()) else st.just(0)
     n = draw(st.integers(1, 70))
-    return bound, draw(st.lists(st.tuples(part, im), min_size=n, max_size=n))
+    return bound, draw(st.lists(part, min_size=n, max_size=n))
 
 
 @given(_bounded_vectors())
 @settings(max_examples=200)
-@example((0, [(0, 0)] * 70))
-@example((2**63, [(2**63, -(2**63)), (-(2**63), 2**63)] * 35))
-@example((1, [(-1, 0), (1, 0)] * 35))
+@example((0, [0] * 70))
+@example((2**63, [2**63, -(2**63)] * 35))
+@example((1, [-1, 1] * 35))
 def test_evaluate_packed_recovers_bounded_vectors(case):
     bound, v = case
-    gauss = any(y for _, y in v)
 
-    def at(x):  # Horner at the packed point: an int for a real vector
-        acc = GaussianRational(0) if gauss else 0
-        for re, im in reversed(v):
-            acc = acc * x + (GaussianRational(re, im) if gauss else re)
+    def at(x):  # Horner at the packed point
+        acc = 0
+        for c in reversed(v):
+            acc = acc * x + c
         return acc
 
     got = algebra.evaluate_packed(at, bound, len(v))
-    assert got == Polynomial([GaussianRational(x, y) for x, y in v])
+    assert got == Polynomial(v)
 
 
 def test_unpack_reads_every_slot_at_the_signed_extremes():
@@ -384,6 +422,20 @@ def test_rf_eval_raises_only_at_an_exact_pole():
     assert rf_eval(li_neg(64), below) == complex(math.inf, 0.0)
 
 
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: rf_eval(li_neg(3), math.inf), DomainError, id="rf_eval-inf"),
+    pytest.param(lambda: rf_eval(li_neg(3), math.nan), DomainError, id="rf_eval-nan"),
+    pytest.param(lambda: rf_eval(li_neg(3), complex(0.5, -math.inf)), DomainError, id="rf_eval-imag-inf"),
+    pytest.param(lambda: cot_derivative_poly(3)(math.inf), DomainError, id="cot_poly-inf"),
+    pytest.param(lambda: li_series_eval(0, math.nan), DomainError, id="li_series-nan-z"),
+    pytest.param(lambda: li_series_eval(0, 0.5, tol=math.nan), ValueError, id="li_series-nan-tol"),
+])
+def test_non_finite_inputs_are_library_errors(call, error):
+    # raised up front, so reports.check fails that point instead of aborting a suite
+    with pytest.raises(error):
+        call()
+
+
 # -- canonical-form properties ----------------------------------------------
 
 
@@ -410,11 +462,15 @@ def test_canonicalization_idempotent(num, den):
 @settings(max_examples=150)
 def test_canonical_form_kills_common_scalars(num, den, s):
     f = RationalFunction(num, den)
-    g = RationalFunction(num.scale(s), den.scale(s))
-    assert f == g
-    lead = g.den.lead()
-    assert lead.re > 0 and lead.im >= 0
-    assert all(type(c.re) is int and type(c.im) is int for c in g.num.coeffs + g.den.coeffs)
+    # a rational s = g/d: its Gaussian-integer numerator, its denominator, and s itself
+    # through the rational-function operations
+    g, d = split_scalar(s)
+    for h in (RationalFunction(num.scale(g), den.scale(g)), RationalFunction(num.scale(d), den.scale(d)),
+              (f * s) / s, s * f / s, (f / s) * s):
+        assert f == h
+        lead = h.den.lead()
+        assert lead.re > 0 and lead.im >= 0
+        assert all(type(x) is int for x in h.num.re + h.num.im + h.den.re + h.den.im)
 
 
 @given(
@@ -424,22 +480,22 @@ def test_canonical_form_kills_common_scalars(num, den, s):
 )
 @settings(max_examples=150)
 def test_scalar_products_match_the_full_gcd_form(f, c):
-    want = RationalFunction(f.num.scale(c), f.den)
+    g, d = split_scalar(c)
+    want = RationalFunction(f.num.scale(g), f.den.scale(d))
     assert f * c == want and c * f == want
     if c == 0:
         assert want.is_zero()
         with pytest.raises(ZeroDivisionError):
             f / c
     else:
-        assert f / c == RationalFunction(f.num.scale(GaussianRational(1) / c), f.den)
+        assert f / c == RationalFunction(f.num.scale(d), f.den.scale(g))
 
 
 def _check_storage(p):
     assert type(p.re) is tuple and type(p.im) is tuple and len(p.re) == len(p.im)
     assert all(type(x) is int for x in p.re + p.im)
     assert not p.re or p.re[-1] or p.im[-1]  # trailing zeros stripped
-    assert type(p.den) is int and p.den >= 1
-    assert math.gcd(p.den, *p.re, *p.im) == 1
+    assert not hasattr(p, "den")
 
 
 def test_storage_invariants():
@@ -447,18 +503,18 @@ def test_storage_invariants():
         for f in (li_neg(n), chi_neg(n), ti_neg(n)):
             for p in (f.num, f.den):
                 _check_storage(p)
-                assert p.den == 1, n
-    # non-canonical polynomials: fractional, Gaussian, zero, reduced by scaling
-    for p in (P(Fraction(1, 2), 1), P(Fraction(2, 6), Fraction(4, 6)), P(0, 0), Polynomial([]),
-              P(1, Fraction(1, 3)).scale(3), P(Fraction(1, 4), GaussianRational(0, Fraction(1, 6))),
-              P(1, 2) * Fraction(1, 2) * P(2, 0, 2), P(Fraction(1, 2), 0, 0).derivative()):
+    # non-canonical polynomials: integral values held as Fractions and floats, Gaussian, zero,
+    # scaled, products, a constant's derivative
+    for p in (P(Fraction(4, 2), 1), P(2.0, GaussianRational(3, -1)), P(0, 0), Polynomial([]),
+              P(1, 3).scale(3), P(Fraction(3, 3), GaussianRational(0, 6)),
+              P(1, 2) * Fraction(2, 1) * P(2, 0, 2), P(5, 0, 0).derivative()):
         _check_storage(p)
     # equal canonical forms built by separate routes share one stored copy
     for n in (1, 20):
         assert li_neg_stirling(n).num is li_neg(n).num and li_neg_stirling(n).den is li_neg(n).den
-    assert P(Fraction(2, 6), Fraction(4, 6)).den == 3
-    assert P(1, Fraction(1, 3)).scale(3) == P(3, 1)
-    assert Polynomial([0, 0]).re == () and Polynomial([]).den == 1
+    assert P(Fraction(4, 2), 6.0) == P(2, 6)
+    assert P(1, 3).scale(3) == P(3, 9)
+    assert Polynomial([0, 0]).re == () and Polynomial([]).im == ()
 
 
 _SETATTR_NAMES = ("setattr", "delattr", "__setattr__", "__delattr__")
@@ -556,7 +612,7 @@ def test_poly_text_rendering():
     assert poly_text(P(-1, 0, -1).scale(1)) == "-1 - z^2"
     assert poly_text(P(0, 1, 0, 6, 0, 1)) == "z + 6z^3 + z^5"
     assert poly_text(Polynomial([])) == "0"
-    assert poly_text(P(Fraction(1, 2), 1)) == "1/2 + z"
+    assert poly_text(P(GaussianRational(0, -2), GaussianRational(3, -1), I)) == "-2i + (3-i)z + iz^2"
     assert poly_text(P(0, 1, 0, 6, 0, 1), var="u") == "u + 6u^3 + u^5"
 
 

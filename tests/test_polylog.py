@@ -112,8 +112,7 @@ def test_duplication_formula_small():
 
 def test_li_numerator_is_z_times_palindrome():
     for n in range(1, 16):
-        num, _, _ = powered_parts(li_neg(n))
-        coeffs = num.coeffs
+        coeffs, _, _ = powered_parts(li_neg(n))
         assert coeffs[0].is_zero()
         inner = [c.re for c in coeffs[1:]]
         assert len(inner) == n  # degree n-1 polynomial times z
