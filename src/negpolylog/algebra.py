@@ -64,9 +64,8 @@ content 1), so the quotient has Gaussian-integer coefficients (Gauss's lemma).
 Canonicalization runs a gcd only where coprimality is not known from the
 inputs.  Each place that skips one rests on a proof:
 
-* a sum p1/q1 + p2/q2 divides by g = gcd(q1, q2) first, and then only
-  gcd(p1 v + p2 u, g) can be nontrivial, with u = q1/g, v = q2/g
-  (Henrici 1956); when g = 1 no second gcd runs;
+* a sum whose denominators have a unit gcd is canonical as
+  (p1 q2 + p2 q1)/(q1 q2); any other sum takes the full gcd;
 * a product of two canonical forms can cancel only crosswise, p1 against q2
   and p2 against q1;
 * a product or quotient by a nonzero exact scalar c: c p and q have the
@@ -307,8 +306,11 @@ def _vadd(x, y) -> list:
 
 def _gauss_int(c) -> tuple[int, int]:
     """(re, im) of an exact Gaussian integer: an int, an integral Fraction or float, or a
-    GaussianRational with integral parts; ValueError for a non-integral value."""
-    c = c if isinstance(c, GaussianRational) else GaussianRational(c)
+    GaussianRational with integral parts; ValueError for any other value."""
+    try:
+        c = c if isinstance(c, GaussianRational) else GaussianRational(c)
+    except (OverflowError, TypeError) as exc:  # Fraction(inf), Fraction(1j)
+        raise ValueError(f"{c} is not a Gaussian integer") from exc
     if not c.is_integer():
         raise ValueError(f"{c} is not a Gaussian integer")
     return int(c.re), int(c.im)
@@ -475,16 +477,13 @@ def _rows(ar, ai, br, bi) -> tuple[list, list]:
 
 
 def _kronecker(ar, ai, br, bi) -> tuple[list, list]:
-    """Packed product: one big-integer product if both are real, two or three if not."""
+    """Packed product: one big-integer product if both are real, three (Karatsuba) if not."""
     n = len(ar) + len(br) - 1
     nb = _slot_bytes(max(map(abs, [*ar, *ai])) * max(map(abs, [*br, *bi])) * min(len(ar), len(br)))
     ones = int.from_bytes((b"\x01" + bytes(nb - 1)) * max(len(ar), len(br)), "little")
-    if not any(ai):  # when only one operand is real, let it be b
-        ar, ai, br, bi = br, bi, ar, ai
     pa, pb = _pack(ar, nb, ones), _pack(br, nb, ones)
-    if not any(bi):
-        im = _unpack(_pack(ai, nb, ones) * pb, nb, n) if any(ai) else [0] * n
-        return _unpack(pa * pb, nb, n), im
+    if not any(ai) and not any(bi):
+        return _unpack(pa * pb, nb, n), [0] * n
     qa, qb = _pack(ai, nb, ones), _pack(bi, nb, ones)
     rr, ii = pa * pb, qa * qb
     return _unpack(rr - ii, nb, n), _unpack((pa + qa) * (pb + qb) - rr - ii, nb, n)
@@ -710,17 +709,8 @@ class RationalFunction:
         if o is None:
             return NotImplemented
         p1, q1, p2, q2 = self.num, self.den, o.num, o.den
-        g = poly_gcd(q1, q2)
-        if g.degree == 0:
-            return RationalFunction(p1 * q2 + p2 * q1, q1 * q2, _reduced=True)
-        u = poly_exact_div(q1, g)
-        v = poly_exact_div(q2, g)
-        t = p1 * v + p2 * u
-        h = poly_gcd(t, g)
-        if h.degree > 0:
-            t = poly_exact_div(t, h)
-            g = poly_exact_div(g, h)
-        return RationalFunction(t, g * u * v, _reduced=True)
+        coprime = poly_gcd(q1, q2).degree == 0
+        return RationalFunction(p1 * q2 + p2 * q1, q1 * q2, _reduced=coprime)
 
     __radd__ = __add__
 
@@ -754,8 +744,6 @@ class RationalFunction:
         if o is None:
             return NotImplemented
         p1, q1, p2, q2 = self.num, self.den, o.num, o.den
-        if p1.is_zero() or p2.is_zero():
-            return RationalFunction.zero()
         g1 = poly_gcd(p1, q2)
         if g1.degree > 0:
             p1 = poly_exact_div(p1, g1)
@@ -789,8 +777,6 @@ class RationalFunction:
             if self.num.is_zero():
                 raise ZeroDivisionError("zero rational function to a negative power")
             return RationalFunction(self.den, self.num, _reduced=True) ** (-k)
-        if k == 0:
-            return RationalFunction.constant(1)
         return RationalFunction(self.num**k, self.den**k, _reduced=True)
 
     def __eq__(self, other):
@@ -823,10 +809,7 @@ def z_ddz(f: RationalFunction) -> RationalFunction:
     p, q = f.num, f.den
     dq = q.derivative()
     g = poly_gcd(q, dq)
-    if g.degree > 0:
-        u, v = poly_exact_div(q, g), poly_exact_div(dq, g)
-    else:
-        u, v = q, dq
+    u, v = poly_exact_div(q, g), poly_exact_div(dq, g)
     num, den = p.derivative() * u - p * v, q * u
     if q.re[0] or q.im[0]:
         num = Polynomial.variable() * num
@@ -852,8 +835,6 @@ def substitute(f: RationalFunction, kind: str) -> RationalFunction:
     if kind == "i_times_z":
         return RationalFunction(f.num.turn_arg(1), f.den.turn_arg(1), _reduced=True)
     if kind == "invert_z":
-        if f.num.is_zero():
-            return f
         d = max(f.num.degree, f.den.degree)
 
         def rev(p: Polynomial) -> Polynomial:  # z**d * p(1/z)
@@ -941,8 +922,6 @@ def _terms_text(coeffs, spaced: bool = True, latex: bool = False, var: str = "z"
             continue
         neg, mag = _split_sign(c)
         body = _magnitude_text(mag, k, latex) + _power_text(var, k, latex)
-        if not body:
-            body = "1"
         if not parts:
             parts.append(("-" if neg else "") + body)
         elif spaced:
@@ -963,8 +942,6 @@ def powered_parts(f: RationalFunction) -> tuple[tuple, Polynomial, int]:
     base can leave them non-integral.
     """
     num, den = f.num, f.den
-    if den.degree <= 0:
-        return num.coeffs, den, 1
     candidates = [(den, 1)]  # den itself always fits
     g = poly_gcd(den, den.derivative())
     if g.degree > 0:
@@ -999,8 +976,6 @@ def rf_to_latex(f: RationalFunction) -> str:
 
 
 def _rf_render(f: RationalFunction, latex: bool) -> str:
-    if f.num.is_zero():
-        return "0"
     num, base, e = powered_parts(f)
     num_str = _terms_text(num, latex=latex)
     if base.degree == 0 and base.constant().is_one() and e == 1:

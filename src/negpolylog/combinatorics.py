@@ -51,7 +51,7 @@ def stirling2(n: int, k: int) -> int:
     return stirling2_row(n)[k]
 
 
-def stirling_power_sum(n: int, base, weight, den=None):
+def stirling_power_sum(n: int, base, weight, den=1):
     """sum_{k=0..n} weight(k) {n+1 brace k+1} base^(k+1), the paper's central identity.
 
     ``base`` is any exact value closed under ``+`` and ``*`` that also takes
@@ -63,16 +63,15 @@ def stirling_power_sum(n: int, base, weight, den=None):
     With a common denominator ``den`` = q, the sum is that of the powers of
     base/q, and this returns its numerator over q^(n+1):
     sum_k weight(k) {n+1 brace k+1} base^(k+1) q^(n-k), accumulated by the
-    step acc <- acc * q + term, so no quotient is ever formed.
+    step acc <- acc * q + term, so no quotient is ever formed.  ``den``
+    defaults to 1, the plain sum.
     """
     row = stirling2_row(n + 1)
     power = base
     acc = power * (weight(0) * row[1])
     for k in range(1, n + 1):
         power = power * base
-        if den is not None:
-            acc = acc * den
-        acc = acc + power * (weight(k) * row[k + 1])
+        acc = acc * den + power * (weight(k) * row[k + 1])
     return acc
 
 

@@ -88,6 +88,7 @@ def csch_derivative_eval(n: int, x: float) -> float:
 
 def sech_derivative_eval(n: int, x: float) -> float:
     """(d/dx)^n sech x by the alternating Eulerian single sum."""
+    check_point("sech", x)
     total = _eulerian_sum(n, -1, lambda m: math.exp(m * x), 0.0)
     return -((-1) ** n / 2**n) * math.exp(2 * x) * (1.0 / math.cosh(x)) ** (n + 1) * total
 

@@ -12,8 +12,9 @@ by building the jet of their derivative from rational/square-root
 recurrences and integrating once, taking the constant term from the math
 library.  Reciprocal-argument companions (arccsc, arcsec, arccsch, arcsech)
 are composed as outer(1/x).  :func:`check_point` guards every lift and the
-csc, sec and csch routes with one table, ``_DOMAINS`` (poles, their period, the
-real domain): SingularityError within the guard radius, DomainError outside.
+csc, sec, csch and sech routes with one table, ``_DOMAINS`` (poles, their period,
+the real domain): SingularityError within the guard radius, DomainError outside
+it or at a non-finite point.
 
 Jets are double precision on purpose: this oracle's job is numeric
 cross-checking at tolerances of 1e-7..1e-9, while all exact checking lives
@@ -181,10 +182,12 @@ def _compose(outer: Jet, inner: Jet) -> Jet:
 
 
 def require_clear(what: str, x: float, *poles: float, period: float | None = None) -> None:
-    """Raise SingularityError if x lies within SINGULARITY_GUARD of a pole.
+    """Raise DomainError for a non-finite x, SingularityError within SINGULARITY_GUARD of a pole.
 
     With ``period`` the poles repeat: each one stands for pole + k * period.
     """
+    if not math.isfinite(x):
+        raise DomainError(f"{what} needs a finite x, got {x}")
     for pole in poles:
         d = abs(x - pole) if period is None else abs(math.remainder(x - pole, period))
         if d < SINGULARITY_GUARD:
@@ -209,7 +212,7 @@ _DOMAINS = {
 
 
 def check_point(fn: str, x0: float):
-    """Raise SingularityError within the guard radius, DomainError outside the domain."""
+    """Raise SingularityError within the guard radius, DomainError off the domain or at inf/nan."""
     poles, period, outside, domain = _DOMAINS.get(fn, ((), None, None, ""))
     require_clear(fn, x0, *poles, period=period)
     if outside is not None and outside(x0):

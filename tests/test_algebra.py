@@ -2,6 +2,7 @@
 argument transforms, and evaluation."""
 
 import ast
+import functools
 import itertools
 import json
 import math
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import negpolylog
 from negpolylog import algebra
 from negpolylog.algebra import (
     GaussianRational,
@@ -32,6 +34,9 @@ from negpolylog.algebra import (
 )
 from negpolylog.circular import cot_derivative_poly
 from negpolylog.errors import DomainError, PoleError
+from negpolylog.hyperbolic import li_relation_coth, li_relation_tanh
+from negpolylog.jets import jet_lift, nth_derivative
+from negpolylog.ladder import verify_ladder_sec_variant
 from negpolylog.polylog import chi_neg, li_neg, li_neg_stirling, li_series_eval, ti_neg
 
 
@@ -78,12 +83,20 @@ def test_poly_basics():
     assert P(1, 1) * 0 == Polynomial.zero()
 
 
+@pytest.mark.parametrize("bad", [
+    math.inf, -math.inf, math.nan, 1j, 0.5, 2.5, Fraction(1, 3), GaussianRational(Fraction(1, 2)),
+    GaussianRational(Fraction(1, 2), Fraction(1, 2)),
+], ids=repr)
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda c: Polynomial([c]), id="constructor"),
+    pytest.param(lambda c: P(1, 2).scale(c), id="scale"),
+])
+def test_every_bad_coefficient_raises_value_error(call, bad):
+    with pytest.raises(ValueError):
+        call(bad)
+
+
 def test_coefficients_and_scalars_are_gaussian_integers():
-    for bad in (Fraction(1, 2), 0.5, GaussianRational(Fraction(1, 2), Fraction(1, 2))):
-        with pytest.raises(ValueError):
-            Polynomial([bad])
-        with pytest.raises(ValueError):
-            P(1, 2).scale(bad)
     assert P(Fraction(4, 2), 2.0, GaussianRational(3, -1)) == P(2, 2, GaussianRational(3, -1))
     for c in (Fraction(4, 2), 2.0):
         assert P(1, 2).scale(c) == P(2, 4)
@@ -351,6 +364,20 @@ def test_gaussian_rational_arithmetic():
     assert str(GaussianRational(Fraction(-3, 2), 1)) == "-3/2+i"
 
 
+def test_gaussian_rational_subtraction_and_negative_powers():
+    a = GaussianRational(Fraction(1, 2), 3)
+    assert a - I == GaussianRational(Fraction(1, 2), 2)
+    assert a - Fraction(1, 2) == GaussianRational(0, 3)
+    assert 1 - a == GaussianRational(Fraction(1, 2), -3)
+    assert a ** -2 * a * a == GaussianRational(1)
+    assert I ** -1 == -I
+    assert GaussianRational(1, 1) ** -2 == GaussianRational(0, Fraction(-1, 2))  # 1/(2i)
+    with pytest.raises(TypeError):
+        a - "x"
+    with pytest.raises(ZeroDivisionError):
+        GaussianRational(0) ** -1
+
+
 # -- rational function arithmetic -------------------------------------------
 
 
@@ -359,6 +386,34 @@ def test_rf_addition_hand_value():
     f = RF([0, 1], [1, -1])
     g = RF([0, 1], [1, 1])
     assert f + g == RF([0, 2], [1, 0, -1])
+
+
+@given(polys, nonzero_polys, polys, nonzero_polys, st.one_of(st.just(Polynomial.one()), gauss_polys))
+@settings(max_examples=150)
+@example(P(1), P(1, 1), P(0, 1), P(1, -1), P(1, -1))  # both denominators keep 1 - z
+@example(P(1, -1), P(1), P(1), P(1), P(1, -1))  # 1 - z cancels from the first
+def test_sum_matches_the_full_gcd_form(a, b, c, d, h):
+    # h, planted in both denominators, makes gcd(q1, q2) nontrivial unless it cancels
+    f, g = RationalFunction(a, b * h), RationalFunction(c, d * h)
+    p1, q1, p2, q2 = f.num, f.den, g.num, g.den
+    assert f + g == RationalFunction(p1 * q2 + p2 * q1, q1 * q2)
+
+
+@given(rationals)
+@settings(max_examples=100)
+@example(RationalFunction.zero())
+def test_powers_and_reflected_operators(f):
+    one, two = RationalFunction.constant(1), RationalFunction.constant(2)
+    assert f ** 3 == f * f * f
+    assert f ** 0 == one
+    assert f + 2 == 2 + f == RationalFunction(f.num + f.den.scale(2), f.den)
+    assert (2 - f) + f == two
+    if f.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            f ** -1
+    else:
+        assert f ** -2 * f * f == one
+        assert (2 / f) * f == two
 
 
 def test_rf_self_cancellation_and_division():
@@ -422,6 +477,21 @@ def test_rf_eval_raises_only_at_an_exact_pole():
     assert rf_eval(li_neg(64), below) == complex(math.inf, 0.0)
 
 
+# entries (n, x) with a float x: the nine routes of the numeric-eval benchmark, then the
+# relations and lifts that call the jet oracle
+_FLOAT_X_ENTRIES = {
+    **{name: getattr(negpolylog, name) for name in (
+        "csc_derivative_eval", "csc_derivative_via_li", "csc_derivative_binomial", "leibniz_csc_route",
+        "sec_derivative_eval", "sec_derivative_via_li", "sec_derivative_binomial",
+        "csch_derivative_eval", "sech_derivative_eval")},
+    "jet_lift": lambda n, x: jet_lift("arctanh", x, n),
+    "nth_derivative": lambda n, x: nth_derivative("sin", x, n),
+    "li_relation_coth": li_relation_coth,
+    "li_relation_tanh": li_relation_tanh,
+    "verify_ladder_sec_variant": verify_ladder_sec_variant,
+}
+
+
 @pytest.mark.parametrize("call, error", [
     pytest.param(lambda: rf_eval(li_neg(3), math.inf), DomainError, id="rf_eval-inf"),
     pytest.param(lambda: rf_eval(li_neg(3), math.nan), DomainError, id="rf_eval-nan"),
@@ -429,6 +499,8 @@ def test_rf_eval_raises_only_at_an_exact_pole():
     pytest.param(lambda: cot_derivative_poly(3)(math.inf), DomainError, id="cot_poly-inf"),
     pytest.param(lambda: li_series_eval(0, math.nan), DomainError, id="li_series-nan-z"),
     pytest.param(lambda: li_series_eval(0, 0.5, tol=math.nan), ValueError, id="li_series-nan-tol"),
+    *[pytest.param(functools.partial(entry, 3, x), DomainError, id=f"{name}-{x}")
+      for name, entry in _FLOAT_X_ENTRIES.items() for x in (math.nan, math.inf, -math.inf)],
 ])
 def test_non_finite_inputs_are_library_errors(call, error):
     # raised up front, so reports.check fails that point instead of aborting a suite
