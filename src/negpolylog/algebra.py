@@ -818,31 +818,23 @@ def z_ddz(f: RationalFunction) -> RationalFunction:
     return RationalFunction(num, den, _reduced=True)
 
 
-_SUBSTITUTIONS = ("negate_z", "square_z", "invert_z", "i_times_z")
+_SUBSTITUTIONS = {
+    "negate_z": lambda p: p.turn_arg(2),
+    "square_z": Polynomial.square_arg,
+    "i_times_z": lambda p: p.turn_arg(1),
+}
 
 
 def substitute(f: RationalFunction, kind: str) -> RationalFunction:
-    """Exact argument transform: z -> -z, z^2, 1/z, or i*z.
+    """Exact argument transform: z -> -z, z^2, or i*z.
 
-    All four transforms preserve coprimality of the canonical pair, so only
-    re-normalization is needed.  ``invert_z`` clears negative powers by
-    multiplying numerator and denominator by z**max(deg num, deg den).
+    Each transform preserves coprimality of the canonical pair, so only
+    re-normalization is needed.
     """
-    if kind == "negate_z":
-        return RationalFunction(f.num.turn_arg(2), f.den.turn_arg(2), _reduced=True)
-    if kind == "square_z":
-        return RationalFunction(f.num.square_arg(), f.den.square_arg(), _reduced=True)
-    if kind == "i_times_z":
-        return RationalFunction(f.num.turn_arg(1), f.den.turn_arg(1), _reduced=True)
-    if kind == "invert_z":
-        d = max(f.num.degree, f.den.degree)
-
-        def rev(p: Polynomial) -> Polynomial:  # z**d * p(1/z)
-            pad = [0] * (d - p.degree)
-            return _poly(pad + list(p.re[::-1]), pad + list(p.im[::-1]))
-
-        return RationalFunction(rev(f.num), rev(f.den), _reduced=True)
-    raise ValueError(f"unknown substitution {kind!r}; expected one of {_SUBSTITUTIONS}")
+    if kind not in _SUBSTITUTIONS:
+        raise ValueError(f"unknown substitution {kind!r}; expected one of {tuple(_SUBSTITUTIONS)}")
+    transform = _SUBSTITUTIONS[kind]
+    return RationalFunction(transform(f.num), transform(f.den), _reduced=True)
 
 
 def rf_eval(f: RationalFunction, z) -> complex:

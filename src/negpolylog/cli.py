@@ -34,8 +34,6 @@ from .suites import SweepRangeError, run_suite
 
 MAX_ORDER = 64
 
-_CLOSED_FORM_KINDS = ("li", "chi", "ti", "cot-poly", "tan-poly", "coth-poly", "tanh-poly")
-
 _POLY_BUILDERS = {
     "cot-poly": circular.cot_derivative_poly,
     "tan-poly": circular.tan_derivative_poly,
@@ -44,6 +42,8 @@ _POLY_BUILDERS = {
 }
 
 _RF_BUILDERS = {"li": li_neg, "chi": chi_neg, "ti": ti_neg}
+
+_CLOSED_FORM_KINDS = (*_RF_BUILDERS, *_POLY_BUILDERS)
 
 # format -> (Li term, coefficient, standard arrangement, halved arrangement)
 _LADDER_FORMATS = {
@@ -112,30 +112,21 @@ def _check_order(n: int):
         raise UsageError(f"n must be in 0..{MAX_ORDER}, got {n}")
 
 
-def _emit_poly(kind: str, n: int, fmt: str) -> str:
-    dp: DerivativePolynomial = _POLY_BUILDERS[kind](n)
-    if fmt == "json":
-        return json.dumps(
-            {"target": dp.target, "n": dp.order, "coeffs": [str(c) for c in dp.coefficient_ints()]}
-        )
-    return poly_text(dp.poly, latex=fmt == "latex", var="u")
-
-
-def _emit_rf(kind: str, n: int, fmt: str) -> str:
-    f = _RF_BUILDERS[kind](n)
-    if fmt == "text":
-        return rf_to_text(f)
-    if fmt == "latex":
-        return rf_to_latex(f)
-    return json.dumps({"kind": kind, "n": n, **rf_to_json(f)})
-
-
 def cmd_closed_form(kind: str, n: int, fmt: str) -> int:
     _check_order(n)
     if kind in _POLY_BUILDERS:
-        print(_emit_poly(kind, n, fmt))
+        dp: DerivativePolynomial = _POLY_BUILDERS[kind](n)
+        if fmt == "json":
+            print(json.dumps({"target": dp.target, "n": dp.order,
+                              "coeffs": [str(c) for c in dp.coefficient_ints()]}))
+        else:
+            print(poly_text(dp.poly, latex=fmt == "latex", var="u"))
     else:
-        print(_emit_rf(kind, n, fmt))
+        f = _RF_BUILDERS[kind](n)
+        if fmt == "json":
+            print(json.dumps({"kind": kind, "n": n, **rf_to_json(f)}))
+        else:
+            print((rf_to_latex if fmt == "latex" else rf_to_text)(f))
     return 0
 
 
@@ -211,42 +202,38 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(kind, help=f"print the {kind} closed form of index n")
         p.add_argument("n", type=int)
         add_format(p)
+        p.set_defaults(run=lambda a: cmd_closed_form(a.command, a.n, a.format))
 
     p = sub.add_parser("eval", help="evaluate a closed form at a point")
     p.add_argument("kind", choices=_CLOSED_FORM_KINDS)
     p.add_argument("n", type=int)
     p.add_argument("z", help="complex literal, e.g. 0.5 or 0.3+0.2i")
     add_format(p, ("text", "json"))
+    p.set_defaults(run=lambda a: cmd_eval(a.kind, a.n, a.z, a.format))
 
     p = sub.add_parser("verify", help="run a verification sweep")
     p.add_argument("suite", choices=("trig", "hyperbolic", "inverse", "ladder", "all"))
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--tolerance", type=float, default=None,
-                   help="override the per-suite default tolerance (numeric suites only)")
+                   help="override the per-suite default tolerance (numeric suites only; the cot "
+                   "double angle, the generic operands and the ladder rotated variant keep theirs)")
     p.add_argument("--name", default=None, help="restrict the inverse suite to one identity")
     add_format(p, ("text", "json"))
+    p.set_defaults(run=lambda a: cmd_verify(a.suite, a.n_max, a.tolerance, a.format, a.name))
 
     p = sub.add_parser("ladder", help="print the ladder identity with exact coefficients")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--arrangement", choices=("standard", "halved"), default="standard",
                    help="factor 2/z on the right, or z/2 on the left")
     add_format(p)
+    p.set_defaults(run=lambda a: cmd_ladder(a.n, a.format, a.arrangement))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command in _CLOSED_FORM_KINDS:
-            return cmd_closed_form(args.command, args.n, args.format)
-        if args.command == "eval":
-            return cmd_eval(args.kind, args.n, args.z, args.format)
-        if args.command == "verify":
-            return cmd_verify(args.suite, args.n_max, args.tolerance, args.format, args.name)
-        if args.command == "ladder":
-            return cmd_ladder(args.n, args.format, args.arrangement)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (UsageError, SweepRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

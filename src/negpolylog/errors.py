@@ -1,5 +1,10 @@
 """Exception types shared across the library."""
 
+__all__ = [
+    "NegPolylogError", "DomainError", "PoleError", "SingularityError", "NonConvergenceError",
+    "OrderExhaustedError", "ImaginaryResidueError",
+]
+
 
 class NegPolylogError(Exception):
     """Base class for all library errors."""

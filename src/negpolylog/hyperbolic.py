@@ -2,8 +2,9 @@
 
 The hyperbolic family mirrors the circular one but needs no complex detour:
 substituting a real exponential turns the z d/dz ladder directly into plain
-d/dx, so every evaluator here is pure real arithmetic.  That makes this
-module a genuinely independent code path from the circular one.
+d/dx, so every evaluator here is pure real arithmetic.  It shares the
+Eulerian and Stirling kernels (and ``DerivativePolynomial``) with the
+circular module; the evaluation, in real exponentials, is its own.
 
 Routes provided:
 

@@ -14,6 +14,8 @@ from collections import namedtuple
 
 from .errors import NegPolylogError
 
+__all__ = ["rel_err", "PointCheck", "VerificationReport"]
+
 
 def rel_err(a: float, b: float) -> float:
     """Relative difference |a - b| / max(|a|, |b|), 0 when both vanish."""

@@ -439,11 +439,9 @@ def test_substitute_examples():
     f = RF([0, 1], [1, -1])
     assert substitute(f, "negate_z") == RF([0, -1], [1, 1])
     assert substitute(f, "square_z") == RF([0, 0, 1], [1, 0, -1])
-    # hand algebra: (1/z) / (1 - 1/z^2) = z/(z^2 - 1)
-    g = RF([0, 1], [1, 0, -1])
-    assert substitute(g, "invert_z") == RF([0, 1], [-1, 0, 1])
-    with pytest.raises(ValueError):
-        substitute(f, "cube_z")
+    for kind in ("cube_z", "invert_z"):
+        with pytest.raises(ValueError, match="unknown substitution"):
+            substitute(f, kind)
 
 
 def test_substitute_i_times():
@@ -694,11 +692,14 @@ def test_rf_text_rendering():
     assert rf_to_text(RF([0, 1, 1], [1, -3, 3, -1])) == "(z + z^2)/(1-z)^3"
     assert rf_to_text(RationalFunction.zero()) == "0"
     assert rf_to_text(RF([0, 3], [2])) == "3z/2"
+    # a rational coefficient is rendered as a fraction of its own
+    assert rf_to_text(RF([1, 1], [2, -4, 2])) == "(1/2 + (1/2)z)/(1-z)^2"
 
 
 def test_rf_latex_rendering():
     assert rf_to_latex(RF([0, 1], [1, -1])) == r"\frac{z}{(1-z)}"
     assert rf_to_latex(RF([0, 1, 1], [1, -3, 3, -1])) == r"\frac{z + z^{2}}{(1-z)^{3}}"
+    assert rf_to_latex(RF([1, 1], [2, -4, 2])) == r"\frac{\frac{1}{2} + \frac{1}{2}z}{(1-z)^{2}}"
 
 
 def test_gaussian_power_display_is_pinned():

@@ -119,14 +119,31 @@ def test_json_output_is_strict_for_non_finite_values(capsys):
     assert json.loads(text, parse_constant=_reject_token) == [{"lhs": "-inf", "points": [["nan", 1.5]]}]
 
 
+SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+
+
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     probe = ("import negpolylog.cli, sys; "
              "print([m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=SRC_ENV,
                          capture_output=True, text=True, timeout=120, check=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("args, code", [
+    (["li", "2"], 0),
+    (["verify", "trig", "--n-max", "1", "--tolerance", "0"], 1),
+    (["li", "65"], 2),
+    (["eval", "li", "0", "1"], 3),
+])
+def test_module_entry_point_exit_codes(args, code):
+    # python -m negpolylog runs __main__.py and cli.entry, which no in-process test reaches
+    r = subprocess.run([sys.executable, "-m", "negpolylog", *args], env=SRC_ENV,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == code, r.stderr
+    if code == 0:
+        assert r.stdout == "(z + z^2)/(1-z)^3\n"
 
 
 def test_usage_errors(capsys):

@@ -35,6 +35,7 @@ def test_registry_key_records():
     assert arcsin.operator_tag == "(x - x^3) d/dx"
     arccot = by_name("arccot")
     assert arccot.outer_sign == -1
+    assert arccot.describe() == "Ti[-n](x) = -(x d/dx)^(n+1) arccot(x)"
 
 
 def test_hand_checked_base_cases():

@@ -130,6 +130,8 @@ def test_laurent_jet_negative_powers():
     assert j.value == pytest.approx(-2.5)
     # derivative of -(x + 1/x) is -(1 - 1/x^2)
     assert j.coeffs[1] == pytest.approx(-(1 - 0.25))
+    # a constant term: 2 + x at 0.5
+    assert laurent_jet({0: 2.0, 1: 1.0})(0.5, 3).coeffs == (2.5, 1.0, 0.0, 0.0)
 
 
 def test_function_id_inventory():

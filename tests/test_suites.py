@@ -38,6 +38,11 @@ def test_default_and_overridden_tolerances():
     zero = [r for r in run_suite("trig", 1, tol=0.0) if r.identity != "cot double angle"]
     assert {r.tolerance for r in zero} == {0.0}
     assert not all(r.passed for r in zero)
+    # the generic operands keep their fixed 1e-9, whatever --tolerance says
+    zero = run_suite("inverse", 1, tol=0.0)
+    generic = {r.identity for r in zero if r.identity.startswith("generic-operand")}
+    assert generic and {r.tolerance for r in zero if r.identity in generic} == {1e-9}
+    assert {r.tolerance for r in zero if r.identity not in generic} == {0.0}
 
 
 def test_a_raising_route_fails_its_points_and_the_suite_goes_on():
