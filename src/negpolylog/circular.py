@@ -160,6 +160,8 @@ def csc_derivative_via_li(n: int, x: float) -> float:
 
 def csc_derivative_binomial(n: int, x: float) -> float:
     """(d/dx)^n csc x by the literal half-angle double sum."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     check_point("csc", x)
     t = math.tan(x / 2)
     c = math.cos(x / 2) / math.sin(x / 2)
@@ -191,6 +193,8 @@ def sec_derivative_via_li(n: int, x: float) -> float:
 
 def sec_derivative_binomial(n: int, x: float) -> float:
     """(d/dx)^n sec x by the literal tan/sec triple sum."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     check_point("sec", x)
     t = math.tan(x)
     s = 1.0 / math.cos(x)

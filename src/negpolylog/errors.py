@@ -1,8 +1,8 @@
 """Exception types shared across the library."""
 
 __all__ = [
-    "NegPolylogError", "DomainError", "PoleError", "SingularityError", "NonConvergenceError",
-    "OrderExhaustedError", "ImaginaryResidueError",
+    "NegPolylogError", "DomainError", "PoleError", "SingularityError", "OrderExhaustedError",
+    "ImaginaryResidueError",
 ]
 
 
@@ -20,10 +20,6 @@ class PoleError(NegPolylogError):
 
 class SingularityError(NegPolylogError):
     """Evaluation point is within the guard radius of a pole or branch point."""
-
-
-class NonConvergenceError(NegPolylogError):
-    """Series evaluation hit the term cap before meeting the tolerance."""
 
 
 class OrderExhaustedError(NegPolylogError):

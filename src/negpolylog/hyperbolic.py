@@ -14,7 +14,7 @@ Routes provided:
   satisfy the same first-order equation f' = 1 - f^2, so they share one
   polynomial family);
 * csch/sech single sums over the type-B Eulerian row, in the summation loop
-  of csc/sec but with real exponential phases;
+  of csc/sec but in powers of the real t = exp(-|x|);
 * the polylogarithm relations Li(e^x) = -(1/2) (d/dx)^n coth(x/2) and
   Li(-e^x) = -(1/2) (d/dx)^n tanh(x/2) for n >= 1 (at n = 0 both sides
   differ by the constant 1/2, so n = 0 is excluded from sweeps), and the
@@ -81,17 +81,21 @@ def li_relation_tanh(n: int, x: float) -> float:
 
 
 def csch_derivative_eval(n: int, x: float) -> float:
-    """(d/dx)^n csch x by the Eulerian single sum, pure real arithmetic."""
+    """(d/dx)^n csch x = (-1)^n 2 sum_k S(n, k) t^(2k-1)/(1 - t^2)^(n+1), t = exp(-x), for x > 0
+    (csch x = 2t/(1 - t^2), d/dx = -t d/dt); csch is odd.  No power of exp(|x|) is formed."""
     check_point("csch", x)
-    total = _eulerian_sum(n, 1, lambda m: math.exp(m * x), 0.0)
-    return ((-1) ** n / 2**n) * math.exp(2 * x) * (1.0 / math.sinh(x)) ** (n + 1) * total
+    t = math.exp(-abs(x))
+    den = (-math.expm1(-2 * abs(x))) ** (n + 1)  # 1 - t^2 uncancelled; 0.0 beyond double range
+    val = 2.0 * _eulerian_sum(n, 1, lambda m: t ** (n - 1 - m), 0.0) / den if den else math.inf
+    return (-1) ** n * val if x > 0 else -val
 
 
 def sech_derivative_eval(n: int, x: float) -> float:
-    """(d/dx)^n sech x by the alternating Eulerian single sum."""
+    """(d/dx)^n sech x as for csch, from sech x = 2t/(1 + t^2) by the alternating sum; even."""
     check_point("sech", x)
-    total = _eulerian_sum(n, -1, lambda m: math.exp(m * x), 0.0)
-    return -((-1) ** n / 2**n) * math.exp(2 * x) * (1.0 / math.cosh(x)) ** (n + 1) * total
+    t = math.exp(-abs(x))
+    val = -2.0 * _eulerian_sum(n, -1, lambda m: t ** (n - 1 - m), 0.0) / (1 + t * t) ** (n + 1)
+    return (-1) ** n * val if x > 0 else val
 
 
 def chi_ti_hyperbolic_relations(n: int, x: float, tol: float = 1e-8) -> VerificationReport:

@@ -43,7 +43,7 @@ from collections import namedtuple
 from .algebra import rf_eval
 from .combinatorics import factorial, stirling2_row
 from .errors import DomainError
-from .jets import Jet, apply_operator_power, jet_lift, laurent_jet
+from .jets import Jet, apply_operator_power, jet_lift, laurent_jet, require_clear
 from .polylog import chi_neg, li_neg, ti_neg
 from .reports import VerificationReport, check
 
@@ -199,6 +199,7 @@ def verify_generic_operand(f: str, n: int, x: float, tol: float = 1e-9) -> Verif
         raise ValueError("generic-operand instances cover f in {sin, cos}")
     if n < 0:
         raise ValueError("n must be >= 0")
+    require_clear(f"generic-operand {f}", x)
     fx = math.sin(x) if f == "sin" else math.cos(x)
     if abs(1.0 + fx) < 1e-6:
         raise DomainError(f"substitution diverges where {f}(x) = -1; x = {x}")

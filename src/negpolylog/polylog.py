@@ -11,9 +11,9 @@ its argument.  This module constructs it by two independent routes:
 Both are kept public permanently; their exact agreement is the library's
 core trust story.  The odd part (Legendre chi) and the alternating odd part
 (inverse tangent integral) get direct closed forms from the type-B Eulerian
-row, plus cross-construction routes from the polylogarithm itself.  A
-truncated-series evaluator serves as the numeric oracle inside the unit
-disk.
+row, plus cross-construction routes from the polylogarithm itself.  Each
+closed form is proved equal to its defining power series by a finite exact
+check on its first coefficients (``defining_series_agree``).
 """
 
 from __future__ import annotations
@@ -25,14 +25,12 @@ from .algebra import (
     GaussianRational, Polynomial, RationalFunction, evaluate_packed, substitute, z_ddz,
 )
 from .combinatorics import eulerian_b_row, factorial, stirling_power_sum
-from .errors import DomainError, ImaginaryResidueError, NonConvergenceError
+from .errors import ImaginaryResidueError
 
 __all__ = [
     "li_neg", "li_neg_operator", "li_neg_stirling", "chi_neg", "ti_neg", "chi_from_li",
-    "ti_from_chi", "li_series_eval", "SERIES_TERM_CAP",
+    "ti_from_chi", "defining_series_agree",
 ]
-
-SERIES_TERM_CAP = 10**6
 
 
 @cache
@@ -133,26 +131,25 @@ def ti_from_chi(n: int) -> RationalFunction:
     return t
 
 
-def li_series_eval(s: int, z, tol: float = 1e-12) -> complex:
-    """Defining-series evaluation, the numeric oracle: sum of z**k / k**s.
+def defining_series_agree(n: int) -> bool:
+    """Whether li_neg, chi_neg and ti_neg at order -n equal, exactly, their defining series
+    sum k^n z^k over k >= 1 (Li), odd k (chi), and odd k with sign (-1)^((k-1)/2) (Ti)."""
+    return (_equals_series(li_neg(n), lambda k: k ** n if k else 0, n + 1)
+            and _equals_series(chi_neg(n), lambda k: k % 2 * k ** n, 2 * n + 2)
+            and _equals_series(ti_neg(n), lambda k: k % 2 * (-1) ** (k // 2) * k ** n, 2 * n + 2))
 
-    Requires |z| < 1 strictly; stops when the latest term drops below
-    tol * (1 + |partial|); raises NonConvergenceError at the term cap
-    (reachable as |z| -> 1 with s <= 0).
+
+def _equals_series(f: RationalFunction, coeff, d: int) -> bool:
+    """Prove f = p/q equal to S = sum_k coeff(k) z^k, given a nonzero B of degree <= d with
+    B S a polynomial of degree <= d: check q S = p mod z^m for m = max(deg p, deg q) + d + 1.
+
+    Then E = p B - q (B S) has degree below m and E = B (p - q S) = 0 mod z^m; hence E = 0
+    and p = q S.  At order -n, B is (1 - z)^(n+1) for Li and (1 -+ z^2)^(n+1) for chi and
+    Ti: each coefficient j >= d of B S is an (n+1)-th difference of k^n, so 0, except for
+    Li at n = 0, whose series lacks the k = 0 term 0^0 = 1, so B S = z has degree d.
     """
-    zc = complex(z)
-    if not abs(zc) < 1:  # a NaN z fails here too
-        raise DomainError(f"series evaluation needs |z| < 1, got |z| = {abs(zc)}")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    partial = 0j
-    power = 1 + 0j
-    for k in range(1, SERIES_TERM_CAP + 1):
-        power *= zc
-        term = power * k ** (-s) if s <= 0 else power / k**s
-        partial += term
-        if abs(term) < tol * (1 + abs(partial)):
-            return partial
-    raise NonConvergenceError(
-        f"series for s={s}, z={zc} did not meet tol={tol} within {SERIES_TERM_CAP} terms"
-    )
+    p, q = f.num, f.den
+    m = max(p.degree, q.degree) + d + 1
+    s = [coeff(k) for k in range(m)]
+    return all(sum(qc[i] * s[j - i] for i in range(min(j + 1, len(qc)))) == pc[j]
+               for qc, pc in ((q.re, p.re + (0,) * m), (q.im, p.im + (0,) * m)) for j in range(m))

@@ -20,7 +20,8 @@ from .circular import TRIG_GRID
 from .hyperbolic import HYP_GRID
 from .jets import nth_derivative
 from .polylog import (
-    chi_from_li, chi_neg, li_neg, li_neg_operator, li_neg_stirling, ti_from_chi, ti_neg,
+    chi_from_li, chi_neg, defining_series_agree, li_neg, li_neg_operator, li_neg_stirling,
+    ti_from_chi, ti_neg,
 )
 from .reports import VerificationReport, check, exact_report
 
@@ -31,11 +32,12 @@ MAX_NUMERIC_SWEEP = 10
 
 
 def _core(n_max: int, tol: float, name: str | None) -> list[VerificationReport]:
-    """Exact closed-form identities: route equality, cross-routes, duplication."""
+    """Exact closed-form identities: route equality, series, cross-routes, duplication."""
     reports = []
     for n in range(n_max + 1):
         checks = (
             ("construction route equality", li_neg_operator(n) == li_neg_stirling(n) == li_neg(n)),
+            ("closed form vs defining series", defining_series_agree(n)),
             ("chi from polylog difference", chi_from_li(n) == chi_neg(n)),
             ("Ti from rotated chi", ti_from_chi(n) == ti_neg(n)),
             (

@@ -35,9 +35,10 @@ from negpolylog.algebra import (
 from negpolylog.circular import cot_derivative_poly
 from negpolylog.errors import DomainError, PoleError
 from negpolylog.hyperbolic import li_relation_coth, li_relation_tanh
+from negpolylog.inverse import verify_generic_operand
 from negpolylog.jets import jet_lift, nth_derivative
 from negpolylog.ladder import verify_ladder_sec_variant
-from negpolylog.polylog import chi_neg, li_neg, li_neg_stirling, li_series_eval, ti_neg
+from negpolylog.polylog import chi_neg, li_neg, li_neg_stirling, ti_neg
 
 
 def P(*coeffs):
@@ -475,18 +476,21 @@ def test_rf_eval_raises_only_at_an_exact_pole():
     assert rf_eval(li_neg(64), below) == complex(math.inf, 0.0)
 
 
-# entries (n, x) with a float x: the nine routes of the numeric-eval benchmark, then the
-# relations and lifts that call the jet oracle
+# the nine routes of the numeric-eval benchmark, each called as route(n, x)
+_ROUTES = ("csc_derivative_eval", "csc_derivative_via_li", "csc_derivative_binomial",
+           "leibniz_csc_route", "sec_derivative_eval", "sec_derivative_via_li",
+           "sec_derivative_binomial", "csch_derivative_eval", "sech_derivative_eval")
+
+# entries (n, x) with a float x: the nine routes, then the relations and lifts that call the
+# jet oracle, and the generic-operand check
 _FLOAT_X_ENTRIES = {
-    **{name: getattr(negpolylog, name) for name in (
-        "csc_derivative_eval", "csc_derivative_via_li", "csc_derivative_binomial", "leibniz_csc_route",
-        "sec_derivative_eval", "sec_derivative_via_li", "sec_derivative_binomial",
-        "csch_derivative_eval", "sech_derivative_eval")},
+    **{name: getattr(negpolylog, name) for name in _ROUTES},
     "jet_lift": lambda n, x: jet_lift("arctanh", x, n),
     "nth_derivative": lambda n, x: nth_derivative("sin", x, n),
     "li_relation_coth": li_relation_coth,
     "li_relation_tanh": li_relation_tanh,
     "verify_ladder_sec_variant": verify_ladder_sec_variant,
+    "verify_generic_operand": lambda n, x: verify_generic_operand("sin", n, x),
 }
 
 
@@ -495,8 +499,6 @@ _FLOAT_X_ENTRIES = {
     pytest.param(lambda: rf_eval(li_neg(3), math.nan), DomainError, id="rf_eval-nan"),
     pytest.param(lambda: rf_eval(li_neg(3), complex(0.5, -math.inf)), DomainError, id="rf_eval-imag-inf"),
     pytest.param(lambda: cot_derivative_poly(3)(math.inf), DomainError, id="cot_poly-inf"),
-    pytest.param(lambda: li_series_eval(0, math.nan), DomainError, id="li_series-nan-z"),
-    pytest.param(lambda: li_series_eval(0, 0.5, tol=math.nan), ValueError, id="li_series-nan-tol"),
     *[pytest.param(functools.partial(entry, 3, x), DomainError, id=f"{name}-{x}")
       for name, entry in _FLOAT_X_ENTRIES.items() for x in (math.nan, math.inf, -math.inf)],
 ])
@@ -504,6 +506,12 @@ def test_non_finite_inputs_are_library_errors(call, error):
     # raised up front, so reports.check fails that point instead of aborting a suite
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("name", _ROUTES)
+def test_routes_reject_a_negative_order(name):
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        getattr(negpolylog, name)(-1, 0.5)
 
 
 # -- canonical-form properties ----------------------------------------------

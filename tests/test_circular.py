@@ -206,8 +206,9 @@ def test_imaginary_residue_error_states_its_bound_and_ratio():
     )
 
 
-# The single-sum loops and polylog-difference bodies as they were written
-# before csc, sec, csch and sech shared one kernel each: reference copies.
+# The single-sum loops and polylog-difference bodies written out, as they were
+# before csc, sec, csch and sech shared one kernel each: reference copies.  The
+# csch and sech loops are the sums in t = exp(-x) that replaced the sums in exp(x).
 def _csc_sum_loop(n, x):
     row = eulerian_b_row(n)
     total = 0j
@@ -226,20 +227,22 @@ def _sec_sum_loop(n, x):
     return checked_real(val)
 
 
-def _csch_sum_loop(n, x):
+def _csch_sum_loop(n, x):  # x > 0, in powers of t = exp(-x)
     row = eulerian_b_row(n)
+    t = math.exp(-x)
     total = 0.0
     for k in range(1, n + 2):
-        total += row[k - 1] * math.exp((n - 2 * k) * x)
-    return ((-1) ** n / 2**n) * math.exp(2 * x) * (1.0 / math.sinh(x)) ** (n + 1) * total
+        total += row[k - 1] * t ** (2 * k - 1)
+    return (-1) ** n * (2.0 * total / (-math.expm1(-2 * x)) ** (n + 1))
 
 
 def _sech_sum_loop(n, x):
     row = eulerian_b_row(n)
+    t = math.exp(-x)
     total = 0.0
     for k in range(1, n + 2):
-        total += (-1) ** k * row[k - 1] * math.exp((n - 2 * k) * x)
-    return -((-1) ** n / 2**n) * math.exp(2 * x) * (1.0 / math.cosh(x)) ** (n + 1) * total
+        total += (-1) ** k * row[k - 1] * t ** (2 * k - 1)
+    return (-1) ** n * (-2.0 * total / (1 + t * t) ** (n + 1))
 
 
 def _csc_difference_body(n, x):

@@ -79,6 +79,18 @@ def test_csch_sech_on_grid():
             assert rel_err(sech_derivative_eval(n, x), nth_derivative("sech", x, n)) < 1e-8
 
 
+def test_csch_sech_at_large_and_negative_x():
+    # sums in powers of exp(|x|) give 0.0 at (10, 75) and overflow at the other three large |x|
+    points = [(10, 75.0), (1, 356.0), (1, 400.0), (10, -80.0),
+              *((n, -x) for n in (0, 3) for x in HYP_GRID)]
+    for n, x in points:
+        for fn, route in (("csch", csch_derivative_eval), ("sech", sech_derivative_eval)):
+            assert rel_err(route(n, x), nth_derivative(fn, x, n)) < 1e-10, (fn, n, x)
+    # near 0 at order 64 the value is beyond double range, where the jet gives nan
+    assert csch_derivative_eval(64, 1.01e-6) == math.inf
+    assert csch_derivative_eval(64, -1.01e-6) == -math.inf
+
+
 def test_chi_ti_relations_hand_values():
     rep = chi_ti_hyperbolic_relations(0, 1.0, tol=1e-12)
     chi_point = next(p for p in rep.points if p.label == "chi-csch")

@@ -1,11 +1,13 @@
-"""Closed-form construction routes, their exact agreement, and the series oracle."""
+"""Closed-form construction routes, their exact agreement, and their defining series."""
 
 import sys
 from math import comb
 
 import pytest
 
+from negpolylog import polylog
 from negpolylog.algebra import (
+    I,
     Polynomial,
     RationalFunction,
     powered_parts,
@@ -13,14 +15,13 @@ from negpolylog.algebra import (
     substitute,
 )
 from negpolylog.combinatorics import eulerian_b_row
-from negpolylog.errors import DomainError, NonConvergenceError
 from negpolylog.polylog import (
     chi_from_li,
     chi_neg,
+    defining_series_agree,
     li_neg,
     li_neg_operator,
     li_neg_stirling,
-    li_series_eval,
     ti_from_chi,
     ti_neg,
 )
@@ -120,32 +121,29 @@ def test_li_numerator_is_z_times_palindrome():
         assert inner == inner[::-1]
 
 
-def test_series_examples():
-    assert li_series_eval(0, 0.5) == pytest.approx(1.0, abs=1e-10)
-    # z/(1-z)^2 at 0.5 is 2.0
-    assert li_series_eval(-1, 0.5) == pytest.approx(2.0, abs=1e-9)
-    z = 0.3 + 0.2j
-    want = rf_eval(li_neg(3), z)
-    got = li_series_eval(-3, z, tol=1e-13)
-    assert abs(got - want) <= 1e-10 * (1 + abs(want))
+def test_defining_series_examples(monkeypatch):
+    # z/(1-z)^2 = sum k z^k, with B = (1-z)^2 of degree 2; a wrong series or a wrong form fails
+    assert polylog._equals_series(RF([0, 1], [1, -2, 1]), lambda k: k, 2)
+    assert not polylog._equals_series(RF([0, 1], [1, -2, 1]), lambda k: k * k, 2)
+    assert not polylog._equals_series(RF([0, 1, 1], [1, -2, 1]), lambda k: k, 2)
+    # planted wrong forms: one numerator coefficient off by 1 or by i, the denominator times 1 + z
+    for name in ("li_neg", "chi_neg", "ti_neg"):
+        good = getattr(polylog, name)(5)
+        coeffs = list(good.num.coeffs)
+        for bump in (1, I):
+            coeffs[3] += bump
+            wrong = RationalFunction(Polynomial(coeffs), good.den)
+            coeffs[3] -= bump
+            monkeypatch.setattr(polylog, name, lambda n, wrong=wrong: wrong)
+            assert not defining_series_agree(5), (name, bump)
+        wrong = RationalFunction(good.num, good.den * Polynomial([1, 1]))
+        monkeypatch.setattr(polylog, name, lambda n, wrong=wrong: wrong)
+        assert not defining_series_agree(5), name
+        monkeypatch.undo()
+    assert defining_series_agree(5)
 
 
-def test_series_against_closed_forms_on_grid():
-    pts = [0.5, -0.62, 0.7, 0.35 + 0.35j, -0.3 + 0.55j, 0.1 - 0.6j]
-    for n in range(9):
-        f = li_neg(n)
-        for z in pts:
-            want = rf_eval(f, z)
-            got = li_series_eval(-n, z, tol=1e-13)
-            assert abs(got - want) <= 1e-9 * (1 + abs(want)), (n, z)
-
-
-def test_series_domain_and_convergence_errors():
-    with pytest.raises(DomainError):
-        li_series_eval(0, 1.0)
-    with pytest.raises(DomainError):
-        li_series_eval(-2, 0.8 + 0.7j)
+def test_closed_forms_equal_their_defining_series():
+    assert all(defining_series_agree(n) for n in range(65))
     with pytest.raises(ValueError):
-        li_series_eval(0, 0.5, tol=0.0)
-    with pytest.raises(NonConvergenceError):
-        li_series_eval(-1, 1 - 1e-9)
+        defining_series_agree(-1)

@@ -16,8 +16,8 @@ def test_exact_suites_pass():
     assert all(r.passed and r.exact and r.tolerance == 0.0 for r in reports)
     core = run_suite("core", 2)
     assert {r.identity for r in core} == {
-        "construction route equality", "chi from polylog difference",
-        "Ti from rotated chi", "duplication identity",
+        "construction route equality", "closed form vs defining series",
+        "chi from polylog difference", "Ti from rotated chi", "duplication identity",
     }
     assert all(r.passed for r in core)
     assert exact_report("x", 2, False).to_dict() == {
