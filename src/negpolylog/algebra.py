@@ -77,7 +77,12 @@ inputs.  Each place that skips one rests on a proof:
 
 Numeric evaluation (:func:`rf_eval`) runs the exact Horner scheme of
 :func:`rf_eval_exact` at the double's exact value and rounds once at the
-end.  Expanded high powers such as ``(1 - z^2)^11`` are catastrophically
+end.  Horner reads each polynomial as z^s q(z^g), s its lowest exponent with
+a nonzero coefficient and g the gcd of the gaps between such exponents, and
+steps through q at z^g: the odd and even numerators and denominators of chi
+and Ti and the derivative polynomials take half the steps.  That is an
+identity, so the exact value, and the double it rounds to, cannot change.
+Expanded high powers such as ``(1 - z^2)^11`` are catastrophically
 ill-conditioned in double-precision Horner near ``|z| = 1``; exact
 accumulation keeps every multi-route identity check meaningful at the
 stated tolerances.
@@ -241,8 +246,9 @@ def _power(base, k: int, out):
     while k:
         if k & 1:
             out = out * base
-        base = base * base
         k >>= 1
+        if k:
+            base = base * base
     return out
 
 
@@ -422,12 +428,27 @@ class Polynomial:
         return _raw([*map(operator.mul, k, self.re[1:])], [*map(operator.mul, k, self.im[1:])])
 
     def horner(self, z: GaussianRational) -> GaussianRational:
-        """Exact evaluation at a Gaussian rational point."""
-        acc = GaussianRational(0)
-        for x, y in zip(reversed(self.re), reversed(self.im)):
-            acc = acc * z
+        """Exact evaluation at a Gaussian rational point, read as z^s q(z^g).
+
+        s is the lowest exponent with a nonzero real or imaginary part and g
+        the gcd of the gaps between such exponents (0 for a monomial or
+        zero).  Horner runs over q's coefficients, every g-th from s, at
+        w = z^g, and the sum is multiplied by z^s (Knuth, TAOCP Vol. 2,
+        4.6.4).  An odd or even polynomial takes half the steps of the dense
+        loop.  Since p(z) = z^s q(z^g) is an identity and every step is
+        exact, the value is the same number the dense loop gives, and so are
+        the bits ``rf_eval`` rounds it to.
+        """
+        support = [k for k, (x, y) in enumerate(zip(self.re, self.im)) if x or y]
+        s = min(support, default=0)
+        g = math.gcd(*(k - s for k in support))
+        w = z ** g
+        q = zip(reversed(self.re[s::g or 1]), reversed(self.im[s::g or 1]))
+        acc = GaussianRational(*next(q, (0, 0)))
+        for x, y in q:
+            acc = acc * w
             acc = GaussianRational(acc.re + x, acc.im + y)
-        return acc
+        return _power(z, s, acc)
 
     # argument transforms used by `substitute`
     def turn_arg(self, step: int) -> "Polynomial":
@@ -845,7 +866,8 @@ def rf_eval(f: RationalFunction, z) -> complex:
     part beyond double range rounds to +-inf, as float arithmetic does.
     Raises PoleError only when the exact denominator is zero at that point:
     a small nonzero denominator is not a pole; raises DomainError when a part
-    of z is not finite.
+    of z is not finite.  The strided Horner of ``Polynomial.horner`` computes
+    the same exact value as the dense loop, so it rounds to the same bits.
     """
     zc = complex(z)
     if not cmath.isfinite(zc):

@@ -53,14 +53,12 @@ small_ints = st.integers(-5, 5)
 polys = st.lists(small_ints, min_size=0, max_size=5).map(Polynomial)
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
 rationals = st.builds(RationalFunction, polys, nonzero_polys)
-gauss_polys = st.lists(
-    st.builds(GaussianRational, small_ints, small_ints), min_size=1, max_size=4
-).map(Polynomial).filter(lambda p: not p.is_zero())
+gauss_ints = st.builds(GaussianRational, small_ints, small_ints)
+gauss_polys = st.lists(gauss_ints, min_size=1, max_size=4).map(Polynomial).filter(lambda p: not p.is_zero())
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+gauss_points = st.builds(GaussianRational, small_fractions, small_fractions)
 # nonzero Gaussian rationals with a denominator to clear
-fractional_scalars = st.builds(GaussianRational, small_fractions, small_fractions).filter(
-    lambda s: not s.is_zero() and not s.is_integer()
-)
+fractional_scalars = gauss_points.filter(lambda s: not s.is_zero() and not s.is_integer())
 
 
 def split_scalar(s):
@@ -681,6 +679,59 @@ def test_rf_eval_matches_exact_rational_evaluation(f, z):
     got = rf_eval(f, complex(float(z)))
     want = complex(float(exact.re), float(exact.im))
     assert abs(got - want) <= 1e-12 * (1 + abs(want))
+
+
+@st.composite
+def strided_polys(draw):
+    """z^s q(z^g) with Gaussian-integer coefficients, sometimes plus one off-stride term."""
+    s, g = draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    q = draw(st.lists(gauss_ints, max_size=6))
+    coeffs = [GaussianRational(0)] * (s + g * len(q) + 3)
+    for j, c in enumerate(q):
+        coeffs[s + g * j] = c
+    if draw(st.booleans()):
+        coeffs[draw(st.integers(0, len(coeffs) - 1))] += draw(gauss_ints)
+    return Polynomial(coeffs)
+
+
+def naive_sum(p: Polynomial, z: GaussianRational) -> GaussianRational:
+    """sum of c_k z^k over every k, zero or not, with z^k kept as a running power."""
+    total, power = GaussianRational(0), GaussianRational(1)
+    for c in p.coeffs:
+        total, power = total + c * power, power * z
+    return total
+
+
+def naive_value(f: RationalFunction, z: GaussianRational) -> "GaussianRational | None":
+    """f(z) from the naive sums, or None where the denominator vanishes."""
+    den_val = naive_sum(f.den, z)
+    return None if den_val.is_zero() else naive_sum(f.num, z) / den_val
+
+
+@given(strided_polys(), strided_polys().filter(lambda p: not p.is_zero()), gauss_points)
+@settings(max_examples=200, deadline=None)
+@example(chi_neg(64).num, chi_neg(64).den, GaussianRational(Fraction("0.3"), Fraction("0.2")))
+@example(ti_neg(64).num, ti_neg(64).den, GaussianRational(Fraction("0.3"), Fraction("0.2")))
+@example(P(0, 0, 0, GaussianRational(2, -1)), P(1), GaussianRational(Fraction(1, 2), Fraction(-1, 3)))  # monomial
+@example(P(), P(1, 1), GaussianRational(Fraction(1, 3), 1))  # the zero polynomial
+@example(P(1, 0, 1, I), P(1), GaussianRational(Fraction(1, 2), Fraction(1, 3)))  # odd term imaginary only
+@example(P(1), P(0, 1, 0, 1), GaussianRational(0))  # den z + z^3 vanishes at 0
+def test_strided_horner_is_the_naive_sum(num, den, z):
+    f = RationalFunction(num, den)
+    want = naive_value(f, z)
+    if want is None:
+        with pytest.raises(PoleError):
+            rf_eval_exact(f, z)
+    else:
+        assert rf_eval_exact(f, z) == want
+    # rf_eval at a double: the naive value at the double's exact value, rounded once
+    zd = z.to_complex()
+    want = naive_value(f, GaussianRational(Fraction(zd.real), Fraction(zd.imag)))
+    if want is None:
+        with pytest.raises(PoleError):
+            rf_eval(f, zd)
+    else:
+        assert rf_eval(f, zd) == complex(float(want.re), float(want.im))
 
 
 # -- rendering and serialization ---------------------------------------------
