@@ -30,9 +30,7 @@ from .circular import DerivativePolynomial
 from .errors import DomainError, NegPolylogError, PoleError, SingularityError
 from .polylog import chi_neg, li_neg, ti_neg
 from .reports import VerificationReport
-from .suites import SweepRangeError, run_suite
-
-MAX_ORDER = 64
+from .suites import MAX_ORDER, SUITES, SweepRangeError, run_suite
 
 _POLY_BUILDERS = {
     "cot-poly": circular.cot_derivative_poly,
@@ -212,11 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=lambda a: cmd_eval(a.kind, a.n, a.z, a.format))
 
     p = sub.add_parser("verify", help="run a verification sweep")
-    p.add_argument("suite", choices=("trig", "hyperbolic", "inverse", "ladder", "all"))
+    p.add_argument("suite", choices=(*SUITES, "all"))
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--tolerance", type=float, default=None,
-                   help="override the per-suite default tolerance (numeric suites only; the cot "
-                   "double angle, the generic operands and the ladder rotated variant keep theirs)")
+                   help="override the per-suite default tolerance (numeric suites only; the "
+                   "generic operands of the inverse suite keep their 1e-9)")
     p.add_argument("--name", default=None, help="restrict the inverse suite to one identity")
     add_format(p, ("text", "json"))
     p.set_defaults(run=lambda a: cmd_verify(a.suite, a.n_max, a.tolerance, a.format, a.name))

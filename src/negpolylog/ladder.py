@@ -12,10 +12,9 @@ with its chi and Ti restatements
 
 and the rotated variant
 
-    Li[-n](iz) - Li[-n](-iz) = (2/(iz)) sum_k c_k Li[-k](-z^2),
+    Li[-n](iz) - Li[-n](-iz) = (2/(iz)) sum_k c_k Li[-k](-z^2).
 
-which is also checked numerically at circle points z = exp(ix).  The
-coefficient vector is c_k = (-1)^(n-k) 2^k C(n,k).
+The coefficient vector is c_k = (-1)^(n-k) 2^k C(n,k).
 
 The Leibniz route expands csc x = exp(-ix)(i + cot x) with the general
 Leibniz rule, giving a further csc-derivative evaluator
@@ -25,20 +24,19 @@ Leibniz rule, giving a further csc-derivative evaluator
 used as an extra cross-check against the circular-module routes.  (Note the
 summand order is -k, matching the Leibniz expansion term by term.)
 
-Exactness is primary here and numerics secondary: everything lives in the
-rational-function world where exact equality is cheap.
+Every relation is checked exactly, as an equality of canonical rational
+functions, and so holds at every z; the Leibniz route is the module's only
+float code, and the numeric trig suite measures it.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from collections import namedtuple
-from functools import cache
 
 from .algebra import I, Polynomial, RationalFunction, poly_exact_div, rf_eval, substitute
 from .combinatorics import binomial
-from .jets import check_point, require_clear
+from .jets import check_point
 from .numutil import checked_real, i_power
 from .polylog import chi_neg, li_neg, ti_neg
 
@@ -125,29 +123,13 @@ def ti_ladder(n: int) -> bool:
     return z * ti_neg(n) == -_weighted_sum(n, _li_even_neg)
 
 
-@cache
-def _sec_variant_exact(n: int) -> bool:
+def verify_ladder_sec_variant(n: int) -> bool:
     """Exact check of the rotated relation, i.e. the main one under z -> iz."""
     f = li_neg(n)
     lhs = substitute(f, "i_times_z") - substitute(substitute(f, "negate_z"), "i_times_z")
     two_over_iz = RationalFunction(Polynomial([2]), Polynomial([0, I]))
     rhs = two_over_iz * _weighted_sum(n, _li_even_neg)
     return lhs == rhs
-
-
-def verify_ladder_sec_variant(n: int, x: float, tol: float = 1e-10) -> bool:
-    """Check the rotated relation numerically at z = exp(ix) and exactly.
-
-    The numeric side evaluates Li[-n](i e^(ix)) - Li[-n](-i e^(ix)) against
-    -2i e^(-ix) sum_k c_k Li[-k](-e^(2ix)).
-    """
-    require_clear("the rotated ladder", x, math.pi / 2, period=math.pi)
-    f = li_neg(n)
-    w = cmath.exp(1j * x)
-    lhs = rf_eval(f, 1j * w) - rf_eval(f, -1j * w)
-    rhs = -2j * cmath.exp(-1j * x) * _li_sum(n, -cmath.exp(2j * x))
-    numeric_ok = abs(lhs - rhs) <= tol * (1.0 + abs(lhs))
-    return numeric_ok and _sec_variant_exact(n)
 
 
 def leibniz_csc_route(n: int, x: float) -> float:

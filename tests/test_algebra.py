@@ -37,7 +37,6 @@ from negpolylog.errors import DomainError, PoleError
 from negpolylog.hyperbolic import li_relation_coth, li_relation_tanh
 from negpolylog.inverse import verify_generic_operand
 from negpolylog.jets import jet_lift, nth_derivative
-from negpolylog.ladder import verify_ladder_sec_variant
 from negpolylog.polylog import chi_neg, li_neg, li_neg_stirling, ti_neg
 
 
@@ -487,7 +486,6 @@ _FLOAT_X_ENTRIES = {
     "nth_derivative": lambda n, x: nth_derivative("sin", x, n),
     "li_relation_coth": li_relation_coth,
     "li_relation_tanh": li_relation_tanh,
-    "verify_ladder_sec_variant": verify_ladder_sec_variant,
     "verify_generic_operand": lambda n, x: verify_generic_operand("sin", n, x),
 }
 

@@ -144,11 +144,14 @@ def test_multi_route_agreement_on_grid():
 
 
 def test_cot_double_angle():
-    for i in range(1, 11):
-        x = 0.13 * i
-        lhs = 2.0 * math.cos(2 * x) / math.sin(2 * x)
-        rhs = math.cos(x) / math.sin(x) - math.tan(x)
-        assert rel_err(lhs, rhs) < 1e-12
+    # 2 cot 2x = cot x - tan x, differentiated n times, through the library's polynomials
+    for n in range(11):
+        cot, tan = cot_derivative_poly(n), tan_derivative_poly(n)
+        for i in range(1, 11):
+            x = 0.13 * i
+            lhs = 2 ** (n + 1) * cot(1 / math.tan(2 * x))
+            rhs = cot(1 / math.tan(x)) - tan(math.tan(x))
+            assert rel_err(lhs, rhs) <= 1e-12, (n, x)
 
 
 def test_singularity_guards():

@@ -237,8 +237,9 @@ def test_poly_latex(capsys):
 def test_verify_caps(capsys):
     code, _, err = run(capsys, "verify", "trig", "--n-max", "11")
     assert code == 2 and "n-max" in err
-    code, _, err = run(capsys, "verify", "ladder", "--n-max", "16")
-    assert code == 2
+    for suite in ("core", "ladder", "all"):
+        code, _, err = run(capsys, "verify", suite, "--n-max", "65")
+        assert code == 2 and "n-max 0..64" in err
 
 
 def test_ladder_command(capsys):

@@ -129,12 +129,9 @@ def test_ti_zero_order_by_hand():
 
 
 def test_sec_variant():
-    assert verify_ladder_sec_variant(0, 0.5, tol=1e-12)
-    assert verify_ladder_sec_variant(3, 1.1, tol=1e-10)
-    for n in range(11):
-        assert verify_ladder_sec_variant(n, 0.7), n
-    with pytest.raises(SingularityError):
-        verify_ladder_sec_variant(2, math.pi / 2)
+    # an equality of canonical forms, so it holds at every z
+    for n in range(21):
+        assert verify_ladder_sec_variant(n), n
 
 
 def test_leibniz_route_examples():

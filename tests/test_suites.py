@@ -7,7 +7,7 @@ import pytest
 from negpolylog import suites
 from negpolylog.errors import ImaginaryResidueError, PoleError
 from negpolylog.reports import PointCheck, check, exact_report, rel_err
-from negpolylog.suites import MAX_EXACT_SWEEP, MAX_NUMERIC_SWEEP, SUITES, SweepRangeError, run_suite
+from negpolylog.suites import MAX_NUMERIC_SWEEP, MAX_ORDER, SUITES, SweepRangeError, run_suite
 
 
 def test_exact_suites_pass():
@@ -18,8 +18,9 @@ def test_exact_suites_pass():
     assert {r.identity for r in core} == {
         "construction route equality", "closed form vs defining series",
         "chi from polylog difference", "Ti from rotated chi", "duplication identity",
+        *(f"{target} polynomial vs recurrence" for target in ("cot", "tan", "coth", "tanh")),
     }
-    assert all(r.passed for r in core)
+    assert all(r.passed and r.exact for r in core)
     assert exact_report("x", 2, False).to_dict() == {
         "identity": "x", "n": 2, "tolerance": 0.0, "exact": True, "pass": False,
         "points": [{"x": 0.0, "lhs": 0.0, "rhs": 0.0, "rel_err": 1.0}],
@@ -30,14 +31,15 @@ def test_exact_suites_pass():
 
 
 def test_default_and_overridden_tolerances():
-    assert {r.tolerance for r in run_suite("trig", 1) if r.identity != "cot double angle"} == {1e-7}
+    assert {r.tolerance for r in run_suite("trig", 1)} == {1e-7}
     reports = run_suite("inverse", 1, tol=1e-6, name="arctan")
     assert {(r.identity, r.tolerance) for r in reports} == {("arctan", 1e-6)}
     assert [r.n for r in reports] == [0, 1]
     # a zero tolerance is a tolerance, not "use the default"
-    zero = [r for r in run_suite("trig", 1, tol=0.0) if r.identity != "cot double angle"]
-    assert {r.tolerance for r in zero} == {0.0}
-    assert not all(r.passed for r in zero)
+    for suite in ("trig", "hyperbolic"):  # every report of these is numeric and takes tol
+        zero = run_suite(suite, 1, tol=0.0)
+        assert {(r.tolerance, r.exact) for r in zero} == {(0.0, False)}
+        assert not all(r.passed for r in zero)
     # the generic operands keep their fixed 1e-9, whatever --tolerance says
     zero = run_suite("inverse", 1, tol=0.0)
     generic = {r.identity for r in zero if r.identity.startswith("generic-operand")}
@@ -97,8 +99,11 @@ def test_all_runs_every_suite_clipped_to_its_cap(monkeypatch):
 
 
 def test_caps():
-    for suite, n_max in (("trig", MAX_NUMERIC_SWEEP + 1), ("ladder", MAX_EXACT_SWEEP + 1),
-                         ("all", MAX_EXACT_SWEEP + 1), ("inverse", -1)):
+    assert {suite: cap for suite, (_, cap, _) in SUITES.items()} == {
+        "core": MAX_ORDER, "trig": MAX_NUMERIC_SWEEP, "hyperbolic": MAX_NUMERIC_SWEEP,
+        "inverse": MAX_NUMERIC_SWEEP, "ladder": MAX_ORDER}
+    for suite, n_max in (("trig", MAX_NUMERIC_SWEEP + 1), ("core", MAX_ORDER + 1),
+                         ("ladder", MAX_ORDER + 1), ("all", MAX_ORDER + 1), ("inverse", -1)):
         with pytest.raises(SweepRangeError, match="n-max"):
             run_suite(suite, n_max)
     with pytest.raises(ValueError, match="unknown suite"):
