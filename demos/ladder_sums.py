@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """The ladder-like sum: two polylogarithms of one order from all lower orders.
 
-Every relation here is verified exactly in the rational-function layer, so
-it holds at every z; the Leibniz route at the end is the one float
-computation.
+The sum S_n(z) = sum_k c_k Li[-k](z) is built once, in z, and mapped to z^2
+and -z^2 by exact argument substitution, so every relation here is verified
+exactly in the rational-function layer and holds at every z.  The Leibniz
+route at the end evaluates S_n exactly at exp(2ix) and rounds once.
 """
 
 from negpolylog import (

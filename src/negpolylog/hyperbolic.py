@@ -35,6 +35,7 @@ import math
 from .algebra import rf_eval
 from .circular import DerivativePolynomial, _eulerian_sum, _stirling_poly
 from .jets import check_point, nth_derivative, require_clear
+from .numutil import checked_exp
 from .polylog import chi_neg, ti_neg
 from .reports import VerificationReport, check
 
@@ -101,11 +102,8 @@ def sech_derivative_eval(n: int, x: float) -> float:
 def chi_ti_hyperbolic_relations(n: int, x: float, tol: float = 1e-8) -> VerificationReport:
     """Check 2*chi(e^x) = -(d/dx)^n csch x and 2*Ti(e^x) = (d/dx)^n sech x."""
     require_clear("the csch relation", x, 0.0)
-    ex = math.exp(x)
-    points = [
-        check(x, lambda: (2.0 * rf_eval(chi_neg(n), ex).real, -nth_derivative("csch", x, n)),
-              tol, "chi-csch"),
-        check(x, lambda: (2.0 * rf_eval(ti_neg(n), ex).real, nth_derivative("sech", x, n)),
-              tol, "ti-sech"),
-    ]
+    points = [check(x, lambda: (2.0 * rf_eval(chi_neg(n), checked_exp(x)).real,
+                                -nth_derivative("csch", x, n)), tol, "chi-csch"),
+              check(x, lambda: (2.0 * rf_eval(ti_neg(n), checked_exp(x)).real,
+                                nth_derivative("sech", x, n)), tol, "ti-sech")]
     return VerificationReport("hyperbolic chi/Ti relations", n, tol, points)

@@ -5,16 +5,16 @@ quotients and square roots propagate coefficients by the standard
 recurrences; truncation is exact for the coefficients that are kept, so a
 jet of order N carries the first N derivatives with only rounding error.
 
-Elementary functions are lifted directly (sin, cos, exp and the hyperbolic
-pair have closed coefficient formulas; tan, cot, sec, csc and their
-hyperbolic versions come from jet division).  Inverse functions are lifted
-by building the jet of their derivative from rational/square-root
+Elementary functions are lifted directly (sin, cos, exp, sinh and cosh have
+closed coefficient formulas, tan, cot, sec and csc come from jet division,
+tanh, sech, coth and csch from their first-order systems).  Inverse functions
+are lifted by building the jet of their derivative from rational/square-root
 recurrences and integrating once, taking the constant term from the math
 library.  Reciprocal-argument companions (arccsc, arcsec, arccsch, arcsech)
 are composed as outer(1/x).  :func:`check_point` guards every lift and the
-csc, sec, csch and sech routes with one table, ``_DOMAINS`` (poles, their period,
-the real domain): SingularityError within the guard radius, DomainError outside
-it or at a non-finite point.
+csc, sec, csch and sech routes with one table, ``_DOMAINS`` (poles, their
+period, the real domain): SingularityError within the guard radius,
+DomainError outside it or at a non-finite point.
 
 Jets are double precision on purpose: this oracle's job is numeric
 cross-checking at tolerances of 1e-7..1e-9, while all exact checking lives
@@ -248,6 +248,27 @@ def _build_cosh(x0, n):
     return _cyclic((c, s), x0, n)
 
 
+def _hyperbolic_pair(x0: float, n: int, sigma: float) -> tuple[Jet, Jet]:
+    """Jets of (tanh, sech) for sigma = 1, (coth, csch) for sigma = -1: f' = sigma g^2, g' = -g f.
+
+    Cauchy products give (k+1) f[k+1] = sigma sum_j g[j] g[k-j] and
+    (k+1) g[k+1] = -sum_j g[j] f[k-j]: no quotient of sinh and cosh jets cancels as |x0| grows.
+    With s = sign(x0), t = exp(-|x0|) and 1 - t^2 = -expm1(-2|x0|), no seed overflows:
+    tanh = s(1 - t^2)/(1 + t^2), sech = 2t/(1 + t^2), coth = 1/tanh, csch = 2st/(1 - t^2).
+    """
+    s, t = math.copysign(1.0, x0), math.exp(-abs(x0))
+    p, q = -math.expm1(-2.0 * abs(x0)), 1.0 + t * t
+    f, g = ([s * p / q], [2.0 * t / q]) if sigma > 0 else ([s * q / p], [2.0 * s * t / p])
+    for k in range(n):
+        gg = gf = 0.0
+        for j in range(k + 1):
+            gg += g[j] * g[k - j]
+            gf += g[j] * f[k - j]
+        f.append(sigma * gg / (k + 1))
+        g.append(-gf / (k + 1))
+    return Jet(x0, f), Jet(x0, g)
+
+
 def _via_derivative(deriv, value):
     """Builder for functions lifted by integrating their derivative's jet."""
 
@@ -290,10 +311,10 @@ _BUILDERS = {
     "cot": lambda x0, n: _build_cos(x0, n) / _build_sin(x0, n),
     "sec": lambda x0, n: _build_cos(x0, n).reciprocal(),
     "csc": lambda x0, n: _build_sin(x0, n).reciprocal(),
-    "tanh": lambda x0, n: _build_sinh(x0, n) / _build_cosh(x0, n),
-    "coth": lambda x0, n: _build_cosh(x0, n) / _build_sinh(x0, n),
-    "sech": lambda x0, n: _build_cosh(x0, n).reciprocal(),
-    "csch": lambda x0, n: _build_sinh(x0, n).reciprocal(),
+    "tanh": lambda x0, n: _hyperbolic_pair(x0, n, 1.0)[0],
+    "sech": lambda x0, n: _hyperbolic_pair(x0, n, 1.0)[1],
+    "coth": lambda x0, n: _hyperbolic_pair(x0, n, -1.0)[0],
+    "csch": lambda x0, n: _hyperbolic_pair(x0, n, -1.0)[1],
     "log": _via_derivative(lambda x0, n: Jet.identity(x0, n).reciprocal(), math.log),
     "arctan": _via_derivative(lambda x0, n: _one_plus_x2(x0, n).reciprocal(), math.atan),
     "arccot": _via_derivative(

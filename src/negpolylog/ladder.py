@@ -1,32 +1,26 @@
 """The ladder-like sum bridging two order -n polylogarithms to orders 0..-n.
 
-The central relation,
+With c_k = (-1)^(n-k) 2^k C(n,k) and S_n(z) = sum_{k=0}^n c_k Li[-k](z), the
+central relation, its chi and Ti restatements and the rotated variant are
 
-    Li[-n](z) - Li[-n](-z) = (2/z) * sum_{k=0}^n C(n,k) (-1)^(n-k) 2^k Li[-k](z^2),
+    Li[-n](z) - Li[-n](-z)   = (2/z) S_n(z^2),
+    z chi[-n](z)             = S_n(z^2),
+    z Ti[-n](z)              = -S_n(-z^2),
+    Li[-n](iz) - Li[-n](-iz) = (2/(iz)) S_n(-z^2).
 
-is verified exactly in the rational-function layer (no tolerances), along
-with its chi and Ti restatements
-
-    z chi[-n](z) = sum_k c_k Li[-k](z^2),
-    z Ti[-n](z)  = -sum_k c_k Li[-k](-z^2),
-
-and the rotated variant
-
-    Li[-n](iz) - Li[-n](-iz) = (2/(iz)) sum_k c_k Li[-k](-z^2).
-
-The coefficient vector is c_k = (-1)^(n-k) 2^k C(n,k).
+S_n is built once, in z, and mapped to z^2 or -z^2 by ``substitute``; each
+relation is checked exactly, as an equality of canonical rational functions,
+so it holds at every z (no tolerances).
 
 The Leibniz route expands csc x = exp(-ix)(i + cot x) with the general
 Leibniz rule, giving a further csc-derivative evaluator
 
-    (d/dx)^n csc x = 2 i^(n-1) exp(-ix) sum_k c_k Li[-k](exp(2ix)),
+    (d/dx)^n csc x = 2 i^(n-1) exp(-ix) S_n(exp(2ix)),
 
-used as an extra cross-check against the circular-module routes.  (Note the
-summand order is -k, matching the Leibniz expansion term by term.)
-
-Every relation is checked exactly, as an equality of canonical rational
-functions, and so holds at every z; the Leibniz route is the module's only
-float code, and the numeric trig suite measures it.
+a cross-check on the circular-module routes (the summand order is -k,
+matching the Leibniz expansion term by term).  S_n is evaluated exactly at
+the double exp(2ix) and rounded once; the prefactor is the module's only
+float arithmetic, and the numeric trig suite measures the route.
 """
 
 from __future__ import annotations
@@ -63,43 +57,19 @@ def ladder_coefficients(n: int) -> LadderCoefficients:
     return LadderCoefficients(n, coeffs)
 
 
-def _li_even(k: int) -> tuple[Polynomial, Polynomial]:
-    """Numerator and denominator of Li[-k](z^2)."""
-    f = li_neg(k)
-    return f.num.square_arg(), f.den.square_arg()
+def _weighted_sum(n: int) -> RationalFunction:
+    """S_n(z) = sum_k c_k Li[-k](z), one numerator over the last term's denominator.
 
-
-def _li_even_neg(k: int) -> tuple[Polynomial, Polynomial]:
-    """Numerator and denominator of Li[-k](-z^2)."""
-    f = li_neg(k)
-    return f.num.turn_arg(2).square_arg(), f.den.turn_arg(2).square_arg()
-
-
-def _weighted_sum(n: int, term) -> RationalFunction:
-    """sum_k c_k term(k), built as one numerator over the last term's denominator.
-
-    Up to sign, the k-th denominator is (z^2 - 1)^(k+1) for Li[-k](z^2) and
-    (z^2 + 1)^(k+1) for Li[-k](-z^2), so each one divides the next.  The
-    running numerator is carried forward by that exact quotient (poly_exact_div
-    raises if it is not one), and the sum is canonicalized once, with a full gcd.
+    Up to sign the k-th denominator is (1 - z)^(k+1), so each divides the next: the running
+    numerator is carried forward by that exact quotient (poly_exact_div raises if it is not
+    one), and the sum is canonicalized once, with a full gcd.
     """
-    c = ladder_coefficients(n).coefficients
-    num, den = term(0)
-    num = num * c[0]
-    for k in range(1, n + 1):
-        p, q = term(k)
-        num = num * poly_exact_div(q, den) + p * c[k]
-        den = q
+    num, den = Polynomial.zero(), Polynomial.one()
+    for k, ck in enumerate(ladder_coefficients(n).coefficients):
+        f = li_neg(k)
+        num = num * poly_exact_div(f.den, den) + f.num * ck
+        den = f.den
     return RationalFunction(num, den)
-
-
-def _li_sum(n: int, w: complex) -> complex:
-    """sum_k c_k Li[-k](w) in floats, added left to right."""
-    c = ladder_coefficients(n).coefficients
-    s = 0j
-    for k in range(n + 1):
-        s += c[k] * rf_eval(li_neg(k), w)
-    return s
 
 
 def verify_ladder_exact(n: int) -> bool:
@@ -107,20 +77,20 @@ def verify_ladder_exact(n: int) -> bool:
     f = li_neg(n)
     lhs = f - substitute(f, "negate_z")
     two_over_z = RationalFunction(Polynomial([2]), Polynomial.variable())
-    rhs = two_over_z * _weighted_sum(n, _li_even)
+    rhs = two_over_z * substitute(_weighted_sum(n), "square_z")
     return lhs == rhs
 
 
 def chi_ladder(n: int) -> bool:
     """Exact check of z * chi[-n](z) = sum_k c_k Li[-k](z^2)."""
     z = RationalFunction(Polynomial.variable(), Polynomial.one())
-    return z * chi_neg(n) == _weighted_sum(n, _li_even)
+    return z * chi_neg(n) == substitute(_weighted_sum(n), "square_z")
 
 
 def ti_ladder(n: int) -> bool:
     """Exact check of z * Ti[-n](z) = -sum_k c_k Li[-k](-z^2)."""
     z = RationalFunction(Polynomial.variable(), Polynomial.one())
-    return z * ti_neg(n) == -_weighted_sum(n, _li_even_neg)
+    return z * ti_neg(n) == -substitute(substitute(_weighted_sum(n), "negate_z"), "square_z")
 
 
 def verify_ladder_sec_variant(n: int) -> bool:
@@ -128,12 +98,12 @@ def verify_ladder_sec_variant(n: int) -> bool:
     f = li_neg(n)
     lhs = substitute(f, "i_times_z") - substitute(substitute(f, "negate_z"), "i_times_z")
     two_over_iz = RationalFunction(Polynomial([2]), Polynomial([0, I]))
-    rhs = two_over_iz * _weighted_sum(n, _li_even_neg)
+    rhs = two_over_iz * substitute(substitute(_weighted_sum(n), "negate_z"), "square_z")
     return lhs == rhs
 
 
 def leibniz_csc_route(n: int, x: float) -> float:
     """(d/dx)^n csc x from the Leibniz expansion of exp(-ix)(i + cot x)."""
     check_point("csc", x)
-    val = 2 * i_power(n - 1) * cmath.exp(-1j * x) * _li_sum(n, cmath.exp(2j * x))
+    val = 2 * i_power(n - 1) * cmath.exp(-1j * x) * rf_eval(_weighted_sum(n), cmath.exp(2j * x))
     return checked_real(val, context=f"Leibniz csc route n={n}, x={x}")

@@ -4,24 +4,34 @@ from __future__ import annotations
 
 import math
 
-from .errors import ImaginaryResidueError
+from .errors import DomainError, ImaginaryResidueError
 
 # exact integer powers of i; complex exponentiation would round them
 I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
+
+IMAG_RESIDUE_BOUND = 1e-9  # a real result's |im| may be at most this times 1 + |re|
 
 
 def i_power(k: int) -> complex:
     return I_POWERS[k % 4]
 
 
-def checked_real(val: complex, *, bound: float = 1e-9, context: str = "") -> float:
+def checked_real(val: complex, *, context: str = "") -> float:
     """Real part of ``val`` after asserting the imaginary residue is negligible."""
-    limit = bound * (1.0 + abs(val.real))
+    limit = IMAG_RESIDUE_BOUND * (1.0 + abs(val.real))
     if abs(val.imag) > limit:
         raise ImaginaryResidueError(
             f"imaginary residue {val.imag!r} too large relative to {val.real!r}: "
             f"|im| exceeds bound*(1+|re|) = {limit!r} by a ratio of "
-            f"{abs(val.imag) / limit if limit else math.inf:.3g}"
+            f"{abs(val.imag) / limit:.3g}"
             + (f" in {context}" if context else "")
         )
     return val.real
+
+
+def checked_exp(x: float) -> float:
+    """exp(x); DomainError, a library error, where it is beyond double range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise DomainError(f"exp({x!r}) is beyond double range") from None

@@ -14,13 +14,13 @@ closed form; the numeric ones to ``MAX_NUMERIC_SWEEP``.
 from __future__ import annotations
 
 import functools
-import math
 
 from . import circular, hyperbolic, inverse, ladder
 from .algebra import rf_eval, substitute
 from .circular import TRIG_GRID
 from .hyperbolic import HYP_GRID
 from .jets import nth_derivative
+from .numutil import checked_exp
 from .polylog import (
     chi_from_li, chi_neg, defining_series_agree, li_neg, li_neg_operator, li_neg_stirling,
     ti_from_chi, ti_neg,
@@ -101,7 +101,7 @@ def _hyperbolic(n_max: int, tol: float, name: str | None) -> list[VerificationRe
     relations = (("coth", 1.0, hyperbolic.li_relation_coth),
                  ("tanh", -1.0, hyperbolic.li_relation_tanh))
     for n in range(1, n_max + 1):
-        points = [check(x, lambda: (rf_eval(li_neg(n), sign * math.exp(x)).real, relation(n, x)),
+        points = [check(x, lambda: (rf_eval(li_neg(n), sign * checked_exp(x)).real, relation(n, x)),
                         tol, label)
                   for x in HYP_GRID for label, sign, relation in relations]
         reports.append(VerificationReport("polylog half-argument relations", n, tol, points))

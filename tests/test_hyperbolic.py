@@ -116,6 +116,14 @@ def test_a_raising_side_fails_only_its_point(monkeypatch):
     assert (ti.label, ti.ok, ti.note) == ("ti-sech", True, "")
 
 
+def test_exp_beyond_double_range_fails_its_points():
+    # exp(1000) overflows: both points fail with a library error instead of aborting a sweep
+    for p in chi_ti_hyperbolic_relations(1, 1000.0).points:
+        assert (p.ok, p.note) == (False, "DomainError: exp(1000.0) is beyond double range")
+    # at x = -1000 exp underflows to 0, a finite point, and both sides vanish
+    assert chi_ti_hyperbolic_relations(3, -1000.0).passed
+
+
 def test_chi_ti_relations_sweep():
     for n in range(1, 11):
         for x in HYP_GRID:

@@ -124,6 +124,37 @@ def test_domain_and_singularity_errors():
         jet_lift("gamma", 1.0, 2)
 
 
+# (fn, n, x): the cancelling points of the sinh/cosh quotient jets, then a spread of n and x
+_HYPERBOLIC_PRECISION_POINTS = (
+    ("tanh", 1, 20.0), ("csch", 10, 20.0), ("csch", 20, 40.0), ("csch", 30, 30.0),
+    ("csch", 64, 20.0),
+    *((fn, n, x) for fn in ("tanh", "coth") for n in (1, 2, 5, 10, 20) for x in (20.0, -20.0)),
+    *((fn, n, x) for fn in ("tanh", "coth", "sech", "csch") for n, x in (
+        (0, 1e-6 * 1.01), (2, 1e-3), (5, 0.5), (10, -2.0), (20, 5.0), (30, -10.0), (64, 40.0))),
+)
+
+
+@pytest.mark.parametrize("fn, n, x", _HYPERBOLIC_PRECISION_POINTS)
+def test_hyperbolic_jets_hold_their_precision_at_large_x(fn, n, x):
+    # tanh, sech, coth and csch are lifted from their first-order systems,
+    # not divided out of sinh and cosh jets, so no cancellation grows with |x|
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        want = mpmath.diff(getattr(mpmath, fn), mpmath.mpf(x), n)
+        assert abs(nth_derivative(fn, x, n) - want) <= 1e-13 * abs(want), (fn, n, x)
+
+
+def test_hyperbolic_jets_beyond_double_range():
+    assert repr(nth_derivative("csch", 800.0, 3)) == "-0.0"
+    for fn in ("tanh", "sech", "coth", "csch"):
+        for x in (800.0, -800.0, 1e4, -1e4):
+            assert nth_derivative(fn, x, 5) == 0.0, (fn, x)
+            assert abs(nth_derivative(fn, x, 0)) == (1.0 if fn in ("tanh", "coth") else 0.0)
+    # order 64 at the guard radius: the value overflows to an infinity of the right sign
+    assert nth_derivative("csch", 1.01e-6, 64) == math.inf
+    assert nth_derivative("coth", -1.01e-6, 64) == -math.inf
+
+
 def test_laurent_jet_negative_powers():
     a = laurent_jet({1: -1.0, -1: -1.0})  # -(x + 1/x)
     j = a(2.0, 4)
@@ -226,7 +257,7 @@ def test_collapsed_oracle_matches_the_code_it_replaced(monkeypatch):
     with monkeypatch.context() as m:
         _use_reference_copies(m)
         before = [_lift_outcome(*case) for case in cases]
-        sech_zero = nth_derivative("sech", 0.0, 1)
+        sec_zero = nth_derivative("sec", 0.0, 1)
     assert len(FUNCTION_IDS) == 26
     assert any(isinstance(o, tuple) for o in now) and any(isinstance(o, list) for o in now)
     assert [type(a) for a in now] == [type(b) for b in before]
@@ -241,7 +272,7 @@ def test_collapsed_oracle_matches_the_code_it_replaced(monkeypatch):
     # the division loop computes (0 - s) / b0 where the reciprocal loop had -s / b0.
     assert signed_zeros == {(fn, 1.0, k, c) for fn, c in (("arctan", "0.0"), ("arccot", "-0.0"))
                             for k in (4, 8, 12)}
-    assert (repr(nth_derivative("sech", 0.0, 1)), repr(sech_zero)) == ("0.0", "-0.0")
+    assert (repr(nth_derivative("sec", 0.0, 1)), repr(sec_zero)) == ("0.0", "-0.0")
     with pytest.raises(ZeroDivisionError):
         Jet.constant(0.0, 1.0, 3).reciprocal()
 

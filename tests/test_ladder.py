@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from negpolylog import ladder
-from negpolylog.algebra import Polynomial, RationalFunction, rf_eval, substitute
+from negpolylog.algebra import (
+    GaussianRational,
+    Polynomial,
+    RationalFunction,
+    rf_eval,
+    rf_eval_exact,
+    substitute,
+)
 from negpolylog.circular import (
     TRIG_GRID,
     csc_derivative_binomial,
@@ -19,8 +26,6 @@ from negpolylog.errors import SingularityError
 from negpolylog.jets import nth_derivative
 from negpolylog.ladder import (
     LadderCoefficients,
-    _li_even,
-    _li_even_neg,
     _weighted_sum,
     chi_ladder,
     ladder_coefficients,
@@ -83,16 +88,18 @@ def _pairwise_sum(n: int, negate: bool) -> RationalFunction:
 
 @pytest.mark.parametrize("n", [0, 1, 7, 20, 40])
 def test_weighted_sum_matches_pairwise_accumulation(n):
-    assert _weighted_sum(n, _li_even) == _pairwise_sum(n, negate=False)
-    assert _weighted_sum(n, _li_even_neg) == _pairwise_sum(n, negate=True)
+    s = _weighted_sum(n)
+    assert substitute(s, "square_z") == _pairwise_sum(n, negate=False)
+    assert substitute(substitute(s, "negate_z"), "square_z") == _pairwise_sum(n, negate=True)
 
 
-def test_weighted_sum_rejects_a_broken_denominator_chain():
-    def term(k):  # 1/(1 + 2z), then 1/(1 + 3z): the first does not divide the second
-        return Polynomial([1]), Polynomial([1, k + 2])
+def test_weighted_sum_rejects_a_broken_denominator_chain(monkeypatch):
+    def planted(k):  # 1/(1 + 2z), then 1/(1 + 3z): the first does not divide the second
+        return RationalFunction(Polynomial([1]), Polynomial([1, k + 2]))
 
+    monkeypatch.setattr(ladder, "li_neg", planted)
     with pytest.raises(ArithmeticError):
-        _weighted_sum(1, term)
+        _weighted_sum(1)
 
 
 def test_perturbed_coefficient_fails_every_exact_ladder(monkeypatch):
@@ -150,8 +157,8 @@ def test_leibniz_route_agrees_with_all_csc_routes():
                 assert rel_err(got, other(n, x)) < 1e-7, (other.__name__, n, x)
 
 
-def test_li_sum_matches_the_loops_it_replaced():
-    def leibniz_loop(n, x):
+def test_leibniz_sum_is_the_exact_weighted_sum_rounded_once():
+    def leibniz_loop(n, x):  # the term-by-term float sum the route used to add
         c = ladder_coefficients(n).coefficients
         z2 = cmath.exp(2j * x)
         s = 0j
@@ -159,16 +166,13 @@ def test_li_sum_matches_the_loops_it_replaced():
             s += c[k] * rf_eval(li_neg(k), z2)
         return checked_real(2 * i_power(n - 1) * cmath.exp(-1j * x) * s)
 
-    def rotated_loop(n, x):
-        c = ladder_coefficients(n).coefficients
-        s = 0j
-        for k in range(n + 1):
-            s += c[k] * rf_eval(li_neg(k), -cmath.exp(2j * x))
-        return s
-
     for n in range(11):
+        c = ladder_coefficients(n).coefficients
+        s = _weighted_sum(n)
         for x in TRIG_GRID:
-            got, want = leibniz_csc_route(n, x), leibniz_loop(n, x)
-            assert (got, repr(got)) == (want, repr(want)), (n, x)
-            got, want = ladder._li_sum(n, -cmath.exp(2j * x)), rotated_loop(n, x)
-            assert (got, repr(got)) == (want, repr(want)), (n, x)
+            z = cmath.exp(2j * x)
+            w = GaussianRational(z.real, z.imag)  # the double exp(2ix), exactly
+            want = sum((ck * rf_eval_exact(li_neg(k), w) for k, ck in enumerate(c)),
+                       GaussianRational(0))
+            assert rf_eval_exact(s, w) == want, (n, x)
+            assert rel_err(leibniz_csc_route(n, x), leibniz_loop(n, x)) <= 1e-12, (n, x)
