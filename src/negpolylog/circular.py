@@ -22,9 +22,9 @@ oracle:
 * a literal binomial expansion (double sum over half-angle tangent and
   cotangent powers for csc, triple sum over tan and sec powers for sec).
 
-All i-bearing algebra is carried in complex double arithmetic and the
-imaginary residue is asserted to cancel, rather than pre-simplifying by
-hand: the point is to exercise the identities as written.
+All i-bearing algebra is carried in complex double arithmetic, not simplified
+by hand, to exercise the identities as written; ``numutil.route`` checks that
+each route's imaginary residue cancels and its value is within double range.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ from collections import namedtuple
 from .algebra import I, Polynomial, RationalFunction, evaluate_packed, rf_eval
 from .combinatorics import binomial, eulerian_b_row, factorial, stirling2_row, stirling_power_sum
 from .errors import ImaginaryResidueError
-from .jets import check_point
-from .numutil import checked_real, i_power
+from .numutil import i_power, route
 from .polylog import li_neg
 
 __all__ = [
@@ -143,26 +142,22 @@ def _polylog_difference(n: int, w: complex) -> complex:
     return i_power(n - 1) * (rf_eval(f, w) - rf_eval(f, -w))
 
 
+@route("csc", "csc single-sum")
 def csc_derivative_eval(n: int, x: float) -> float:
     """(d/dx)^n csc x by the Eulerian single sum with phase exp(i(2k-n-2)x)."""
-    check_point("csc", x)
     total = _eulerian_sum(n, 1, lambda m: cmath.exp(-1j * m * x), 0j)
-    val = ((-1) ** n / 2**n) * cmath.exp(-2j * x) * (1.0 / math.sin(x)) ** (n + 1) * total
-    return checked_real(val, context=f"csc single sum n={n}, x={x}")
+    return ((-1) ** n / 2**n) * cmath.exp(-2j * x) * (1.0 / math.sin(x)) ** (n + 1) * total
 
 
+@route("csc", "csc polylog-difference")
 def csc_derivative_via_li(n: int, x: float) -> float:
     """(d/dx)^n csc x as i^(n-1) times the polylogarithm difference at exp(ix)."""
-    check_point("csc", x)
-    val = _polylog_difference(n, cmath.exp(1j * x))
-    return checked_real(val, context=f"csc polylog difference n={n}, x={x}")
+    return _polylog_difference(n, cmath.exp(1j * x))
 
 
+@route("csc", "csc binomial")
 def csc_derivative_binomial(n: int, x: float) -> float:
     """(d/dx)^n csc x by the literal half-angle double sum."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    check_point("csc", x)
     t = math.tan(x / 2)
     c = math.cos(x / 2) / math.sin(x / 2)
     row = stirling2_row(n + 1)
@@ -172,30 +167,25 @@ def csc_derivative_binomial(n: int, x: float) -> float:
         for j in range(k + 2):
             inner += binomial(k + 1, j) * i_power(j) * (t**j - (-1) ** j * c**j)
         total += ((-1) ** k * factorial(k) / 2**k) * row[k + 1] * inner
-    val = i_power(n - 1) / 2 * total
-    return checked_real(val, context=f"csc binomial double sum n={n}, x={x}")
+    return i_power(n - 1) / 2 * total
 
 
+@route("sec", "sec single-sum")
 def sec_derivative_eval(n: int, x: float) -> float:
     """(d/dx)^n sec x by the alternating Eulerian single sum."""
-    check_point("sec", x)
     total = _eulerian_sum(n, -1, lambda m: cmath.exp(-1j * m * x), 0j)
-    val = -(i_power(n) / 2**n) * cmath.exp(-2j * x) * (1.0 / math.cos(x)) ** (n + 1) * total
-    return checked_real(val, context=f"sec single sum n={n}, x={x}")
+    return -(i_power(n) / 2**n) * cmath.exp(-2j * x) * (1.0 / math.cos(x)) ** (n + 1) * total
 
 
+@route("sec", "sec polylog-difference")
 def sec_derivative_via_li(n: int, x: float) -> float:
     """(d/dx)^n sec x as i^(n-1) times the polylogarithm difference at i*exp(ix)."""
-    check_point("sec", x)
-    val = _polylog_difference(n, 1j * cmath.exp(1j * x))
-    return checked_real(val, context=f"sec polylog difference n={n}, x={x}")
+    return _polylog_difference(n, 1j * cmath.exp(1j * x))
 
 
+@route("sec", "sec binomial")
 def sec_derivative_binomial(n: int, x: float) -> float:
     """(d/dx)^n sec x by the literal tan/sec triple sum."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    check_point("sec", x)
     t = math.tan(x)
     s = 1.0 / math.cos(x)
     row = stirling2_row(n + 1)
@@ -208,5 +198,4 @@ def sec_derivative_binomial(n: int, x: float) -> float:
                 inner += 2.0 * binomial(j, ell) * t ** (j - ell) * s**ell
             mid += i_power(j) * binomial(k + 1, j) * inner
         total += ((-1) ** k * factorial(k) / 2**k) * row[k + 1] * mid
-    val = i_power(n - 1) / 2 * total
-    return checked_real(val, context=f"sec binomial triple sum n={n}, x={x}")
+    return i_power(n - 1) / 2 * total

@@ -13,8 +13,8 @@ Routes provided:
   integers by the same helper as cot/tan (coth and tanh
   satisfy the same first-order equation f' = 1 - f^2, so they share one
   polynomial family);
-* csch/sech single sums over the type-B Eulerian row, in the summation loop
-  of csc/sec but in powers of the real t = exp(-|x|);
+* csch/sech single-sum routes (``numutil.route``) over the type-B Eulerian
+  row, in the loop of csc/sec but in powers of the real t = exp(-|x|);
 * the polylogarithm relations Li(e^x) = -(1/2) (d/dx)^n coth(x/2) and
   Li(-e^x) = -(1/2) (d/dx)^n tanh(x/2) for n >= 1 (at n = 0 both sides
   differ by the constant 1/2, so n = 0 is excluded from sweeps), and the
@@ -34,8 +34,8 @@ import math
 
 from .algebra import rf_eval
 from .circular import DerivativePolynomial, _eulerian_sum, _stirling_poly
-from .jets import check_point, nth_derivative, require_clear
-from .numutil import checked_exp
+from .jets import nth_derivative, require_clear
+from .numutil import checked_exp, route
 from .polylog import chi_neg, ti_neg
 from .reports import VerificationReport, check
 
@@ -72,7 +72,6 @@ def li_relation_coth(n: int, x: float) -> float:
     test suite's job.  Valid for n >= 1 (the n = 0 statement misses the
     constant -1/2).
     """
-    require_clear("coth(x/2)", x, 0.0)
     return -0.5 * 2.0**-n * nth_derivative("coth", x / 2, n)
 
 
@@ -81,19 +80,19 @@ def li_relation_tanh(n: int, x: float) -> float:
     return -0.5 * 2.0**-n * nth_derivative("tanh", x / 2, n)
 
 
+@route("csch", "csch single-sum")
 def csch_derivative_eval(n: int, x: float) -> float:
     """(d/dx)^n csch x = (-1)^n 2 sum_k S(n, k) t^(2k-1)/(1 - t^2)^(n+1), t = exp(-x), for x > 0
     (csch x = 2t/(1 - t^2), d/dx = -t d/dt); csch is odd.  No power of exp(|x|) is formed."""
-    check_point("csch", x)
     t = math.exp(-abs(x))
     den = (-math.expm1(-2 * abs(x))) ** (n + 1)  # 1 - t^2 uncancelled; 0.0 beyond double range
     val = 2.0 * _eulerian_sum(n, 1, lambda m: t ** (n - 1 - m), 0.0) / den if den else math.inf
     return (-1) ** n * val if x > 0 else -val
 
 
+@route("sech", "sech single-sum")
 def sech_derivative_eval(n: int, x: float) -> float:
     """(d/dx)^n sech x as for csch, from sech x = 2t/(1 + t^2) by the alternating sum; even."""
-    check_point("sech", x)
     t = math.exp(-abs(x))
     val = -2.0 * _eulerian_sum(n, -1, lambda m: t ** (n - 1 - m), 0.0) / (1 + t * t) ** (n + 1)
     return (-1) ** n * val if x > 0 else val

@@ -356,8 +356,11 @@ def jet_lift(fn: str, x0: float, order: int) -> Jet:
 
 
 def nth_derivative(fn: str, x0: float, n: int) -> float:
-    """n-th derivative of a supported function at x0, via a jet of order n."""
-    return jet_lift(fn, x0, n).derivative_value(n)
+    """n-th derivative of a supported function at x0, via a jet of order n; nan is a DomainError."""
+    val = jet_lift(fn, x0, n).derivative_value(n)
+    if math.isnan(val):  # inf - inf in a lift
+        raise DomainError(f"derivative {n} of {fn} at {x0} is beyond double range")
+    return val
 
 
 def apply_operator_power(a, fn: str, n: int, x0: float) -> float:
@@ -365,17 +368,17 @@ def apply_operator_power(a, fn: str, n: int, x0: float) -> float:
 
     ``a`` maps (x0, order) to the coefficient function's jet.  Each round
     differentiates the running jet (consuming one order) and multiplies by
-    the coefficient jet; the initial order is n + 2.
+    the coefficient jet; the initial order is n + 2.  A nan value is a DomainError.
     """
     if n < 0:
         raise ValueError("operator power must be >= 0")
     total = n + 2
     f = jet_lift(fn, x0, total)
-    if n == 0:
-        return f.value
-    a_jet = a(float(x0), total)
+    a_jet = a(float(x0), total) if n else None
     for _ in range(n):
         f = a_jet * f.differentiate()
+    if math.isnan(f.value):
+        raise DomainError(f"operator power {n} on {fn} at {x0} is beyond double range")
     return f.value
 
 

@@ -30,8 +30,7 @@ from collections import namedtuple
 
 from .algebra import I, Polynomial, RationalFunction, poly_exact_div, rf_eval, substitute
 from .combinatorics import binomial
-from .jets import check_point
-from .numutil import checked_real, i_power
+from .numutil import i_power, route
 from .polylog import chi_neg, li_neg, ti_neg
 
 __all__ = [
@@ -102,8 +101,7 @@ def verify_ladder_sec_variant(n: int) -> bool:
     return lhs == rhs
 
 
+@route("csc", "csc leibniz")
 def leibniz_csc_route(n: int, x: float) -> float:
     """(d/dx)^n csc x from the Leibniz expansion of exp(-ix)(i + cot x)."""
-    check_point("csc", x)
-    val = 2 * i_power(n - 1) * cmath.exp(-1j * x) * rf_eval(_weighted_sum(n), cmath.exp(2j * x))
-    return checked_real(val, context=f"Leibniz csc route n={n}, x={x}")
+    return 2 * i_power(n - 1) * cmath.exp(-1j * x) * rf_eval(_weighted_sum(n), cmath.exp(2j * x))

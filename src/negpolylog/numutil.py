@@ -1,10 +1,13 @@
-"""Small numeric helpers for the complex-arithmetic identity evaluators."""
+"""Small numeric helpers for the float routes and the complex-arithmetic identity evaluators."""
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 
 from .errors import DomainError, ImaginaryResidueError
+from .jets import check_point
 
 # exact integer powers of i; complex exponentiation would round them
 I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
@@ -35,3 +38,23 @@ def checked_exp(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         raise DomainError(f"exp({x!r}) is beyond double range") from None
+
+
+def route(fn: str, label: str):
+    """Declare body(n, x) a route for (d/dx)^n fn: guarded, range-checked, real; keeps fn, label."""
+    def declare(body):
+        @functools.wraps(body)
+        def evaluate(n: int, x: float) -> float:
+            if n < 0:
+                raise ValueError("n must be >= 0")
+            check_point(fn, x)
+            try:
+                val = body(n, x)
+            except OverflowError:
+                val = math.nan
+            if cmath.isnan(val):
+                raise DomainError(f"{label} n={n}, x={x} is beyond double range")
+            return checked_real(val, context=f"{label} n={n}, x={x}")
+        evaluate.fn, evaluate.label = fn, label
+        return evaluate
+    return declare

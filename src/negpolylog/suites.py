@@ -14,6 +14,7 @@ closed form; the numeric ones to ``MAX_NUMERIC_SWEEP``.
 from __future__ import annotations
 
 import functools
+import math
 
 from . import circular, hyperbolic, inverse, ladder
 from .algebra import rf_eval, substitute
@@ -64,39 +65,30 @@ def _core(n_max: int, tol: float, name: str | None) -> list[VerificationReport]:
     return reports
 
 
-def _jet_reports(label: str, route, fn: str, grid, n_max: int, tol: float,
-                 derivative=nth_derivative) -> list:
-    """One report per order comparing ``route(n, x)`` with ``derivative(fn, x, n)``.
+def _jet_reports(route, grid, n_max: int, tol: float, derivative=nth_derivative) -> list:
+    """One report per order of a ``numutil.route`` against ``derivative(route.fn, x, n)``.
 
     A library error of either side fails its point, with the error as the note.
     """
-    return [VerificationReport(f"{label} vs jet oracle", n, tol,
-                               [check(x, lambda: (route(n, x), derivative(fn, x, n)), tol)
+    return [VerificationReport(f"{route.label} vs jet oracle", n, tol,
+                               [check(x, lambda: (route(n, x), derivative(route.fn, x, n)), tol)
                                 for x in grid])
             for n in range(n_max + 1)]
 
 
 def _trig(n_max: int, tol: float, name: str | None) -> list[VerificationReport]:
-    reports = []
     derivative = functools.cache(nth_derivative)  # one jet per (fn, x, n) for all routes of fn
-    for label, route in (
-        ("csc single-sum", circular.csc_derivative_eval),
-        ("csc polylog-difference", circular.csc_derivative_via_li),
-        ("csc binomial", circular.csc_derivative_binomial),
-        ("csc leibniz", ladder.leibniz_csc_route),
-        ("sec single-sum", circular.sec_derivative_eval),
-        ("sec polylog-difference", circular.sec_derivative_via_li),
-        ("sec binomial", circular.sec_derivative_binomial),
-    ):
-        reports += _jet_reports(label, route, label.split()[0], TRIG_GRID, n_max, tol, derivative)
-    return reports
+    routes = (circular.csc_derivative_eval, circular.csc_derivative_via_li,
+              circular.csc_derivative_binomial, ladder.leibniz_csc_route,
+              circular.sec_derivative_eval, circular.sec_derivative_via_li,
+              circular.sec_derivative_binomial)
+    return [r for route in routes for r in _jet_reports(route, TRIG_GRID, n_max, tol, derivative)]
 
 
 def _hyperbolic(n_max: int, tol: float, name: str | None) -> list[VerificationReport]:
     reports = []
-    for label, route in (("csch single-sum", hyperbolic.csch_derivative_eval),
-                         ("sech single-sum", hyperbolic.sech_derivative_eval)):
-        reports += _jet_reports(label, route, label.split()[0], HYP_GRID, n_max, tol)
+    for route in (hyperbolic.csch_derivative_eval, hyperbolic.sech_derivative_eval):
+        reports += _jet_reports(route, HYP_GRID, n_max, tol)
     # Li(e^x) against the coth relation, Li(-e^x) against the tanh one
     relations = (("coth", 1.0, hyperbolic.li_relation_coth),
                  ("tanh", -1.0, hyperbolic.li_relation_tanh))
@@ -151,18 +143,20 @@ SUITES = {
 
 
 class SweepRangeError(ValueError):
-    """n_max is negative or above the suite's cap, or name selects no identity of it."""
+    """n_max is outside 0..cap, tol is not finite and >= 0, or name selects no identity."""
 
 
 def run_suite(suite: str, n_max: int, tol: float | None = None,
               name: str | None = None) -> list[VerificationReport]:
     """Run one suite, or every suite for ``"all"``, over orders up to ``n_max``.
 
-    ``tol`` overrides each numeric suite's default tolerance; ``name``
-    restricts the inverse suite to one identity.  Raises SweepRangeError when
-    n_max lies outside 0..cap, or when ``name`` is given to a suite without
-    named identities (any but inverse and all) or names none of them.
+    ``tol`` overrides each numeric suite's default tolerance; ``name`` restricts
+    the inverse suite to one identity.  Raises SweepRangeError when tol is not
+    finite and >= 0, when n_max lies outside 0..cap, or when ``name`` is given to
+    a suite without named identities (any but inverse and all) or names none.
     """
+    if tol is not None and not 0.0 <= tol < math.inf:
+        raise SweepRangeError(f"--tolerance must be finite and >= 0, got {tol}")
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     if name is not None and suite not in ("inverse", "all"):

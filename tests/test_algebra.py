@@ -2,7 +2,6 @@
 argument transforms, and evaluation."""
 
 import ast
-import contextlib
 import functools
 import itertools
 import json
@@ -34,10 +33,10 @@ from negpolylog.algebra import (
     z_ddz,
 )
 from negpolylog.circular import cot_derivative_poly
-from negpolylog.errors import DomainError, PoleError
+from negpolylog.errors import DomainError, ImaginaryResidueError, PoleError
 from negpolylog.hyperbolic import chi_ti_hyperbolic_relations, li_relation_coth, li_relation_tanh
 from negpolylog.inverse import verify_generic_operand
-from negpolylog.jets import jet_lift, nth_derivative
+from negpolylog.jets import apply_operator_power, jet_lift, laurent_jet, nth_derivative
 from negpolylog.polylog import chi_neg, li_neg, li_neg_stirling, ti_neg
 
 
@@ -490,6 +489,24 @@ _FLOAT_X_ENTRIES = {
     "verify_generic_operand": lambda n, x: verify_generic_operand("sin", n, x),
 }
 
+# (n, x) points where a route's terms or value lie beyond double range, and what each of the
+# nine routes gives there: a library error, inf, or (None) a finite value
+_FAR_POINTS = ((64, 1e-5), (64, math.pi / 2 - 1e-5), (200, 1.0), (200, 0.5))
+_D, _IRE = DomainError, ImaginaryResidueError
+_FAR_OUTCOMES = {
+    "csc_derivative_eval": (_D, _IRE, _D, _D),
+    "csc_derivative_via_li": (_D, None, _D, _D),
+    "csc_derivative_binomial": (_D, _IRE, _D, _D),
+    "leibniz_csc_route": (_D, None, _D, _D),  # inf + nan*i: the residue is unknown
+    "sec_derivative_eval": (None, _D, _D, _D),
+    "sec_derivative_via_li": (None, _D, _D, _D),
+    "sec_derivative_binomial": (_IRE, _D, _D, _D),
+    "csch_derivative_eval": (math.inf, None, _D, _D),
+    "sech_derivative_eval": (None, None, _D, _D),
+}
+# jets whose division lift overflows, then subtracts inf from inf
+_FAR_JETS = (("csc", 1e-5), ("cot", 1e-5), ("sec", math.pi / 2 - 1e-5), ("tan", math.pi / 2 - 1e-5))
+
 
 @pytest.mark.parametrize("call, error", [
     pytest.param(lambda: rf_eval(li_neg(3), math.inf), DomainError, id="rf_eval-inf"),
@@ -504,11 +521,25 @@ _FLOAT_X_ENTRIES = {
     pytest.param(lambda: li_relation_tanh(1, 3000.0), None, id="li_relation_tanh-3000"),
     *[pytest.param(functools.partial(nth_derivative, fn, x, 3), None, id=f"{fn}-{x}")
       for fn in ("tanh", "coth", "sech", "csch") for x in (800.0, -800.0)],
+    # beyond double range: a library error or inf, never nan or OverflowError
+    *[pytest.param(functools.partial(getattr(negpolylog, name), n, x), want, id=f"{name}-{n}-{x}")
+      for name, wants in _FAR_OUTCOMES.items() for (n, x), want in zip(_FAR_POINTS, wants)],
+    *[pytest.param(functools.partial(nth_derivative, fn, x, 64), DomainError, id=f"{fn}-64-{x}")
+      for fn, x in _FAR_JETS],
+    *[pytest.param(functools.partial(apply_operator_power, laurent_jet({0: 1.0}), fn, 64, x),
+                   DomainError, id=f"operator-{fn}-64-{x}") for fn, x in _FAR_JETS],
 ])
 def test_non_finite_inputs_are_library_errors(call, error):
     # raised up front, so reports.check fails that point instead of aborting a suite
-    with pytest.raises(error) if error else contextlib.nullcontext():
-        call()
+    if isinstance(error, type):
+        with pytest.raises(error):
+            call()
+        return
+    val = call()  # never nan: the expected inf, else a finite value or a report
+    if isinstance(error, float):
+        assert val == error
+    elif isinstance(val, float):
+        assert math.isfinite(val)
 
 
 @pytest.mark.parametrize("name", _ROUTES)

@@ -4,8 +4,10 @@ import math
 
 import pytest
 
-from negpolylog import suites
+from negpolylog import circular, hyperbolic, ladder, suites
 from negpolylog.errors import ImaginaryResidueError, PoleError
+from negpolylog.jets import FUNCTION_IDS
+from negpolylog.numutil import route
 from negpolylog.reports import PointCheck, check, exact_report, rel_err
 from negpolylog.suites import MAX_NUMERIC_SWEEP, MAX_ORDER, SUITES, SweepRangeError, run_suite
 
@@ -35,6 +37,10 @@ def test_default_and_overridden_tolerances():
     reports = run_suite("inverse", 1, tol=1e-6, name="arctan")
     assert {(r.identity, r.tolerance) for r in reports} == {("arctan", 1e-6)}
     assert [r.n for r in reports] == [0, 1]
+    # a tolerance must be finite and >= 0, in the library as on the command line
+    for tol in (math.nan, math.inf, -math.inf, -1.0):
+        with pytest.raises(SweepRangeError, match="--tolerance must be finite and >= 0"):
+            run_suite("trig", 2, tol=tol)
     # a zero tolerance is a tolerance, not "use the default"
     for suite in ("trig", "hyperbolic"):  # every report of these is numeric and takes tol
         zero = run_suite(suite, 1, tol=0.0)
@@ -48,12 +54,14 @@ def test_default_and_overridden_tolerances():
 
 
 def test_a_raising_route_fails_its_points_and_the_suite_goes_on():
+    @route("csc", "csc stub")
     def broken(n, x):
         if n == 1:
             raise ImaginaryResidueError("residue")
         return 1.0 / math.sin(x)
 
-    reports = suites._jet_reports("csc stub", broken, "csc", (0.5, 1.0), 2, 1e-7)
+    reports = suites._jet_reports(broken, (0.5, 1.0), 2, 1e-7)
+    assert {r.identity for r in reports} == {"csc stub vs jet oracle"}
     assert [r.n for r in reports] == [0, 1, 2]
     failed = reports[1].points
     assert [(p.x, p.ok, p.rel_err, p.note) for p in failed] == [
@@ -61,8 +69,8 @@ def test_a_raising_route_fails_its_points_and_the_suite_goes_on():
         (1.0, False, math.inf, "ImaginaryResidueError: residue"),
     ]
     assert all(math.isnan(p.lhs) and math.isnan(p.rhs) for p in failed)
-    # the oracle side raising at its pole fails that point alone
-    reports = suites._jet_reports("csc stub", lambda n, x: 1.0, "csc", (math.pi, 1.0), 1, 10.0)
+    # a point at a pole fails alone: the route's guard raises what the oracle would
+    reports = suites._jet_reports(route("csc", "csc stub")(lambda n, x: 1.0), (math.pi, 1.0), 1, 10.0)
     for report in reports:
         at_pole, clear = report.points
         assert (at_pole.ok, at_pole.rel_err, at_pole.note) == (
@@ -118,3 +126,28 @@ def test_name_must_select_an_inverse_identity():
         with pytest.raises(ValueError, match="no named identities"):
             run_suite(suite, 1, name="arctan")
     assert {r.identity for r in run_suite("inverse", 0, name="arccsc")} == {"arccsc"}
+
+
+ROUTES = (circular.csc_derivative_eval, circular.csc_derivative_via_li,
+          circular.csc_derivative_binomial, ladder.leibniz_csc_route, circular.sec_derivative_eval,
+          circular.sec_derivative_via_li, circular.sec_derivative_binomial,
+          hyperbolic.csch_derivative_eval, hyperbolic.sech_derivative_eval)
+
+
+def test_each_route_is_declared_with_its_jet_and_label():
+    assert len({r.__name__ for r in ROUTES}) == 9
+    for r in ROUTES:
+        assert r.fn in FUNCTION_IDS and r.label.split()[0] == r.fn, r.__name__
+    assert len({r.label for r in ROUTES}) == 9
+
+
+def test_numeric_suites_keep_their_identities_in_order():
+    jets = [f"{fn} {kind} vs jet oracle n={n}"
+            for fn, kinds in (("csc", ("single-sum", "polylog-difference", "binomial", "leibniz")),
+                              ("sec", ("single-sum", "polylog-difference", "binomial")))
+            for kind in kinds for n in (0, 1)]
+    assert [f"{r.identity} n={r.n}" for r in run_suite("trig", 1)] == jets
+    assert [f"{r.identity} n={r.n}" for r in run_suite("hyperbolic", 1)] == [
+        "csch single-sum vs jet oracle n=0", "csch single-sum vs jet oracle n=1",
+        "sech single-sum vs jet oracle n=0", "sech single-sum vs jet oracle n=1",
+        "polylog half-argument relations n=1", *["hyperbolic chi/Ti relations n=1"] * 5]
