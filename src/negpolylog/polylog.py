@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import comb
 
 from .algebra import (
-    GaussianRational, Polynomial, RationalFunction, evaluate_packed, substitute, z_ddz,
+    GaussianRational, Polynomial, RationalFunction, _poly, evaluate_packed, substitute, z_ddz,
 )
 from .combinatorics import eulerian_b_row, factorial, stirling_power_sum
 from .errors import ImaginaryResidueError
@@ -37,23 +38,23 @@ __all__ = [
 def li_neg(n: int) -> RationalFunction:
     """Memoized canonical closed form of the order -n polylogarithm.
 
-    Exact equality with both public construction routes is part of the test
-    suite; this accessor just builds it the cheapest way, by one step of
-    z d/dz from the cached pair P/Q of order -(n-1), starting from z/(1 - z).
-    With Q = +-(1 - z)**n the quotient rule cancels (1 - z)**(n-1), leaving
-    z (P' (1 - z) + n P) / (Q (1 - z)).  Its numerator is n P(1) = +-n! at
-    z = 1, the only root of Q (1 - z) (by induction from P_0(1) = 1), so the
-    pair is coprime by construction and skips the gcd.
+    Built by one step of z d/dz from the cached pair P/Q of order -(n-1), from
+    z/(1 - z) at n = 0; tests prove it equal to both public routes.  With Q = +-(1 - z)**n
+    the quotient rule cancels (1 - z)**(n-1), leaving z (P' (1 - z) + n P) / (Q (1 - z)):
+    (i+1) a_(i+1) + (n-i) a_i at z^(i+1) over d_i - d_(i-1) at z^i, for P = sum a_i z^i and
+    Q = sum d_i z^i.  Its numerator is n P(1) = +-n! at z = 1, the only root of Q (1 - z)
+    (by induction from P_0(1) = 1), so the pair is coprime by construction.
     """
     if n < 0:
         raise ValueError("order index n must be >= 0")
-    one_minus_z = Polynomial([1, -1])
     if n == 0:
-        return RationalFunction(Polynomial.variable(), one_minus_z, _reduced=True)
+        return RationalFunction(Polynomial.variable(), Polynomial([1, -1]), _reduced=True)
     for k in range(n):  # ascending, so a cold call nests at most one level
         prev = li_neg(k)
-    num = Polynomial.variable() * (prev.num.derivative() * one_minus_z + prev.num.scale(n))
-    return RationalFunction(num, prev.den * one_minus_z, _reduced=True)
+    a, d = (*prev.num.re, 0), prev.den.re
+    num = [0, *[(i + 1) * a[i + 1] + (n - i) * a[i] for i in range(len(a) - 1)]]
+    den = [x - y for x, y in zip((*d, 0), (0, *d))]
+    return RationalFunction(_poly(num, [0] * len(num)), _poly(den, [0] * len(den)), _reduced=True)
 
 
 def li_neg_operator(n: int) -> RationalFunction:
@@ -81,7 +82,7 @@ def li_neg_stirling(n: int) -> RationalFunction:
 
 
 def chi_neg(n: int) -> RationalFunction:
-    """Legendre chi at order -n: odd numerator over (1 - z^2)**(n+1).
+    """Legendre chi at order -n: odd numerator over (1 - z^2)**(n+1), read off integer rows.
 
     The numerator is sum_k B(n, k) z^(2k+1) over the type-B Eulerian row,
     which sums to 2^n n!.  So it is 2^n n! at z = 1 and -2^n n! at z = -1,
@@ -94,23 +95,23 @@ def chi_neg(n: int) -> RationalFunction:
 def ti_neg(n: int) -> RationalFunction:
     """Inverse tangent integral at order -n: alternating numerator over (1 + z^2)**(n+1).
 
-    The numerator is sum_k (-1)^k B(n, k) z^(2k+1).  At z = i each term is
-    i B(n, k), so the value is i 2^n n! (the type-B row sum), and -i 2^n n!
-    at z = -i.  It never vanishes at a root of (1 + z^2)**(n+1): the pair is
-    coprime by construction and skips the gcd.
+    Like chi_neg, both are read off integer rows.  The numerator is sum_k (-1)^k B(n, k)
+    z^(2k+1); at z = i each term is i B(n, k), so the value is i 2^n n! (the type-B row
+    sum), and -i 2^n n! at z = -i.  It never vanishes at a root of (1 + z^2)**(n+1): the
+    pair is coprime by construction and skips the gcd.
     """
     return _type_b_form(n, -1)
 
 
 @cache
 def _type_b_form(n: int, sign: int) -> RationalFunction:
-    """sum_k sign^(k+1) B(n, k) z^(2k-1) over (1 - sign z^2)^(n+1), memoized."""
+    """sum_k sign^(k+1) B(n, k) z^(2k-1) over (1 - sign z^2)^(n+1), memoized: the type-B
+    Eulerian row over the binomial row, C(n+1, j) (-sign)^j at z^(2j)."""
     if n < 0:
         raise ValueError("order index n must be >= 0")
-    coeffs = [0] * (2 * n + 2)
-    coeffs[1::2] = [sign ** k * b for k, b in enumerate(eulerian_b_row(n))]
-    den = Polynomial([1, 0, -sign]) ** (n + 1)
-    return RationalFunction(Polynomial(coeffs), den, _reduced=True)
+    num = [c for k, b in enumerate(eulerian_b_row(n)) for c in (0, sign ** k * b)]
+    den = [c for j in range(n + 2) for c in ((-sign) ** j * comb(n + 1, j), 0)]
+    return RationalFunction(_poly(num, [0] * len(num)), _poly(den, [0] * len(den)), _reduced=True)
 
 
 def chi_from_li(n: int) -> RationalFunction:

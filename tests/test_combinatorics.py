@@ -1,10 +1,12 @@
 """Exact-sequence tests; small values pinned against brute-force enumeration."""
 
+import sys
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
+from negpolylog import polylog
 from negpolylog.algebra import rf_eval_exact
 from negpolylog.combinatorics import (
     binomial, eulerian_b, eulerian_b_row, stirling2, stirling2_row, stirling_power_sum,
@@ -26,6 +28,22 @@ def set_partitions(elems):
 
 def brute_stirling2(n, k):
     return sum(1 for p in set_partitions(list(range(n))) if len(p) == k)
+
+
+def stirling2_by_sum(n, k):
+    """{n brace k} = (1/k!) sum_{j=0..k} (-1)^j C(k, j) (k-j)^n, the explicit formula."""
+    return Fraction(sum((-1) ** j * comb(k, j) * (k - j) ** n for j in range(k + 1)), factorial(k))
+
+
+def eulerian_b_by_sum(n, k):
+    """S(n, k) = sum_{j=1..k} (-1)^(k-j) C(n+1, k-j) (2j-1)^n, the defining alternating sum."""
+    return sum((-1) ** (k - j) * comb(n + 1, k - j) * (2 * j - 1) ** n for j in range(1, k + 1))
+
+
+def clear_builder_caches():
+    """Empty the cache of every memoized row and closed form."""
+    for cached in (stirling2_row, eulerian_b_row, polylog.li_neg, polylog._type_b_form):
+        cached.cache_clear()
 
 
 def test_stirling2_small_values():
@@ -74,17 +92,39 @@ def test_eulerian_b_row_sum_and_symmetry():
             assert eulerian_b(n, k) == eulerian_b(n, n + 2 - k)
 
 
+def test_rows_equal_their_defining_sums():
+    # the rows are built by recurrences; the closed-form sums are the definitions
+    for n in range(65):
+        assert stirling2_row(n) == tuple(stirling2_by_sum(n, k) for k in range(n + 1)), n
+        assert eulerian_b_row(n) == tuple(eulerian_b_by_sum(n, k) for k in range(1, n + 2)), n
+
+
+def test_cold_builds_are_iterative_and_order_independent():
+    clear_builder_caches()
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        eulerian_b_row(300), stirling2_row(300)
+        polylog.li_neg(200), polylog.chi_neg(200), polylog.ti_neg(200)
+    finally:
+        sys.setrecursionlimit(limit)
+    # highest order first: nothing below it is cached yet
+    clear_builder_caches()
+    chi, li = polylog.chi_neg(64), polylog.li_neg(64)
+    assert chi == polylog.chi_from_li(64)
+    assert li == polylog.li_neg_stirling(64)
+
+
 def test_concurrent_first_computation_is_safe():
     # cache contract: concurrent first calls may compute a value twice, and
     # every caller sees an equal value
-    import sys
     import threading
     from concurrent.futures import ThreadPoolExecutor
 
-    from negpolylog import polylog
-
-    for cached in (stirling2_row, eulerian_b_row, polylog.li_neg, polylog._type_b_form):
-        cached.cache_clear()
+    clear_builder_caches()
     start = threading.Barrier(8, timeout=60)
 
     def worker(_):
