@@ -80,8 +80,13 @@ Numeric evaluation (:func:`rf_eval`) runs the exact Horner scheme of
 end.  Horner reads each polynomial as z^s q(z^g), s its lowest exponent with
 a nonzero coefficient and g the gcd of the gaps between such exponents, and
 steps through q at z^g: the odd and even numerators and denominators of chi
-and Ti and the derivative polynomials take half the steps.  That is an
-identity, so the exact value, and the double it rounds to, cannot change.
+and Ti and the derivative polynomials take half the steps.  A real q equal to
+c (1 + r w)^e for integers c and r, as the denominators (1 -+ z^g)^(n+1) of
+li, chi and Ti are, is read as that power and raised by repeated squaring.
+The quotient is not reduced: over one common denominator, each part's
+numerator and denominator are integers, divided once by ``int / int``,
+which rounds correctly.  Each step is an identity in exact arithmetic, so
+the exact value, and the double it rounds to, cannot change.
 Expanded high powers such as ``(1 - z^2)^11`` are catastrophically
 ill-conditioned in double-precision Horner near ``|z| = 1``; exact
 accumulation keeps every multi-route identity check meaningful at the
@@ -220,7 +225,7 @@ class GaussianRational:
         return hash((self.re, self.im))
 
     def to_complex(self) -> complex:
-        return complex(_frac_to_float(self.re), _frac_to_float(self.im))
+        return complex(*(_frac_to_float(x.numerator, x.denominator) for x in (self.re, self.im)))
 
     def __str__(self):
         if not self.im:
@@ -252,11 +257,31 @@ def _power(base, k: int, out):
     return out
 
 
-def _frac_to_float(fr) -> float:
+def _frac_to_float(num: int, den: int) -> float:
+    """num/den for den > 0, rounded once by ``int / int``; +-inf, by the sign of num, past double range."""
     try:
-        return float(fr)
+        return num / den
     except OverflowError:
-        return math.inf if fr > 0 else -math.inf
+        return math.inf if num > 0 else -math.inf
+
+
+def _binomial_power(q) -> "tuple[int, int] | None":
+    """(c, r) with q(w) = c (1 + r w)^e, e = len(q) - 1 >= 2, for integers c and r, or None.
+
+    q[1] = c e r fixes r; term k, c C(e, k) r^k, is the last times (e - k + 1) r / k, an exact
+    division, and the first term that differs turns q away, mostly after one or two."""
+    e = len(q) - 1
+    if e < 2:
+        return None
+    c, t = q[0], q[1]
+    r, rem = divmod(t, c * e)
+    if rem:
+        return None
+    for k in range(2, e + 1):
+        t = t * (e - k + 1) * r // k
+        if t != q[k]:
+            return None
+    return c, r
 
 
 def _round_div(p: int, q: int) -> int:
@@ -435,15 +460,22 @@ class Polynomial:
         zero).  Horner runs over q's coefficients, every g-th from s, at
         w = z^g, and the sum is multiplied by z^s (Knuth, TAOCP Vol. 2,
         4.6.4).  An odd or even polynomial takes half the steps of the dense
-        loop.  Since p(z) = z^s q(z^g) is an identity and every step is
-        exact, the value is the same number the dense loop gives, and so are
-        the bits ``rf_eval`` rounds it to.
+        loop.  A real q equal to c (1 + r w)^e (``_binomial_power``), such as
+        the denominators (1 -+ z^g)^(n+1) of li, chi and Ti, is raised to its
+        power by repeated squaring (4.6.3) in O(log n) products.  Since both
+        readings are identities and every step is exact, the value is the
+        same number the dense loop gives, and so are the bits ``rf_eval``
+        rounds it to.
         """
         support = [k for k, (x, y) in enumerate(zip(self.re, self.im)) if x or y]
         s = min(support, default=0)
         g = math.gcd(*(k - s for k in support))
         w = z ** g
-        q = zip(reversed(self.re[s::g or 1]), reversed(self.im[s::g or 1]))
+        qr, qi = self.re[s::g or 1], self.im[s::g or 1]
+        if not any(qi) and (power := _binomial_power(qr)):
+            c, r = power
+            return _power(z, s, _power(r * w + 1, len(qr) - 1, GaussianRational(c)))
+        q = zip(reversed(qr), reversed(qi))
         acc = GaussianRational(*next(q, (0, 0)))
         for x, y in q:
             acc = acc * w
@@ -859,29 +891,40 @@ def substitute(f: RationalFunction, kind: str) -> RationalFunction:
 
 
 def rf_eval(f: RationalFunction, z) -> complex:
-    """Evaluate at a complex double: ``rf_eval_exact`` there, rounded once.
+    """Evaluate at a complex double: the exact value there, rounded once per part.
 
-    The double z is read as the Gaussian rational it represents exactly, and
-    the exact value there is rounded to the nearest double in each part; a
-    part beyond double range rounds to +-inf, as float arithmetic does.
-    Raises PoleError only when the exact denominator is zero at that point:
-    a small nonzero denominator is not a pole; raises DomainError when a part
-    of z is not finite.  The strided Horner of ``Polynomial.horner`` computes
-    the same exact value as the dense loop, so it rounds to the same bits.
+    The double z is read as the Gaussian rational it represents exactly.  With
+    the exact numerator and denominator values (a + b i)/p and (c + d i)/p
+    over one denominator p, each part of (a + b i)(c - d i)/(c^2 + d^2) is
+    rounded once by ``int / int``, which rounds correctly: the double the
+    reduced quotient would round to, as both are one number.  A part beyond
+    double range rounds to +-inf with its sign.  Raises PoleError only when
+    the exact denominator is zero at that point: a small nonzero denominator
+    is not a pole; raises DomainError when a part of z is not finite.
     """
     zc = complex(z)
     if not cmath.isfinite(zc):
         raise DomainError(f"evaluation needs a finite point, got z = {zc}")
-    return rf_eval_exact(f, GaussianRational(zc.real, zc.imag)).to_complex()
+    num_val, den_val = _values(f, GaussianRational(zc.real, zc.imag))
+    parts = (num_val.re, num_val.im, den_val.re, den_val.im)
+    p = math.lcm(*(x.denominator for x in parts))
+    a, b, c, d = (x.numerator * (p // x.denominator) for x in parts)
+    norm = c * c + d * d
+    return complex(_frac_to_float(a * c + b * d, norm), _frac_to_float(b * c - a * d, norm))
 
 
 def rf_eval_exact(f: RationalFunction, z) -> GaussianRational:
     """Evaluate exactly at a Gaussian rational (or int/Fraction) point, by Horner."""
-    zg = z if isinstance(z, GaussianRational) else GaussianRational(z)
-    den_val = f.den.horner(zg)
+    num_val, den_val = _values(f, z if isinstance(z, GaussianRational) else GaussianRational(z))
+    return num_val / den_val
+
+
+def _values(f: RationalFunction, z: GaussianRational) -> tuple[GaussianRational, GaussianRational]:
+    """The exact numerator and denominator values at z; PoleError where the denominator is zero."""
+    den_val = f.den.horner(z)
     if den_val.is_zero():
-        raise PoleError(f"evaluation at a pole: z = {zg}")
-    return f.num.horner(zg) / den_val
+        raise PoleError(f"evaluation at a pole: z = {z}")
+    return f.num.horner(z), den_val
 
 
 # ---------------------------------------------------------------------------

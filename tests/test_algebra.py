@@ -3,6 +3,7 @@ argument transforms, and evaluation."""
 
 import ast
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -459,11 +460,20 @@ def test_rf_eval_examples():
     assert rf_eval(g, 2.0).real == pytest.approx(-2 / 3)  # hand arithmetic
 
 
+def rounded(exact: GaussianRational) -> complex:
+    """The Fraction reference: each exact part through float, a part past double range +-inf."""
+    def part(x):
+        try:
+            return float(x)
+        except OverflowError:
+            return math.inf if x > 0 else -math.inf
+    return complex(part(exact.re), part(exact.im))
+
+
 def test_rf_eval_raises_only_at_an_exact_pole():
     # large values far from any pole: the exact value at the exact double, rounded once
     for n, z in ((64, 0.5), (30, 0.7)):
-        exact = rf_eval_exact(li_neg(n), Fraction(z))
-        assert rf_eval(li_neg(n), z) == complex(float(exact.re), float(exact.im))
+        assert rf_eval(li_neg(n), z) == rounded(rf_eval_exact(li_neg(n), Fraction(z)))
     # one ulp below the pole of 1/(1 - z) the denominator is 2**-53, not zero
     below = math.nextafter(1.0, 0.0)
     assert rf_eval(RF([1], [1, -1]), below) == 2.0**53
@@ -471,6 +481,38 @@ def test_rf_eval_raises_only_at_an_exact_pole():
         rf_eval(RF([1], [1, -1]), 1.0)
     # a value beyond double range rounds to inf, as float arithmetic does
     assert rf_eval(li_neg(64), below) == complex(math.inf, 0.0)
+    # the edges of rounding each part once with int / int, against the Fraction reference
+    for f, z, want in (
+        (chi_neg(64), 0.999999999 + 0.0001j, "(-inf+infj)"),  # parts overflow with opposite signs
+        (li_neg(0), 0.5 + 1e-310j, "(1+4e-310j)"),  # a subnormal part (below 2.2e-308)
+        (li_neg(0), -1 + 5e-324j, "(-0.5+0j)"),  # a part that underflows to 0.0
+        (li_neg(0), -1 - 5e-324j, "(-0.5-0j)"),  # ... and to -0.0
+        (li_neg(1), 1j, "(-0.5+0j)"),  # an exactly zero imaginary part
+        (RF([0, 0, 0, 0, 1], [1]), 1 + 1j, "(-4+0j)"),  # ... of a polynomial
+        (li_neg(64), 1e10, "(-3.652184918895905+0j)"),  # a finite quotient of parts past 1e308
+    ):
+        zg = GaussianRational(complex(z).real, complex(z).imag)
+        assert repr(rf_eval(f, z)) == repr(rounded(rf_eval_exact(f, zg))) == want, z
+    zg = GaussianRational(10**10)
+    assert min(abs(li_neg(64).num.horner(zg).re), abs(li_neg(64).den.horner(zg).re)) > 1e308
+
+
+# Points for the pinned rf_eval bits, each the double nearest its decimal literal.
+PINNED_POINTS = (0.3+0.2j, -0.5+0.25j, 0.05-0.7j,  # in the unit disk
+                 0.6+0.8j, -0.28+0.96j, 0.8-0.6j,  # on the unit circle
+                 2.5+0j, -3.0+0j,  # on the real axis, |z| > 1
+                 0.999999+0j, -1.000001+0j, 1.000001j, -0.999999j)  # next to the poles +-1 and +-i
+PINNED_ORDERS = (0, 1, 2, 3, 5, 8, 12, 16, 24, 32, 48, 64)
+
+
+def test_rf_eval_bits_are_pinned():
+    # rf_eval rounds an exact value once, so these bits hold on every platform and through any
+    # change of evaluator that keeps the exact value
+    lines = [f"{kind} {n} {z!r} {rf_eval(build(n), z)!r}"
+             for kind, build in (("li", li_neg), ("chi", chi_neg), ("ti", ti_neg))
+             for n in PINNED_ORDERS for z in PINNED_POINTS]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "e344d85a315807aaf4351eef6aeb3dac28e794251afdef6769da225cfba1fa1f"
 
 
 # the nine routes of the numeric-eval benchmark, each called as route(n, x)
@@ -717,16 +759,28 @@ def test_rf_eval_matches_exact_rational_evaluation(f, z):
     assert abs(got - want) <= 1e-12 * (1 + abs(want))
 
 
+real_or_gauss_ints = small_ints.map(GaussianRational) | gauss_ints
+
+
 @st.composite
 def strided_polys(draw):
-    """z^s q(z^g) with Gaussian-integer coefficients, sometimes plus one off-stride term."""
+    """z^s q(z^g) with Gaussian-integer coefficients, sometimes plus one more term anywhere.
+
+    q is drawn freely or as a binomial power c (1 + r w)^e, which ``Polynomial.horner``
+    evaluates as a power when c is real; the extra term perturbs that power."""
     s, g = draw(st.integers(0, 3)), draw(st.integers(1, 4))
-    q = draw(st.lists(gauss_ints, max_size=6))
+    if draw(st.booleans()):
+        q = draw(st.lists(gauss_ints, max_size=6))
+    else:
+        c = draw(real_or_gauss_ints.filter(lambda c: not c.is_zero()))
+        r, e = draw(st.sampled_from((1, -1, 2, -2))), draw(st.integers(0, 8))
+        q = [c * (math.comb(e, k) * r**k) for k in range(e + 1)]
     coeffs = [GaussianRational(0)] * (s + g * len(q) + 3)
     for j, c in enumerate(q):
         coeffs[s + g * j] = c
     if draw(st.booleans()):
-        coeffs[draw(st.integers(0, len(coeffs) - 1))] += draw(gauss_ints)
+        k = draw(st.integers(0, len(coeffs) - 1) | st.integers(0, max(len(q) - 1, 0)).map(lambda j: s + g * j))
+        coeffs[k] += draw(real_or_gauss_ints)
     return Polynomial(coeffs)
 
 
@@ -748,11 +802,17 @@ def naive_value(f: RationalFunction, z: GaussianRational) -> "GaussianRational |
 @settings(max_examples=200, deadline=None)
 @example(chi_neg(64).num, chi_neg(64).den, GaussianRational(Fraction("0.3"), Fraction("0.2")))
 @example(ti_neg(64).num, ti_neg(64).den, GaussianRational(Fraction("0.3"), Fraction("0.2")))
+# the binomial-power denominators of li, chi and Ti at n = 64, at unit-circle doubles
+@example(P(1), li_neg(64).den, GaussianRational(Fraction(0.6), Fraction(0.8)))
+@example(P(1), chi_neg(64).den, GaussianRational(Fraction(-0.28), Fraction(0.96)))
+@example(P(1), ti_neg(64).den, GaussianRational(Fraction(0.8), Fraction(-0.6)))
+@example(P(1, -5, 10, -10, 6, -1), P(1), GaussianRational(Fraction(1, 3)))  # (1 - z)^5 with z^4 perturbed
 @example(P(0, 0, 0, GaussianRational(2, -1)), P(1), GaussianRational(Fraction(1, 2), Fraction(-1, 3)))  # monomial
 @example(P(), P(1, 1), GaussianRational(Fraction(1, 3), 1))  # the zero polynomial
 @example(P(1, 0, 1, I), P(1), GaussianRational(Fraction(1, 2), Fraction(1, 3)))  # odd term imaginary only
 @example(P(1), P(0, 1, 0, 1), GaussianRational(0))  # den z + z^3 vanishes at 0
 def test_strided_horner_is_the_naive_sum(num, den, z):
+    assert num.horner(z) == naive_sum(num, z) and den.horner(z) == naive_sum(den, z)
     f = RationalFunction(num, den)
     want = naive_value(f, z)
     if want is None:

@@ -1,5 +1,7 @@
 """Command-line surface: output formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,9 +10,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from negpolylog import cli
-from negpolylog.algebra import rf_from_json
+from negpolylog.algebra import rf_eval, rf_from_json
 from negpolylog.cli import main, parse_complex
 from negpolylog.polylog import chi_neg
 
@@ -117,6 +121,66 @@ def test_json_output_is_strict_for_non_finite_values(capsys):
     # verify --format json writes its reports through the same helper
     text = cli._json([{"lhs": -math.inf, "points": [(math.nan, 1.5)]}])
     assert json.loads(text, parse_constant=_reject_token) == [{"lhs": "-inf", "points": [["nan", 1.5]]}]
+
+
+def main_in_process(*args):
+    """(exit code, stdout, stderr) of cli.main; capsys is function-scoped, which hypothesis rejects."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(args))
+    return code, out.getvalue(), err.getvalue()
+
+
+# FLOAT of the complex-literal grammar without its sign, (d+.?d*|.d+)([eE][+-]?d+)?, with the
+# double-range edges and the repr of any finite double, subnormals included
+digits = st.text("0123456789", min_size=1, max_size=3)
+mantissas = st.one_of(digits, st.builds("{}.".format, digits), st.builds("{}.{}".format, digits, digits),
+                      st.builds(".{}".format, digits))
+exponents = st.just("") | st.builds("{}{}{}".format, st.sampled_from("eE"), st.sampled_from(["", "+", "-"]),
+                                    st.integers(0, 330))
+unsigned_literals = st.one_of(
+    st.sampled_from(["0", "1e308", "1e400", "1e-320", "1.7976931348623157e+308"]),
+    st.builds("{}{}".format, mantissas, exponents),
+    st.floats(allow_nan=False, allow_infinity=False).map(abs).map(repr),
+)
+signed_literals = st.builds("{}{}".format, st.sampled_from(["", "-", "+"]), unsigned_literals)
+
+
+def literal(z: complex) -> str:
+    """The literal re+imi or re-imi of a complex double, in the grammar's form."""
+    return f"{z.real!r}{'-' if math.copysign(1, z.imag) < 0 else '+'}{abs(z.imag)!r}i"
+
+
+# within 1e-9 of a pole: 1 (li), +-1 (chi), +-i (Ti), or on it
+offsets = st.just(0.0) | st.floats(-1e-9, 1e-9)
+near_poles = st.builds(lambda pole, dx, dy: literal(pole + complex(dx, dy)), st.sampled_from([1, -1, 1j, -1j]),
+                       offsets, offsets)
+z_literals = st.one_of(
+    signed_literals,
+    st.builds("{}{}{}i".format, signed_literals, st.sampled_from(["+", "-"]), unsigned_literals),
+    near_poles,
+)
+
+
+@given(st.sampled_from(cli._CLOSED_FORM_KINDS), st.integers(-2, 66), z_literals)
+@settings(max_examples=30, deadline=None)
+@example("li", 64, "0.9999999999999999")  # +inf
+@example("chi", 64, "0.999999999+0.0001i")  # -inf + infi
+@example("ti", 5, "-0-1i")  # the pole -i: exit 3
+def test_eval_contract(kind, n, z_text):
+    # argparse reads "-2" and "-0.5" as values, not options (cli._Parser)
+    code, text, _ = main_in_process("eval", kind, str(n), z_text)
+    json_code, out, _ = main_in_process("eval", kind, str(n), z_text, "--format", "json")
+    assert code == json_code and code in (0, 2, 3)
+    if code:
+        assert not text and not out
+        return
+    blob = json.loads(out, parse_constant=_reject_token)
+    value = complex(float(blob["re"]), float(blob["im"]))
+    assert _text_parts(text) == (value.real, value.imag)
+    z, poly = parse_complex(z_text), cli._POLY_BUILDERS.get(kind)
+    want = poly(n)(z) if poly else rf_eval(cli._RF_BUILDERS[kind](n), z)
+    assert repr(value) == repr(complex(want))
 
 
 SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
