@@ -125,12 +125,13 @@ def derivative_poly_recurrence(target: str, n: int) -> DerivativePolynomial:
     return DerivativePolynomial(target, n, p)
 
 
-def _eulerian_sum(n: int, sign: int, phase, total):
-    """sum_{k=1..n+1} sign^k S(n, k) phase(n - 2k), the single sum of csc, sec, csch and sech.
+def _eulerian_sum(n: int, sign: int, phase) -> complex:
+    """sum_{k=1..n+1} sign^k S(n, k) phase(n - 2k), the single sum of csc and sec.
 
-    ``total`` is the zero to start from (0j or 0.0).  Terms are added left to
-    right with ``+=``: ``sum()`` compensates float sums from Python 3.12 on.
+    Terms are added left to right with ``+=``: ``sum()`` compensates float sums
+    from Python 3.12 on.
     """
+    total = 0j
     for k, b in enumerate(eulerian_b_row(n), 1):
         total += sign**k * b * phase(n - 2 * k)
     return total
@@ -145,7 +146,7 @@ def _polylog_difference(n: int, w: complex) -> complex:
 @route("csc", "csc single-sum")
 def csc_derivative_eval(n: int, x: float) -> float:
     """(d/dx)^n csc x by the Eulerian single sum with phase exp(i(2k-n-2)x)."""
-    total = _eulerian_sum(n, 1, lambda m: cmath.exp(-1j * m * x), 0j)
+    total = _eulerian_sum(n, 1, lambda m: cmath.exp(-1j * m * x))
     return ((-1) ** n / 2**n) * cmath.exp(-2j * x) * (1.0 / math.sin(x)) ** (n + 1) * total
 
 
@@ -173,7 +174,7 @@ def csc_derivative_binomial(n: int, x: float) -> float:
 @route("sec", "sec single-sum")
 def sec_derivative_eval(n: int, x: float) -> float:
     """(d/dx)^n sec x by the alternating Eulerian single sum."""
-    total = _eulerian_sum(n, -1, lambda m: cmath.exp(-1j * m * x), 0j)
+    total = _eulerian_sum(n, -1, lambda m: cmath.exp(-1j * m * x))
     return -(i_power(n) / 2**n) * cmath.exp(-2j * x) * (1.0 / math.cos(x)) ** (n + 1) * total
 
 

@@ -3,7 +3,7 @@
 The hyperbolic family mirrors the circular one but needs no complex detour:
 substituting a real exponential turns the z d/dz ladder directly into plain
 d/dx, so every evaluator here is pure real arithmetic.  It shares the
-Eulerian and Stirling kernels (and ``DerivativePolynomial``) with the
+Eulerian rows, the Stirling kernel and ``DerivativePolynomial`` with the
 circular module; the evaluation, in real exponentials, is its own.
 
 Routes provided:
@@ -14,7 +14,9 @@ Routes provided:
   satisfy the same first-order equation f' = 1 - f^2, so they share one
   polynomial family);
 * csch/sech single-sum routes (``numutil.route``) over the type-B Eulerian
-  row, in the loop of csc/sec but in powers of the real t = exp(-|x|);
+  row, as for csc/sec but in powers of the real t = exp(-|x|): the
+  numerators of chi_neg and ti_neg, evaluated exactly at the double t and
+  rounded once;
 * the polylogarithm relations Li(e^x) = -(1/2) (d/dx)^n coth(x/2) and
   Li(-e^x) = -(1/2) (d/dx)^n tanh(x/2) for n >= 1 (at n = 0 both sides
   differ by the constant 1/2, so n = 0 is excluded from sweeps), and the
@@ -32,8 +34,8 @@ from __future__ import annotations
 
 import math
 
-from .algebra import rf_eval
-from .circular import DerivativePolynomial, _eulerian_sum, _stirling_poly
+from .algebra import GaussianRational, _frac_to_float, rf_eval
+from .circular import DerivativePolynomial, _stirling_poly
 from .jets import nth_derivative, require_clear
 from .numutil import checked_exp, route
 from .polylog import chi_neg, ti_neg
@@ -82,19 +84,23 @@ def li_relation_tanh(n: int, x: float) -> float:
 
 @route("csch", "csch single-sum")
 def csch_derivative_eval(n: int, x: float) -> float:
-    """(d/dx)^n csch x = (-1)^n 2 sum_k S(n, k) t^(2k-1)/(1 - t^2)^(n+1), t = exp(-x), for x > 0
-    (csch x = 2t/(1 - t^2), d/dx = -t d/dt); csch is odd.  No power of exp(|x|) is formed."""
-    t = math.exp(-abs(x))
-    den = (-math.expm1(-2 * abs(x))) ** (n + 1)  # 1 - t^2 uncancelled; 0.0 beyond double range
-    val = 2.0 * _eulerian_sum(n, 1, lambda m: t ** (n - 1 - m), 0.0) / den if den else math.inf
+    """(d/dx)^n csch x = (-1)^n 2 chi_{-n}(t), t = exp(-x), for x > 0 (csch x = 2t/(1 - t^2),
+    d/dx = -t d/dt); csch is odd.  chi_neg(n)'s numerator is summed exactly at the double t; its
+    denominator, (1 - t^2)^(n+1) times the sign of its constant term, is read as the power of the
+    double 1 - t^2 = -expm1(-2|x|), uncancelled; the quotient is rounded once."""
+    chi = chi_neg(n)
+    num = chi.num.horner(GaussianRational(math.exp(-abs(x)))).re
+    a, b = (-math.expm1(-2 * abs(x))).as_integer_ratio()
+    val = _frac_to_float(2 * chi.den.re[0] * num.numerator * b ** (n + 1), num.denominator * a ** (n + 1))
     return (-1) ** n * val if x > 0 else -val
 
 
 @route("sech", "sech single-sum")
 def sech_derivative_eval(n: int, x: float) -> float:
-    """(d/dx)^n sech x as for csch, from sech x = 2t/(1 + t^2) by the alternating sum; even."""
-    t = math.exp(-abs(x))
-    val = -2.0 * _eulerian_sum(n, -1, lambda m: t ** (n - 1 - m), 0.0) / (1 + t * t) ** (n + 1)
+    """(d/dx)^n sech x = (-1)^n 2 Ti_{-n}(t), t = exp(-x), for x > 0, from sech x = 2t/(1 + t^2)
+    as for csch; sech is even.  rf_eval sums the alternating numerator, which cancels in floats,
+    exactly at the double t and rounds once."""
+    val = 2 * rf_eval(ti_neg(n), math.exp(-abs(x))).real
     return (-1) ** n * val if x > 0 else val
 
 

@@ -8,9 +8,10 @@ central relation, its chi and Ti restatements and the rotated variant are
     z Ti[-n](z)              = -S_n(-z^2),
     Li[-n](iz) - Li[-n](-iz) = (2/(iz)) S_n(-z^2).
 
-S_n is built once, in z, and mapped to z^2 or -z^2 by ``substitute``; each
-relation is checked exactly, as an equality of canonical rational functions,
-so it holds at every z (no tolerances).
+S_n is built once per order, in z, memoized and shared by the four checks and
+the Leibniz route, and mapped to z^2 or -z^2 by ``substitute``; each relation
+is checked exactly, as an equality of canonical rational functions, so it
+holds at every z (no tolerances).
 
 The Leibniz route expands csc x = exp(-ix)(i + cot x) with the general
 Leibniz rule, giving a further csc-derivative evaluator
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 from collections import namedtuple
+from functools import cache
 
 from .algebra import I, Polynomial, RationalFunction, poly_exact_div, rf_eval, substitute
 from .combinatorics import binomial
@@ -56,12 +58,14 @@ def ladder_coefficients(n: int) -> LadderCoefficients:
     return LadderCoefficients(n, coeffs)
 
 
+@cache
 def _weighted_sum(n: int) -> RationalFunction:
     """S_n(z) = sum_k c_k Li[-k](z), one numerator over the last term's denominator.
 
     Up to sign the k-th denominator is (1 - z)^(k+1), so each divides the next: the running
     numerator is carried forward by that exact quotient (poly_exact_div raises if it is not
-    one), and the sum is canonicalized once, with a full gcd.
+    one), and the sum is canonicalized once, with a full gcd.  Memoized per order, like
+    ``li_neg``: every ladder check and the Leibniz route share one canonical S_n.
     """
     num, den = Polynomial.zero(), Polynomial.one()
     for k, ck in enumerate(ladder_coefficients(n).coefficients):

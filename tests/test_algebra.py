@@ -543,8 +543,9 @@ _FAR_OUTCOMES = {
     "sec_derivative_eval": (None, _D, _D, _D),
     "sec_derivative_via_li": (None, _D, _D, _D),
     "sec_derivative_binomial": (_IRE, _D, _D, _D),
-    "csch_derivative_eval": (math.inf, None, _D, _D),
-    "sech_derivative_eval": (None, None, _D, _D),
+    # exact sums rounded once: a value beyond double range is inf with the exact value's sign
+    "csch_derivative_eval": (math.inf, None, math.inf, math.inf),
+    "sech_derivative_eval": (None, None, math.inf, math.inf),
 }
 # jets whose division lift overflows, then subtracts inf from inf
 _FAR_JETS = (("csc", 1e-5), ("cot", 1e-5), ("sec", math.pi / 2 - 1e-5), ("tan", math.pi / 2 - 1e-5))

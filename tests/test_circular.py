@@ -211,7 +211,8 @@ def test_imaginary_residue_error_states_its_bound_and_ratio():
 
 # The single-sum loops and polylog-difference bodies written out, as they were
 # before csc, sec, csch and sech shared one kernel each: reference copies.  The
-# csch and sech loops are the sums in t = exp(-x) that replaced the sums in exp(x).
+# csch and sech references are the sums in t = exp(-x), exact in Fractions at the
+# doubles t and 1 - t^2 (csch, from expm1) and rounded once.
 def _csc_sum_loop(n, x):
     row = eulerian_b_row(n)
     total = 0j
@@ -230,22 +231,18 @@ def _sec_sum_loop(n, x):
     return checked_real(val)
 
 
-def _csch_sum_loop(n, x):  # x > 0, in powers of t = exp(-x)
-    row = eulerian_b_row(n)
-    t = math.exp(-x)
-    total = 0.0
-    for k in range(1, n + 2):
-        total += row[k - 1] * t ** (2 * k - 1)
-    return (-1) ** n * (2.0 * total / (-math.expm1(-2 * x)) ** (n + 1))
+def _t_sum(n, sign, t):
+    return sum(sign**k * b * t ** (2 * k - 1) for k, b in enumerate(eulerian_b_row(n), 1))
 
 
-def _sech_sum_loop(n, x):
-    row = eulerian_b_row(n)
-    t = math.exp(-x)
-    total = 0.0
-    for k in range(1, n + 2):
-        total += (-1) ** k * row[k - 1] * t ** (2 * k - 1)
-    return (-1) ** n * (-2.0 * total / (1 + t * t) ** (n + 1))
+def _csch_exact_sum(n, x):  # x > 0
+    t, u = Fraction(math.exp(-x)), Fraction(-math.expm1(-2 * x))
+    return float((-1) ** n * 2 * _t_sum(n, 1, t) / u ** (n + 1))
+
+
+def _sech_exact_sum(n, x):
+    t = Fraction(math.exp(-x))
+    return float((-1) ** n * -2 * _t_sum(n, -1, t) / (1 + t * t) ** (n + 1))
 
 
 def _csc_difference_body(n, x):
@@ -266,8 +263,8 @@ def test_shared_kernels_match_the_loops_they_replaced():
         (sec_derivative_eval, _sec_sum_loop, TRIG_GRID),
         (csc_derivative_via_li, _csc_difference_body, TRIG_GRID),
         (sec_derivative_via_li, _sec_difference_body, TRIG_GRID),
-        (csch_derivative_eval, _csch_sum_loop, HYP_GRID),
-        (sech_derivative_eval, _sech_sum_loop, HYP_GRID),
+        (csch_derivative_eval, _csch_exact_sum, HYP_GRID),
+        (sech_derivative_eval, _sech_exact_sum, HYP_GRID),
     )
     for route, reference, grid in cases:
         for n in range(11):

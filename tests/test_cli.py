@@ -17,6 +17,7 @@ from negpolylog import cli
 from negpolylog.algebra import rf_eval, rf_from_json
 from negpolylog.cli import main, parse_complex
 from negpolylog.polylog import chi_neg
+from negpolylog.suites import SUITES
 
 
 def run(capsys, *args):
@@ -124,7 +125,10 @@ def test_json_output_is_strict_for_non_finite_values(capsys):
 
 
 def main_in_process(*args):
-    """(exit code, stdout, stderr) of cli.main; capsys is function-scoped, which hypothesis rejects."""
+    """(exit code, stdout, stderr) of cli.main; capsys is function-scoped, which hypothesis rejects.
+
+    argparse's own usage error raises SystemExit, which escapes and fails the test: every drawn
+    token is well-formed, so argparse must pass it on and only main may reject it."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(args))
@@ -181,6 +185,34 @@ def test_eval_contract(kind, n, z_text):
     z, poly = parse_complex(z_text), cli._POLY_BUILDERS.get(kind)
     want = poly(n)(z) if poly else rf_eval(cli._RF_BUILDERS[kind](n), z)
     assert repr(value) == repr(complex(want))
+
+
+@given(st.sampled_from([*SUITES, "all"]), st.integers(-2, 6) | st.sampled_from([10, 11, 65]),
+       st.sampled_from([None, "nan", "inf", "-1", "-1e-9", "0", "1e-300"]), st.booleans(),
+       st.sampled_from([None, "arcsinh", "bogus"]), st.sampled_from([(), ("--format", "text")]))
+@settings(max_examples=40, deadline=None)  # about 2 s: "all" at n-max 10 takes 0.4 s a format
+@example("trig", 1, "-1e-9", False, None, ())  # a negative tolerance token was read as an option
+@example("trig", 2, "0", False, None, ())  # a zero tolerance is valid: the float routes miss it
+@example("inverse", 1, "nan", True, None, ())  # nan and inf tolerances are usage errors
+@example("trig", 1, None, False, "arctan", ())  # --name given to a suite without names
+@example("all", 1, None, False, "bogus", ())  # --name that selects no identity
+@example("ladder", 65, None, False, None, ())  # past the exact cap
+@example("trig", 11, None, False, None, ())  # past the numeric cap
+def test_verify_contract(suite, n_max, tol, joined, name, text_format):
+    args = [suite, "--n-max", str(n_max)]
+    if tol is not None:
+        args += [f"--tolerance={tol}"] if joined else ["--tolerance", tol]
+    if name is not None:
+        args += ["--name", name]
+    code, text, err = main_in_process("verify", *args, *text_format)
+    json_code, out, json_err = main_in_process("verify", *args, "--format", "json")
+    assert code == json_code and code in (0, 1, 2, 3)
+    if code in (2, 3):
+        assert not text and not out and err == json_err and err.startswith("error: ")
+        return
+    flags = [r["pass"] for r in json.loads(out, parse_constant=_reject_token)]
+    assert flags and code == (0 if all(flags) else 1)
+    assert text.splitlines()[-1] == f"{sum(flags)}/{len(flags)} checks passed"
 
 
 SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(

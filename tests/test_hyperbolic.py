@@ -138,3 +138,26 @@ def test_singularities():
         li_relation_coth(3, 0.0)
     with pytest.raises(SingularityError):
         chi_ti_hyperbolic_relations(2, 0.0)
+
+
+@pytest.mark.parametrize("n, x", [(64, 0.3), (120, 1.0), (160, 1.0), (170, 1.0)])
+def test_csch_sech_single_sums_hold_at_high_order(n, x):
+    # the float sums lost all digits of sech here and overflowed from n = 160 at x = 1
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(150):  # the alternating sech series cancels about 45 of its digits
+        # csch x = 2 sum_j e^(-(2j+1)x) and sech x = 2 sum_j (-1)^j e^(-(2j+1)x) for x > 0
+        terms = [2 * (-(2 * j + 1)) ** n * mpmath.exp(-(2 * j + 1) * mpmath.mpf(x))
+                 for j in range(1000)]
+        want = {"csch": mpmath.fsum(terms), "sech": mpmath.fsum(t * (-1) ** j for j, t in enumerate(terms))}
+    for fn, route in (("csch", csch_derivative_eval), ("sech", sech_derivative_eval)):
+        assert abs(float(route(n, x) / want[fn] - 1)) < 2e-14, (fn, n, x)
+
+
+def test_csch_reads_one_minus_t_squared_uncancelled():
+    # 1 - t^2 at the double t = exp(-x) would be off by about 1e-16/x per factor (2e-10 at
+    # (10, 1.01e-6)); the route takes it from expm1 instead
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        for n, x in ((10, 1.01e-6), (3, 1e-5), (10, 1e-3)):
+            want = mpmath.diff(mpmath.csch, mpmath.mpf(x), n)
+            assert abs(float(csch_derivative_eval(n, x) / want - 1)) < 2e-14, (n, x)

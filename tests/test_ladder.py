@@ -93,7 +93,21 @@ def test_weighted_sum_matches_pairwise_accumulation(n):
     assert substitute(substitute(s, "negate_z"), "square_z") == _pairwise_sum(n, negate=True)
 
 
-def test_weighted_sum_rejects_a_broken_denominator_chain(monkeypatch):
+def test_weighted_sum_is_built_once_per_order():
+    for n in range(65):
+        assert _weighted_sum(n) is _weighted_sum(n), n
+        assert _weighted_sum(n) == _weighted_sum.__wrapped__(n), n
+
+
+@pytest.fixture
+def uncached_weighted_sum():
+    """A planted mutant must reach S_n's construction, and must not leave its S_n cached."""
+    _weighted_sum.cache_clear()
+    yield
+    _weighted_sum.cache_clear()
+
+
+def test_weighted_sum_rejects_a_broken_denominator_chain(monkeypatch, uncached_weighted_sum):
     def planted(k):  # 1/(1 + 2z), then 1/(1 + 3z): the first does not divide the second
         return RationalFunction(Polynomial([1]), Polynomial([1, k + 2]))
 
@@ -102,7 +116,7 @@ def test_weighted_sum_rejects_a_broken_denominator_chain(monkeypatch):
         _weighted_sum(1)
 
 
-def test_perturbed_coefficient_fails_every_exact_ladder(monkeypatch):
+def test_perturbed_coefficient_fails_every_exact_ladder(monkeypatch, uncached_weighted_sum):
     exact = ladder.ladder_coefficients
 
     def perturbed(n):
