@@ -495,6 +495,11 @@ class Polynomial:
         re[::2], im[::2] = self.re, self.im
         return _raw(re, im)
 
+    def invert_arg(self, d: int) -> "Polynomial":
+        """z^d p(1/z) for d >= deg p: the coefficients padded to length d + 1 and reversed."""
+        pad = (0,) * (d - self.degree)
+        return _poly((*self.re, *pad)[::-1], (*self.im, *pad)[::-1])
+
     def is_real(self) -> bool:
         return not any(self.im)
 
@@ -872,22 +877,26 @@ def z_ddz(f: RationalFunction) -> RationalFunction:
 
 
 _SUBSTITUTIONS = {
-    "negate_z": lambda p: p.turn_arg(2),
-    "square_z": Polynomial.square_arg,
-    "i_times_z": lambda p: p.turn_arg(1),
+    "negate_z": lambda p, d: p.turn_arg(2),
+    "square_z": lambda p, d: p.square_arg(),
+    "i_times_z": lambda p, d: p.turn_arg(1),
+    "invert_z": Polynomial.invert_arg,
 }
 
 
 def substitute(f: RationalFunction, kind: str) -> RationalFunction:
-    """Exact argument transform: z -> -z, z^2, or i*z.
+    """Exact argument transform: z -> -z, z^2, i*z, or 1/z, in O(n) steps and no polynomial gcd.
 
-    Each transform preserves coprimality of the canonical pair, so only
-    re-normalization is needed.
+    Each transform preserves coprimality of the canonical pair p/q, so only
+    re-normalization is needed.  For 1/z, f(1/z) = z^d p(1/z) / z^d q(1/z)
+    with d = max(deg p, deg q): both parts padded to d and reversed.  A common
+    root r != 0 of the two would make 1/r a common root of p and q, and z
+    divides both only if d exceeded both degrees.
     """
     if kind not in _SUBSTITUTIONS:
         raise ValueError(f"unknown substitution {kind!r}; expected one of {tuple(_SUBSTITUTIONS)}")
-    transform = _SUBSTITUTIONS[kind]
-    return RationalFunction(transform(f.num), transform(f.den), _reduced=True)
+    transform, d = _SUBSTITUTIONS[kind], max(f.num.degree, f.den.degree)
+    return RationalFunction(transform(f.num, d), transform(f.den, d), _reduced=True)
 
 
 def rf_eval(f: RationalFunction, z) -> complex:

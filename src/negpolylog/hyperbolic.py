@@ -13,15 +13,14 @@ Routes provided:
   integers by the same helper as cot/tan (coth and tanh
   satisfy the same first-order equation f' = 1 - f^2, so they share one
   polynomial family);
-* csch/sech single-sum routes (``numutil.route``) over the type-B Eulerian
-  row, as for csc/sec but in powers of the real t = exp(-|x|): the
-  numerators of chi_neg and ti_neg, evaluated exactly at the double t and
-  rounded once;
+* csch/sech single-sum routes (``numutil.route``): the paper's relations
+  2*chi(e^x) = -(d/dx)^n csch x and 2*Ti(e^x) = (d/dx)^n sech x (n >= 0),
+  read at t = exp(-|x|) through the inversion z -> 1/z of chi and Ti that
+  the core suite proves exactly; chi_neg's and ti_neg's numerators are
+  evaluated exactly at the double t and rounded once;
 * the polylogarithm relations Li(e^x) = -(1/2) (d/dx)^n coth(x/2) and
   Li(-e^x) = -(1/2) (d/dx)^n tanh(x/2) for n >= 1 (at n = 0 both sides
-  differ by the constant 1/2, so n = 0 is excluded from sweeps), and the
-  chi/Ti relations 2*chi(e^x) = -(d/dx)^n csch x, 2*Ti(e^x) = (d/dx)^n sech x
-  (these two hold at n = 0 as well: the constants cancel in the difference).
+  differ by the constant 1/2, so n = 0 is excluded from sweeps).
 
 A note on the tan <-> tanh coefficient kinship: the tanh polynomials are the
 tan polynomials under u -> iu up to a power of i.  There is no clean real
@@ -36,10 +35,9 @@ import math
 
 from .algebra import GaussianRational, _frac_to_float, rf_eval
 from .circular import DerivativePolynomial, _stirling_poly
-from .jets import nth_derivative, require_clear
-from .numutil import checked_exp, route
+from .jets import nth_derivative
+from .numutil import route
 from .polylog import chi_neg, ti_neg
-from .reports import VerificationReport, check
 
 __all__ = [
     "HYP_GRID",
@@ -49,7 +47,6 @@ __all__ = [
     "li_relation_tanh",
     "csch_derivative_eval",
     "sech_derivative_eval",
-    "chi_ti_hyperbolic_relations",
 ]
 
 # Fixed evaluation grid for the hyperbolic sweeps; all points avoid x = 0,
@@ -85,9 +82,10 @@ def li_relation_tanh(n: int, x: float) -> float:
 @route("csch", "csch single-sum")
 def csch_derivative_eval(n: int, x: float) -> float:
     """(d/dx)^n csch x = (-1)^n 2 chi_{-n}(t), t = exp(-x), for x > 0 (csch x = 2t/(1 - t^2),
-    d/dx = -t d/dt); csch is odd.  chi_neg(n)'s numerator is summed exactly at the double t; its
-    denominator, (1 - t^2)^(n+1) times the sign of its constant term, is read as the power of the
-    double 1 - t^2 = -expm1(-2|x|), uncancelled; the quotient is rounded once."""
+    d/dx = -t d/dt); csch is odd.  By the inversion of chi this is -2 chi_{-n}(e^x), the paper's
+    relation.  chi_neg(n)'s numerator is summed exactly at the double t; its denominator,
+    (1 - t^2)^(n+1) times the sign of its constant term, is read as the power of the double
+    1 - t^2 = -expm1(-2|x|), uncancelled; the quotient is rounded once."""
     chi = chi_neg(n)
     num = chi.num.horner(GaussianRational(math.exp(-abs(x)))).re
     a, b = (-math.expm1(-2 * abs(x))).as_integer_ratio()
@@ -98,17 +96,9 @@ def csch_derivative_eval(n: int, x: float) -> float:
 @route("sech", "sech single-sum")
 def sech_derivative_eval(n: int, x: float) -> float:
     """(d/dx)^n sech x = (-1)^n 2 Ti_{-n}(t), t = exp(-x), for x > 0, from sech x = 2t/(1 + t^2)
-    as for csch; sech is even.  rf_eval sums the alternating numerator, which cancels in floats,
-    exactly at the double t and rounds once."""
+    as for csch; sech is even.  By the inversion of Ti this is 2 Ti_{-n}(e^x), the paper's
+    relation.  rf_eval sums the alternating numerator, which cancels in floats, exactly at the
+    double t and rounds once."""
     val = 2 * rf_eval(ti_neg(n), math.exp(-abs(x))).real
     return (-1) ** n * val if x > 0 else val
 
-
-def chi_ti_hyperbolic_relations(n: int, x: float, tol: float = 1e-8) -> VerificationReport:
-    """Check 2*chi(e^x) = -(d/dx)^n csch x and 2*Ti(e^x) = (d/dx)^n sech x."""
-    require_clear("the csch relation", x, 0.0)
-    points = [check(x, lambda: (2.0 * rf_eval(chi_neg(n), checked_exp(x)).real,
-                                -nth_derivative("csch", x, n)), tol, "chi-csch"),
-              check(x, lambda: (2.0 * rf_eval(ti_neg(n), checked_exp(x)).real,
-                                nth_derivative("sech", x, n)), tol, "ti-sech")]
-    return VerificationReport("hyperbolic chi/Ti relations", n, tol, points)

@@ -41,9 +41,9 @@ import math
 from collections import namedtuple
 
 from .algebra import rf_eval
-from .combinatorics import factorial, stirling2_row
+from .combinatorics import factorial, stirling_power_sum
 from .errors import DomainError
-from .jets import Jet, apply_operator_power, jet_lift, laurent_jet, require_clear
+from .jets import SINGULARITY_GUARD, Jet, apply_operator_power, jet_lift, laurent_jet, require_clear
 from .polylog import chi_neg, li_neg, ti_neg
 from .reports import VerificationReport, check
 
@@ -201,14 +201,10 @@ def verify_generic_operand(f: str, n: int, x: float, tol: float = 1e-9) -> Verif
         raise ValueError("n must be >= 0")
     require_clear(f"generic-operand {f}", x)
     fx = math.sin(x) if f == "sin" else math.cos(x)
-    if abs(1.0 + fx) < 1e-6:
+    if abs(1.0 + fx) < SINGULARITY_GUARD:
         raise DomainError(f"substitution diverges where {f}(x) = -1; x = {x}")
     zstar = fx / (1.0 + fx)
-    # fx ** (k+1), not stirling_power_sum: its running product rounds differently and changes rhs
-    row = stirling2_row(n + 1)
-    rhs = 0.0
-    for k in range(n + 1):
-        rhs += factorial(k) * row[k + 1] * fx ** (k + 1)
+    rhs = stirling_power_sum(n, fx, factorial)
     points = [check(x, lambda: (rf_eval(li_neg(n), zstar).real, rhs), tol, "closed-form sum")]
     if n <= 3:
         coefficient = _sin_coefficient if f == "sin" else _cos_coefficient

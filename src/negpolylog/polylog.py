@@ -151,6 +151,5 @@ def _equals_series(f: RationalFunction, coeff, d: int) -> bool:
     """
     p, q = f.num, f.den
     m = max(p.degree, q.degree) + d + 1
-    s = [coeff(k) for k in range(m)]
-    return all(sum(qc[i] * s[j - i] for i in range(min(j + 1, len(qc)))) == pc[j]
-               for qc, pc in ((q.re, p.re + (0,) * m), (q.im, p.im + (0,) * m)) for j in range(m))
+    qs = q * _poly([coeff(k) for k in range(m)], [0] * m)
+    return _poly(qs.re[:m], qs.im[:m]) == p

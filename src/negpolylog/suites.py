@@ -44,6 +44,9 @@ def _core(n_max: int, tol: float, name: str | None) -> list[VerificationReport]:
     also the double angle of the cot derivatives, 2^(n+1) cot^(n)(2x) =
     cot^(n)(x) - tan^(n)(x): at w = exp(2ix), cot x = -i - 2i Li[0](w),
     tan x = i + 2i Li[0](-w) and d/dx = 2i w d/dw turn one into the other.
+
+    The inversion chi(1/z) = (-1)^(n+1) chi(z), Ti(1/z) = (-1)^n Ti(z) is the
+    palindromy of the type-B Eulerian row (Brenti 1994).
     """
     reports = []
     for n in range(n_max + 1):
@@ -53,6 +56,8 @@ def _core(n_max: int, tol: float, name: str | None) -> list[VerificationReport]:
             ("closed form vs defining series", defining_series_agree(n)),
             ("chi from polylog difference", chi_from_li(n) == chi_neg(n)),
             ("Ti from rotated chi", ti_from_chi(n) == ti_neg(n)),
+            ("chi and Ti inversion", substitute(chi_neg(n), "invert_z") == chi_neg(n) * (-1) ** (n + 1)
+             and substitute(ti_neg(n), "invert_z") == ti_neg(n) * (-1) ** n),
             (
                 "duplication identity",
                 li_neg(n) + substitute(li_neg(n), "negate_z")
@@ -97,9 +102,6 @@ def _hyperbolic(n_max: int, tol: float, name: str | None) -> list[VerificationRe
                         tol, label)
                   for x in HYP_GRID for label, sign, relation in relations]
         reports.append(VerificationReport("polylog half-argument relations", n, tol, points))
-    for n in range(1, n_max + 1):
-        for x in HYP_GRID:
-            reports.append(hyperbolic.chi_ti_hyperbolic_relations(n, x, tol))
     return reports
 
 

@@ -35,7 +35,7 @@ from negpolylog.algebra import (
 )
 from negpolylog.circular import cot_derivative_poly
 from negpolylog.errors import DomainError, ImaginaryResidueError, PoleError
-from negpolylog.hyperbolic import chi_ti_hyperbolic_relations, li_relation_coth, li_relation_tanh
+from negpolylog.hyperbolic import li_relation_coth, li_relation_tanh
 from negpolylog.inverse import verify_generic_operand
 from negpolylog.jets import apply_operator_power, jet_lift, laurent_jet, nth_derivative
 from negpolylog.polylog import chi_neg, li_neg, li_neg_stirling, ti_neg
@@ -438,7 +438,10 @@ def test_substitute_examples():
     f = RF([0, 1], [1, -1])
     assert substitute(f, "negate_z") == RF([0, -1], [1, 1])
     assert substitute(f, "square_z") == RF([0, 0, 1], [1, 0, -1])
-    for kind in ("cube_z", "invert_z"):
+    assert substitute(f, "invert_z") == RF([1], [-1, 1])  # (1/z)/(1 - 1/z) = 1/(z - 1)
+    g = RF([1], [1, 1])  # z -> z^2 changes only the denominator: equality reads both parts
+    assert substitute(g, "square_z") == RF([1], [1, 0, 1]) != g
+    for kind in ("cube_z", "conjugate_z"):
         with pytest.raises(ValueError, match="unknown substitution"):
             substitute(f, kind)
 
@@ -559,7 +562,6 @@ _FAR_JETS = (("csc", 1e-5), ("cot", 1e-5), ("sec", math.pi / 2 - 1e-5), ("tan", 
     *[pytest.param(functools.partial(entry, 3, x), DomainError, id=f"{name}-{x}")
       for name, entry in _FLOAT_X_ENTRIES.items() for x in (math.nan, math.inf, -math.inf)],
     # finite points whose exp, sinh or cosh is beyond double range return a value or a report
-    pytest.param(lambda: chi_ti_hyperbolic_relations(1, 1000.0), None, id="chi_ti-1000"),
     pytest.param(lambda: li_relation_coth(1, 3000.0), None, id="li_relation_coth-3000"),
     pytest.param(lambda: li_relation_tanh(1, 3000.0), None, id="li_relation_tanh-3000"),
     *[pytest.param(functools.partial(nth_derivative, fn, x, 3), None, id=f"{fn}-{x}")
@@ -745,6 +747,26 @@ def test_z_ddz_is_a_derivation(f, g):
 def test_square_substitution_is_a_homomorphism(f, g):
     assert substitute(f * g, "square_z") == substitute(f, "square_z") * substitute(g, "square_z")
     assert substitute(f + g, "square_z") == substitute(f, "square_z") + substitute(g, "square_z")
+
+
+def _reversed_to(p, d):
+    return Polynomial([*reversed([*p.coeffs, *[0] * (d - p.degree)])])
+
+
+@given(st.one_of(st.just(Polynomial.zero()), gauss_polys), gauss_polys, gauss_polys, st.integers(0, 2))
+@example(P(0, 1), P(1, -1), P(1), 0)  # deg p < deg q
+@example(P(1, 0, 1), P(0, 1), P(1), 0)  # deg p > deg q and q(0) = 0
+@settings(max_examples=150)
+def test_invert_substitution_matches_the_full_gcd_form(num, den, g, j):
+    # the reversal at d = max(deg p, deg q) skips the gcd: it equals the form canonicalized in
+    # full, is an involution, and keeps products and sums; Z^j puts a root at z = 0
+    f, h = RationalFunction(num * Z**j, den), RationalFunction(g, den)
+    d = max(f.num.degree, f.den.degree)
+    inv = substitute(f, "invert_z")
+    assert inv == RationalFunction(_reversed_to(f.num, d), _reversed_to(f.den, d))
+    assert substitute(inv, "invert_z") == f
+    assert substitute(f * h, "invert_z") == inv * substitute(h, "invert_z")
+    assert substitute(f + h, "invert_z") == inv + substitute(h, "invert_z")
 
 
 @given(rationals, st.fractions(min_value=-3, max_value=3, max_denominator=7))

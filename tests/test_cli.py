@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from negpolylog import cli
 from negpolylog.algebra import rf_eval, rf_from_json
 from negpolylog.cli import main, parse_complex
+from negpolylog.ladder import ladder_coefficients
 from negpolylog.polylog import chi_neg
 from negpolylog.suites import SUITES
 
@@ -213,6 +214,57 @@ def test_verify_contract(suite, n_max, tol, joined, name, text_format):
     flags = [r["pass"] for r in json.loads(out, parse_constant=_reject_token)]
     assert flags and code == (0 if all(flags) else 1)
     assert text.splitlines()[-1] == f"{sum(flags)}/{len(flags)} checks passed"
+
+
+def _order_contract(n, fmt, *args):
+    """The parsed JSON of a command whose order n the CLI checks, else None after the checks.
+
+    Outside 0..64 it exits 2 with nothing on stdout and one error line; text and LaTeX output
+    is one line and the same on a second call."""
+    code, out, err = main_in_process(*args)
+    if not 0 <= n <= 64:
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+        return None
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        return json.loads(out, parse_constant=_reject_token)
+    assert out.count("\n") == 1 and main_in_process(*args) == (0, out, "")
+    return None
+
+
+formats = st.sampled_from([None, "text", "latex", "json"])
+
+
+@given(st.integers(-2, 66), st.booleans(), formats, st.sampled_from([None, "standard", "halved"]))
+@settings(max_examples=40, deadline=None)
+@example(-1, False, None, None)
+@example(0, True, "json", "halved")
+@example(64, False, "latex", "standard")
+@example(65, True, "text", None)
+def test_ladder_contract(n, joined, fmt, arrangement):
+    args = ["ladder", *([f"--n={n}"] if joined else ["--n", str(n)])]
+    args += [*(["--format", fmt] if fmt else []), *(["--arrangement", arrangement] if arrangement else [])]
+    blob = _order_contract(n, fmt, *args)
+    if blob is not None:
+        assert blob == {"n": n, "arrangement": arrangement or "standard",
+                        "coefficients": [str(c) for c in ladder_coefficients(n).coefficients]}
+
+
+@given(st.sampled_from(cli._CLOSED_FORM_KINDS), st.integers(-2, 66), formats)
+@settings(max_examples=40, deadline=None)
+@example("li", -1, None)
+@example("chi", 0, "latex")
+@example("tanh-poly", 64, "json")
+@example("ti", 65, "text")
+def test_closed_form_contract(kind, n, fmt):
+    blob = _order_contract(n, fmt, kind, str(n), *(["--format", fmt] if fmt else []))
+    if blob is None:
+        return
+    if kind in cli._POLY_BUILDERS:
+        poly = cli._POLY_BUILDERS[kind](n)
+        assert blob == {"target": poly.target, "n": n, "coeffs": [str(c) for c in poly.coefficient_ints()]}
+    else:
+        assert (blob["kind"], blob["n"]) == (kind, n) and rf_from_json(blob) == cli._RF_BUILDERS[kind](n)
 
 
 SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(

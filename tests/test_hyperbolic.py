@@ -7,10 +7,9 @@ import pytest
 from negpolylog import hyperbolic
 from negpolylog.algebra import rf_eval
 from negpolylog.circular import derivative_poly_recurrence
-from negpolylog.errors import SingularityError
+from negpolylog.errors import DomainError, SingularityError
 from negpolylog.hyperbolic import (
     HYP_GRID,
-    chi_ti_hyperbolic_relations,
     coth_derivative_poly,
     csch_derivative_eval,
     li_relation_coth,
@@ -19,8 +18,10 @@ from negpolylog.hyperbolic import (
     tanh_derivative_poly,
 )
 from negpolylog.jets import nth_derivative
-from negpolylog.polylog import li_neg
-from negpolylog.reports import rel_err
+from negpolylog.numutil import checked_exp
+from negpolylog.polylog import chi_neg, li_neg, ti_neg
+from negpolylog.reports import check, rel_err
+from negpolylog.suites import run_suite
 
 
 def test_first_order_polynomials():
@@ -92,43 +93,49 @@ def test_csch_sech_at_large_and_negative_x():
 
 
 def test_chi_ti_relations_hand_values():
-    rep = chi_ti_hyperbolic_relations(0, 1.0, tol=1e-12)
-    chi_point = next(p for p in rep.points if p.label == "chi-csch")
-    # 2 e/(1 - e^2) = -1/sinh(1), by hand
-    assert chi_point.lhs == pytest.approx(2 * math.e / (1 - math.e**2))
-    assert chi_point.lhs == pytest.approx(-1 / math.sinh(1.0))
-    ti_point = next(p for p in rep.points if p.label == "ti-sech")
-    assert ti_point.lhs == pytest.approx(2 * math.e / (1 + math.e**2))
-    assert ti_point.lhs == pytest.approx(1 / math.cosh(1.0))
-    assert rep.passed
+    # the paper's relations at e^x, by hand at n = 0: 2 e/(1 - e^2) = -1/sinh(1) and
+    # 2 e/(1 + e^2) = 1/cosh(1); the routes read the same forms at e^-x
+    chi, ti = 2 * rf_eval(chi_neg(0), math.e).real, 2 * rf_eval(ti_neg(0), math.e).real
+    assert chi == pytest.approx(2 * math.e / (1 - math.e**2)) == pytest.approx(-1 / math.sinh(1.0))
+    assert ti == pytest.approx(2 * math.e / (1 + math.e**2)) == pytest.approx(1 / math.cosh(1.0))
+    assert chi == pytest.approx(-csch_derivative_eval(0, 1.0), rel=1e-15)
+    assert ti == pytest.approx(sech_derivative_eval(0, 1.0), rel=1e-15)
 
 
 def test_a_raising_side_fails_only_its_point(monkeypatch):
     def oracle(fn, x, n):
-        if fn == "csch":
+        if fn == "coth":
             raise SingularityError("stub")
         return nth_derivative(fn, x, n)
 
     monkeypatch.setattr(hyperbolic, "nth_derivative", oracle)
-    chi, ti = chi_ti_hyperbolic_relations(2, 0.8).points
-    assert (chi.label, chi.ok, chi.rel_err, chi.note) == (
-        "chi-csch", False, math.inf, "SingularityError: stub")
-    assert (ti.label, ti.ok, ti.note) == ("ti-sech", True, "")
+    (report,) = [r for r in run_suite("hyperbolic", 1) if r.identity == "polylog half-argument relations"]
+    assert [p.label for p in report.points] == ["coth", "tanh"] * len(HYP_GRID)
+    for p in report.points:
+        if p.label == "coth":
+            assert (p.ok, p.rel_err, p.note) == (False, math.inf, "SingularityError: stub")
+        else:
+            assert (p.ok, p.note) == (True, "")
 
 
 def test_exp_beyond_double_range_fails_its_points():
-    # exp(1000) overflows: both points fail with a library error instead of aborting a sweep
-    for p in chi_ti_hyperbolic_relations(1, 1000.0).points:
-        assert (p.ok, p.note) == (False, "DomainError: exp(1000.0) is beyond double range")
-    # at x = -1000 exp underflows to 0, a finite point, and both sides vanish
-    assert chi_ti_hyperbolic_relations(3, -1000.0).passed
+    # exp(1000) overflows: a library error, so a relation's point fails instead of aborting a sweep
+    with pytest.raises(DomainError, match=r"exp\(1000.0\) is beyond double range"):
+        checked_exp(1000.0)
+    point = check(1000.0, lambda: (rf_eval(li_neg(1), checked_exp(1000.0)).real,
+                                   li_relation_coth(1, 1000.0)), 1e-8)
+    assert (point.ok, point.note) == (False, "DomainError: exp(1000.0) is beyond double range")
+    # at x = -1000 exp underflows to 0, a finite point
+    assert checked_exp(-1000.0) == 0.0
 
 
 def test_chi_ti_relations_sweep():
-    for n in range(1, 11):
-        for x in HYP_GRID:
-            assert chi_ti_hyperbolic_relations(n, x, tol=1e-8).passed, (n, x)
-    assert chi_ti_hyperbolic_relations(5, 0.8, tol=1e-8).passed
+    # the relations at e^x agree with the routes, which read the forms at e^-|x|
+    for n in range(11):
+        for x in (*HYP_GRID, -0.8):
+            chi, ti = (2 * rf_eval(f(n), math.exp(x)).real for f in (chi_neg, ti_neg))
+            assert rel_err(chi, -csch_derivative_eval(n, x)) < 1e-13, (n, x)
+            assert rel_err(ti, sech_derivative_eval(n, x)) < 1e-13, (n, x)
 
 
 def test_singularities():
@@ -136,8 +143,6 @@ def test_singularities():
         csch_derivative_eval(2, 0.0)
     with pytest.raises(SingularityError):
         li_relation_coth(3, 0.0)
-    with pytest.raises(SingularityError):
-        chi_ti_hyperbolic_relations(2, 0.0)
 
 
 @pytest.mark.parametrize("n, x", [(64, 0.3), (120, 1.0), (160, 1.0), (170, 1.0)])

@@ -92,6 +92,21 @@ def test_cold_li_neg_nests_one_level():
     assert got == li_neg_stirling(64)
 
 
+def test_chi_ti_inversion():
+    # chi(1/z) = (-1)^(n+1) chi(z) and Ti(1/z) = (-1)^n Ti(z): the type-B row is a palindrome
+    for n in range(65):
+        assert eulerian_b_row(n) == eulerian_b_row(n)[::-1]
+        assert substitute(chi_neg(n), "invert_z") == chi_neg(n) * (-1) ** (n + 1)
+        assert substitute(ti_neg(n), "invert_z") == ti_neg(n) * (-1) ** n
+        if n:  # and Li(1/z) = (-1)^(n+1) Li(z), by the palindromic Eulerian row
+            assert substitute(li_neg(n), "invert_z") == li_neg(n) * (-1) ** (n + 1)
+    # the reversal skips the gcd: equal to the form canonicalized in full
+    for n in (0, 5, 40):
+        for f in (chi_neg(n), ti_neg(n)):
+            num, den = ([*reversed([*p.coeffs, *[0] * (2 * n + 2 - p.degree)])] for p in (f.num, f.den))
+            assert substitute(f, "invert_z") == RationalFunction(Polynomial(num), Polynomial(den))
+
+
 def test_chi_from_li_route():
     assert chi_from_li(0) == chi_neg(0)
     for n in [*range(21), 40, 64]:

@@ -19,7 +19,8 @@ def test_exact_suites_pass():
     core = run_suite("core", 2)
     assert {r.identity for r in core} == {
         "construction route equality", "closed form vs defining series",
-        "chi from polylog difference", "Ti from rotated chi", "duplication identity",
+        "chi from polylog difference", "Ti from rotated chi", "chi and Ti inversion",
+        "duplication identity",
         *(f"{target} polynomial vs recurrence" for target in ("cot", "tan", "coth", "tanh")),
     }
     assert all(r.passed and r.exact for r in core)
@@ -150,4 +151,4 @@ def test_numeric_suites_keep_their_identities_in_order():
     assert [f"{r.identity} n={r.n}" for r in run_suite("hyperbolic", 1)] == [
         "csch single-sum vs jet oracle n=0", "csch single-sum vs jet oracle n=1",
         "sech single-sum vs jet oracle n=0", "sech single-sum vs jet oracle n=1",
-        "polylog half-argument relations n=1", *["hyperbolic chi/Ti relations n=1"] * 5]
+        "polylog half-argument relations n=1"]
