@@ -102,7 +102,7 @@ import operator
 import weakref
 from fractions import Fraction
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, ImaginaryResidueError, PoleError
 
 __all__ = [
     "GaussianRational",
@@ -500,6 +500,16 @@ class Polynomial:
         pad = (0,) * (d - self.degree)
         return _poly((*self.re, *pad)[::-1], (*self.im, *pad)[::-1])
 
+    def half_angle_arg(self, d: int) -> "Polynomial":
+        """sum p_k (1 + it)^k (1 - it)^(d-k), d >= deg p, by homogeneous Horner at t = 2**w, where
+        a product by 1 +- it is a shift and an add; a slot holds 2^d sum |re p_k| + |im p_k|."""
+        nb = _slot_bytes((sum(map(abs, self.re)) + sum(map(abs, self.im))) << d)
+        w, ar, ai, br, bi = 8 * nb, 0, 0, 1, 0
+        for pr, pi in reversed([*zip(self.re, self.im), *[(0, 0)] * (d + 1 - len(self.re))]):
+            ar, ai = ar - (ai << w) + pr * br - pi * bi, ai + (ar << w) + pr * bi + pi * br
+            br, bi = br + (bi << w), bi - (br << w)
+        return _poly(_unpack(ar, nb, d + 1), _unpack(ai, nb, d + 1))
+
     def is_real(self) -> bool:
         return not any(self.im)
 
@@ -881,17 +891,21 @@ _SUBSTITUTIONS = {
     "square_z": lambda p, d: p.square_arg(),
     "i_times_z": lambda p, d: p.turn_arg(1),
     "invert_z": Polynomial.invert_arg,
+    "half_angle": Polynomial.half_angle_arg,
 }
 
 
 def substitute(f: RationalFunction, kind: str) -> RationalFunction:
-    """Exact argument transform: z -> -z, z^2, i*z, or 1/z, in O(n) steps and no polynomial gcd.
+    """Exact argument transform: z -> -z, z^2, i*z, 1/z, or (1 + it)/(1 - it), in O(n) steps
+    and no polynomial gcd.
 
     Each transform preserves coprimality of the canonical pair p/q, so only
     re-normalization is needed.  For 1/z, f(1/z) = z^d p(1/z) / z^d q(1/z)
     with d = max(deg p, deg q): both parts padded to d and reversed.  A common
     root r != 0 of the two would make 1/r a common root of p and q, and z
-    divides both only if d exceeded both degrees.
+    divides both only if d exceeded both degrees.  ``"half_angle"`` (z = exp(ix),
+    t = tan(x/2)) multiplies both by (1 - it)^d: a common root s != -i would make
+    (1 + is)/(1 - is) a common root of p and q; at -i only 2^d p_d and 2^d q_d, not both 0, remain.
     """
     if kind not in _SUBSTITUTIONS:
         raise ValueError(f"unknown substitution {kind!r}; expected one of {tuple(_SUBSTITUTIONS)}")
@@ -926,6 +940,14 @@ def rf_eval_exact(f: RationalFunction, z) -> GaussianRational:
     """Evaluate exactly at a Gaussian rational (or int/Fraction) point, by Horner."""
     num_val, den_val = _values(f, z if isinstance(z, GaussianRational) else GaussianRational(z))
     return num_val / den_val
+
+
+def require_real(f, label: str, n: int):
+    """f, a polynomial or form built in Gaussian arithmetic, if its coefficients are real;
+    ImaginaryResidueError, naming label and n, if not."""
+    if not f.is_real():
+        raise ImaginaryResidueError(f"{label} n={n}: its exact form has non-real coefficients")
+    return f
 
 
 def _values(f: RationalFunction, z: GaussianRational) -> tuple[GaussianRational, GaussianRational]:

@@ -11,33 +11,32 @@ those polynomials are constructed two ways:
   m = -(1 + u^2) for cot and m = (1 + u^2) for tan.
 
 For csc and sec there are three evaluator routes each, plus the Taylor-jet
-oracle:
+oracle.  Each route is an exact real rational function of t = tan(x/2), built
+once per order by its own construction (``numutil.real_form``) and read at
+the double tan(x/2) by ``rf_eval``, rounded once.  With w = exp(ix) =
+(1 + it)/(1 - it) they are
 
-* a single sum over the type-B Eulerian row with combined phase factor
-  exp(i(2k - n - 2)x) -- the exponent bookkeeping in that form was validated
-  against the jet oracle before being trusted, and is implemented exactly as
-  stated here;
-* the difference of polylogarithm closed forms at exp(ix) (rotated by i for
-  sec);
-* a literal binomial expansion (double sum over half-angle tangent and
-  cotangent powers for csc, triple sum over tan and sec powers for sec).
+* the type-B Eulerian single sums 2 i^(n-1) chi_{-n}(w) for csc and
+  2 i^n Ti_{-n}(w) for sec, and the polylogarithm differences i^(n-1)
+  (Li_{-n}(w) - Li_{-n}(-w)), at iw for sec, all mapped to t by
+  ``substitute(f, "half_angle")``;
+* the literal binomial expansions over the Stirling row, in t directly (a
+  double sum over half-angle tangent and cotangent powers for csc, a triple
+  sum over tan and sec powers for sec).
 
-All i-bearing algebra is carried in complex double arithmetic, not simplified
-by hand, to exercise the identities as written; ``numutil.route`` checks that
-each route's imaginary residue cancels and its value is within double range.
+Every power of i is exact, so a form that is not real raises
+ImaginaryResidueError; a value beyond double range is +-inf.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections import namedtuple
 
-from .algebra import I, Polynomial, RationalFunction, evaluate_packed, rf_eval
-from .combinatorics import binomial, eulerian_b_row, factorial, stirling2_row, stirling_power_sum
-from .errors import ImaginaryResidueError
-from .numutil import i_power, route
-from .polylog import li_neg
+from .algebra import I, Polynomial, RationalFunction, evaluate_packed, require_real, rf_eval, substitute
+from .combinatorics import binomial, factorial, stirling2_row, stirling_power_sum
+from .numutil import real_form, route
+from .polylog import chi_neg, li_neg, ti_neg
 
 __all__ = [
     "DerivativePolynomial", "TRIG_GRID", "cot_derivative_poly", "tan_derivative_poly",
@@ -81,9 +80,7 @@ def _stirling_poly(target: str, n: int, b0: int, sign: int, step: int):
     q = evaluate_packed(lambda x: stirling_power_sum(n, b0 + x, lambda k: sign**k * factorial(k), 2),
                         stirling_power_sum(n, 2, factorial, 2), n + 2)
     p = q.turn_arg(step).scale(I ** (step * (n - 1) % 4))
-    if not p.is_real():
-        raise ImaginaryResidueError(f"{target} derivative polynomial n={n} is not real (bug)")
-    return DerivativePolynomial(target, n, p)
+    return DerivativePolynomial(target, n, require_real(p, f"{target} derivative polynomial", n))
 
 
 def cot_derivative_poly(n: int) -> DerivativePolynomial:
@@ -125,78 +122,81 @@ def derivative_poly_recurrence(target: str, n: int) -> DerivativePolynomial:
     return DerivativePolynomial(target, n, p)
 
 
-def _eulerian_sum(n: int, sign: int, phase) -> complex:
-    """sum_{k=1..n+1} sign^k S(n, k) phase(n - 2k), the single sum of csc and sec.
-
-    Terms are added left to right with ``+=``: ``sum()`` compensates float sums
-    from Python 3.12 on.
-    """
-    total = 0j
-    for k, b in enumerate(eulerian_b_row(n), 1):
-        total += sign**k * b * phase(n - 2 * k)
-    return total
+def _binomial_weights(n: int) -> list:
+    """i^(n-1+j) a_j over 2^(n+1), j = 0..n+1, the binomial sums' weights of the powers j:
+    a_j = sum_k (-1)^k k! 2^(n-k) {n+1 brace k+1} C(k+1, j), summed over k first."""
+    row = stirling2_row(n + 1)
+    w = [(-1) ** k * factorial(k) * 2 ** (n - k) * row[k + 1] for k in range(n + 1)]
+    return [I ** ((n - 1 + j) % 4) * sum(w[k] * binomial(k + 1, j) for k in range(max(j - 1, 0), n + 1))
+            for j in range(n + 2)]
 
 
-def _polylog_difference(n: int, w: complex) -> complex:
-    """i^(n-1) (Li[-n](w) - Li[-n](-w)): csc at w = exp(ix), sec at w = i exp(ix)."""
-    f = li_neg(n)
-    return i_power(n - 1) * (rf_eval(f, w) - rf_eval(f, -w))
+_csc_single_sum = real_form("csc single-sum")(
+    lambda n: substitute(chi_neg(n) * (2 * I ** ((n - 1) % 4)), "half_angle"))
+_sec_single_sum = real_form("sec single-sum")(
+    lambda n: substitute(ti_neg(n) * (2 * I ** (n % 4)), "half_angle"))
+_csc_difference = real_form("csc polylog-difference")(
+    lambda n: substitute((li_neg(n) - substitute(li_neg(n), "negate_z")) * I ** ((n - 1) % 4), "half_angle"))
+_sec_difference = real_form("sec polylog-difference")(lambda n: substitute(substitute(
+    li_neg(n) - substitute(li_neg(n), "negate_z"), "i_times_z") * I ** ((n - 1) % 4), "half_angle"))
+
+
+@real_form("csc binomial")
+def _csc_binomial(n: int) -> RationalFunction:
+    """sum_j i^(n-1+j) a_j (t^j - (-1/t)^j) times t^(n+1), over 2^(n+1) t^(n+1).  At t = 0 only
+    the j = n + 1 term is left, +-n!: the pair is coprime by construction."""
+    c = [0] * (2 * n + 3)
+    for j, a in enumerate(_binomial_weights(n)):
+        c[n + 1 + j] += a
+        c[n + 1 - j] -= (-1) ** j * a
+    return RationalFunction(Polynomial(c), Polynomial.variable() ** (n + 1) * 2 ** (n + 1), _reduced=True)
+
+
+@real_form("sec binomial")
+def _sec_binomial(n: int) -> RationalFunction:
+    """The triple sum at tan x = u/c, sec x = v/c (u = 2t, v = 1 + t^2, c = 1 - t^2) over
+    2^(n+1) c^(n+1): sum_j i^(n-1+j) a_j c^(n+1-j) O_j by Horner in c, where O_j = sum over odd l
+    of 2 C(j, l) u^(j-l) v^l and its even-l twin E_j follow Pascal's rule, O_(j+1) = u O_j + v E_j.
+    At t = +-1 only the j = n + 1 term, +-n! 2^(2n+2), is left: coprime by construction."""
+    u, v, c = Polynomial([0, 2]), Polynomial([1, 0, 1]), Polynomial([1, 0, -1])
+    even, odd, acc = Polynomial([2]), Polynomial.zero(), Polynomial.zero()
+    for a in _binomial_weights(n):
+        acc = acc * c + odd.scale(a)
+        even, odd = even * u + odd * v, odd * u + even * v
+    return RationalFunction(acc, c ** (n + 1) * 2 ** (n + 1), _reduced=True)
 
 
 @route("csc", "csc single-sum")
 def csc_derivative_eval(n: int, x: float) -> float:
-    """(d/dx)^n csc x by the Eulerian single sum with phase exp(i(2k-n-2)x)."""
-    total = _eulerian_sum(n, 1, lambda m: cmath.exp(-1j * m * x))
-    return ((-1) ** n / 2**n) * cmath.exp(-2j * x) * (1.0 / math.sin(x)) ** (n + 1) * total
+    """(d/dx)^n csc x by the type-B Eulerian single sum, 2 i^(n-1) chi_{-n}(exp(ix))."""
+    return rf_eval(_csc_single_sum(n), math.tan(x / 2)).real
 
 
 @route("csc", "csc polylog-difference")
 def csc_derivative_via_li(n: int, x: float) -> float:
     """(d/dx)^n csc x as i^(n-1) times the polylogarithm difference at exp(ix)."""
-    return _polylog_difference(n, cmath.exp(1j * x))
+    return rf_eval(_csc_difference(n), math.tan(x / 2)).real
 
 
 @route("csc", "csc binomial")
 def csc_derivative_binomial(n: int, x: float) -> float:
-    """(d/dx)^n csc x by the literal half-angle double sum."""
-    t = math.tan(x / 2)
-    c = math.cos(x / 2) / math.sin(x / 2)
-    row = stirling2_row(n + 1)
-    total = 0j
-    for k in range(n + 1):
-        inner = 0j
-        for j in range(k + 2):
-            inner += binomial(k + 1, j) * i_power(j) * (t**j - (-1) ** j * c**j)
-        total += ((-1) ** k * factorial(k) / 2**k) * row[k + 1] * inner
-    return i_power(n - 1) / 2 * total
+    """(d/dx)^n csc x by the literal half-angle double sum over tan(x/2) and cot(x/2) powers."""
+    return rf_eval(_csc_binomial(n), math.tan(x / 2)).real
 
 
 @route("sec", "sec single-sum")
 def sec_derivative_eval(n: int, x: float) -> float:
-    """(d/dx)^n sec x by the alternating Eulerian single sum."""
-    total = _eulerian_sum(n, -1, lambda m: cmath.exp(-1j * m * x))
-    return -(i_power(n) / 2**n) * cmath.exp(-2j * x) * (1.0 / math.cos(x)) ** (n + 1) * total
+    """(d/dx)^n sec x by the alternating type-B Eulerian single sum, 2 i^n Ti_{-n}(exp(ix))."""
+    return rf_eval(_sec_single_sum(n), math.tan(x / 2)).real
 
 
 @route("sec", "sec polylog-difference")
 def sec_derivative_via_li(n: int, x: float) -> float:
     """(d/dx)^n sec x as i^(n-1) times the polylogarithm difference at i*exp(ix)."""
-    return _polylog_difference(n, 1j * cmath.exp(1j * x))
+    return rf_eval(_sec_difference(n), math.tan(x / 2)).real
 
 
 @route("sec", "sec binomial")
 def sec_derivative_binomial(n: int, x: float) -> float:
-    """(d/dx)^n sec x by the literal tan/sec triple sum."""
-    t = math.tan(x)
-    s = 1.0 / math.cos(x)
-    row = stirling2_row(n + 1)
-    total = 0j
-    for k in range(n + 1):
-        mid = 0j
-        for j in range(k + 2):
-            inner = 0.0
-            for ell in range(1, j + 1, 2):  # even ell terms vanish via (1 - (-1)^ell)
-                inner += 2.0 * binomial(j, ell) * t ** (j - ell) * s**ell
-            mid += i_power(j) * binomial(k + 1, j) * inner
-        total += ((-1) ** k * factorial(k) / 2**k) * row[k + 1] * mid
-    return i_power(n - 1) / 2 * total
+    """(d/dx)^n sec x by the literal triple sum over tan x and sec x powers."""
+    return rf_eval(_sec_binomial(n), math.tan(x / 2)).real

@@ -27,4 +27,4 @@ class OrderExhaustedError(NegPolylogError):
 
 
 class ImaginaryResidueError(NegPolylogError):
-    """A complex-arithmetic evaluation failed to cancel its imaginary part."""
+    """An exact realness check failed: a form that must be real has a non-real coefficient."""

@@ -19,20 +19,19 @@ Leibniz rule, giving a further csc-derivative evaluator
     (d/dx)^n csc x = 2 i^(n-1) exp(-ix) S_n(exp(2ix)),
 
 a cross-check on the circular-module routes (the summand order is -k,
-matching the Leibniz expansion term by term).  S_n is evaluated exactly at
-the double exp(2ix) and rounded once; the prefactor is the module's only
-float arithmetic, and the numeric trig suite measures the route.
+matching the Leibniz expansion term by term).  Like them, it is an exact real
+form in t = tan(x/2), 2 i^(n-1) S_n(w^2)/w at w = exp(ix), rounded once.
 """
 
 from __future__ import annotations
 
-import cmath
+import math
 from collections import namedtuple
 from functools import cache
 
 from .algebra import I, Polynomial, RationalFunction, poly_exact_div, rf_eval, substitute
 from .combinatorics import binomial
-from .numutil import i_power, route
+from .numutil import real_form, route
 from .polylog import chi_neg, li_neg, ti_neg
 
 __all__ = [
@@ -75,13 +74,14 @@ def _weighted_sum(n: int) -> RationalFunction:
     return RationalFunction(num, den)
 
 
+def _two_over_z_ladder(n: int) -> RationalFunction:
+    """(2/z) S_n(z^2), the right side of the main relation."""
+    return RationalFunction(Polynomial([2]), Polynomial.variable()) * substitute(_weighted_sum(n), "square_z")
+
+
 def verify_ladder_exact(n: int) -> bool:
     """Exact check of the main relation at order -n."""
-    f = li_neg(n)
-    lhs = f - substitute(f, "negate_z")
-    two_over_z = RationalFunction(Polynomial([2]), Polynomial.variable())
-    rhs = two_over_z * substitute(_weighted_sum(n), "square_z")
-    return lhs == rhs
+    return li_neg(n) - substitute(li_neg(n), "negate_z") == _two_over_z_ladder(n)
 
 
 def chi_ladder(n: int) -> bool:
@@ -105,7 +105,11 @@ def verify_ladder_sec_variant(n: int) -> bool:
     return lhs == rhs
 
 
+_leibniz_form = real_form("csc leibniz")(
+    lambda n: substitute(_two_over_z_ladder(n) * I ** ((n - 1) % 4), "half_angle"))
+
+
 @route("csc", "csc leibniz")
 def leibniz_csc_route(n: int, x: float) -> float:
     """(d/dx)^n csc x from the Leibniz expansion of exp(-ix)(i + cot x)."""
-    return 2 * i_power(n - 1) * cmath.exp(-1j * x) * rf_eval(_weighted_sum(n), cmath.exp(2j * x))
+    return rf_eval(_leibniz_form(n), math.tan(x / 2)).real

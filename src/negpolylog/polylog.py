@@ -23,10 +23,9 @@ from functools import cache
 from math import comb
 
 from .algebra import (
-    GaussianRational, Polynomial, RationalFunction, _poly, evaluate_packed, substitute, z_ddz,
+    GaussianRational, Polynomial, RationalFunction, _poly, evaluate_packed, require_real, substitute, z_ddz,
 )
 from .combinatorics import eulerian_b_row, factorial, stirling_power_sum
-from .errors import ImaginaryResidueError
 
 __all__ = [
     "li_neg", "li_neg_operator", "li_neg_stirling", "chi_neg", "ti_neg", "chi_from_li",
@@ -126,10 +125,7 @@ def ti_from_chi(n: int) -> RationalFunction:
     The canonical result must come out with purely real coefficients; that is
     checked rather than silently repaired.
     """
-    t = substitute(chi_neg(n), "i_times_z") * GaussianRational(0, -1)
-    if not t.is_real():
-        raise ImaginaryResidueError(f"ti_from_chi produced non-real coefficients at n={n} (bug)")
-    return t
+    return require_real(substitute(chi_neg(n), "i_times_z") * GaussianRational(0, -1), "ti_from_chi", n)
 
 
 def defining_series_agree(n: int) -> bool:

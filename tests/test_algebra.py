@@ -34,7 +34,7 @@ from negpolylog.algebra import (
     z_ddz,
 )
 from negpolylog.circular import cot_derivative_poly
-from negpolylog.errors import DomainError, ImaginaryResidueError, PoleError
+from negpolylog.errors import DomainError, PoleError
 from negpolylog.hyperbolic import li_relation_coth, li_relation_tanh
 from negpolylog.inverse import verify_generic_operand
 from negpolylog.jets import apply_operator_power, jet_lift, laurent_jet, nth_derivative
@@ -439,6 +439,7 @@ def test_substitute_examples():
     assert substitute(f, "negate_z") == RF([0, -1], [1, 1])
     assert substitute(f, "square_z") == RF([0, 0, 1], [1, 0, -1])
     assert substitute(f, "invert_z") == RF([1], [-1, 1])  # (1/z)/(1 - 1/z) = 1/(z - 1)
+    assert substitute(f, "half_angle") == RF([I, -1], [0, 2])  # w/(1 - w) = (i - t)/(2t)
     g = RF([1], [1, 1])  # z -> z^2 changes only the denominator: equality reads both parts
     assert substitute(g, "square_z") == RF([1], [1, 0, 1]) != g
     for kind in ("cube_z", "conjugate_z"):
@@ -534,19 +535,19 @@ _FLOAT_X_ENTRIES = {
     "verify_generic_operand": lambda n, x: verify_generic_operand("sin", n, x),
 }
 
-# (n, x) points where a route's terms or value lie beyond double range, and what each of the
-# nine routes gives there: a library error, inf, or (None) a finite value
+# (n, x) points where a route's value lies beyond double range, and what each of the nine
+# routes gives there: inf, or (None) a finite value.  Every route is an exact form rounded
+# once, so a value beyond double range is inf with the exact value's sign
 _FAR_POINTS = ((64, 1e-5), (64, math.pi / 2 - 1e-5), (200, 1.0), (200, 0.5))
-_D, _IRE = DomainError, ImaginaryResidueError
+_CSC, _SEC = (math.inf, None, math.inf, math.inf), (None, math.inf, math.inf, math.inf)
 _FAR_OUTCOMES = {
-    "csc_derivative_eval": (_D, _IRE, _D, _D),
-    "csc_derivative_via_li": (_D, None, _D, _D),
-    "csc_derivative_binomial": (_D, _IRE, _D, _D),
-    "leibniz_csc_route": (_D, None, _D, _D),  # inf + nan*i: the residue is unknown
-    "sec_derivative_eval": (None, _D, _D, _D),
-    "sec_derivative_via_li": (None, _D, _D, _D),
-    "sec_derivative_binomial": (_IRE, _D, _D, _D),
-    # exact sums rounded once: a value beyond double range is inf with the exact value's sign
+    "csc_derivative_eval": _CSC,
+    "csc_derivative_via_li": _CSC,
+    "csc_derivative_binomial": _CSC,
+    "leibniz_csc_route": _CSC,
+    "sec_derivative_eval": _SEC,
+    "sec_derivative_via_li": _SEC,
+    "sec_derivative_binomial": _SEC,
     "csch_derivative_eval": (math.inf, None, math.inf, math.inf),
     "sech_derivative_eval": (None, None, math.inf, math.inf),
 }
@@ -767,6 +768,26 @@ def test_invert_substitution_matches_the_full_gcd_form(num, den, g, j):
     assert substitute(inv, "invert_z") == f
     assert substitute(f * h, "invert_z") == inv * substitute(h, "invert_z")
     assert substitute(f + h, "invert_z") == inv + substitute(h, "invert_z")
+
+
+def _half_angle_expanded(p, d):
+    a, b = Polynomial([1, I]), Polynomial([1, -I])
+    return sum((c * a**k * b ** (d - k) for k, c in enumerate(p.coeffs)), Polynomial.zero())
+
+
+@given(st.one_of(st.just(Polynomial.zero()), gauss_polys), gauss_polys, gauss_polys)
+@example(P(0, 1), P(1, -1), P(1))  # z/(1 - z): deg p = deg q
+@example(P(1), P(1, 1), P(1))  # the pole z = -1 goes to t = infinity: deg q drops
+@settings(max_examples=150)
+def test_half_angle_substitution_matches_the_full_gcd_form(num, den, g):
+    # the packed homogeneous Horner equals sum p_k (1 + it)^k (1 - it)^(d-k) expanded and
+    # canonicalized in full, and keeps products and sums
+    f, h = RationalFunction(num, den), RationalFunction(g, den)
+    d = max(f.num.degree, f.den.degree)
+    ft = substitute(f, "half_angle")
+    assert ft == RationalFunction(_half_angle_expanded(f.num, d), _half_angle_expanded(f.den, d))
+    assert substitute(f * h, "half_angle") == ft * substitute(h, "half_angle")
+    assert substitute(f + h, "half_angle") == ft + substitute(h, "half_angle")
 
 
 @given(rationals, st.fractions(min_value=-3, max_value=3, max_denominator=7))

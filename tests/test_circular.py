@@ -1,6 +1,5 @@
 """Derivative polynomials and the multi-route csc/sec evaluators."""
 
-import cmath
 import math
 import os
 import subprocess
@@ -11,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from negpolylog.algebra import rf_eval
+from negpolylog import circular, ladder
+from negpolylog.algebra import I, GaussianRational, rf_eval_exact
 from negpolylog.circular import (
     TRIG_GRID,
     cot_derivative_poly,
@@ -24,14 +24,13 @@ from negpolylog.circular import (
     sec_derivative_via_li,
     tan_derivative_poly,
 )
-from negpolylog.combinatorics import eulerian_b_row
+from negpolylog.combinatorics import binomial, eulerian_b_row, factorial, stirling2_row
 from negpolylog.errors import ImaginaryResidueError, SingularityError
 from negpolylog.hyperbolic import (
     HYP_GRID, coth_derivative_poly, csch_derivative_eval, sech_derivative_eval, tanh_derivative_poly,
 )
 from negpolylog.jets import nth_derivative
-from negpolylog.numutil import checked_real, i_power
-from negpolylog.polylog import li_neg
+from negpolylog.polylog import li_neg, ti_neg
 from negpolylog.reports import rel_err
 
 CSC_ROUTES = (csc_derivative_eval, csc_derivative_via_li, csc_derivative_binomial)
@@ -163,8 +162,8 @@ def test_singularity_guards():
 
 # Under python -O each exactness check must still raise: the derivative-polynomial
 # check when the packed evaluation returns a non-real sum, the Polynomial type's
-# check on a non-integral coefficient, and the ti_from_chi check when the rotated
-# closed form comes out non-real.
+# check on a non-integral coefficient, the ti_from_chi check when the rotated
+# closed form comes out non-real, and a route's check that its form in t is real.
 _OPTIMIZED_PROBE = textwrap.dedent("""
     from fractions import Fraction
     from negpolylog import circular, polylog
@@ -187,6 +186,8 @@ _OPTIMIZED_PROBE = textwrap.dedent("""
         results.append(True)
     polylog.chi_neg = polylog.li_neg
     results.append(raised(lambda: polylog.ti_from_chi(2), ImaginaryResidueError))
+    circular.chi_neg = polylog.ti_neg
+    results.append(raised(lambda: circular.csc_derivative_eval(3, 1.0), ImaginaryResidueError))
     print(__debug__, results)
 """)
 
@@ -196,39 +197,73 @@ def test_exactness_checks_survive_python_O():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_PROBE], env=env,
                          capture_output=True, text=True, timeout=120, check=True).stdout
-    assert out.strip() == "False [True, True, True]"
+    assert out.strip() == "False [True, True, True, True]"
 
 
-def test_imaginary_residue_error_states_its_bound_and_ratio():
-    assert checked_real(3.0 + 4e-9j) == 3.0  # |im| <= 1e-9 * (1 + 3)
-    with pytest.raises(ImaginaryResidueError) as exc:
-        checked_real(1.0 + 0.5j, context="csc test")
-    assert str(exc.value) == (
-        "imaginary residue 0.5 too large relative to 1.0: |im| exceeds "
-        "bound*(1+|re|) = 2e-09 by a ratio of 2.5e+08 in csc test"
-    )
+def test_a_non_real_route_form_raises_naming_its_route_and_order(monkeypatch):
+    # 2 i^(n-1) Ti(w) in place of 2 i^(n-1) chi(w) is -i times sec's real form in t; forms are
+    # memoized, so the cache is cleared around the build
+    monkeypatch.setattr(circular, "chi_neg", ti_neg)
+    circular._csc_single_sum.cache_clear()
+    try:
+        with pytest.raises(ImaginaryResidueError, match=r"^csc single-sum n=5: its exact form has non-real"):
+            csc_derivative_eval(5, 1.0)
+    finally:
+        circular._csc_single_sum.cache_clear()
 
 
-# The single-sum loops and polylog-difference bodies written out, as they were
-# before csc, sec, csch and sech shared one kernel each: reference copies.  The
-# csch and sech references are the sums in t = exp(-x), exact in Fractions at the
-# doubles t and 1 - t^2 (csch, from expm1) and rounded once.
-def _csc_sum_loop(n, x):
-    row = eulerian_b_row(n)
-    total = 0j
-    for k in range(1, n + 2):
-        total += row[k - 1] * cmath.exp(-1j * (n - 2 * k) * x)
-    val = ((-1) ** n / 2**n) * cmath.exp(-2j * x) * (1.0 / math.sin(x)) ** (n + 1) * total
-    return checked_real(val)
+# Each route's own formula, done exactly at w = exp(ix) = (1 + it)/(1 - it) for the double
+# t = tan(x/2), and the csch and sech sums in t = exp(-x), exact in Fractions at the doubles
+# t and 1 - t^2 (csch, from expm1): each value is real, and rounded once it is the route's
+# value bit for bit.
+def _w(x):
+    t = GaussianRational(math.tan(x / 2))
+    return (1 + I * t) / (1 - I * t)
 
 
-def _sec_sum_loop(n, x):
-    row = eulerian_b_row(n)
-    total = 0j
-    for k in range(1, n + 2):
-        total += (-1) ** k * row[k - 1] * cmath.exp(-1j * (n - 2 * k) * x)
-    val = -(i_power(n) / 2**n) * cmath.exp(-2j * x) * (1.0 / math.cos(x)) ** (n + 1) * total
-    return checked_real(val)
+def _csc_single_sum(n, x):  # the type-B Eulerian single sum with phase exp(i(2k-n-2)x)
+    w = _w(x)
+    total = sum((b * w ** (2 * k - n) for k, b in enumerate(eulerian_b_row(n), 1)), GaussianRational(0))
+    csc = 2 * I / (w - w**-1)
+    return GaussianRational((-1) ** n, 0) / 2**n * w**-2 * csc ** (n + 1) * total
+
+
+def _sec_single_sum(n, x):
+    w = _w(x)
+    total = sum(((-1) ** k * b * w ** (2 * k - n) for k, b in enumerate(eulerian_b_row(n), 1)),
+                GaussianRational(0))
+    sec = GaussianRational(2) / (w + w**-1)
+    return -(I**n) / 2**n * w**-2 * sec ** (n + 1) * total
+
+
+def _difference(n, w):
+    return I ** (n - 1) * (rf_eval_exact(li_neg(n), w) - rf_eval_exact(li_neg(n), -w))
+
+
+def _binomial_weights(n):  # (-1)^k k!/2^k {n+1 brace k+1}
+    row = stirling2_row(n + 1)
+    return [Fraction((-1) ** k * factorial(k) * row[k + 1], 2**k) for k in range(n + 1)]
+
+
+def _csc_binomial(n, x):  # the literal half-angle double sum
+    t = GaussianRational(math.tan(x / 2))
+    total = GaussianRational(0)
+    for k, wk in enumerate(_binomial_weights(n)):
+        total += wk * sum((binomial(k + 1, j) * I**j * (t**j - (-1) ** j * t**-j) for j in range(k + 2)),
+                          GaussianRational(0))
+    return I ** (n - 1) / 2 * total
+
+
+def _sec_binomial(n, x):  # the literal tan/sec triple sum
+    t = GaussianRational(math.tan(x / 2))
+    tan, sec = 2 * t / (1 - t * t), (1 + t * t) / (1 - t * t)
+    total = GaussianRational(0)
+    for k, wk in enumerate(_binomial_weights(n)):
+        for j in range(k + 2):
+            inner = sum((2 * binomial(j, ell) * tan ** (j - ell) * sec**ell for ell in range(1, j + 1, 2)),
+                        GaussianRational(0))
+            total += wk * I**j * binomial(k + 1, j) * inner
+    return I ** (n - 1) / 2 * total
 
 
 def _t_sum(n, sign, t):
@@ -237,37 +272,57 @@ def _t_sum(n, sign, t):
 
 def _csch_exact_sum(n, x):  # x > 0
     t, u = Fraction(math.exp(-x)), Fraction(-math.expm1(-2 * x))
-    return float((-1) ** n * 2 * _t_sum(n, 1, t) / u ** (n + 1))
+    return GaussianRational((-1) ** n * 2 * _t_sum(n, 1, t) / u ** (n + 1))
 
 
 def _sech_exact_sum(n, x):
     t = Fraction(math.exp(-x))
-    return float((-1) ** n * -2 * _t_sum(n, -1, t) / (1 + t * t) ** (n + 1))
+    return GaussianRational((-1) ** n * -2 * _t_sum(n, -1, t) / (1 + t * t) ** (n + 1))
 
 
-def _csc_difference_body(n, x):
-    z = cmath.exp(1j * x)
-    f = li_neg(n)
-    return checked_real(i_power(n - 1) * (rf_eval(f, z) - rf_eval(f, -z)))
-
-
-def _sec_difference_body(n, x):
-    z = cmath.exp(1j * x)
-    f = li_neg(n)
-    return checked_real(i_power(n - 1) * (rf_eval(f, 1j * z) - rf_eval(f, -1j * z)))
-
-
-def test_shared_kernels_match_the_loops_they_replaced():
+def test_routes_are_their_own_formulas_exact_at_the_double_t_rounded_once():
     cases = (
-        (csc_derivative_eval, _csc_sum_loop, TRIG_GRID),
-        (sec_derivative_eval, _sec_sum_loop, TRIG_GRID),
-        (csc_derivative_via_li, _csc_difference_body, TRIG_GRID),
-        (sec_derivative_via_li, _sec_difference_body, TRIG_GRID),
+        (csc_derivative_eval, _csc_single_sum, TRIG_GRID),
+        (sec_derivative_eval, _sec_single_sum, TRIG_GRID),
+        (csc_derivative_via_li, lambda n, x: _difference(n, _w(x)), TRIG_GRID),
+        (sec_derivative_via_li, lambda n, x: _difference(n, I * _w(x)), TRIG_GRID),
+        (csc_derivative_binomial, _csc_binomial, TRIG_GRID),
+        (sec_derivative_binomial, _sec_binomial, TRIG_GRID),
         (csch_derivative_eval, _csch_exact_sum, HYP_GRID),
         (sech_derivative_eval, _sech_exact_sum, HYP_GRID),
     )
     for route, reference, grid in cases:
         for n in range(11):
             for x in grid:
-                got, want = route(n, x), reference(n, x)
+                exact = reference(n, x)
+                assert exact.im == 0, (route.__name__, n, x)
+                got, want = route(n, x), float(exact.re)
                 assert got == want and repr(got) == repr(want), (route.__name__, n, x)
+
+
+def test_csc_and_sec_routes_are_one_form_in_t():
+    # every route is built by its own construction; the forms in t = tan(x/2) are equal canonical
+    # forms, so the routes agree exactly at every t
+    for n in range(25):
+        csc = {circular._csc_single_sum(n), circular._csc_difference(n), circular._csc_binomial(n),
+               ladder._leibniz_form(n)}
+        sec = {circular._sec_single_sum(n), circular._sec_difference(n), circular._sec_binomial(n)}
+        assert len(csc) == 1 and len(sec) == 1, n
+        (f,), (g,) = csc, sec
+        assert f.is_real() and g.is_real() and f != g
+
+
+@pytest.mark.parametrize("n", [30, 64])
+def test_circular_routes_hold_at_high_order(n):
+    # the complex-double routes raised ImaginaryResidueError at every binomial cell here and at
+    # the single sums at n = 64; sec at (64, 1.4) is the worst cell measured, 1.7e-14
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        def want(x):  # (d/dx)^n csc x = (-1)^n n! sum_k (-1)^k (x - k pi)^-(n+1), n >= 1
+            return mpmath.fsum((-1) ** (n + k) * mpmath.factorial(n) * (mpmath.mpf(x) - k * mpmath.pi) ** -(n + 1)
+                               for k in range(-20, 21))
+        for x in (0.3, 1.4, 2.8):
+            for route in (*CSC_ROUTES, ladder.leibniz_csc_route):
+                assert abs(float(route(n, x) / want(x) - 1)) < 2e-14, (route.__name__, n, x)
+            for route in SEC_ROUTES:
+                assert abs(float(route(n, x) / want(x + mpmath.pi / 2) - 1)) < 2e-14, (route.__name__, n, x)

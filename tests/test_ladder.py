@@ -1,6 +1,5 @@
 """The binomial ladder sum, its chi/Ti restatements and the Leibniz csc route."""
 
-import cmath
 import math
 
 import pytest
@@ -9,10 +8,10 @@ from hypothesis import strategies as st
 
 from negpolylog import ladder
 from negpolylog.algebra import (
+    I,
     GaussianRational,
     Polynomial,
     RationalFunction,
-    rf_eval,
     rf_eval_exact,
     substitute,
 )
@@ -34,7 +33,6 @@ from negpolylog.ladder import (
     verify_ladder_exact,
     verify_ladder_sec_variant,
 )
-from negpolylog.numutil import checked_real, i_power
 from negpolylog.polylog import chi_neg, li_neg
 from negpolylog.reports import rel_err
 
@@ -172,21 +170,18 @@ def test_leibniz_route_agrees_with_all_csc_routes():
 
 
 def test_leibniz_sum_is_the_exact_weighted_sum_rounded_once():
-    def leibniz_loop(n, x):  # the term-by-term float sum the route used to add
-        c = ladder_coefficients(n).coefficients
-        z2 = cmath.exp(2j * x)
-        s = 0j
-        for k in range(n + 1):
-            s += c[k] * rf_eval(li_neg(k), z2)
-        return checked_real(2 * i_power(n - 1) * cmath.exp(-1j * x) * s)
-
+    # the route's formula 2 i^(n-1) w^-1 sum_k c_k Li[-k](w^2), exact at w = (1 + it)/(1 - it)
+    # for the double t = tan(x/2): real, and rounded once it is the route's value bit for bit
     for n in range(11):
         c = ladder_coefficients(n).coefficients
         s = _weighted_sum(n)
         for x in TRIG_GRID:
-            z = cmath.exp(2j * x)
-            w = GaussianRational(z.real, z.imag)  # the double exp(2ix), exactly
-            want = sum((ck * rf_eval_exact(li_neg(k), w) for k, ck in enumerate(c)),
-                       GaussianRational(0))
-            assert rf_eval_exact(s, w) == want, (n, x)
-            assert rel_err(leibniz_csc_route(n, x), leibniz_loop(n, x)) <= 1e-12, (n, x)
+            t = GaussianRational(math.tan(x / 2))
+            w = (1 + I * t) / (1 - I * t)
+            want = sum((ck * rf_eval_exact(li_neg(k), w * w) for k, ck in enumerate(c)), GaussianRational(0))
+            assert rf_eval_exact(s, w * w) == want, (n, x)
+            exact = 2 * I ** (n - 1) * w**-1 * want
+            assert exact.im == 0, (n, x)
+            got = leibniz_csc_route(n, x)
+            assert got == float(exact.re) and repr(got) == repr(float(exact.re)), (n, x)
+
