@@ -10,11 +10,11 @@ those polynomials are constructed two ways:
 * the classical symbolic recurrence P_{n+1} = m(u) * P_n'(u) with
   m = -(1 + u^2) for cot and m = (1 + u^2) for tan.
 
-For csc and sec there are three evaluator routes each, plus the Taylor-jet
-oracle.  Each route is an exact real rational function of t = tan(x/2), built
-once per order by its own construction (``numutil.real_form``) and read at
-the double tan(x/2) by ``rf_eval``, rounded once.  With w = exp(ix) =
-(1 + it)/(1 - it) they are
+csc has four routes, the fourth the Leibniz sum in ``ladder``, and sec three;
+``verify core`` proves the forms of one function equal.  Each is an exact
+real rational function of t = tan(x/2), built once per order by its own
+construction (``numutil.real_form``), read at the double tan(x/2) by
+``rf_eval`` and rounded once.  Here, with w = exp(ix) = (1 + it)/(1 - it):
 
 * the type-B Eulerian single sums 2 i^(n-1) chi_{-n}(w) for csc and
   2 i^n Ti_{-n}(w) for sec, and the polylogarithm differences i^(n-1)

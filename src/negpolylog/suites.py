@@ -2,18 +2,18 @@
 
 Each suite sweeps the orders 0..n_max (or 1..n_max where an identity starts
 at n = 1) and returns one :class:`VerificationReport` per identity and order.
-The exact suites compare canonical rational functions; the numeric suites
-compare evaluator routes against the Taylor-jet oracle at a relative
-tolerance, and every numeric report carries the tolerance it was run at.
-``SUITES`` maps each suite to its runner, its largest supported n_max and its
-default tolerance; ``all`` runs every suite in table order, each clipped to
-its own cap.  The exact suites go to ``MAX_ORDER``, the largest order of a
-closed form; the numeric ones to ``MAX_NUMERIC_SWEEP``.
+The exact suites compare canonical rational functions, in ``core`` the csc
+route forms in t = tan(x/2) and the sec ones; the numeric suites compare one
+route per function against the Taylor-jet oracle at a relative tolerance,
+and every numeric report carries the tolerance it was run at.  ``SUITES``
+maps each suite to its runner, its largest supported n_max and its default
+tolerance; ``all`` runs every suite in table order, each clipped to its own
+cap.  The exact suites go to ``MAX_ORDER``, the largest order of a closed
+form; the numeric ones to ``MAX_NUMERIC_SWEEP``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 from . import circular, hyperbolic, inverse, ladder
@@ -38,7 +38,7 @@ _DERIVATIVE_POLYS = (circular.cot_derivative_poly, circular.tan_derivative_poly,
 
 
 def _core(n_max: int, tol: float, name: str | None) -> list[VerificationReport]:
-    """Exact identities: closed-form routes, series, duplication, derivative polynomials.
+    """Exact identities: closed-form routes, series, duplication, derivative polynomials, route forms.
 
     The duplication identity Li[-n](w) + Li[-n](-w) = 2^(n+1) Li[-n](w^2) is
     also the double angle of the cot derivatives, 2^(n+1) cot^(n)(2x) =
@@ -65,29 +65,29 @@ def _core(n_max: int, tol: float, name: str | None) -> list[VerificationReport]:
             ),
             *((f"{p.target} polynomial vs recurrence",
                p.poly == circular.derivative_poly_recurrence(p.target, n).poly) for p in polys),
+            ("csc route forms agree", len({circular._csc_single_sum(n), circular._csc_difference(n),
+                                           circular._csc_binomial(n), ladder._leibniz_form(n)}) == 1),
+            ("sec route forms agree", len({circular._sec_single_sum(n), circular._sec_difference(n),
+                                           circular._sec_binomial(n)}) == 1),
         )
         reports += [exact_report(label, n, ok) for label, ok in checks]
     return reports
 
 
-def _jet_reports(route, grid, n_max: int, tol: float, derivative=nth_derivative) -> list:
-    """One report per order of a ``numutil.route`` against ``derivative(route.fn, x, n)``.
+def _jet_reports(route, grid, n_max: int, tol: float) -> list:
+    """One report per order of a ``numutil.route`` against ``nth_derivative(route.fn, x, n)``.
 
     A library error of either side fails its point, with the error as the note.
     """
     return [VerificationReport(f"{route.label} vs jet oracle", n, tol,
-                               [check(x, lambda: (route(n, x), derivative(route.fn, x, n)), tol)
+                               [check(x, lambda: (route(n, x), nth_derivative(route.fn, x, n)), tol)
                                 for x in grid])
             for n in range(n_max + 1)]
 
 
 def _trig(n_max: int, tol: float, name: str | None) -> list[VerificationReport]:
-    derivative = functools.cache(nth_derivative)  # one jet per (fn, x, n) for all routes of fn
-    routes = (circular.csc_derivative_eval, circular.csc_derivative_via_li,
-              circular.csc_derivative_binomial, ladder.leibniz_csc_route,
-              circular.sec_derivative_eval, circular.sec_derivative_via_li,
-              circular.sec_derivative_binomial)
-    return [r for route in routes for r in _jet_reports(route, TRIG_GRID, n_max, tol, derivative)]
+    return [r for route in (circular.csc_derivative_eval, circular.sec_derivative_eval)
+            for r in _jet_reports(route, TRIG_GRID, n_max, tol)]
 
 
 def _hyperbolic(n_max: int, tol: float, name: str | None) -> list[VerificationReport]:

@@ -76,6 +76,13 @@ MUTANTS = [
      'substitute((li_neg(n) - substitute(li_neg(n), "negate_z")) * I ** ((n - 1) % 4), "half_angle")',
      'substitute(li_neg(n) - substitute(li_neg(n), "negate_z"), "half_angle")',
      ["tests/test_circular.py::test_csc_and_sec_routes_are_one_form_in_t"]),
+    # a sec route form built at w instead of iw: its float route still passes trig, only core catches it
+    ("circular.py",
+     '''lambda n: substitute(substitute(
+    li_neg(n) - substitute(li_neg(n), "negate_z"), "i_times_z") * I ** ((n - 1) % 4), "half_angle"))''',
+     '''lambda n: substitute(
+    (li_neg(n) - substitute(li_neg(n), "negate_z")) * I ** ((n - 1) % 4), "half_angle"))''',
+     ["tests/test_suites.py::test_exact_suites_pass"]),
     # the CLI contract: a failing sweep's exit code 4, and a PoleError escaping as a traceback
     ("cli.py",
      "    return 0 if all(r.passed for r in reports) else 1\n",

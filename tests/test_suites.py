@@ -22,6 +22,7 @@ def test_exact_suites_pass():
         "chi from polylog difference", "Ti from rotated chi", "chi and Ti inversion",
         "duplication identity",
         *(f"{target} polynomial vs recurrence" for target in ("cot", "tan", "coth", "tanh")),
+        "csc route forms agree", "sec route forms agree",
     }
     assert all(r.passed and r.exact for r in core)
     assert exact_report("x", 2, False).to_dict() == {
@@ -143,11 +144,11 @@ def test_each_route_is_declared_with_its_jet_and_label():
 
 
 def test_numeric_suites_keep_their_identities_in_order():
-    jets = [f"{fn} {kind} vs jet oracle n={n}"
-            for fn, kinds in (("csc", ("single-sum", "polylog-difference", "binomial", "leibniz")),
-                              ("sec", ("single-sum", "polylog-difference", "binomial")))
-            for kind in kinds for n in (0, 1)]
-    assert [f"{r.identity} n={r.n}" for r in run_suite("trig", 1)] == jets
+    # core proves the route forms of one function equal, so trig measures one route per function
+    assert [f"{r.identity} n={r.n}" for r in run_suite("trig", 1)] == [
+        "csc single-sum vs jet oracle n=0", "csc single-sum vs jet oracle n=1",
+        "sec single-sum vs jet oracle n=0", "sec single-sum vs jet oracle n=1"]
+    assert len(run_suite("trig", 10)) == 22
     assert [f"{r.identity} n={r.n}" for r in run_suite("hyperbolic", 1)] == [
         "csch single-sum vs jet oracle n=0", "csch single-sum vs jet oracle n=1",
         "sech single-sum vs jet oracle n=0", "sech single-sum vs jet oracle n=1",
