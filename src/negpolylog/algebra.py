@@ -510,6 +510,16 @@ class Polynomial:
             br, bi = br + (bi << w), bi - (br << w)
         return _poly(_unpack(ar, nb, d + 1), _unpack(ai, nb, d + 1))
 
+    def over_one_plus_arg(self, d: int) -> "Polynomial":
+        """sum p_k z^k (1 + z)^(d-k), d >= deg p, by homogeneous Horner at z = 2**w, each part
+        alone; a slot holds 2^d sum |re p_k| + |im p_k|, as in ``half_angle_arg``."""
+        nb = _slot_bytes((sum(map(abs, self.re)) + sum(map(abs, self.im))) << d)
+        w, ar, ai, b = 8 * nb, 0, 0, 1
+        for pr, pi in reversed([*zip(self.re, self.im), *[(0, 0)] * (d + 1 - len(self.re))]):
+            ar, ai = (ar << w) + pr * b, (ai << w) + pi * b
+            b = b + (b << w)
+        return _poly(_unpack(ar, nb, d + 1), _unpack(ai, nb, d + 1))
+
     def is_real(self) -> bool:
         return not any(self.im)
 
@@ -892,12 +902,13 @@ _SUBSTITUTIONS = {
     "i_times_z": lambda p, d: p.turn_arg(1),
     "invert_z": Polynomial.invert_arg,
     "half_angle": Polynomial.half_angle_arg,
+    "z_over_1_plus_z": Polynomial.over_one_plus_arg,
 }
 
 
 def substitute(f: RationalFunction, kind: str) -> RationalFunction:
-    """Exact argument transform: z -> -z, z^2, i*z, 1/z, or (1 + it)/(1 - it), in O(n) steps
-    and no polynomial gcd.
+    """Exact argument transform: z -> -z, z^2, i*z, 1/z, (1 + it)/(1 - it) or z/(1 + z), in
+    O(n) steps and no polynomial gcd.
 
     Each transform preserves coprimality of the canonical pair p/q, so only
     re-normalization is needed.  For 1/z, f(1/z) = z^d p(1/z) / z^d q(1/z)
@@ -906,6 +917,8 @@ def substitute(f: RationalFunction, kind: str) -> RationalFunction:
     divides both only if d exceeded both degrees.  ``"half_angle"`` (z = exp(ix),
     t = tan(x/2)) multiplies both by (1 - it)^d: a common root s != -i would make
     (1 + is)/(1 - is) a common root of p and q; at -i only 2^d p_d and 2^d q_d, not both 0, remain.
+    ``"z_over_1_plus_z"`` multiplies both by (1 + z)^d: a common root s != -1 would make
+    s/(1 + s) a common root of p and q; at -1 only (-1)^d p_d and (-1)^d q_d, not both 0, remain.
     """
     if kind not in _SUBSTITUTIONS:
         raise ValueError(f"unknown substitution {kind!r}; expected one of {tuple(_SUBSTITUTIONS)}")

@@ -211,8 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=(*SUITES, "all"))
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--tolerance", type=float, default=None,
-                   help="override the per-suite default tolerance (numeric suites only; the "
-                   "generic operands of the inverse suite keep their 1e-9)")
+                   help="override the per-suite default tolerance (numeric suites only)")
     p.add_argument("--name", default=None, help="restrict the inverse suite to one identity")
     add_format(p, ("text", "json"))
     p.set_defaults(run=lambda a: cmd_verify(a.suite, a.n_max, a.tolerance, a.format, a.name))

@@ -2,9 +2,10 @@
 
 Every numeric point is judged by :func:`check`: ``sides()`` gives the two
 sides, and the point passes when their relative error is at most the
-tolerance.  A library error raised while computing either side fails the
-point, with the error in its note, so one bad point never aborts a suite;
-any other exception propagates.
+tolerance; every exact identity by :func:`exact_report`.  A library error
+raised while computing either side, or an exact check, fails that point,
+with the error in its note, so one bad point never aborts a suite; any
+other exception propagates.
 """
 
 from __future__ import annotations
@@ -79,7 +80,12 @@ class VerificationReport(namedtuple("VerificationReport", "identity n tolerance 
         return d
 
 
-def exact_report(identity: str, n: int, ok: bool) -> VerificationReport:
-    """Report of one exact identity check, as a single placeholder point."""
-    point = PointCheck(0.0, 0.0, 0.0, 0.0 if ok else 1.0, ok)
+def exact_report(identity: str, n: int, holds) -> VerificationReport:
+    """Report of one exact identity check ``holds()``, as a single placeholder point; a library
+    error it raises fails the report, with the error as the note."""
+    try:
+        ok, note = holds(), ""
+    except NegPolylogError as exc:
+        ok, note = False, f"{type(exc).__name__}: {exc}"
+    point = PointCheck(0.0, 0.0, 0.0, 0.0 if ok else 1.0, ok, "", note)
     return VerificationReport(identity, n, 0.0, [point], exact=True)

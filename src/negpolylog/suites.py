@@ -3,7 +3,8 @@
 Each suite sweeps the orders 0..n_max (or 1..n_max where an identity starts
 at n = 1) and returns one :class:`VerificationReport` per identity and order.
 The exact suites compare canonical rational functions, in ``core`` the csc
-route forms in t = tan(x/2) and the sec ones; the numeric suites compare one
+route forms in t = tan(x/2), the sec ones and the generic operand
+Li[-n](u/(1+u)) in u = f(x); the numeric suites compare one
 route per function against the Taylor-jet oracle at a relative tolerance,
 and every numeric report carries the tolerance it was run at.  ``SUITES``
 maps each suite to its runner, its largest supported n_max and its default
@@ -17,8 +18,9 @@ from __future__ import annotations
 import math
 
 from . import circular, hyperbolic, inverse, ladder
-from .algebra import rf_eval, substitute
+from .algebra import Polynomial, RationalFunction, evaluate_packed, rf_eval, substitute, z_ddz
 from .circular import TRIG_GRID
+from .combinatorics import factorial, stirling_power_sum
 from .hyperbolic import HYP_GRID
 from .jets import nth_derivative
 from .numutil import checked_exp
@@ -33,12 +35,12 @@ __all__ = ["MAX_NUMERIC_SWEEP", "MAX_ORDER", "SUITES", "SweepRangeError", "run_s
 MAX_ORDER = 64
 MAX_NUMERIC_SWEEP = 10
 
-_DERIVATIVE_POLYS = (circular.cot_derivative_poly, circular.tan_derivative_poly,
-                     hyperbolic.coth_derivative_poly, hyperbolic.tanh_derivative_poly)
+_DERIVATIVE_POLYS = {"cot": circular.cot_derivative_poly, "tan": circular.tan_derivative_poly,
+                     "coth": hyperbolic.coth_derivative_poly, "tanh": hyperbolic.tanh_derivative_poly}
 
 
 def _core(n_max: int, tol: float, name: str | None) -> list[VerificationReport]:
-    """Exact identities: closed-form routes, series, duplication, derivative polynomials, route forms.
+    """Exact identities: routes, series, chi/Ti, duplication, polynomials, route forms, generic operand.
 
     The duplication identity Li[-n](w) + Li[-n](-w) = 2^(n+1) Li[-n](w^2) is
     also the double angle of the cot derivatives, 2^(n+1) cot^(n)(2x) =
@@ -47,30 +49,36 @@ def _core(n_max: int, tol: float, name: str | None) -> list[VerificationReport]:
 
     The inversion chi(1/z) = (-1)^(n+1) chi(z), Ti(1/z) = (-1)^n Ti(z) is the
     palindromy of the type-B Eulerian row (Brenti 1994).
+
+    The generic operand Li[-n](u/(1+u)) = sum_k k! {n+1 brace k+1} u^(k+1) = (u(1+u) d/du)^n u
+    holds in u = f(x) for any f; the operator side steps across the orders, h <- (1 + u) u dh/du.
     """
-    reports = []
+    u = RationalFunction(Polynomial.variable(), Polynomial.one())
+    reports, h = [], u
     for n in range(n_max + 1):
-        polys = [builder(n) for builder in _DERIVATIVE_POLYS]
         checks = (
-            ("construction route equality", li_neg_operator(n) == li_neg_stirling(n) == li_neg(n)),
-            ("closed form vs defining series", defining_series_agree(n)),
-            ("chi from polylog difference", chi_from_li(n) == chi_neg(n)),
-            ("Ti from rotated chi", ti_from_chi(n) == ti_neg(n)),
-            ("chi and Ti inversion", substitute(chi_neg(n), "invert_z") == chi_neg(n) * (-1) ** (n + 1)
+            ("construction route equality", lambda: li_neg_operator(n) == li_neg_stirling(n) == li_neg(n)),
+            ("closed form vs defining series", lambda: defining_series_agree(n)),
+            ("chi from polylog difference", lambda: chi_from_li(n) == chi_neg(n)),
+            ("Ti from rotated chi", lambda: ti_from_chi(n) == ti_neg(n)),
+            ("chi and Ti inversion",
+             lambda: substitute(chi_neg(n), "invert_z") == chi_neg(n) * (-1) ** (n + 1)
              and substitute(ti_neg(n), "invert_z") == ti_neg(n) * (-1) ** n),
-            (
-                "duplication identity",
-                li_neg(n) + substitute(li_neg(n), "negate_z")
-                == substitute(li_neg(n), "square_z") * (2 ** (1 + n)),
-            ),
-            *((f"{p.target} polynomial vs recurrence",
-               p.poly == circular.derivative_poly_recurrence(p.target, n).poly) for p in polys),
-            ("csc route forms agree", len({circular._csc_single_sum(n), circular._csc_difference(n),
-                                           circular._csc_binomial(n), ladder._leibniz_form(n)}) == 1),
-            ("sec route forms agree", len({circular._sec_single_sum(n), circular._sec_difference(n),
-                                           circular._sec_binomial(n)}) == 1),
+            ("duplication identity", lambda: li_neg(n) + substitute(li_neg(n), "negate_z")
+             == substitute(li_neg(n), "square_z") * (2 ** (1 + n))),
+            *((f"{target} polynomial vs recurrence", lambda target=target, build=build:
+               build(n).poly == circular.derivative_poly_recurrence(target, n).poly)
+              for target, build in _DERIVATIVE_POLYS.items()),
+            ("csc route forms agree", lambda: len({circular._csc_single_sum(n), circular._csc_difference(n),
+                                                   circular._csc_binomial(n), ladder._leibniz_form(n)}) == 1),
+            ("sec route forms agree", lambda: len({circular._sec_single_sum(n), circular._sec_difference(n),
+                                                   circular._sec_binomial(n)}) == 1),
+            ("generic operand", lambda: substitute(li_neg(n), "z_over_1_plus_z") == h == RationalFunction(
+                evaluate_packed(lambda x: stirling_power_sum(n, x, factorial),
+                                stirling_power_sum(n, 1, factorial), n + 2), Polynomial.one())),
         )
-        reports += [exact_report(label, n, ok) for label, ok in checks]
+        reports += [exact_report(label, n, holds) for label, holds in checks]
+        h = (u + 1) * z_ddz(h)
     return reports
 
 
@@ -106,32 +114,18 @@ def _hyperbolic(n_max: int, tol: float, name: str | None) -> list[VerificationRe
 
 
 def _inverse(n_max: int, tol: float, name: str | None) -> list[VerificationReport]:
-    """The twelve registry identities (or only ``name``), then the generic operands."""
-    reports = []
-    for ident in inverse.registry():
-        if name is not None and ident.name != name:
-            continue
-        for n in range(n_max + 1):
-            reports.append(inverse.verify_identity(ident, n, tol))
-    if name is None:
-        for f, xs in (("sin", (0.5, 1.0, 2.0)), ("cos", (0.4, 1.0, 1.8))):
-            for n in range(min(n_max, 8) + 1):
-                for x in xs:
-                    reports.append(inverse.verify_generic_operand(f, n, x, 1e-9))
-    return reports
+    """The twelve registry identities, or only ``name``; ``core`` proves the generic operand."""
+    return [inverse.verify_identity(ident, n, tol) for ident in inverse.registry()
+            if name is None or ident.name == name for n in range(n_max + 1)]
 
 
 def _ladder(n_max: int, tol: float, name: str | None) -> list[VerificationReport]:
-    reports = []
-    for n in range(n_max + 1):
-        for label, ok in (
-            ("ladder main relation", ladder.verify_ladder_exact(n)),
-            ("ladder chi form", ladder.chi_ladder(n)),
-            ("ladder Ti form", ladder.ti_ladder(n)),
-            ("ladder rotated variant", ladder.verify_ladder_sec_variant(n)),
-        ):
-            reports.append(exact_report(label, n, ok))
-    return reports
+    return [exact_report(label, n, holds) for n in range(n_max + 1) for label, holds in (
+        ("ladder main relation", lambda: ladder.verify_ladder_exact(n)),
+        ("ladder chi form", lambda: ladder.chi_ladder(n)),
+        ("ladder Ti form", lambda: ladder.ti_ladder(n)),
+        ("ladder rotated variant", lambda: ladder.verify_ladder_sec_variant(n)),
+    )]
 
 
 # suite -> (runner, largest n_max, default tolerance); "all" runs them in this order

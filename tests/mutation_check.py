@@ -83,6 +83,15 @@ MUTANTS = [
      '''lambda n: substitute(
     (li_neg(n) - substitute(li_neg(n), "negate_z")) * I ** ((n - 1) % 4), "half_angle"))''',
      ["tests/test_suites.py::test_exact_suites_pass"]),
+    # the generic operand: the kind built on z/(1 - z), and the operator step without its (1 + u)
+    ("algebra.py",
+     "            b = b + (b << w)\n",
+     "            b = b - (b << w)\n",
+     ["tests/test_suites.py::test_exact_suites_pass"]),
+    ("suites.py",
+     "        h = (u + 1) * z_ddz(h)\n",
+     "        h = z_ddz(h)\n",
+     ["tests/test_suites.py::test_exact_suites_pass"]),
     # the CLI contract: a failing sweep's exit code 4, and a PoleError escaping as a traceback
     ("cli.py",
      "    return 0 if all(r.passed for r in reports) else 1\n",

@@ -440,6 +440,7 @@ def test_substitute_examples():
     assert substitute(f, "square_z") == RF([0, 0, 1], [1, 0, -1])
     assert substitute(f, "invert_z") == RF([1], [-1, 1])  # (1/z)/(1 - 1/z) = 1/(z - 1)
     assert substitute(f, "half_angle") == RF([I, -1], [0, 2])  # w/(1 - w) = (i - t)/(2t)
+    assert substitute(f, "z_over_1_plus_z") == RF([0, 1], [1])  # u = z/(1 + z) in u/(1 - u)
     g = RF([1], [1, 1])  # z -> z^2 changes only the denominator: equality reads both parts
     assert substitute(g, "square_z") == RF([1], [1, 0, 1]) != g
     for kind in ("cube_z", "conjugate_z"):
@@ -788,6 +789,26 @@ def test_half_angle_substitution_matches_the_full_gcd_form(num, den, g):
     assert ft == RationalFunction(_half_angle_expanded(f.num, d), _half_angle_expanded(f.den, d))
     assert substitute(f * h, "half_angle") == ft * substitute(h, "half_angle")
     assert substitute(f + h, "half_angle") == ft + substitute(h, "half_angle")
+
+
+def _over_one_plus_expanded(p, d):
+    one_plus_z = Polynomial([1, 1])
+    return sum((c * Z**k * one_plus_z ** (d - k) for k, c in enumerate(p.coeffs)), Polynomial.zero())
+
+
+@given(st.one_of(st.just(Polynomial.zero()), gauss_polys), gauss_polys, gauss_polys)
+@example(P(0, 1), P(1, -1), P(1))  # z/(1 - z) goes to z: deg q drops to 0
+@example(P(1), P(1, 1), P(1))  # the pole z = -1 goes to z = -1/2
+@settings(max_examples=150)
+def test_over_one_plus_substitution_matches_the_full_gcd_form(num, den, g):
+    # the packed homogeneous Horner equals sum p_k z^k (1 + z)^(d-k) expanded and
+    # canonicalized in full, and keeps products and sums
+    f, h = RationalFunction(num, den), RationalFunction(g, den)
+    d = max(f.num.degree, f.den.degree)
+    fu = substitute(f, "z_over_1_plus_z")
+    assert fu == RationalFunction(_over_one_plus_expanded(f.num, d), _over_one_plus_expanded(f.den, d))
+    assert substitute(f * h, "z_over_1_plus_z") == fu * substitute(h, "z_over_1_plus_z")
+    assert substitute(f + h, "z_over_1_plus_z") == fu + substitute(h, "z_over_1_plus_z")
 
 
 @given(rationals, st.fractions(min_value=-3, max_value=3, max_denominator=7))

@@ -103,6 +103,8 @@ def test_generic_operand_hand_values():
     assert pt.rhs == pytest.approx(0.75)
     rep = verify_generic_operand("sin", 4, 1.0, tol=1e-10)
     assert rep.passed
+    # one point: core proves the operator route exactly, for every x
+    assert [p.label for p in verify_generic_operand("cos", 3, 1.8).points] == ["closed-form sum"]
 
 
 def test_generic_operand_sweep():
@@ -111,14 +113,6 @@ def test_generic_operand_sweep():
             for x in xs:
                 rep = verify_generic_operand(f, n, x, tol=1e-9)
                 assert rep.passed, (f, n, x, [p.rel_err for p in rep.points])
-
-
-def test_generic_operand_includes_operator_route_for_small_n():
-    rep = verify_generic_operand("cos", 3, 1.8)
-    labels = {p.label for p in rep.points}
-    assert labels == {"closed-form sum", "operator route"}
-    rep = verify_generic_operand("cos", 4, 1.8)
-    assert {p.label for p in rep.points} == {"closed-form sum"}
 
 
 def test_generic_operand_rejects_divergent_point():

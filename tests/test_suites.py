@@ -5,6 +5,7 @@ import math
 import pytest
 
 from negpolylog import circular, hyperbolic, ladder, suites
+from negpolylog.cli import main
 from negpolylog.errors import ImaginaryResidueError, PoleError
 from negpolylog.jets import FUNCTION_IDS
 from negpolylog.numutil import route
@@ -22,10 +23,10 @@ def test_exact_suites_pass():
         "chi from polylog difference", "Ti from rotated chi", "chi and Ti inversion",
         "duplication identity",
         *(f"{target} polynomial vs recurrence" for target in ("cot", "tan", "coth", "tanh")),
-        "csc route forms agree", "sec route forms agree",
+        "csc route forms agree", "sec route forms agree", "generic operand",
     }
     assert all(r.passed and r.exact for r in core)
-    assert exact_report("x", 2, False).to_dict() == {
+    assert exact_report("x", 2, lambda: False).to_dict() == {
         "identity": "x", "n": 2, "tolerance": 0.0, "exact": True, "pass": False,
         "points": [{"x": 0.0, "lhs": 0.0, "rhs": 0.0, "rel_err": 1.0}],
     }
@@ -44,15 +45,27 @@ def test_default_and_overridden_tolerances():
         with pytest.raises(SweepRangeError, match="--tolerance must be finite and >= 0"):
             run_suite("trig", 2, tol=tol)
     # a zero tolerance is a tolerance, not "use the default"
-    for suite in ("trig", "hyperbolic"):  # every report of these is numeric and takes tol
+    for suite in ("trig", "hyperbolic", "inverse"):  # every report of these is numeric and takes tol
         zero = run_suite(suite, 1, tol=0.0)
         assert {(r.tolerance, r.exact) for r in zero} == {(0.0, False)}
         assert not all(r.passed for r in zero)
-    # the generic operands keep their fixed 1e-9, whatever --tolerance says
-    zero = run_suite("inverse", 1, tol=0.0)
-    generic = {r.identity for r in zero if r.identity.startswith("generic-operand")}
-    assert generic and {r.tolerance for r in zero if r.identity in generic} == {1e-9}
-    assert {r.tolerance for r in zero if r.identity not in generic} == {0.0}
+
+
+def test_a_raising_exact_check_fails_only_its_report(monkeypatch, capsys):
+    def broken(n):
+        raise ImaginaryResidueError("residue")
+
+    monkeypatch.setattr(circular, "_csc_difference", broken)
+    reports = run_suite("core", 1)
+    assert len(reports) == 26
+    failed = [r for r in reports if not r.passed]
+    assert [(r.identity, r.n) for r in failed] == [("csc route forms agree", 0), ("csc route forms agree", 1)]
+    assert {p.note for r in failed for p in r.points} == {"ImaginaryResidueError: residue"}
+    with pytest.raises(ZeroDivisionError):  # not a library error: it propagates
+        exact_report("x", 0, lambda: 1 / 0)
+    assert main(["verify", "core", "--n-max", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL csc route forms agree" in out and out.count("FAIL") == 1
 
 
 def test_a_raising_route_fails_its_points_and_the_suite_goes_on():
