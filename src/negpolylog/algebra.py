@@ -59,7 +59,8 @@ PRS.  w is prime because the library's denominators have their roots at 0,
 N**2 + 1: 2**w - 1 has no prime factor below 2w + 1, 2**w + 1 only 3, and
 2**(2w) + 1 only 5.  Exact division divides by the divisor itself; every
 divisor the library passes is primitive (a gcd, or a canonical denominator of
-content 1), so the quotient has Gaussian-integer coefficients (Gauss's lemma).
+content 1), so the quotient has Gaussian-integer coefficients (Gauss's lemma),
+or in ``z_ddz`` gcd(q, q') times the content of q, which divides both (proof there).
 
 Canonicalization runs a gcd only where coprimality is not known from the
 inputs.  Each place that skips one rests on a proof:
@@ -70,8 +71,8 @@ inputs.  Each place that skips one rests on a proof:
   and p2 against q1;
 * a product or quotient by a nonzero exact scalar c: c p and q have the
   common factors of p and q, that is none;
-* ``z_ddz``: the pair it builds is coprime but for one factor z, which it
-  removes when q(0) = 0 (proof in its docstring);
+* ``z_ddz``: each step's pair is coprime but for one factor z, which it
+  removes when q(0) = 0, and one gcd serves all n steps (proof in its docstring);
 * the argument transforms of ``substitute`` map a coprime pair to a
   coprime pair.
 
@@ -872,28 +873,43 @@ class RationalFunction:
         return f"<RationalFunction {rf_to_text(self)}>"
 
 
-def z_ddz(f: RationalFunction) -> RationalFunction:
-    """The derivation z * d/dz applied once, quotient rule then canonicalized.
+def z_ddz(f: RationalFunction, n: int = 1) -> RationalFunction:
+    """The derivation theta = z * d/dz applied n >= 0 times, canonicalized once at the end.
 
-    With f = p/q and g = gcd(q, q'), the quotient rule is taken over g first:
-    z N / (q u) with u = q/g, v = q'/g and N = p' u - p v, instead of
-    z (p' q - p q') / q**2.  That pair needs no second gcd.  A root r of q of
-    multiplicity m is a root of g of multiplicity m - 1 (characteristic 0),
-    so u(r) = 0 and v(r) != 0; p(r) != 0 as p/q is canonical; hence
-    N(r) = -p(r) v(r) != 0, and N is coprime to q u, whose roots are those of
-    q.  So z N and q u share at most one factor z, exactly when q(0) = 0,
-    and that z is shifted out of q u.
+    One gcd serves every step.  For f = p/q, g = gcd(q, q') times the content
+    of q gives the primitive radical r = q/g and v = q'/g, so that q'/q = v/r.
+    By Gauss's lemma q = c h1^m1 ... hk^mk, c its content and each hj
+    primitive and irreducible, so r = h1 ... hk up to a unit and
+    v = r q'/q = sum_j mj hj' r/hj: both have Gaussian-integer coefficients.
+    Then theta(p/q) = z N / (q r) with N = p' r - p v, instead of
+    z (p' q - p q') / q**2.  A root a of q of multiplicity m is a simple root
+    of r, so r(a) = 0 and v(a) = m r'(a) != 0; p(a) != 0 as p/q is coprime;
+    hence N(a) = -p(a) v(a) != 0, and N is coprime to q r, whose roots are
+    those of q.  So z N and q r share at most one factor z, exactly when
+    q(0) = 0, and that z is shifted out of q r.  The new denominator
+    q1 = q r, or q r / z, has the roots of q and no other, so its radical is
+    still r, and q1'/q1 = q'/q + r'/r (- 1/z when z | q) = (v + r' (- r/z))/r:
+    the carry v <- v + r' (- r/z) gives q1'/q1 = v/r again with no gcd or
+    division.  Each step's pair is coprime, so the last one needs only its
+    content and sector normalized.  n = 0 returns f; n < 0 raises ValueError.
     """
+    if n < 0:
+        raise ValueError("z_ddz needs a count n >= 0")
+    if not n:
+        return f
     p, q = f.num, f.den
     dq = q.derivative()
-    g = poly_gcd(q, dq)
-    u, v = poly_exact_div(q, g), poly_exact_div(dq, g)
-    num, den = p.derivative() * u - p * v, q * u
-    if q.re[0] or q.im[0]:
-        num = Polynomial.variable() * num
-    else:
-        den = _raw(den.re[1:], den.im[1:])
-    return RationalFunction(num, den, _reduced=True)
+    g = poly_gcd(q, dq).scale(GaussianRational(*_content(q.re, q.im)))
+    r, v = poly_exact_div(q, g), poly_exact_div(dq, g)
+    shift = not (q.re[0] or q.im[0])  # z | q, so z | r
+    dr = r.derivative()
+    if shift:
+        dr -= _raw(r.re[1:], r.im[1:])  # r/z
+    for _ in range(n):
+        num, den = p.derivative() * r - p * v, q * r
+        p, q = (num, _raw(den.re[1:], den.im[1:])) if shift else (_poly((0, *num.re), (0, *num.im)), den)
+        v = v + dr
+    return RationalFunction(p, q, _reduced=True)
 
 
 _SUBSTITUTIONS = {

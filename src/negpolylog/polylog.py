@@ -57,13 +57,10 @@ def li_neg(n: int) -> RationalFunction:
 
 
 def li_neg_operator(n: int) -> RationalFunction:
-    """Closed form by n applications of z d/dz to z/(1-z), computed afresh."""
+    """Closed form by n applications of z d/dz to z/(1-z), computed afresh with one gcd per call."""
     if n < 0:
         raise ValueError("order index n must be >= 0")
-    f = RationalFunction(Polynomial.variable(), Polynomial([1, -1]))
-    for _ in range(n):
-        f = z_ddz(f)
-    return f
+    return z_ddz(RationalFunction(Polynomial.variable(), Polynomial([1, -1]), _reduced=True), n)
 
 
 def li_neg_stirling(n: int) -> RationalFunction:

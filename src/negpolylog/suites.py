@@ -3,14 +3,14 @@
 Each suite sweeps the orders 0..n_max (or 1..n_max where an identity starts
 at n = 1) and returns one :class:`VerificationReport` per identity and order.
 The exact suites compare canonical rational functions, in ``core`` the csc
-route forms in t = tan(x/2), the sec ones and the generic operand
-Li[-n](u/(1+u)) in u = f(x); the numeric suites compare one
-route per function against the Taylor-jet oracle at a relative tolerance,
-and every numeric report carries the tolerance it was run at.  ``SUITES``
-maps each suite to its runner, its largest supported n_max and its default
-tolerance; ``all`` runs every suite in table order, each clipped to its own
-cap.  The exact suites go to ``MAX_ORDER``, the largest order of a closed
-form; the numeric ones to ``MAX_NUMERIC_SWEEP``.
+route forms in t = tan(x/2), the sec ones, the operator routes of chi and
+Ti and the generic operand Li[-n](u/(1+u)) in u = f(x); the numeric suites
+compare one route per function against the Taylor-jet oracle at a relative
+tolerance, and every numeric report carries the tolerance it was run at.
+``SUITES`` maps each suite to its runner, its largest supported n_max and its
+default tolerance; ``all`` runs every suite in table order, each clipped to
+its own cap.  The exact suites go to ``MAX_ORDER``, the largest order of a
+closed form; the numeric ones to ``MAX_NUMERIC_SWEEP``.
 """
 
 from __future__ import annotations
@@ -50,11 +50,15 @@ def _core(n_max: int, tol: float, name: str | None) -> list[VerificationReport]:
     The inversion chi(1/z) = (-1)^(n+1) chi(z), Ti(1/z) = (-1)^n Ti(z) is the
     palindromy of the type-B Eulerian row (Brenti 1994).
 
+    The operator route of chi and Ti applies z d/dz to z/(1 -+ z^2), their order-0 forms, and
+    steps across the orders like h; it is independent of the type-B Eulerian row.
+
     The generic operand Li[-n](u/(1+u)) = sum_k k! {n+1 brace k+1} u^(k+1) = (u(1+u) d/du)^n u
     holds in u = f(x) for any f; the operator side steps across the orders, h <- (1 + u) u dh/du.
     """
     u = RationalFunction(Polynomial.variable(), Polynomial.one())
     reports, h = [], u
+    chi, ti = (RationalFunction(Polynomial.variable(), Polynomial([1, 0, s])) for s in (-1, 1))
     for n in range(n_max + 1):
         checks = (
             ("construction route equality", lambda: li_neg_operator(n) == li_neg_stirling(n) == li_neg(n)),
@@ -64,6 +68,7 @@ def _core(n_max: int, tol: float, name: str | None) -> list[VerificationReport]:
             ("chi and Ti inversion",
              lambda: substitute(chi_neg(n), "invert_z") == chi_neg(n) * (-1) ** (n + 1)
              and substitute(ti_neg(n), "invert_z") == ti_neg(n) * (-1) ** n),
+            ("chi and Ti operator route", lambda: chi == chi_neg(n) and ti == ti_neg(n)),
             ("duplication identity", lambda: li_neg(n) + substitute(li_neg(n), "negate_z")
              == substitute(li_neg(n), "square_z") * (2 ** (1 + n))),
             *((f"{target} polynomial vs recurrence", lambda target=target, build=build:
@@ -79,6 +84,7 @@ def _core(n_max: int, tol: float, name: str | None) -> list[VerificationReport]:
         )
         reports += [exact_report(label, n, holds) for label, holds in checks]
         h = (u + 1) * z_ddz(h)
+        chi, ti = z_ddz(chi), z_ddz(ti)
     return reports
 
 

@@ -92,6 +92,15 @@ MUTANTS = [
      "        h = (u + 1) * z_ddz(h)\n",
      "        h = z_ddz(h)\n",
      ["tests/test_suites.py::test_exact_suites_pass"]),
+    # the carry of z_ddz(f, n): v without r', and the z | q step without its -r/z term
+    ("algebra.py",
+     "        v = v + dr\n",
+     "        v = v\n",
+     ["tests/test_algebra.py::test_z_ddz_count_equals_repeated_single_steps"]),
+    ("algebra.py",
+     "        dr -= _raw(r.re[1:], r.im[1:])  # r/z\n",
+     "        pass\n",
+     ["tests/test_algebra.py::test_z_ddz_count_equals_repeated_single_steps"]),
     # the CLI contract: a failing sweep's exit code 4, and a PoleError escaping as a traceback
     ("cli.py",
      "    return 0 if all(r.passed for r in reports) else 1\n",

@@ -432,6 +432,12 @@ def test_z_ddz_examples():
     assert z_ddz(RF([0, 0, 1], [1])) == RF([0, 0, 2], [1])  # z * 2z = 2z^2
     # gcd(q, q') = (1-z)^2 is divided out first: z d/dz [1/(1-z)^3] = 3z/(1-z)^4
     assert z_ddz(RF([1], [1, -3, 3, -1])) == RF([0, 3], [1, -4, 6, -4, 1])
+    # a count: twice gives Li[-2], zero returns the form itself, a negative count is refused
+    assert z_ddz(RF([0, 1], [1, -1]), 2) == RF([0, 1, 1], [1, -3, 3, -1])
+    f = RF([1, 2], [0, 3, 1])
+    assert z_ddz(f, 0) is f
+    with pytest.raises(ValueError, match="n >= 0"):
+        z_ddz(f, -1)
 
 
 def test_substitute_examples():
@@ -736,6 +742,25 @@ def test_z_ddz_matches_the_full_gcd_quotient_rule(num, base, h, k, j):
     p, q = f.num, f.den
     want = RationalFunction(Z * (p.derivative() * q - p * q.derivative()), q * q)
     assert z_ddz(f) == want
+
+
+@given(
+    st.one_of(st.just(Polynomial.zero()), gauss_polys), short_gauss_polys, short_gauss_polys,
+    st.integers(1, 3), st.integers(0, 2), st.integers(0, 6),
+)
+@example(P(1), P(2), P(1), 1, 0, 3)  # constant f: zero after one step
+@example(P(1, 1), P(2), P(-I, 1), 2, 0, 4)  # a repeated Gaussian root under a content 2
+@example(P(3, 0, I), P(1, 1), P(1, -1), 3, 1, 5)  # z | q: the carry's -r/z term
+@example(P(1, 2), P(1), P(1, -1), 2, 2, 6)  # a double root at 0
+@settings(max_examples=100)
+def test_z_ddz_count_equals_repeated_single_steps(num, base, h, k, j, n):
+    # the carry of z_ddz(f, n) against n single steps, each with its own gcd; a single
+    # step is checked against the full-gcd quotient rule above
+    f = RationalFunction(num, base * h**k * Z**j)
+    want = f
+    for _ in range(n):
+        want = z_ddz(want)
+    assert z_ddz(f, n) == want
 
 
 @given(rationals, rationals)

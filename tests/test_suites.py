@@ -21,7 +21,7 @@ def test_exact_suites_pass():
     assert {r.identity for r in core} == {
         "construction route equality", "closed form vs defining series",
         "chi from polylog difference", "Ti from rotated chi", "chi and Ti inversion",
-        "duplication identity",
+        "chi and Ti operator route", "duplication identity",
         *(f"{target} polynomial vs recurrence" for target in ("cot", "tan", "coth", "tanh")),
         "csc route forms agree", "sec route forms agree", "generic operand",
     }
@@ -57,7 +57,7 @@ def test_a_raising_exact_check_fails_only_its_report(monkeypatch, capsys):
 
     monkeypatch.setattr(circular, "_csc_difference", broken)
     reports = run_suite("core", 1)
-    assert len(reports) == 26
+    assert len(reports) == 28
     failed = [r for r in reports if not r.passed]
     assert [(r.identity, r.n) for r in failed] == [("csc route forms agree", 0), ("csc route forms agree", 1)]
     assert {p.note for r in failed for p in r.points} == {"ImaginaryResidueError: residue"}
