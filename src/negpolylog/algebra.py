@@ -979,6 +979,11 @@ def require_real(f, label: str, n: int):
     return f
 
 
+def real_form(label: str):
+    """Declare build(n) a route's exact form: memoized per order, like ``li_neg``, and real."""
+    return lambda build: functools.cache(lambda n: require_real(build(n), label, n))
+
+
 def _values(f: RationalFunction, z: GaussianRational) -> tuple[GaussianRational, GaussianRational]:
     """The exact numerator and denominator values at z; PoleError where the denominator is zero."""
     den_val = f.den.horner(z)

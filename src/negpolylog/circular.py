@@ -13,7 +13,7 @@ those polynomials are constructed two ways:
 csc has four routes, the fourth the Leibniz sum in ``ladder``, and sec three;
 ``verify core`` proves the forms of one function equal.  Each is an exact
 real rational function of t = tan(x/2), built once per order by its own
-construction (``numutil.real_form``), read at the double tan(x/2) by
+construction (``algebra.real_form``), read at the double tan(x/2) by
 ``rf_eval`` and rounded once.  Here, with w = exp(ix) = (1 + it)/(1 - it):
 
 * the type-B Eulerian single sums 2 i^(n-1) chi_{-n}(w) for csc and
@@ -33,9 +33,11 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .algebra import I, Polynomial, RationalFunction, evaluate_packed, require_real, rf_eval, substitute
+from .algebra import (
+    I, Polynomial, RationalFunction, evaluate_packed, real_form, require_real, rf_eval, substitute,
+)
 from .combinatorics import binomial, factorial, stirling2_row, stirling_power_sum
-from .numutil import real_form, route
+from .jets import route
 from .polylog import chi_neg, li_neg, ti_neg
 
 __all__ = [

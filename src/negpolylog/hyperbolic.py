@@ -13,7 +13,7 @@ Routes provided:
   integers by the same helper as cot/tan (coth and tanh
   satisfy the same first-order equation f' = 1 - f^2, so they share one
   polynomial family);
-* csch/sech single-sum routes (``numutil.route``): the paper's relations
+* csch/sech single-sum routes (``jets.route``): the paper's relations
   2*chi(e^x) = -(d/dx)^n csch x and 2*Ti(e^x) = (d/dx)^n sech x (n >= 0),
   read at t = exp(-|x|) through the inversion z -> 1/z of chi and Ti that
   the core suite proves exactly; chi_neg's and ti_neg's numerators are
@@ -22,11 +22,9 @@ Routes provided:
   Li(-e^x) = -(1/2) (d/dx)^n tanh(x/2) for n >= 1 (at n = 0 both sides
   differ by the constant 1/2, so n = 0 is excluded from sweeps).
 
-A note on the tan <-> tanh coefficient kinship: the tanh polynomials are the
-tan polynomials under u -> iu up to a power of i.  There is no clean real
-evaluation point to pin that bookkeeping against the jet oracle, so the
-correspondence is documented here but deliberately not machine-asserted;
-the recurrence cross-check covers the same ground.
+The tan <-> tanh kinship holds by construction: ``_stirling_poly`` builds
+both families from one Stirling sum Q, tanh as Q(u) and tan as i^(n-1) Q(iu),
+and ``verify core`` checks each family against its own recurrence.
 """
 
 from __future__ import annotations
@@ -35,8 +33,7 @@ import math
 
 from .algebra import GaussianRational, _frac_to_float, rf_eval
 from .circular import DerivativePolynomial, _stirling_poly
-from .jets import nth_derivative
-from .numutil import route
+from .jets import nth_derivative, route
 from .polylog import chi_neg, ti_neg
 
 __all__ = [

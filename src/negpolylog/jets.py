@@ -11,10 +11,10 @@ tanh, sech, coth and csch from their first-order systems).  Inverse functions
 are lifted by building the jet of their derivative from rational/square-root
 recurrences and integrating once, taking the constant term from the math
 library.  Reciprocal-argument companions (arccsc, arcsec, arccsch, arcsech)
-are composed as outer(1/x).  :func:`check_point` guards every lift and the
-csc, sec, csch and sech routes with one table, ``_DOMAINS`` (poles, their
-period, the real domain): SingularityError within the guard radius,
-DomainError outside it or at a non-finite point.
+are composed as outer(1/x).  :func:`check_point` guards every lift and, in
+:func:`route`, the csc, sec, csch and sech routes with one table,
+``_DOMAINS`` (poles, their period, the real domain): SingularityError within
+the guard radius, DomainError outside it or at a non-finite point.
 
 Jets are double precision on purpose: this oracle's job is numeric
 cross-checking at tolerances of 1e-7..1e-9, while all exact checking lives
@@ -23,6 +23,7 @@ in the rational-function layer.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .combinatorics import factorial
@@ -217,6 +218,20 @@ def check_point(fn: str, x0: float):
     require_clear(fn, x0, *poles, period=period)
     if outside is not None and outside(x0):
         raise DomainError(f"{fn} needs {domain}, got {x0}")
+
+
+def route(fn: str, label: str):
+    """Declare body(n, x) a route for (d/dx)^n fn: order and point guarded; keeps fn, label."""
+    def declare(body):
+        @functools.wraps(body)
+        def evaluate(n: int, x: float) -> float:
+            if n < 0:
+                raise ValueError("n must be >= 0")
+            check_point(fn, x)
+            return body(n, x)
+        evaluate.fn, evaluate.label = fn, label
+        return evaluate
+    return declare
 
 
 def _cyclic(vals, x0: float, n: int) -> Jet:

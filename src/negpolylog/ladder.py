@@ -29,9 +29,9 @@ import math
 from collections import namedtuple
 from functools import cache
 
-from .algebra import I, Polynomial, RationalFunction, poly_exact_div, rf_eval, substitute
+from .algebra import I, Polynomial, RationalFunction, poly_exact_div, real_form, rf_eval, substitute
 from .combinatorics import binomial
-from .numutil import real_form, route
+from .jets import route
 from .polylog import chi_neg, li_neg, ti_neg
 
 __all__ = [

@@ -101,6 +101,15 @@ MUTANTS = [
      "        dr -= _raw(r.re[1:], r.im[1:])  # r/z\n",
      "        pass\n",
      ["tests/test_algebra.py::test_z_ddz_count_equals_repeated_single_steps"]),
+    # a route declared without its point guard, and a route form memoized without its realness check
+    ("jets.py",
+     "            check_point(fn, x)\n            return body(n, x)\n",
+     "            return body(n, x)\n",
+     ["tests/test_circular.py::test_singularity_guards"]),
+    ("algebra.py",
+     "functools.cache(lambda n: require_real(build(n), label, n))",
+     "functools.cache(lambda n: build(n))",
+     ["tests/test_circular.py::test_a_non_real_route_form_raises_naming_its_route_and_order"]),
     # the CLI contract: a failing sweep's exit code 4, and a PoleError escaping as a traceback
     ("cli.py",
      "    return 0 if all(r.passed for r in reports) else 1\n",

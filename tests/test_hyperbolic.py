@@ -7,7 +7,7 @@ import pytest
 from negpolylog import hyperbolic
 from negpolylog.algebra import rf_eval
 from negpolylog.circular import derivative_poly_recurrence
-from negpolylog.errors import DomainError, SingularityError
+from negpolylog.errors import SingularityError
 from negpolylog.hyperbolic import (
     HYP_GRID,
     coth_derivative_poly,
@@ -18,9 +18,8 @@ from negpolylog.hyperbolic import (
     tanh_derivative_poly,
 )
 from negpolylog.jets import nth_derivative
-from negpolylog.numutil import checked_exp
 from negpolylog.polylog import chi_neg, li_neg, ti_neg
-from negpolylog.reports import check, rel_err
+from negpolylog.reports import rel_err
 from negpolylog.suites import run_suite
 
 
@@ -116,17 +115,6 @@ def test_a_raising_side_fails_only_its_point(monkeypatch):
             assert (p.ok, p.rel_err, p.note) == (False, math.inf, "SingularityError: stub")
         else:
             assert (p.ok, p.note) == (True, "")
-
-
-def test_exp_beyond_double_range_fails_its_points():
-    # exp(1000) overflows: a library error, so a relation's point fails instead of aborting a sweep
-    with pytest.raises(DomainError, match=r"exp\(1000.0\) is beyond double range"):
-        checked_exp(1000.0)
-    point = check(1000.0, lambda: (rf_eval(li_neg(1), checked_exp(1000.0)).real,
-                                   li_relation_coth(1, 1000.0)), 1e-8)
-    assert (point.ok, point.note) == (False, "DomainError: exp(1000.0) is beyond double range")
-    # at x = -1000 exp underflows to 0, a finite point
-    assert checked_exp(-1000.0) == 0.0
 
 
 def test_chi_ti_relations_sweep():
