@@ -719,6 +719,12 @@ def poly_exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
     return _poly(qr, qi)
 
 
+def _cancel(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """a and b divided by their gcd (unchanged when it is a unit)."""
+    g = poly_gcd(a, b)
+    return (a, b) if g.degree == 0 else (poly_exact_div(a, g), poly_exact_div(b, g))
+
+
 # Canonical numerators and denominators are hash-consed: equal ones are one
 # object, so a closed form built again, by another route or another call,
 # stores no second copy of its coefficients.  An entry dies with its polynomial.
@@ -749,10 +755,7 @@ class RationalFunction:
             self.den = Polynomial.one()
             return
         if not _reduced:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = poly_exact_div(num, g)
-                den = poly_exact_div(den, g)
+            num, den = _cancel(num, den)
         # joint content 1 and a sector-normal lead
         n = len(num.re)
         re, im = _primitive([*num.re, *den.re], [*num.im, *den.im])
@@ -822,15 +825,7 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        p1, q1, p2, q2 = self.num, self.den, o.num, o.den
-        g1 = poly_gcd(p1, q2)
-        if g1.degree > 0:
-            p1 = poly_exact_div(p1, g1)
-            q2 = poly_exact_div(q2, g1)
-        g2 = poly_gcd(p2, q1)
-        if g2.degree > 0:
-            p2 = poly_exact_div(p2, g2)
-            q1 = poly_exact_div(q1, g2)
+        (p1, q2), (p2, q1) = _cancel(self.num, o.den), _cancel(o.num, self.den)
         return RationalFunction(p1 * p2, q1 * q2, _reduced=True)
 
     __rmul__ = __mul__

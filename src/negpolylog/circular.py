@@ -67,11 +67,11 @@ class DerivativePolynomial(namedtuple("DerivativePolynomial", "target order poly
         return self.poly.re
 
 
-def _stirling_poly(target: str, n: int, b0: int, sign: int, step: int):
+def _stirling_poly(target: str, n: int, sign: int, step: int):
     """P(u) = i^(step (n-1)) Q(i^step u), with Q the Stirling sum over the denominator 2.
 
-    Q(v) = sum_k sign^k k! {n+1 brace k+1} (b0 + v)^(k+1) 2^(n-k) is summed in
-    integers once at a packed point; b0 is a unit, so the same sum at 2 with
+    Q(v) = sum_k sign^k k! {n+1 brace k+1} (v - sign)^(k+1) 2^(n-k) is summed in
+    integers once at a packed point; sign is a unit, so the same sum at 2 with
     weights k! bounds its coefficients.  P is checked to be real.  Order 0 is
     the function itself, P(u) = u.
     """
@@ -79,7 +79,7 @@ def _stirling_poly(target: str, n: int, b0: int, sign: int, step: int):
         raise ValueError("n must be >= 0")
     if n == 0:
         return DerivativePolynomial(target, 0, Polynomial.variable())
-    q = evaluate_packed(lambda x: stirling_power_sum(n, b0 + x, lambda k: sign**k * factorial(k), 2),
+    q = evaluate_packed(lambda x: stirling_power_sum(n, x - sign, lambda k: sign**k * factorial(k), 2),
                         stirling_power_sum(n, 2, factorial, 2), n + 2)
     p = q.turn_arg(step).scale(I ** (step * (n - 1) % 4))
     return DerivativePolynomial(target, n, require_real(p, f"{target} derivative polynomial", n))
@@ -91,7 +91,7 @@ def cot_derivative_poly(n: int) -> DerivativePolynomial:
     P(u) is i^(n-1) Q(i u), Q(v) = sum_k k! {n+1 brace k+1} (v - 1)^(k+1) 2^(n-k)
     over the denominator 2: Q is built over Z, then its argument turned by i.
     """
-    return _stirling_poly("cot", n, -1, 1, 1)
+    return _stirling_poly("cot", n, 1, 1)
 
 
 def tan_derivative_poly(n: int) -> DerivativePolynomial:
@@ -100,7 +100,7 @@ def tan_derivative_poly(n: int) -> DerivativePolynomial:
     P(u) is i^(n-1) Q(i u), Q(v) = sum_k (-1)^k k! {n+1 brace k+1} (1 + v)^(k+1) 2^(n-k),
     built over Z as for cot.
     """
-    return _stirling_poly("tan", n, 1, -1, 1)
+    return _stirling_poly("tan", n, -1, 1)
 
 
 _RECURRENCE_MULT = {

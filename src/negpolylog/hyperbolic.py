@@ -53,12 +53,12 @@ HYP_GRID = (0.3, 0.5, 0.8, 1.2, 2.0)
 
 def coth_derivative_poly(n: int) -> DerivativePolynomial:
     """P with (d/dx)^n coth x = P(coth x); real arithmetic throughout."""
-    return _stirling_poly("coth", n, 1, -1, 0)
+    return _stirling_poly("coth", n, -1, 0)
 
 
 def tanh_derivative_poly(n: int) -> DerivativePolynomial:
     """P with (d/dx)^n tanh x = P(tanh x); identical family to coth's."""
-    return _stirling_poly("tanh", n, 1, -1, 0)
+    return _stirling_poly("tanh", n, -1, 0)
 
 
 def li_relation_coth(n: int, x: float) -> float:

@@ -5,9 +5,9 @@ quotients and square roots propagate coefficients by the standard
 recurrences; truncation is exact for the coefficients that are kept, so a
 jet of order N carries the first N derivatives with only rounding error.
 
-Elementary functions are lifted directly (sin, cos, exp, sinh and cosh have
-closed coefficient formulas, tan, cot, sec and csc come from jet division,
-tanh, sech, coth and csch from their first-order systems).  Inverse functions
+Elementary functions are lifted directly (sin and cos have closed
+coefficient formulas, tan, cot, sec and csc come from jet division, tanh,
+sech, coth and csch from their first-order systems).  Inverse functions
 are lifted by building the jet of their derivative from rational/square-root
 recurrences and integrating once, taking the constant term from the math
 library.  Reciprocal-argument companions (arccsc, arcsec, arccsch, arcsech)
@@ -202,7 +202,6 @@ _DOMAINS = {
     **dict.fromkeys(("tan", "sec"), ((_PI / 2,), _PI, None, "")),
     **dict.fromkeys(("cot", "csc"), ((0.0,), _PI, None, "")),
     **dict.fromkeys(("coth", "csch", "arccsch"), ((0.0,), None, None, "")),
-    "log": ((0.0,), None, lambda x: x <= 0, "x0 > 0"),
     **dict.fromkeys(("arctanh", "arcsin", "arccos"),
                     ((1.0, -1.0), None, lambda x: abs(x) >= 1, "|x0| < 1")),
     **dict.fromkeys(("arccoth", "arccsc", "arcsec"),
@@ -235,7 +234,7 @@ def route(fn: str, label: str):
 
 
 def _cyclic(vals, x0: float, n: int) -> Jet:
-    """Jet whose k-th derivative is vals[k % len(vals)]: exp, sin, cos, sinh, cosh."""
+    """Jet whose k-th derivative is vals[k % len(vals)]: sin and cos."""
     return Jet(x0, [vals[k % len(vals)] / factorial(k) for k in range(n + 1)])
 
 
@@ -247,20 +246,6 @@ def _build_sin(x0, n):
 def _build_cos(x0, n):
     s, c = math.sin(x0), math.cos(x0)
     return _cyclic((c, -s, -c, s), x0, n)
-
-
-def _build_exp(x0, n):
-    return _cyclic((math.exp(x0),), x0, n)
-
-
-def _build_sinh(x0, n):
-    s, c = math.sinh(x0), math.cosh(x0)
-    return _cyclic((s, c), x0, n)
-
-
-def _build_cosh(x0, n):
-    s, c = math.sinh(x0), math.cosh(x0)
-    return _cyclic((c, s), x0, n)
 
 
 def _hyperbolic_pair(x0: float, n: int, sigma: float) -> tuple[Jet, Jet]:
@@ -317,11 +302,8 @@ def _via_reciprocal_arg(outer: str):
 
 
 _BUILDERS = {
-    "exp": _build_exp,
     "sin": _build_sin,
     "cos": _build_cos,
-    "sinh": _build_sinh,
-    "cosh": _build_cosh,
     "tan": lambda x0, n: _build_sin(x0, n) / _build_cos(x0, n),
     "cot": lambda x0, n: _build_cos(x0, n) / _build_sin(x0, n),
     "sec": lambda x0, n: _build_cos(x0, n).reciprocal(),
@@ -330,7 +312,6 @@ _BUILDERS = {
     "sech": lambda x0, n: _hyperbolic_pair(x0, n, 1.0)[1],
     "coth": lambda x0, n: _hyperbolic_pair(x0, n, -1.0)[0],
     "csch": lambda x0, n: _hyperbolic_pair(x0, n, -1.0)[1],
-    "log": _via_derivative(lambda x0, n: Jet.identity(x0, n).reciprocal(), math.log),
     "arctan": _via_derivative(lambda x0, n: _one_plus_x2(x0, n).reciprocal(), math.atan),
     "arccot": _via_derivative(
         lambda x0, n: -(_one_plus_x2(x0, n).reciprocal()), lambda x: _PI / 2 - math.atan(x)

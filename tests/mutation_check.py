@@ -101,6 +101,15 @@ MUTANTS = [
      "        dr -= _raw(r.re[1:], r.im[1:])  # r/z\n",
      "        pass\n",
      ["tests/test_algebra.py::test_z_ddz_count_equals_repeated_single_steps"]),
+    # the gcd-and-divide step that cancels never dividing, and the Stirling base built on v + sign
+    ("algebra.py",
+     "    return (a, b) if g.degree == 0 else (poly_exact_div(a, g), poly_exact_div(b, g))\n",
+     "    return a, b\n",
+     ["tests/test_algebra.py::test_rf_self_cancellation_and_division"]),
+    ("circular.py",
+     "stirling_power_sum(n, x - sign, ",
+     "stirling_power_sum(n, x + sign, ",
+     ["tests/test_circular.py::test_polynomial_routes_agree_exactly"]),
     # a route declared without its point guard, and a route form memoized without its realness check
     ("jets.py",
      "            check_point(fn, x)\n            return body(n, x)\n",
