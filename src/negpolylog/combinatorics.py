@@ -1,14 +1,17 @@
 """Exact integer sequences used by every closed form.
 
-Stirling numbers of the second kind follow the triangular recurrence.
-Eulerian numbers of type B are defined by the alternating single sum
+Three triangles share one step: r_n[k] = alpha r_(n-1)[k] + beta r_(n-1)[k-1] for
+k = 0..n, from r_0 = (1,), with (alpha, beta) affine in (n, k) and read from ``_STEPS``.
+Stirling numbers of the second kind take (k, 1), and the Eulerian numbers A(n, k) take
+(k + 1, n - k).  Eulerian numbers of type B are defined by the alternating single sum
 
     S(n, k) = sum_{j=1..k} (-1)^(k-j) C(n+1, k-j) (2j-1)^n,   1 <= k <= n+1,
 
-adopted verbatim as the normalization, and built by the recurrence
-S(n, k) = (2k-1) S(n-1, k) + (2n-2k+3) S(n-1, k-1) (Brenti, Europ. J. Combin.
-15, 1994); a test compares the two for every n <= 64.  Row n has n+1 entries
-k = 1..n+1 and equals row n+1 of OEIS A060187: S(n, k) = A060187(n+1, k).
+adopted verbatim as the normalization, and built by Brenti's recurrence (Europ. J.
+Combin. 15, 1994) S(n, k) = (2k-1) S(n-1, k) + (2n-2k+3) S(n-1, k-1), which is
+(2k + 1, 2n - 2k + 1) at the 0-based index k - 1.  Tests compare each row with its
+defining sum for n <= 64.  In OEIS, A(n, k) = A008292(n, k+1) for k = 0..n (so
+A(n, n) = 0 for n >= 1), and S(n, k) = A060187(n+1, k).
 
 All values are exact Python ints.  Each row is memoized with
 ``functools.cache`` and built in O(n) integer steps from row n - 1; a cold
@@ -27,16 +30,38 @@ __all__ = [
     "factorial",
 ]
 
-@cache
-def stirling2_row(n: int) -> tuple[int, ...]:
-    """Row ({n brace 0}, ..., {n brace n}), by {n brace k} = k {n-1 brace k} + {n-1 brace k-1}."""
+# triangle -> the (alpha, beta) of its step, each as (c, d, e) for c + d n + e k
+_STEPS = {
+    "stirling2": ((0, 0, 1), (1, 0, 0)),
+    "eulerian": ((1, 0, 1), (0, 1, -1)),
+    "eulerian_b": ((1, 0, 2), (1, 2, -2)),
+}
+
+
+def _row(rows, triangle: str, n: int) -> tuple[int, ...]:
+    """Row n of ``triangle`` by its step from row n - 1, read through the memoized ``rows``."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return (1,)
     for m in range(n):  # ascending, so a cold call nests at most one level
-        prev = stirling2_row(m)
-    return (0, *[k * prev[k] + prev[k - 1] for k in range(1, n)], 1)
+        prev = rows(m)
+    (ac, ad, ae), (bc, bd, be) = _STEPS[triangle]
+    ac, bc = ac + ad * n, bc + bd * n
+    p = (*prev, 0)  # p[n] = p[-1] = 0: zero outside 0..n-1
+    return tuple((ac + ae * k) * p[k] + (bc + be * k) * p[k - 1] for k in range(n + 1))
+
+
+@cache
+def stirling2_row(n: int) -> tuple[int, ...]:
+    """Row ({n brace 0}, ..., {n brace n}), by {n brace k} = k {n-1 brace k} + {n-1 brace k-1}."""
+    return _row(stirling2_row, "stirling2", n)
+
+
+@cache
+def eulerian_row(n: int) -> tuple[int, ...]:
+    """Row (A(n, 0), ..., A(n, n)), by A(n, k) = (k+1) A(n-1, k) + (n-k) A(n-1, k-1)."""
+    return _row(eulerian_row, "eulerian", n)
 
 
 def stirling2(n: int, k: int) -> int:
@@ -83,15 +108,8 @@ def eulerian_b(n: int, k: int) -> int:
 
 @cache
 def eulerian_b_row(n: int) -> tuple[int, ...]:
-    """Row (S(n, 1), ..., S(n, n+1)), by the three-term recurrence from row n - 1."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return (1,)
-    for m in range(n):  # ascending, so a cold call nests at most one level
-        prev = eulerian_b_row(m)
-    p = (0, *prev, 0)  # p[k] = S(n-1, k), zero outside 1..n
-    return tuple((2 * k - 1) * p[k] + (2 * n - 2 * k + 3) * p[k - 1] for k in range(1, n + 2))
+    """Row (S(n, 1), ..., S(n, n+1)), by Brenti's three-term recurrence from row n - 1."""
+    return _row(eulerian_b_row, "eulerian_b", n)
 
 
 def binomial(n: int, k: int) -> int:

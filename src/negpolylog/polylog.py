@@ -9,11 +9,13 @@ its argument.  This module constructs it by two independent routes:
   ``k! {n+1 brace k+1} (z/(1-z))**(k+1)``.
 
 Both are kept public permanently; their exact agreement is the library's
-core trust story.  The odd part (Legendre chi) and the alternating odd part
-(inverse tangent integral) get direct closed forms from the type-B Eulerian
-row, plus cross-construction routes from the polylogarithm itself.  Each
-closed form is proved equal to its defining power series by a finite exact
-check on its first coefficients (``defining_series_agree``).
+core trust story.  The accessors read each closed form off an integer row over
+a binomial row: ``li_neg`` off the Eulerian row (Euler), a third construction,
+and ``chi_neg``/``ti_neg``, the odd part (Legendre chi) and the alternating odd
+part (inverse tangent integral), off the type-B Eulerian row; those two also
+have cross-construction routes from the polylogarithm itself.  Each closed form
+is proved equal to its defining power series by a finite exact check on its
+first coefficients (``defining_series_agree``).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from math import comb
 from .algebra import (
     GaussianRational, Polynomial, RationalFunction, _poly, evaluate_packed, require_real, substitute, z_ddz,
 )
-from .combinatorics import eulerian_b_row, factorial, stirling_power_sum
+from .combinatorics import eulerian_b_row, eulerian_row, factorial, stirling_power_sum
 
 __all__ = [
     "li_neg", "li_neg_operator", "li_neg_stirling", "chi_neg", "ti_neg", "chi_from_li",
@@ -33,27 +35,9 @@ __all__ = [
 ]
 
 
-@cache
 def li_neg(n: int) -> RationalFunction:
-    """Memoized canonical closed form of the order -n polylogarithm.
-
-    Built by one step of z d/dz from the cached pair P/Q of order -(n-1), from
-    z/(1 - z) at n = 0; tests prove it equal to both public routes.  With Q = +-(1 - z)**n
-    the quotient rule cancels (1 - z)**(n-1), leaving z (P' (1 - z) + n P) / (Q (1 - z)):
-    (i+1) a_(i+1) + (n-i) a_i at z^(i+1) over d_i - d_(i-1) at z^i, for P = sum a_i z^i and
-    Q = sum d_i z^i.  Its numerator is n P(1) = +-n! at z = 1, the only root of Q (1 - z)
-    (by induction from P_0(1) = 1), so the pair is coprime by construction.
-    """
-    if n < 0:
-        raise ValueError("order index n must be >= 0")
-    if n == 0:
-        return RationalFunction(Polynomial.variable(), Polynomial([1, -1]), _reduced=True)
-    for k in range(n):  # ascending, so a cold call nests at most one level
-        prev = li_neg(k)
-    a, d = (*prev.num.re, 0), prev.den.re
-    num = [0, *[(i + 1) * a[i + 1] + (n - i) * a[i] for i in range(len(a) - 1)]]
-    den = [x - y for x, y in zip((*d, 0), (0, *d))]
-    return RationalFunction(_poly(num, [0] * len(num)), _poly(den, [0] * len(den)), _reduced=True)
+    """Memoized canonical closed form of the order -n polylogarithm, z A_n(z)/(1 - z)^(n+1)."""
+    return _row_form(n, 1, 1)
 
 
 def li_neg_operator(n: int) -> RationalFunction:
@@ -78,35 +62,26 @@ def li_neg_stirling(n: int) -> RationalFunction:
 
 
 def chi_neg(n: int) -> RationalFunction:
-    """Legendre chi at order -n: odd numerator over (1 - z^2)**(n+1), read off integer rows.
-
-    The numerator is sum_k B(n, k) z^(2k+1) over the type-B Eulerian row,
-    which sums to 2^n n!.  So it is 2^n n! at z = 1 and -2^n n! at z = -1,
-    never zero at a root of (1 - z^2)**(n+1): the pair is coprime by
-    construction and skips the gcd.
-    """
-    return _type_b_form(n, 1)
+    """Legendre chi at order -n: z B_n(z^2)/(1 - z^2)^(n+1), over the type-B Eulerian row."""
+    return _row_form(n, 2, 1)
 
 
 def ti_neg(n: int) -> RationalFunction:
-    """Inverse tangent integral at order -n: alternating numerator over (1 + z^2)**(n+1).
-
-    Like chi_neg, both are read off integer rows.  The numerator is sum_k (-1)^k B(n, k)
-    z^(2k+1); at z = i each term is i B(n, k), so the value is i 2^n n! (the type-B row
-    sum), and -i 2^n n! at z = -i.  It never vanishes at a root of (1 + z^2)**(n+1): the
-    pair is coprime by construction and skips the gcd.
-    """
-    return _type_b_form(n, -1)
+    """Inverse tangent integral at order -n: z B_n(-z^2)/(1 + z^2)^(n+1)."""
+    return _row_form(n, 2, -1)
 
 
 @cache
-def _type_b_form(n: int, sign: int) -> RationalFunction:
-    """sum_k sign^(k+1) B(n, k) z^(2k-1) over (1 - sign z^2)^(n+1), memoized: the type-B
-    Eulerian row over the binomial row, C(n+1, j) (-sign)^j at z^(2j)."""
+def _row_form(n: int, g: int, s: int) -> RationalFunction:
+    """z R(s z^g)/(1 - s z^g)^(n+1), memoized: the Eulerian row R of order n (type B for
+    g = 2) over the binomial row, C(n+1, j) (-s)^j at z^(gj).  At a root w of the
+    denominator s w^g = 1, so the numerator is w R(1), w times the row sum (n! or 2^n n!):
+    never zero, so the pair is coprime by construction and skips the gcd."""
     if n < 0:
         raise ValueError("order index n must be >= 0")
-    num = [c for k, b in enumerate(eulerian_b_row(n)) for c in (0, sign ** k * b)]
-    den = [c for j in range(n + 2) for c in ((-sign) ** j * comb(n + 1, j), 0)]
+    num, den = [0] * (g * n + 2), [0] * (g * n + g + 1)
+    num[1::g] = [s ** k * r for k, r in enumerate((eulerian_row if g == 1 else eulerian_b_row)(n))]
+    den[::g] = [(-s) ** j * comb(n + 1, j) for j in range(n + 2)]
     return RationalFunction(_poly(num, [0] * len(num)), _poly(den, [0] * len(den)), _reduced=True)
 
 

@@ -119,6 +119,20 @@ MUTANTS = [
      "functools.cache(lambda n: require_real(build(n), label, n))",
      "functools.cache(lambda n: build(n))",
      ["tests/test_circular.py::test_a_non_real_route_form_raises_naming_its_route_and_order"]),
+    # a step coefficient of the Eulerian triangle, the type-B step at the 1-based index, and Ti's
+    # binomial row built with chi's signs
+    ("combinatorics.py",
+     '"eulerian": ((1, 0, 1), (0, 1, -1)),',
+     '"eulerian": ((1, 0, 1), (1, 1, -1)),',
+     ["tests/test_polylog.py::test_stirling_route_matches_operator"]),
+    ("combinatorics.py",
+     '"eulerian_b": ((1, 0, 2), (1, 2, -2)),',
+     '"eulerian_b": ((1, 0, 2), (3, 2, -2)),',
+     ["tests/test_combinatorics.py::test_rows_equal_their_defining_sums"]),
+    ("polylog.py",
+     "(-s) ** j",
+     "(-1) ** j",
+     ["tests/test_polylog.py::test_chi_ti_closed_forms"]),
     # the CLI contract: a failing sweep's exit code 4, and a PoleError escaping as a traceback
     ("cli.py",
      "    return 0 if all(r.passed for r in reports) else 1\n",

@@ -9,7 +9,7 @@ import pytest
 from negpolylog import polylog
 from negpolylog.algebra import rf_eval_exact
 from negpolylog.combinatorics import (
-    binomial, eulerian_b, eulerian_b_row, stirling2, stirling2_row, stirling_power_sum,
+    binomial, eulerian_b, eulerian_b_row, eulerian_row, stirling2, stirling2_row, stirling_power_sum,
 )
 from negpolylog.polylog import li_neg
 
@@ -40,9 +40,14 @@ def eulerian_b_by_sum(n, k):
     return sum((-1) ** (k - j) * comb(n + 1, k - j) * (2 * j - 1) ** n for j in range(1, k + 1))
 
 
+def eulerian_by_sum(n, k):
+    """A(n, k) = sum_{j=0..k} (-1)^j C(n+1, j) (k+1-j)^n, the explicit formula."""
+    return sum((-1) ** j * comb(n + 1, j) * (k + 1 - j) ** n for j in range(k + 1))
+
+
 def clear_builder_caches():
     """Empty the cache of every memoized row and closed form."""
-    for cached in (stirling2_row, eulerian_b_row, polylog.li_neg, polylog._type_b_form):
+    for cached in (stirling2_row, eulerian_row, eulerian_b_row, polylog._row_form):
         cached.cache_clear()
 
 
@@ -92,10 +97,27 @@ def test_eulerian_b_row_sum_and_symmetry():
             assert eulerian_b(n, k) == eulerian_b(n, n + 2 - k)
 
 
+def test_eulerian_first_rows():
+    # OEIS A008292, rows 1..7; A(n, n) = 0 closes each row from n = 1 on
+    printed = [(1,), (1, 1), (1, 4, 1), (1, 11, 11, 1), (1, 26, 66, 26, 1), (1, 57, 302, 302, 57, 1),
+               (1, 120, 1191, 2416, 1191, 120, 1)]
+    assert eulerian_row(0) == (1,)
+    for n, row in enumerate(printed, 1):
+        assert eulerian_row(n) == (*row, 0)
+
+
+def test_eulerian_row_sum_and_symmetry():
+    for n in range(1, 21):
+        row = eulerian_row(n)
+        assert sum(row) == factorial(n) and row[n] == 0
+        assert row[:n] == row[n - 1::-1]
+
+
 def test_rows_equal_their_defining_sums():
     # the rows are built by recurrences; the closed-form sums are the definitions
     for n in range(65):
         assert stirling2_row(n) == tuple(stirling2_by_sum(n, k) for k in range(n + 1)), n
+        assert eulerian_row(n) == tuple(eulerian_by_sum(n, k) for k in range(n + 1)), n
         assert eulerian_b_row(n) == tuple(eulerian_b_by_sum(n, k) for k in range(1, n + 2)), n
 
 
@@ -107,7 +129,7 @@ def test_cold_builds_are_iterative_and_order_independent():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 50)
     try:
-        eulerian_b_row(300), stirling2_row(300)
+        eulerian_b_row(300), eulerian_row(300), stirling2_row(300)
         polylog.li_neg(200), polylog.chi_neg(200), polylog.ti_neg(200)
     finally:
         sys.setrecursionlimit(limit)

@@ -14,7 +14,7 @@ from negpolylog.algebra import (
     rf_eval,
     substitute,
 )
-from negpolylog.combinatorics import eulerian_b_row
+from negpolylog.combinatorics import eulerian_b_row, eulerian_row
 from negpolylog.polylog import (
     chi_from_li,
     chi_neg,
@@ -82,7 +82,8 @@ def test_cold_li_neg_nests_one_level():
     frame, depth = sys._getframe(), 0
     while frame is not None:
         frame, depth = frame.f_back, depth + 1
-    li_neg.cache_clear()
+    eulerian_row.cache_clear()
+    polylog._row_form.cache_clear()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 30)
     try:
