@@ -84,10 +84,14 @@ steps through q at z^g: the odd and even numerators and denominators of chi
 and Ti and the derivative polynomials take half the steps.  A real q equal to
 c (1 + r w)^e for integers c and r, as the denominators (1 -+ z^g)^(n+1) of
 li, chi and Ti are, is read as that power and raised by repeated squaring.
-The quotient is not reduced: over one common denominator, each part's
-numerator and denominator are integers, divided once by ``int / int``,
-which rounds correctly.  Each step is an identity in exact arithmetic, so
-the exact value, and the double it rounds to, cannot change.
+Any other real q at a non-real w takes Knuth's two-term recurrence
+(TAOCP Vol. 2, 4.6.4; Goertzel 1958), the remainder of q by the real
+quadratic with root w: two real products a step where a Gaussian step takes
+one complex product, four real ones.  The quotient is not reduced: over one
+common denominator, each part's numerator and denominator are integers,
+divided once by ``int / int``, which rounds correctly.  Each step is an
+identity in exact arithmetic, so the exact value, and the double it rounds
+to, cannot change.
 Expanded high powers such as ``(1 - z^2)^11`` are catastrophically
 ill-conditioned in double-precision Horner near ``|z| = 1``; exact
 accumulation keeps every multi-route identity check meaningful at the
@@ -463,7 +467,11 @@ class Polynomial:
         4.6.4).  An odd or even polynomial takes half the steps of the dense
         loop.  A real q equal to c (1 + r w)^e (``_binomial_power``), such as
         the denominators (1 -+ z^g)^(n+1) of li, chi and Ti, is raised to its
-        power by repeated squaring (4.6.3) in O(log n) products.  Since both
+        power by repeated squaring (4.6.3) in O(log n) products.  Any other
+        real q at a non-real w is read as its remainder b_1 w + q_0 - m b_2 by
+        x^2 - t x + m, whose root is w (t = 2 Re w, m = |w|^2): the real
+        recurrence b_k = q_k + t b_(k+1) - m b_(k+2) takes two real products a
+        step, a Gaussian step four (4.6.4; Goertzel 1958).  Since all three
         readings are identities and every step is exact, the value is the
         same number the dense loop gives, and so are the bits ``rf_eval``
         rounds it to.
@@ -476,6 +484,11 @@ class Polynomial:
         if not any(qi) and (power := _binomial_power(qr)):
             c, r = power
             return _power(z, s, _power(r * w + 1, len(qr) - 1, GaussianRational(c)))
+        if w.im and not any(qi):
+            t, m, b1, b2 = 2 * w.re, w.re * w.re + w.im * w.im, 0, 0
+            for x in reversed(qr[1:]):
+                b1, b2 = x + t * b1 - m * b2, b1
+            return _power(z, s, GaussianRational(qr[0] + w.re * b1 - m * b2, w.im * b1))
         q = zip(reversed(qr), reversed(qi))
         acc = GaussianRational(*next(q, (0, 0)))
         for x, y in q:

@@ -364,13 +364,13 @@ def apply_operator_power(a, fn: str, n: int, x0: float) -> float:
 
     ``a`` maps (x0, order) to the coefficient function's jet.  Each round
     differentiates the running jet (consuming one order) and multiplies by
-    the coefficient jet; the initial order is n + 2.  A nan value is a DomainError.
+    the coefficient jet, so both are lifted at order n: the n rounds use up
+    every order above 0.  A nan value is a DomainError.
     """
     if n < 0:
         raise ValueError("operator power must be >= 0")
-    total = n + 2
-    f = jet_lift(fn, x0, total)
-    a_jet = a(float(x0), total) if n else None
+    f = jet_lift(fn, x0, n)
+    a_jet = a(float(x0), n) if n else None
     for _ in range(n):
         f = a_jet * f.differentiate()
     if math.isnan(f.value):

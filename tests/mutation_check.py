@@ -133,6 +133,15 @@ MUTANTS = [
      "(-s) ** j",
      "(-1) ** j",
      ["tests/test_polylog.py::test_chi_ti_closed_forms"]),
+    # Knuth's two-term recurrence for a real q at a non-real w: m = Re^2 - Im^2 for |w|^2, and t = Re w
+    ("algebra.py",
+     "w.re * w.re + w.im * w.im",
+     "w.re * w.re - w.im * w.im",
+     ["tests/test_algebra.py::test_strided_horner_is_the_naive_sum"]),
+    ("algebra.py",
+     "t, m, b1, b2 = 2 * w.re,",
+     "t, m, b1, b2 = w.re,",
+     ["tests/test_algebra.py::test_strided_horner_is_the_naive_sum"]),
     # the CLI contract: a failing sweep's exit code 4, and a PoleError escaping as a traceback
     ("cli.py",
      "    return 0 if all(r.passed for r in reports) else 1\n",

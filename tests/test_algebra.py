@@ -901,6 +901,13 @@ def naive_value(f: RationalFunction, z: GaussianRational) -> "GaussianRational |
 @example(P(), P(1, 1), GaussianRational(Fraction(1, 3), 1))  # the zero polynomial
 @example(P(1, 0, 1, I), P(1), GaussianRational(Fraction(1, 2), Fraction(1, 3)))  # odd term imaginary only
 @example(P(1), P(0, 1, 0, 1), GaussianRational(0))  # den z + z^3 vanishes at 0
+# real q at non-real w, Knuth's two-term recurrence: w = z^2 = i/2 is purely imaginary, so t = 0
+@example(P(1, 0, 3, 0, -2, 0, 5), P(4, 0, -1), GaussianRational(Fraction(1, 2), Fraction(1, 2)))
+# a constant real q (g = 0 reads w = z^0 = 1) and a linear real q at w = z^3 and z^4
+@example(P(0, 0, 3), P(2, 0, 0, -5), GaussianRational(Fraction(1, 3), Fraction(1, 2)))
+@example(P(-7), P(1, 0, 0, 0, 7), GaussianRational(Fraction(-3, 4), Fraction(2, 5)))
+# w whose imaginary part is the least subnormal double, so m = Re^2 + Im^2 is not a double
+@example(P(1, -3, 0, 2, 7), P(3, 1, 4, 1, 5), GaussianRational(Fraction(0.75), Fraction(5e-324)))
 def test_strided_horner_is_the_naive_sum(num, den, z):
     assert num.horner(z) == naive_sum(num, z) and den.horner(z) == naive_sum(den, z)
     f = RationalFunction(num, den)
