@@ -5,7 +5,8 @@ exactly through intermediate algebra.  A :class:`RationalFunction` is always
 stored in canonical form: numerator and denominator are coprime, all
 coefficients are Gaussian integers with joint content 1, and the
 denominator's leading coefficient lies in the half-open sector
-``re > 0, im >= 0`` (positive in the purely real case).  That makes
+``re > 0, im >= 0`` (positive in the purely real case); a content of norm 1
+is not divided out, as that sector turn picks the same associate.  That makes
 structural equality of the stored pair a valid identity test.  Canonical
 numerators and denominators are hash-consed: equal ones are one shared
 object, whose table entry lives as long as the polynomial.
@@ -24,20 +25,23 @@ evaluation.  Values are immutable and all operations are pure.
 
 Products use Kronecker substitution (Kronecker 1882; Schoenhage 1982): each
 part is packed into one integer, sum c[k] * 2**(w*k), with w a multiple of 8
-and w >= bitlen(max|a| * max|b| * min(len a, len b)) + 2, max|a| being the
-largest absolute real or imaginary part of a.  A slot of the product's real
-or imaginary part sums at most min(len a, len b) terms of one or two part
-products, so its absolute value is at most 2 * max|a| * max|b| *
-min(len a, len b) < 2**(w - 1): it fits in w signed bits and cannot spill
-into its neighbour.  Unpacking reads each slot as a signed w-bit integer
-and adds back the 1 that a negative slot borrowed from the one above it.  A
-real product costs one big-integer product, a Gaussian one three
-(Karatsuba's trick on the parts).  Up to ``_SCHOOLBOOK_MAX`` coefficients in
-the shorter operand, a row-by-row schoolbook product is faster.  A whole sum
-of integer polynomials is evaluated once at x = 2**w and read back the same
-way (:func:`evaluate_packed`).  Its bound is the sum evaluated on the
-coefficient 1-norms (sum |c[k]|, subadditive and submultiplicative) of its
-polynomials and the absolute values of its scalars.
+and w >= bitlen(B) + 2, B = max|a| * max|b| * min(len a, len b), max|a|
+being the largest absolute real or imaginary part of a.  A slot of the
+product's real or imaginary part sums at most min(len a, len b) terms of one
+or two part products, so its absolute value is at most 2B < 2**(w - 1): it
+fits in w signed bits and cannot spill into its neighbour.  Unpacking reads
+each slot as a signed w-bit integer and adds back the 1 that a negative slot
+borrowed from the one above it.  A real product costs one big-integer
+product, a Gaussian one three (Karatsuba's trick on the parts).  A sum of
+products, such as the numerator p1 q2 + p2 q1 of a sum, is one packed sum:
+B is the sum of the pairs' bounds, for the real and the imaginary part
+alike, each operand is packed once and each part unpacked once.  A pair
+whose shorter operand has at most ``_SCHOOLBOOK_MAX`` coefficients is
+multiplied row by row instead, which is faster there.  A whole sum of integer
+polynomials is evaluated once at x = 2**w and read back the same way
+(:func:`evaluate_packed`).  Its bound is the sum evaluated on the coefficient
+1-norms (sum |c[k]|, subadditive and submultiplicative) of its polynomials
+and the absolute values of its scalars.
 
 Polynomial gcds use a primitive pseudo-remainder sequence (PRS) over the
 Gaussian integers, the only path that computes a gcd of positive degree.
@@ -72,7 +76,9 @@ inputs.  Each place that skips one rests on a proof:
 * a product or quotient by a nonzero exact scalar c: c p and q have the
   common factors of p and q, that is none;
 * ``z_ddz``: each step's pair is coprime but for one factor z, which it
-  removes when q(0) = 0, and one gcd serves all n steps (proof in its docstring);
+  removes when q(0) = 0, and one gcd serves all n steps; the denominator
+  q r^n (over z^n when q(0) = 0) is formed once, after them (proof in its
+  docstring);
 * the argument transforms of ``substitute`` map a coprime pair to a
   coprime pair.
 
@@ -427,9 +433,7 @@ class Polynomial:
             if isinstance(other, (int, Fraction, GaussianRational)):
                 return self.scale(other)
             return NotImplemented
-        if not self.re or not other.re:
-            return Polynomial.zero()
-        return _raw(*_product(self.re, self.im, other.re, other.im))
+        return _raw(*_products([(self, other)]))
 
     __rmul__ = __mul__
 
@@ -551,11 +555,22 @@ class Polynomial:
 _SCHOOLBOOK_MAX = 8
 
 
-def _product(ar, ai, br, bi) -> tuple[list, list]:
-    """Parts of (ar + i*ai)(br + i*bi) for nonzero integer vectors, by the shorter length."""
-    if len(ar) > len(br):
-        ar, ai, br, bi = br, bi, ar, ai
-    return (_rows if len(ar) <= _SCHOOLBOOK_MAX else _kronecker)(ar, ai, br, bi)
+def _products(pairs) -> tuple[list, list]:
+    """Parts of the sum of a*b over pairs (a, b) of polynomials: by rows where the shorter
+    operand is short, the other pairs as one packed sum; a zero operand adds nothing."""
+    rows, packed = [], []
+    for a, b in pairs:
+        a, b = (a, b) if len(a.re) <= len(b.re) else (b, a)
+        if len(a.re) > _SCHOOLBOOK_MAX:
+            packed.append((a, b))
+        elif a.re:
+            rows.append(_rows(a.re, a.im, b.re, b.im))
+    if packed:
+        rows.append(_kronecker(packed))
+    if len(rows) == 1:
+        return rows[0]
+    re, im = [r for r, _ in rows], [i for _, i in rows]
+    return functools.reduce(_vadd, re, ()), functools.reduce(_vadd, im, ())
 
 
 def _rows(ar, ai, br, bi) -> tuple[list, list]:
@@ -568,17 +583,23 @@ def _rows(ar, ai, br, bi) -> tuple[list, list]:
     return re, im
 
 
-def _kronecker(ar, ai, br, bi) -> tuple[list, list]:
-    """Packed product: one big-integer product if both are real, three (Karatsuba) if not."""
-    n = len(ar) + len(br) - 1
-    nb = _slot_bytes(max(map(abs, [*ar, *ai])) * max(map(abs, [*br, *bi])) * min(len(ar), len(br)))
-    ones = int.from_bytes((b"\x01" + bytes(nb - 1)) * max(len(ar), len(br)), "little")
-    pa, pb = _pack(ar, nb, ones), _pack(br, nb, ones)
-    if not any(ai) and not any(bi):
-        return _unpack(pa * pb, nb, n), [0] * n
-    qa, qb = _pack(ai, nb, ones), _pack(bi, nb, ones)
-    rr, ii = pa * pb, qa * qb
-    return _unpack(rr - ii, nb, n), _unpack((pa + qa) * (pb + qb) - rr - ii, nb, n)
+def _kronecker(pairs) -> tuple[list, list]:
+    """Packed sum of products over pairs of nonzero polynomials: each operand packed once, one
+    big-integer product a pair if both are real, three (Karatsuba) if not, one unpack a part."""
+    n = max(len(a.re) + len(b.re) for a, b in pairs) - 1
+    nb = _slot_bytes(sum(max(map(abs, a.re + a.im)) * max(map(abs, b.re + b.im)) * min(len(a.re), len(b.re))
+                         for a, b in pairs))
+    ones = int.from_bytes((b"\x01" + bytes(nb - 1)) * n, "little")
+    re = im = 0
+    for a, b in pairs:
+        pa, pb = _pack(a.re, nb, ones), _pack(b.re, nb, ones)
+        if any(a.im) or any(b.im):
+            qa, qb = _pack(a.im, nb, ones), _pack(b.im, nb, ones)
+            rr, ii = pa * pb, qa * qb
+            re, im = re + rr - ii, im + (pa + qa) * (pb + qb) - rr - ii
+        else:
+            re += pa * pb
+    return _unpack(re, nb, n), _unpack(im, nb, n) if im else [0] * n
 
 
 def _slot_bytes(bound: int) -> int:
@@ -639,8 +660,12 @@ def _content(re, im) -> tuple[int, int]:
 
 
 def _primitive(re, im):
-    """The vector divided by its content (the empty vector stays empty); a real one with ``//``."""
-    g = _content(re, im) if re else (1, 0)
+    """The vector divided by its content (the empty vector stays empty)."""
+    return _divided(re, im, _content(re, im) if re else (1, 0))
+
+
+def _divided(re, im, g):
+    """The vector divided exactly by the Gaussian integer g; by a real g with ``//``."""
     if g[1]:
         pairs = [_gauss_int_div(c, g) for c in zip(re, im)]
         return [x for x, _ in pairs], [y for _, y in pairs]
@@ -771,7 +796,10 @@ class RationalFunction:
             num, den = _cancel(num, den)
         # joint content 1 and a sector-normal lead
         n = len(num.re)
-        re, im = _primitive([*num.re, *den.re], [*num.im, *den.im])
+        re, im = [*num.re, *den.re], [*num.im, *den.im]
+        g = _content(re, im)
+        if g[0] * g[0] + g[1] * g[1] != 1:  # a unit content is left to the sector turn
+            re, im = _divided(re, im, g)
         re, im = _rotate(re, im, _sector_turns(re[-1], im[-1]))
         self.num = _canonical(re[:n], im[:n])
         self.den = _canonical(re[n:], im[n:])
@@ -805,7 +833,7 @@ class RationalFunction:
             return NotImplemented
         p1, q1, p2, q2 = self.num, self.den, o.num, o.den
         coprime = poly_gcd(q1, q2).degree == 0
-        return RationalFunction(p1 * q2 + p2 * q1, q1 * q2, _reduced=coprime)
+        return RationalFunction(_poly(*_products([(p1, q2), (p2, q1)])), q1 * q2, _reduced=coprime)
 
     __radd__ = __add__
 
@@ -898,8 +926,12 @@ def z_ddz(f: RationalFunction, n: int = 1) -> RationalFunction:
     q1 = q r, or q r / z, has the roots of q and no other, so its radical is
     still r, and q1'/q1 = q'/q + r'/r (- 1/z when z | q) = (v + r' (- r/z))/r:
     the carry v <- v + r' (- r/z) gives q1'/q1 = v/r again with no gcd or
-    division.  Each step's pair is coprime, so the last one needs only its
-    content and sector normalized.  n = 0 returns f; n < 0 raises ValueError.
+    division.  A step reads q only through v, so the loop carries p and v
+    alone: after k steps the denominator is q r^k, or q r^k / z^k when z | q
+    (z divides r, so z^k divides r^k), and it is formed once, after the n
+    steps, by repeated squaring.  N = p' r - p v is one sum of products.
+    Each step's pair is coprime, so the last one needs only its content and
+    sector normalized.  n = 0 returns f; n < 0 raises ValueError.
     """
     if n < 0:
         raise ValueError("z_ddz needs a count n >= 0")
@@ -914,9 +946,13 @@ def z_ddz(f: RationalFunction, n: int = 1) -> RationalFunction:
     if shift:
         dr -= _raw(r.re[1:], r.im[1:])  # r/z
     for _ in range(n):
-        num, den = p.derivative() * r - p * v, q * r
-        p, q = (num, _raw(den.re[1:], den.im[1:])) if shift else (_poly((0, *num.re), (0, *num.im)), den)
+        p = _poly(*_products([(p.derivative(), r), (p, -v)]))
+        if not shift:
+            p = _poly((0, *p.re), (0, *p.im))
         v = v + dr
+    q = _power(r, n, q)
+    if shift:
+        q = _raw(q.re[n:], q.im[n:])
     return RationalFunction(p, q, _reduced=True)
 
 

@@ -30,11 +30,14 @@ ImaginaryResidueError; a value beyond double range is +-inf.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from collections import namedtuple
 
 from .algebra import (
-    I, Polynomial, RationalFunction, evaluate_packed, real_form, require_real, rf_eval, substitute,
+    I, Polynomial, RationalFunction, _poly, _vadd, evaluate_packed, real_form, require_real, rf_eval,
+    substitute,
 )
 from .combinatorics import binomial, factorial, stirling2_row, stirling_power_sum
 from .jets import route
@@ -112,16 +115,17 @@ _RECURRENCE_MULT = {
 
 
 def derivative_poly_recurrence(target: str, n: int) -> DerivativePolynomial:
-    """Classical recurrence oracle: P_0 = u, P_{m+1} = m(u) * P_m'."""
+    """Classical recurrence oracle: P_0 = u, P_{m+1} = m(u) * P_m', each step the sum over int
+    lists of one row c_i u^i P_m' per nonzero coefficient c_i of m."""
     if target not in _RECURRENCE_MULT:
         raise ValueError(f"no derivative-polynomial recurrence for {target!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    mult = _RECURRENCE_MULT[target]
-    p = Polynomial.variable()
+    mult, p = _RECURRENCE_MULT[target].re, [0, 1]
     for _ in range(n):
-        p = mult * p.derivative()
-    return DerivativePolynomial(target, n, p)
+        dp = [*map(operator.mul, range(1, len(p)), p[1:])]
+        p = functools.reduce(_vadd, [[0] * i + [c * x for x in dp] for i, c in enumerate(mult) if c])
+    return DerivativePolynomial(target, n, _poly(p, [0] * len(p)))
 
 
 def _binomial_weights(n: int) -> list:

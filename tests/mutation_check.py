@@ -101,6 +101,16 @@ MUTANTS = [
      "        dr -= _raw(r.re[1:], r.im[1:])  # r/z\n",
      "        pass\n",
      ["tests/test_algebra.py::test_z_ddz_count_equals_repeated_single_steps"]),
+    # the denominator of z_ddz(f, n) formed as q r^(n-1), and the packed sum's slot width bounded
+    # by its first product alone
+    ("algebra.py",
+     "    q = _power(r, n, q)\n",
+     "    q = _power(r, n - 1, q)\n",
+     ["tests/test_algebra.py::test_z_ddz_matches_the_full_gcd_quotient_rule"]),
+    ("algebra.py",
+     "                         for a, b in pairs))",
+     "                         for a, b in pairs[:1]))",
+     ["tests/test_algebra.py::test_packed_sum_of_products_matches_two_products"]),
     # the gcd-and-divide step that cancels never dividing, and the Stirling base built on v + sign
     ("algebra.py",
      "    return (a, b) if g.degree == 0 else (poly_exact_div(a, g), poly_exact_div(b, g))\n",

@@ -144,6 +144,10 @@ def test_exact_division_by_unit_and_non_unit_leads(q, body, lead):
         poly_exact_div(a + Polynomial.one(), b)
 
 
+def _gauss_poly(pairs):
+    return Polynomial([GaussianRational(x, y) for x, y in pairs])
+
+
 def _schoolbook(a, b):
     """Reference product of two lists of (re, im) integer pairs."""
     out = [(0, 0)] * (len(a) + len(b) - 1)
@@ -175,13 +179,36 @@ def test_packed_product_matches_schoolbook(a, b, a_real, b_real):
     b = [(x, 0) for x, _ in b] if b_real else b
     assume(any(x or y for x, y in a) and any(x or y for x, y in b))  # zero never reaches a product
     want = _schoolbook(a, b)
-    parts = (*zip(*a), *zip(*b))
-    for product in (algebra._kronecker, algebra._rows, algebra._product):
-        re, im = product(*parts)
+    assert list(zip(*algebra._rows(*zip(*a), *zip(*b)))) == want
+    # the vectors as drawn, trailing zeros kept, for the one-pair packed sum and its dispatcher
+    pair = (algebra._raw(*zip(*a)), algebra._raw(*zip(*b)))
+    for product in (algebra._kronecker, algebra._products):
+        re, im = product([pair])
         assert list(zip(re, im)) == want, product.__name__
-    pa = Polynomial([GaussianRational(x, y) for x, y in a])
-    pb = Polynomial([GaussianRational(x, y) for x, y in b])
-    assert pa * pb == Polynomial([GaussianRational(x, y) for x, y in want])
+    assert _gauss_poly(a) * _gauss_poly(b) == _gauss_poly(want)
+
+
+# the zero polynomial, or a vector whose parts are all real
+_operands = st.one_of(st.just([]), _vectors, _vectors.map(lambda v: [(x, 0) for x, _ in v]))
+# 16 coefficients of M = 2**29 - 1 and of K: the first pair's bound 16 M**2 is 62 bits long, so
+# its slot width alone is 8 bytes; the second pair's term makes the sum 63 (Gaussian, K = 2**15)
+# or 64 (real, K = 2**29 + 16) bits long, and the slots 2 (b1 + b2) or b1 + b2 reach 2**63
+_M, _K, _K2 = 2**29 - 1, 2**15, 2**29 + 16
+
+
+@given(_operands, _operands, _operands, _operands)
+@settings(max_examples=300)
+@example([(_M, _M)] * 16, [(_M, -_M)] * 16, [(_K, _K)] * 16, [(_K, -_K)] * 16)
+@example([(_M, 0)] * 16, [(_M, 0)] * 16, [(_K2, 0)] * 16, [(_K2, 0)] * 16)
+@example([(_M, 0)] * 16, [(_M, 0)] * 16, [], [(_K2, 0)] * 16)  # a zero operand drops its pair
+def test_packed_sum_of_products_matches_two_products(a, b, c, d):
+    # the one packed sum p1 q2 + p2 q1 of RationalFunction.__add__, against two products added
+    pa, pb, pc, pd = map(_gauss_poly, (a, b, c, d))
+    want = pa * pb + pc * pd
+    assert algebra._poly(*algebra._products([(pa, pb), (pc, pd)])) == want
+    pairs = [(x, y) for x, y in ((pa, pb), (pc, pd)) if not x.is_zero() and not y.is_zero()]
+    if pairs:
+        assert algebra._poly(*algebra._kronecker(pairs)) == want
 
 
 @st.composite
@@ -752,6 +779,9 @@ def test_z_ddz_matches_the_full_gcd_quotient_rule(num, base, h, k, j):
 @example(P(1, 1), P(2), P(-I, 1), 2, 0, 4)  # a repeated Gaussian root under a content 2
 @example(P(3, 0, I), P(1, 1), P(1, -1), 3, 1, 5)  # z | q: the carry's -r/z term
 @example(P(1, 2), P(1), P(1, -1), 2, 2, 6)  # a double root at 0
+# q r^n formed once after 64 steps: shifted by z^64 when z | q, and a Gaussian radical z - i
+@example(P(1, 1), P(1), P(1, -1), 1, 1, 64)
+@example(P(1), P(2), P(-I, 1), 2, 0, 64)
 @settings(max_examples=100)
 def test_z_ddz_count_equals_repeated_single_steps(num, base, h, k, j, n):
     # the carry of z_ddz(f, n) against n single steps, each with its own gcd; a single

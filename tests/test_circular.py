@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from negpolylog import circular, ladder
-from negpolylog.algebra import I, GaussianRational, rf_eval_exact
+from negpolylog.algebra import I, GaussianRational, Polynomial, rf_eval_exact
 from negpolylog.circular import (
     TRIG_GRID,
     cot_derivative_poly,
@@ -56,6 +56,23 @@ def test_recurrence_base_cases():
     assert derivative_poly_recurrence("cot", 2).coefficient_ints() == (0, 2, 0, 2)
     with pytest.raises(ValueError):
         derivative_poly_recurrence("sec", 1)
+
+
+def _recurrence_by_polynomial_products(target, n):
+    """The recurrence as first written, a Polynomial product m * P' a step: the reference copy."""
+    mult = Polynomial({"cot": [-1, 0, -1], "tan": [1, 0, 1], "coth": [1, 0, -1], "tanh": [1, 0, -1]}[target])
+    p = Polynomial.variable()
+    for _ in range(n):
+        p = mult * p.derivative()
+    return p
+
+
+def test_recurrence_step_matches_the_polynomial_product():
+    for target in ("cot", "tan", "coth", "tanh"):
+        for n in range(65):
+            got = derivative_poly_recurrence(target, n)
+            assert got.poly == _recurrence_by_polynomial_products(target, n), (target, n)
+            assert type(got.poly.re) is tuple and all(type(x) is int for x in got.poly.re + got.poly.im)
 
 
 def test_polynomial_routes_agree_exactly():
