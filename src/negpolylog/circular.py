@@ -20,9 +20,9 @@ construction (``algebra.real_form``), read at the double tan(x/2) by
   2 i^n Ti_{-n}(w) for sec, and the polylogarithm differences i^(n-1)
   (Li_{-n}(w) - Li_{-n}(-w)), at iw for sec, all mapped to t by
   ``substitute(f, "half_angle")``;
-* the literal binomial expansions over the Stirling row, in t directly (a
-  double sum over half-angle tangent and cotangent powers for csc, a triple
-  sum over tan and sec powers for sec).
+* the binomial sums, read off the tan derivative polynomial P in t directly:
+  (P(t) - P(-1/t))/2^(n+1) for csc, as csc x = (tan(x/2) + cot(x/2))/2, and
+  for sec the same form a quarter period on, at (1 + t)/(1 - t).
 
 Every power of i is exact, so a form that is not real raises
 ImaginaryResidueError; a value beyond double range is +-inf.
@@ -39,7 +39,7 @@ from .algebra import (
     I, Polynomial, RationalFunction, _poly, _vadd, evaluate_packed, real_form, require_real, rf_eval,
     substitute,
 )
-from .combinatorics import binomial, factorial, stirling2_row, stirling_power_sum
+from .combinatorics import factorial, stirling_power_sum
 from .jets import route
 from .polylog import chi_neg, li_neg, ti_neg
 
@@ -128,15 +128,6 @@ def derivative_poly_recurrence(target: str, n: int) -> DerivativePolynomial:
     return DerivativePolynomial(target, n, _poly(p, [0] * len(p)))
 
 
-def _binomial_weights(n: int) -> list:
-    """i^(n-1+j) a_j over 2^(n+1), j = 0..n+1, the binomial sums' weights of the powers j:
-    a_j = sum_k (-1)^k k! 2^(n-k) {n+1 brace k+1} C(k+1, j), summed over k first."""
-    row = stirling2_row(n + 1)
-    w = [(-1) ** k * factorial(k) * 2 ** (n - k) * row[k + 1] for k in range(n + 1)]
-    return [I ** ((n - 1 + j) % 4) * sum(w[k] * binomial(k + 1, j) for k in range(max(j - 1, 0), n + 1))
-            for j in range(n + 2)]
-
-
 _csc_single_sum = real_form("csc single-sum")(
     lambda n: substitute(chi_neg(n) * (2 * I ** ((n - 1) % 4)), "half_angle"))
 _sec_single_sum = real_form("sec single-sum")(
@@ -149,27 +140,21 @@ _sec_difference = real_form("sec polylog-difference")(lambda n: substitute(subst
 
 @real_form("csc binomial")
 def _csc_binomial(n: int) -> RationalFunction:
-    """sum_j i^(n-1+j) a_j (t^j - (-1/t)^j) times t^(n+1), over 2^(n+1) t^(n+1).  At t = 0 only
-    the j = n + 1 term is left, +-n!: the pair is coprime by construction."""
+    """(P(t) - P(-1/t))/2^(n+1), P = ``tan_derivative_poly(n)``: csc x = (tan(x/2) + cot(x/2))/2
+    and P_cot(u) = -P(-u).  Over 2^(n+1) t^(n+1), at t = 0 only the j = n + 1 term of the
+    numerator, +-n!, is left: the pair is coprime by construction."""
     c = [0] * (2 * n + 3)
-    for j, a in enumerate(_binomial_weights(n)):
+    for j, a in enumerate(tan_derivative_poly(n).poly.re):
         c[n + 1 + j] += a
         c[n + 1 - j] -= (-1) ** j * a
-    return RationalFunction(Polynomial(c), Polynomial.variable() ** (n + 1) * 2 ** (n + 1), _reduced=True)
+    return RationalFunction(Polynomial(c), Polynomial([0] * (n + 1) + [2 ** (n + 1)]), _reduced=True)
 
 
 @real_form("sec binomial")
 def _sec_binomial(n: int) -> RationalFunction:
-    """The triple sum at tan x = u/c, sec x = v/c (u = 2t, v = 1 + t^2, c = 1 - t^2) over
-    2^(n+1) c^(n+1): sum_j i^(n-1+j) a_j c^(n+1-j) O_j by Horner in c, where O_j = sum over odd l
-    of 2 C(j, l) u^(j-l) v^l and its even-l twin E_j follow Pascal's rule, O_(j+1) = u O_j + v E_j.
-    At t = +-1 only the j = n + 1 term, +-n! 2^(2n+2), is left: coprime by construction."""
-    u, v, c = Polynomial([0, 2]), Polynomial([1, 0, 1]), Polynomial([1, 0, -1])
-    even, odd, acc = Polynomial([2]), Polynomial.zero(), Polynomial.zero()
-    for a in _binomial_weights(n):
-        acc = acc * c + odd.scale(a)
-        even, odd = even * u + odd * v, odd * u + even * v
-    return RationalFunction(acc, c ** (n + 1) * 2 ** (n + 1), _reduced=True)
+    """The csc form a quarter period on, sec x = csc(x + pi/2): t goes to (1 + t)/(1 - t), the
+    ``"half_angle"`` map at -it, so the map is followed by z -> iz and z -> -z."""
+    return substitute(substitute(substitute(_csc_binomial(n), "half_angle"), "i_times_z"), "negate_z")
 
 
 @route("csc", "csc single-sum")
@@ -186,7 +171,7 @@ def csc_derivative_via_li(n: int, x: float) -> float:
 
 @route("csc", "csc binomial")
 def csc_derivative_binomial(n: int, x: float) -> float:
-    """(d/dx)^n csc x by the literal half-angle double sum over tan(x/2) and cot(x/2) powers."""
+    """(d/dx)^n csc x by the half-angle binomial sum, the tan polynomial at tan(x/2) and -cot(x/2)."""
     return rf_eval(_csc_binomial(n), math.tan(x / 2)).real
 
 
@@ -204,5 +189,5 @@ def sec_derivative_via_li(n: int, x: float) -> float:
 
 @route("sec", "sec binomial")
 def sec_derivative_binomial(n: int, x: float) -> float:
-    """(d/dx)^n sec x by the literal triple sum over tan x and sec x powers."""
+    """(d/dx)^n sec x by the csc binomial sum a quarter period on, at x + pi/2."""
     return rf_eval(_sec_binomial(n), math.tan(x / 2)).real

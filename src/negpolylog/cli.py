@@ -24,20 +24,15 @@ import math
 import re
 import sys
 
-from . import circular, hyperbolic, ladder
+from . import ladder
 from .algebra import poly_text, rf_eval, rf_to_json, rf_to_latex, rf_to_text
 from .circular import DerivativePolynomial
 from .errors import DomainError, NegPolylogError, PoleError, SingularityError
 from .polylog import chi_neg, li_neg, ti_neg
 from .reports import VerificationReport
-from .suites import MAX_ORDER, SUITES, SweepRangeError, run_suite
+from .suites import DERIVATIVE_POLYS, MAX_ORDER, SUITES, SweepRangeError, run_suite
 
-_POLY_BUILDERS = {
-    "cot-poly": circular.cot_derivative_poly,
-    "tan-poly": circular.tan_derivative_poly,
-    "coth-poly": hyperbolic.coth_derivative_poly,
-    "tanh-poly": hyperbolic.tanh_derivative_poly,
-}
+_POLY_BUILDERS = {f"{target}-poly": build for target, build in DERIVATIVE_POLYS.items()}
 
 _RF_BUILDERS = {"li": li_neg, "chi": chi_neg, "ti": ti_neg}
 

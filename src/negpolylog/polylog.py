@@ -52,13 +52,14 @@ def li_neg_stirling(n: int) -> RationalFunction:
 
     The sum is taken over its common denominator (1 - z)**(n+1) and
     canonicalized once, with a full gcd.  The numerator is evaluated once at a
-    packed point, bounded by the same sum at the 1-norms 1 of z and 2 of 1 - z.
+    packed point, bounded by the same sum at the 1-norms 1 of z and 2 of 1 - z,
+    and so is the denominator, bounded by 2^(n+1).
     """
     if n < 0:
         raise ValueError("order index n must be >= 0")
     num = evaluate_packed(lambda x: stirling_power_sum(n, x, factorial, 1 - x),
                           stirling_power_sum(n, 1, factorial, 2), n + 2)
-    return RationalFunction(num, Polynomial([1, -1]) ** (n + 1))
+    return RationalFunction(num, evaluate_packed(lambda x: (1 - x) ** (n + 1), 2 ** (n + 1), n + 2))
 
 
 def chi_neg(n: int) -> RationalFunction:

@@ -29,13 +29,13 @@ from .polylog import (
 )
 from .reports import VerificationReport, check, exact_report
 
-__all__ = ["MAX_NUMERIC_SWEEP", "MAX_ORDER", "SUITES", "SweepRangeError", "run_suite"]
+__all__ = ["DERIVATIVE_POLYS", "MAX_NUMERIC_SWEEP", "MAX_ORDER", "SUITES", "SweepRangeError", "run_suite"]
 
 MAX_ORDER = 64
 MAX_NUMERIC_SWEEP = 10
 
-_DERIVATIVE_POLYS = {"cot": circular.cot_derivative_poly, "tan": circular.tan_derivative_poly,
-                     "coth": hyperbolic.coth_derivative_poly, "tanh": hyperbolic.tanh_derivative_poly}
+DERIVATIVE_POLYS = {"cot": circular.cot_derivative_poly, "tan": circular.tan_derivative_poly,
+                    "coth": hyperbolic.coth_derivative_poly, "tanh": hyperbolic.tanh_derivative_poly}
 
 
 def _core(n_max: int, tol: float, name: str | None) -> list[VerificationReport]:
@@ -72,7 +72,7 @@ def _core(n_max: int, tol: float, name: str | None) -> list[VerificationReport]:
              == substitute(li_neg(n), "square_z") * (2 ** (1 + n))),
             *((f"{target} polynomial vs recurrence", lambda target=target, build=build:
                build(n).poly == circular.derivative_poly_recurrence(target, n).poly)
-              for target, build in _DERIVATIVE_POLYS.items()),
+              for target, build in DERIVATIVE_POLYS.items()),
             ("csc route forms agree", lambda: len({circular._csc_single_sum(n), circular._csc_difference(n),
                                                    circular._csc_binomial(n), ladder._leibniz_form(n)}) == 1),
             ("sec route forms agree", lambda: len({circular._sec_single_sum(n), circular._sec_difference(n),

@@ -120,6 +120,16 @@ MUTANTS = [
      "stirling_power_sum(n, x - sign, ",
      "stirling_power_sum(n, x + sign, ",
      ["tests/test_circular.py::test_polynomial_routes_agree_exactly"]),
+    # the binomial routes: the sec form taken a quarter period backwards, and the csc sum's
+    # P(-1/t) read as P(1/t)
+    ("circular.py",
+     'substitute(substitute(substitute(_csc_binomial(n), "half_angle"), "i_times_z"), "negate_z")',
+     'substitute(substitute(_csc_binomial(n), "half_angle"), "i_times_z")',
+     ["tests/test_circular.py::test_sec_examples"]),
+    ("circular.py",
+     "c[n + 1 - j] -= (-1) ** j * a",
+     "c[n + 1 - j] -= a",
+     ["tests/test_circular.py::test_csc_examples"]),
     # a route declared without its point guard, and a route form memoized without its realness check
     ("jets.py",
      "            check_point(fn, x)\n            return body(n, x)\n",

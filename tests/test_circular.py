@@ -81,6 +81,23 @@ def test_polynomial_routes_agree_exactly():
         assert tan_derivative_poly(n).poly == derivative_poly_recurrence("tan", n).poly
 
 
+def _weights_by_binomial_sums(n):
+    """The binomial routes' weights as first written: i^(n-1+j) a_j, j = 0..n+1, with
+    a_j = sum_k (-1)^k k! 2^(n-k) {n+1 brace k+1} C(k+1, j), summed over k first."""
+    row = stirling2_row(n + 1)
+    w = [(-1) ** k * factorial(k) * 2 ** (n - k) * row[k + 1] for k in range(n + 1)]
+    return [I ** ((n - 1 + j) % 4) * sum(w[k] * binomial(k + 1, j) for k in range(max(j - 1, 0), n + 1))
+            for j in range(n + 2)]
+
+
+def test_binomial_weights_are_the_tan_derivative_polynomial():
+    # the csc and sec binomial routes read their weights off P = tan_derivative_poly(n)
+    for n in range(1, 65):
+        assert _weights_by_binomial_sums(n) == list(tan_derivative_poly(n).poly.coeffs), n
+    # at n = 0 only the constant term differs, and it cancels in t^0 - (-1/t)^0
+    assert _weights_by_binomial_sums(0) == [-I, 1] and tan_derivative_poly(0).coefficient_ints() == (0, 1)
+
+
 def test_polynomial_shape_invariants():
     for n in range(1, 12):
         p = cot_derivative_poly(n).poly
