@@ -89,15 +89,14 @@ a nonzero coefficient and g the gcd of the gaps between such exponents, and
 steps through q at z^g: the odd and even numerators and denominators of chi
 and Ti and the derivative polynomials take half the steps.  A real q equal to
 c (1 + r w)^e for integers c and r, as the denominators (1 -+ z^g)^(n+1) of
-li, chi and Ti are, is read as that power and raised by repeated squaring.
-Any other real q at a non-real w takes Knuth's two-term recurrence
-(TAOCP Vol. 2, 4.6.4; Goertzel 1958), the remainder of q by the real
-quadratic with root w: two real products a step where a Gaussian step takes
-one complex product, four real ones.  The quotient is not reduced: over one
-common denominator, each part's numerator and denominator are integers,
-divided once by ``int / int``, which rounds correctly.  Each step is an
-identity in exact arithmetic, so the exact value, and the double it rounds
-to, cannot change.
+li, chi and Ti are, is raised by repeated squaring.  Any other real q at a
+non-real w = (a + bi)/E takes Knuth's two-term recurrence (TAOCP Vol. 2,
+4.6.4; Goertzel 1958) over integers homogenized by E: two products of the
+running sums a step, and no gcd.  Its scale E^M joins the one division
+``rf_eval`` makes: over one common denominator, each part's numerator and
+denominator are integers, divided once by ``int / int``, which rounds
+correctly.  The binomial power and the generic loop still step in Fractions.
+Every reading is an identity, so the exact value, and its double, cannot change.
 Expanded high powers such as ``(1 - z^2)^11`` are catastrophically
 ill-conditioned in double-precision Horner near ``|z| = 1``; exact
 accumulation keeps every multi-route identity check meaningful at the
@@ -466,19 +465,17 @@ class Polynomial:
 
         s is the lowest exponent with a nonzero real or imaginary part and g
         the gcd of the gaps between such exponents (0 for a monomial or
-        zero).  Horner runs over q's coefficients, every g-th from s, at
-        w = z^g, and the sum is multiplied by z^s (Knuth, TAOCP Vol. 2,
-        4.6.4).  An odd or even polynomial takes half the steps of the dense
-        loop.  A real q equal to c (1 + r w)^e (``_binomial_power``), such as
-        the denominators (1 -+ z^g)^(n+1) of li, chi and Ti, is raised to its
-        power by repeated squaring (4.6.3) in O(log n) products.  Any other
-        real q at a non-real w is read as its remainder b_1 w + q_0 - m b_2 by
-        x^2 - t x + m, whose root is w (t = 2 Re w, m = |w|^2): the real
-        recurrence b_k = q_k + t b_(k+1) - m b_(k+2) takes two real products a
-        step, a Gaussian step four (4.6.4; Goertzel 1958).  Since all three
-        readings are identities and every step is exact, the value is the
-        same number the dense loop gives, and so are the bits ``rf_eval``
-        rounds it to.
+        zero); Horner steps through q at w = z^g, and an odd or even
+        polynomial takes half the steps (Knuth, TAOCP Vol. 2, 4.6.4).  A real
+        q = c (1 + r w)^e (``_binomial_power``), as the denominators
+        (1 -+ z^g)^(n+1) of li, chi and Ti are, is raised by repeated squaring
+        (4.6.3).  Any other real q of degree M at a non-real w = (a + bi)/E, E
+        the lcm of the parts' denominators, takes the two-term recurrence over
+        integers (4.6.4; Goertzel 1958): B_k = q_k E^(M-k) + 2a B_(k+1) -
+        (a^2 + b^2) B_(k+2), two products of the running sums a step and no
+        gcd, and q(w) E^M = q_0 E^M + (a + bi) B_1 - (a^2 + b^2) B_2.  Every
+        reading is an identity in exact steps, so the value, and the bits
+        ``rf_eval`` rounds it to, are those of the dense loop.
         """
         support = [k for k, (x, y) in enumerate(zip(self.re, self.im)) if x or y]
         s = min(support, default=0)
@@ -489,10 +486,13 @@ class Polynomial:
             c, r = power
             return _power(z, s, _power(r * w + 1, len(qr) - 1, GaussianRational(c)))
         if w.im and not any(qi):
-            t, m, b1, b2 = 2 * w.re, w.re * w.re + w.im * w.im, 0, 0
+            e = math.lcm(w.re.denominator, w.im.denominator)
+            a, b = (x.numerator * (e // x.denominator) for x in (w.re, w.im))
+            t, m, b1, b2, ek = 2 * a, a * a + b * b, 0, 0, 1
             for x in reversed(qr[1:]):
-                b1, b2 = x + t * b1 - m * b2, b1
-            return _power(z, s, GaussianRational(qr[0] + w.re * b1 - m * b2, w.im * b1))
+                b1, b2, ek = x * ek + t * b1 - m * b2, b1, ek * e
+            acc = GaussianRational(Fraction(qr[0] * ek + a * b1 - m * b2, ek), Fraction(b * b1, ek))
+            return _power(z, s, acc)
         q = zip(reversed(qr), reversed(qi))
         acc = GaussianRational(*next(q, (0, 0)))
         for x, y in q:

@@ -153,14 +153,19 @@ MUTANTS = [
      "(-s) ** j",
      "(-1) ** j",
      ["tests/test_polylog.py::test_chi_ti_closed_forms"]),
-    # Knuth's two-term recurrence for a real q at a non-real w: m = Re^2 - Im^2 for |w|^2, and t = Re w
+    # Knuth's two-term recurrence for a real q at a non-real w = (a + bi)/E, over integers:
+    # a^2 - b^2 for a^2 + b^2, a for 2a, and the scale E^(M-k) left unadvanced
     ("algebra.py",
-     "w.re * w.re + w.im * w.im",
-     "w.re * w.re - w.im * w.im",
+     "a * a + b * b",
+     "a * a - b * b",
      ["tests/test_algebra.py::test_strided_horner_is_the_naive_sum"]),
     ("algebra.py",
-     "t, m, b1, b2 = 2 * w.re,",
-     "t, m, b1, b2 = w.re,",
+     "t, m, b1, b2, ek = 2 * a,",
+     "t, m, b1, b2, ek = a,",
+     ["tests/test_algebra.py::test_strided_horner_is_the_naive_sum"]),
+    ("algebra.py",
+     "b1, b2, ek = x * ek + t * b1 - m * b2, b1, ek * e",
+     "b1, b2, ek = x * ek + t * b1 - m * b2, b1, ek",
      ["tests/test_algebra.py::test_strided_horner_is_the_naive_sum"]),
     # the CLI contract: a failing sweep's exit code 4, and a PoleError escaping as a traceback
     ("cli.py",

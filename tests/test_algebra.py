@@ -528,6 +528,8 @@ def test_rf_eval_raises_only_at_an_exact_pole():
         (li_neg(1), 1j, "(-0.5+0j)"),  # an exactly zero imaginary part
         (RF([0, 0, 0, 0, 1], [1]), 1 + 1j, "(-4+0j)"),  # ... of a polynomial
         (li_neg(64), 1e10, "(-3.652184918895905+0j)"),  # a finite quotient of parts past 1e308
+        (li_neg(64), 1e308 + 1e308j, "(-5e-309+5e-309j)"),  # integer two-term Horner at E = 1
+        (chi_neg(64), 1e308 + 1e308j, "(-5e-309+5e-309j)"),  # ... at w = z^2
     ):
         zg = GaussianRational(complex(z).real, complex(z).imag)
         assert repr(rf_eval(f, z)) == repr(rounded(rf_eval_exact(f, zg))) == want, z
@@ -938,6 +940,12 @@ def naive_value(f: RationalFunction, z: GaussianRational) -> "GaussianRational |
 @example(P(-7), P(1, 0, 0, 0, 7), GaussianRational(Fraction(-3, 4), Fraction(2, 5)))
 # w whose imaginary part is the least subnormal double, so m = Re^2 + Im^2 is not a double
 @example(P(1, -3, 0, 2, 7), P(3, 1, 4, 1, 5), GaussianRational(Fraction(0.75), Fraction(5e-324)))
+# the two-term recurrence over integers, w = (a + bi)/E: E = 15 is not a power of two, and
+# w = 2 + i/2 has an int real part
+@example(P(2, -1, 0, 5, 3), P(1, 4, 0, -2), GaussianRational(Fraction(1, 3), Fraction(2, 5)))
+@example(P(3, 0, -1, 4, 1, -2), P(5, -2, 1), GaussianRational(2, Fraction(1, 2)))
+# a degree-63 real q (z A_64(z)) at a point with subnormal parts, E = 2^1074
+@example(li_neg(64).num, P(3, 1, 4, 1, 5), GaussianRational(Fraction(5e-324), Fraction(1e-320)))
 def test_strided_horner_is_the_naive_sum(num, den, z):
     assert num.horner(z) == naive_sum(num, z) and den.horner(z) == naive_sum(den, z)
     f = RationalFunction(num, den)

@@ -173,6 +173,8 @@ z_literals = st.one_of(
 @example("li", 64, "0.9999999999999999")  # +inf
 @example("chi", 64, "0.999999999+0.0001i")  # -inf + infi
 @example("ti", 5, "-0-1i")  # the pole -i: exit 3
+@example("chi", 64, "1e-320+1e-320i")  # the integer two-term Horner at w = z^2, E = 2^2141
+@example("ti", 64, "1e308-1e308i")  # ... and at E = 1
 def test_eval_contract(kind, n, z_text):
     # argparse reads "-2" and "-0.5" as values, not options (cli._Parser)
     code, text, _ = main_in_process("eval", kind, str(n), z_text)
