@@ -87,16 +87,15 @@ Numeric evaluation (:func:`rf_eval`) runs the exact Horner scheme of
 end.  Horner reads each polynomial as z^s q(z^g), s its lowest exponent with
 a nonzero coefficient and g the gcd of the gaps between such exponents, and
 steps through q at z^g: the odd and even numerators and denominators of chi
-and Ti and the derivative polynomials take half the steps.  A real q equal to
-c (1 + r w)^e for integers c and r, as the denominators (1 -+ z^g)^(n+1) of
-li, chi and Ti are, is raised by repeated squaring.  Any other real q at a
-non-real w = (a + bi)/E takes Knuth's two-term recurrence (TAOCP Vol. 2,
+and Ti and the derivative polynomials take half the steps.  A real q at a
+non-real w = (a + bi)/E, such as each numerator and denominator of li, chi
+and Ti on the unit circle, takes Knuth's two-term recurrence (TAOCP Vol. 2,
 4.6.4; Goertzel 1958) over integers homogenized by E: two products of the
 running sums a step, and no gcd.  Its scale E^M joins the one division
 ``rf_eval`` makes: over one common denominator, each part's numerator and
 denominator are integers, divided once by ``int / int``, which rounds
-correctly.  The binomial power and the generic loop still step in Fractions.
-Every reading is an identity, so the exact value, and its double, cannot change.
+correctly.  A Gaussian q, or any q at a real w, steps in Fractions.  Both
+readings are identities, so the exact value, and its double, cannot change.
 Expanded high powers such as ``(1 - z^2)^11`` are catastrophically
 ill-conditioned in double-precision Horner near ``|z| = 1``; exact
 accumulation keeps every multi-route identity check meaningful at the
@@ -232,7 +231,8 @@ class GaussianRational:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as its real part, as complex does, so that it hashes as it compares
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def to_complex(self) -> complex:
         return complex(*(_frac_to_float(x.numerator, x.denominator) for x in (self.re, self.im)))
@@ -273,25 +273,6 @@ def _frac_to_float(num: int, den: int) -> float:
         return num / den
     except OverflowError:
         return math.inf if num > 0 else -math.inf
-
-
-def _binomial_power(q) -> "tuple[int, int] | None":
-    """(c, r) with q(w) = c (1 + r w)^e, e = len(q) - 1 >= 2, for integers c and r, or None.
-
-    q[1] = c e r fixes r; term k, c C(e, k) r^k, is the last times (e - k + 1) r / k, an exact
-    division, and the first term that differs turns q away, mostly after one or two."""
-    e = len(q) - 1
-    if e < 2:
-        return None
-    c, t = q[0], q[1]
-    r, rem = divmod(t, c * e)
-    if rem:
-        return None
-    for k in range(2, e + 1):
-        t = t * (e - k + 1) * r // k
-        if t != q[k]:
-            return None
-    return c, r
 
 
 def _round_div(p: int, q: int) -> int:
@@ -467,24 +448,20 @@ class Polynomial:
         the gcd of the gaps between such exponents (0 for a monomial or
         zero); Horner steps through q at w = z^g, and an odd or even
         polynomial takes half the steps (Knuth, TAOCP Vol. 2, 4.6.4).  A real
-        q = c (1 + r w)^e (``_binomial_power``), as the denominators
-        (1 -+ z^g)^(n+1) of li, chi and Ti are, is raised by repeated squaring
-        (4.6.3).  Any other real q of degree M at a non-real w = (a + bi)/E, E
-        the lcm of the parts' denominators, takes the two-term recurrence over
-        integers (4.6.4; Goertzel 1958): B_k = q_k E^(M-k) + 2a B_(k+1) -
-        (a^2 + b^2) B_(k+2), two products of the running sums a step and no
-        gcd, and q(w) E^M = q_0 E^M + (a + bi) B_1 - (a^2 + b^2) B_2.  Every
-        reading is an identity in exact steps, so the value, and the bits
-        ``rf_eval`` rounds it to, are those of the dense loop.
+        q of degree M at a non-real w = (a + bi)/E, E the lcm of the parts'
+        denominators, takes the two-term recurrence over integers (4.6.4;
+        Goertzel 1958): B_k = q_k E^(M-k) + 2a B_(k+1) - (a^2 + b^2) B_(k+2),
+        two products of the running sums a step and no gcd, and q(w) E^M =
+        q_0 E^M + (a + bi) B_1 - (a^2 + b^2) B_2.  A Gaussian q, or any q at
+        a real w, steps through the dense loop in Fractions.  Both readings
+        are identities in exact steps, so the value, and the bits ``rf_eval``
+        rounds it to, are the same.
         """
         support = [k for k, (x, y) in enumerate(zip(self.re, self.im)) if x or y]
         s = min(support, default=0)
         g = math.gcd(*(k - s for k in support))
         w = z ** g
         qr, qi = self.re[s::g or 1], self.im[s::g or 1]
-        if not any(qi) and (power := _binomial_power(qr)):
-            c, r = power
-            return _power(z, s, _power(r * w + 1, len(qr) - 1, GaussianRational(c)))
         if w.im and not any(qi):
             e = math.lcm(w.re.denominator, w.im.denominator)
             a, b = (x.numerator * (e // x.denominator) for x in (w.re, w.im))

@@ -167,6 +167,11 @@ MUTANTS = [
      "b1, b2, ek = x * ek + t * b1 - m * b2, b1, ek * e",
      "b1, b2, ek = x * ek + t * b1 - m * b2, b1, ek",
      ["tests/test_algebra.py::test_strided_horner_is_the_naive_sum"]),
+    # the Fraction loop, which reads a Gaussian q or any q at a real w: stepping by z, not w = z^g
+    ("algebra.py",
+     "acc = acc * w",
+     "acc = acc * z",
+     ["tests/test_algebra.py::test_strided_horner_is_the_naive_sum"]),
     # the CLI contract: a failing sweep's exit code 4, and a PoleError escaping as a traceback
     ("cli.py",
      "    return 0 if all(r.passed for r in reports) else 1\n",

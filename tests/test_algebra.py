@@ -404,6 +404,14 @@ def test_gaussian_rational_subtraction_and_negative_powers():
         GaussianRational(0) ** -1
 
 
+def test_gaussian_rational_hashes_as_it_compares():
+    assert GaussianRational(3) == 3 == Fraction(3)
+    assert len({GaussianRational(3), 3, Fraction(3)}) == 1
+    assert hash(GaussianRational(Fraction(1, 2))) == hash(Fraction(1, 2)) == hash(0.5)
+    assert hash(GaussianRational(Fraction(1, 2), -3)) == hash((Fraction(1, 2), -3))
+    assert len({GaussianRational(1, 1), GaussianRational(1), GaussianRational(0, 1)}) == 3
+
+
 # -- rational function arithmetic -------------------------------------------
 
 
@@ -888,8 +896,9 @@ real_or_gauss_ints = small_ints.map(GaussianRational) | gauss_ints
 def strided_polys(draw):
     """z^s q(z^g) with Gaussian-integer coefficients, sometimes plus one more term anywhere.
 
-    q is drawn freely or as a binomial power c (1 + r w)^e, which ``Polynomial.horner``
-    evaluates as a power when c is real; the extra term perturbs that power."""
+    q is drawn freely or as a binomial power c (1 + r w)^e, a dense structured q like the
+    denominators of li, chi and Ti, which ``Polynomial.horner`` reads by the two-term recurrence
+    at a non-real w when c is real and by the Fraction loop otherwise; the extra term perturbs it."""
     s, g = draw(st.integers(0, 3)), draw(st.integers(1, 4))
     if draw(st.booleans()):
         q = draw(st.lists(gauss_ints, max_size=6))
@@ -924,10 +933,13 @@ def naive_value(f: RationalFunction, z: GaussianRational) -> "GaussianRational |
 @settings(max_examples=200, deadline=None)
 @example(chi_neg(64).num, chi_neg(64).den, GaussianRational(Fraction("0.3"), Fraction("0.2")))
 @example(ti_neg(64).num, ti_neg(64).den, GaussianRational(Fraction("0.3"), Fraction("0.2")))
-# the binomial-power denominators of li, chi and Ti at n = 64, at unit-circle doubles
+# the denominators (1 -+ z^g)^65 of li, chi and Ti at n = 64, at unit-circle doubles
 @example(P(1), li_neg(64).den, GaussianRational(Fraction(0.6), Fraction(0.8)))
 @example(P(1), chi_neg(64).den, GaussianRational(Fraction(-0.28), Fraction(0.96)))
 @example(P(1), ti_neg(64).den, GaussianRational(Fraction(0.8), Fraction(-0.6)))
+# and at real doubles, where the Fraction loop steps through them (chi's at w = z^2)
+@example(P(1), chi_neg(64).den, GaussianRational(Fraction(0.7)))
+@example(P(1), li_neg(64).den, GaussianRational(Fraction(-3.0)))
 @example(P(1, -5, 10, -10, 6, -1), P(1), GaussianRational(Fraction(1, 3)))  # (1 - z)^5 with z^4 perturbed
 @example(P(0, 0, 0, GaussianRational(2, -1)), P(1), GaussianRational(Fraction(1, 2), Fraction(-1, 3)))  # monomial
 @example(P(), P(1, 1), GaussianRational(Fraction(1, 3), 1))  # the zero polynomial
