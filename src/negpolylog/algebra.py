@@ -82,23 +82,24 @@ inputs.  Each place that skips one rests on a proof:
 * the argument transforms of ``substitute`` map a coprime pair to a
   coprime pair.
 
-Numeric evaluation (:func:`rf_eval`) runs the exact Horner scheme of
-:func:`rf_eval_exact` at the double's exact value and rounds once at the
-end.  Horner reads each polynomial as z^s q(z^g), s its lowest exponent with
-a nonzero coefficient and g the gcd of the gaps between such exponents, and
-steps through q at z^g: the odd and even numerators and denominators of chi
-and Ti and the derivative polynomials take half the steps.  A real q at a
-non-real w = (a + bi)/E, such as each numerator and denominator of li, chi
-and Ti on the unit circle, takes Knuth's two-term recurrence (TAOCP Vol. 2,
-4.6.4; Goertzel 1958) over integers homogenized by E: two products of the
-running sums a step, and no gcd.  Its scale E^M joins the one division
-``rf_eval`` makes: over one common denominator, each part's numerator and
-denominator are integers, divided once by ``int / int``, which rounds
-correctly.  A Gaussian q, or any q at a real w, steps in Fractions.  Both
-readings are identities, so the exact value, and its double, cannot change.
-Expanded high powers such as ``(1 - z^2)^11`` are catastrophically
-ill-conditioned in double-precision Horner near ``|z| = 1``; exact
-accumulation keeps every multi-route identity check meaningful at the
+Every value of a form is read through one integer quotient,
+:func:`_quotient`: the numerator and denominator are evaluated exactly by
+Horner at the point, and over one common denominator f(z) = (x + yi)/d with
+integers x, y and d > 0.  :func:`rf_eval` reads a complex double at its exact
+value and rounds x/d and y/d once each by ``int / int``, which rounds
+correctly; :func:`rf_eval_exact` returns the quotient reduced.  Horner reads
+each polynomial as z^s q(z^g), s its lowest exponent with a nonzero
+coefficient and g the gcd of the gaps between such exponents, and steps
+through q at z^g: the odd and even numerators and denominators of chi and Ti
+and the derivative polynomials take half the steps.  A real q at a non-real
+w = (a + bi)/E, such as each numerator and denominator of li, chi and Ti on
+the unit circle, takes Knuth's two-term recurrence (TAOCP Vol. 2, 4.6.4;
+Goertzel 1958) over integers homogenized by E: two products of the running
+sums a step, and no gcd.  A Gaussian q, or any q at a real w, steps in
+Fractions.  Both readings are identities, so the exact value, and its double,
+cannot change.  Expanded high powers such as ``(1 - z^2)^11`` are
+catastrophically ill-conditioned in double-precision Horner near ``|z| = 1``;
+exact accumulation keeps every multi-route identity check meaningful at the
 stated tolerances.
 """
 
@@ -208,8 +209,6 @@ class GaussianRational:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("division by zero Gaussian rational")
-        if not self.im and not o.im:
-            return GaussianRational(Fraction(self.re) / o.re)
         n = o.re * o.re + o.im * o.im
         return GaussianRational(
             Fraction(self.re * o.re + self.im * o.im) / n,
@@ -235,6 +234,7 @@ class GaussianRational:
         return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def to_complex(self) -> complex:
+        """Each part rounded once, as ``rf_eval`` rounds; ``csch_derivative_eval`` rounds by it."""
         return complex(*(_frac_to_float(x.numerator, x.denominator) for x in (self.re, self.im)))
 
     def __str__(self):
@@ -966,30 +966,40 @@ def substitute(f: RationalFunction, kind: str) -> RationalFunction:
 def rf_eval(f: RationalFunction, z) -> complex:
     """Evaluate at a complex double: the exact value there, rounded once per part.
 
-    The double z is read as the Gaussian rational it represents exactly.  With
-    the exact numerator and denominator values (a + b i)/p and (c + d i)/p
-    over one denominator p, each part of (a + b i)(c - d i)/(c^2 + d^2) is
-    rounded once by ``int / int``, which rounds correctly: the double the
-    reduced quotient would round to, as both are one number.  A part beyond
-    double range rounds to +-inf with its sign.  Raises PoleError only when
-    the exact denominator is zero at that point: a small nonzero denominator
-    is not a pole; raises DomainError when a part of z is not finite.
+    The double z is read as the Gaussian rational it represents exactly, and
+    each part x/d of the integer quotient :func:`_quotient` returns is rounded
+    once by ``int / int``, which rounds correctly: the double the reduced
+    quotient would round to, as both are one number.  A part beyond double
+    range rounds to +-inf with its sign.  Raises PoleError only when the exact
+    denominator is zero at that point: a small nonzero denominator is not a
+    pole; raises DomainError when a part of z is not finite.
     """
     zc = complex(z)
     if not cmath.isfinite(zc):
         raise DomainError(f"evaluation needs a finite point, got z = {zc}")
-    num_val, den_val = _values(f, GaussianRational(zc.real, zc.imag))
-    parts = (num_val.re, num_val.im, den_val.re, den_val.im)
-    p = math.lcm(*(x.denominator for x in parts))
-    a, b, c, d = (x.numerator * (p // x.denominator) for x in parts)
-    norm = c * c + d * d
-    return complex(_frac_to_float(a * c + b * d, norm), _frac_to_float(b * c - a * d, norm))
+    x, y, d = _quotient(f, GaussianRational(zc.real, zc.imag))
+    return complex(_frac_to_float(x, d), _frac_to_float(y, d))
 
 
 def rf_eval_exact(f: RationalFunction, z) -> GaussianRational:
-    """Evaluate exactly at a Gaussian rational (or int/Fraction) point, by Horner."""
-    num_val, den_val = _values(f, z if isinstance(z, GaussianRational) else GaussianRational(z))
-    return num_val / den_val
+    """Evaluate exactly at a Gaussian rational (or int/Fraction) point: the quotient of
+    :func:`_quotient`, reduced."""
+    x, y, d = _quotient(f, z if isinstance(z, GaussianRational) else GaussianRational(z))
+    return GaussianRational(Fraction(x, d), Fraction(y, d))
+
+
+def _quotient(f: RationalFunction, z: GaussianRational) -> tuple[int, int, int]:
+    """Ints x, y and d > 0 with f(z) = (x + yi)/d, unreduced; PoleError where the denominator
+    is zero.  With the exact numerator and denominator values (a + bi)/p and (c + di)/p over
+    the lcm p of their parts' denominators, f(z) = (a + bi)(c - di)/(c^2 + d^2)."""
+    den_val = f.den.horner(z)
+    if den_val.is_zero():
+        raise PoleError(f"evaluation at a pole: z = {z}")
+    num_val = f.num.horner(z)
+    parts = (num_val.re, num_val.im, den_val.re, den_val.im)
+    p = math.lcm(*(x.denominator for x in parts))
+    a, b, c, d = (x.numerator * (p // x.denominator) for x in parts)
+    return a * c + b * d, b * c - a * d, c * c + d * d
 
 
 def require_real(f, label: str, n: int):
@@ -1003,14 +1013,6 @@ def require_real(f, label: str, n: int):
 def real_form(label: str):
     """Declare build(n) a route's exact form: memoized per order, like ``li_neg``, and real."""
     return lambda build: functools.cache(lambda n: require_real(build(n), label, n))
-
-
-def _values(f: RationalFunction, z: GaussianRational) -> tuple[GaussianRational, GaussianRational]:
-    """The exact numerator and denominator values at z; PoleError where the denominator is zero."""
-    den_val = f.den.horner(z)
-    if den_val.is_zero():
-        raise PoleError(f"evaluation at a pole: z = {z}")
-    return f.num.horner(z), den_val
 
 
 # ---------------------------------------------------------------------------

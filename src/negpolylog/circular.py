@@ -141,13 +141,11 @@ _sec_difference = real_form("sec polylog-difference")(lambda n: substitute(subst
 @real_form("csc binomial")
 def _csc_binomial(n: int) -> RationalFunction:
     """(P(t) - P(-1/t))/2^(n+1), P = ``tan_derivative_poly(n)``: csc x = (tan(x/2) + cot(x/2))/2
-    and P_cot(u) = -P(-u).  Over 2^(n+1) t^(n+1), at t = 0 only the j = n + 1 term of the
-    numerator, +-n!, is left: the pair is coprime by construction."""
-    c = [0] * (2 * n + 3)
-    for j, a in enumerate(tan_derivative_poly(n).poly.re):
-        c[n + 1 + j] += a
-        c[n + 1 - j] -= (-1) ** j * a
-    return RationalFunction(Polynomial(c), Polynomial([0] * (n + 1) + [2 ** (n + 1)]), _reduced=True)
+    and P_cot(u) = -P(-u).  Over 2^(n+1) t^(n+1), t^(n+1) P(-1/t) is P turned by i^2 and
+    inverted at degree n + 1; at t = 0 only its term from P's leading coefficient, +-n!, is left:
+    the pair is coprime by construction."""
+    p, shift = tan_derivative_poly(n).poly, Polynomial([0] * (n + 1) + [1])  # t^(n+1)
+    return RationalFunction(p * shift - p.turn_arg(2).invert_arg(n + 1), shift * 2 ** (n + 1), _reduced=True)
 
 
 @real_form("sec binomial")

@@ -30,8 +30,9 @@ and ``verify core`` checks each family against its own recurrence.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
-from .algebra import GaussianRational, _frac_to_float, rf_eval
+from .algebra import GaussianRational, rf_eval
 from .circular import DerivativePolynomial, _stirling_poly
 from .jets import nth_derivative, route
 from .polylog import chi_neg, ti_neg
@@ -80,13 +81,12 @@ def li_relation_tanh(n: int, x: float) -> float:
 def csch_derivative_eval(n: int, x: float) -> float:
     """(d/dx)^n csch x = (-1)^n 2 chi_{-n}(t), t = exp(-x), for x > 0 (csch x = 2t/(1 - t^2),
     d/dx = -t d/dt); csch is odd.  By the inversion of chi this is -2 chi_{-n}(e^x), the paper's
-    relation.  chi_neg(n)'s numerator is summed exactly at the double t; its denominator,
-    (1 - t^2)^(n+1) times the sign of its constant term, is read as the power of the double
-    1 - t^2 = -expm1(-2|x|), uncancelled; the quotient is rounded once."""
-    chi = chi_neg(n)
-    num = chi.num.horner(GaussianRational(math.exp(-abs(x)))).re
-    a, b = (-math.expm1(-2 * abs(x))).as_integer_ratio()
-    val = _frac_to_float(2 * chi.den.re[0] * num.numerator * b ** (n + 1), num.denominator * a ** (n + 1))
+    relation.  chi_neg(n)'s numerator is summed exactly at the double t by ``horner`` and times
+    the exact 2 c_0/u^(n+1): its denominator is c_0 (1 - t^2)^(n+1), c_0 its constant term
+    (+-1), read with u the double 1 - t^2 = -expm1(-2|x|), uncancelled.  The product is
+    rounded once by ``to_complex``."""
+    chi, t, u = chi_neg(n), GaussianRational(math.exp(-abs(x))), Fraction(-math.expm1(-2 * abs(x)))
+    val = (chi.num.horner(t) * (2 * chi.den.re[0] / u ** (n + 1))).to_complex().real
     return (-1) ** n * val if x > 0 else -val
 
 

@@ -280,18 +280,6 @@ def _via_derivative(deriv, value):
     return build
 
 
-def _one_plus_x2(x0, n):
-    return Jet.identity(x0, n) ** 2 + 1.0
-
-
-def _one_minus_x2(x0, n):
-    return -(Jet.identity(x0, n) ** 2) + 1.0
-
-
-def _x2_minus_one(x0, n):
-    return Jet.identity(x0, n) ** 2 - 1.0
-
-
 def _via_reciprocal_arg(outer: str):
     def build(x0, n):
         u0 = 1.0 / x0
@@ -312,25 +300,25 @@ _BUILDERS = {
     "sech": lambda x0, n: _hyperbolic_pair(x0, n, 1.0)[1],
     "coth": lambda x0, n: _hyperbolic_pair(x0, n, -1.0)[0],
     "csch": lambda x0, n: _hyperbolic_pair(x0, n, -1.0)[1],
-    "arctan": _via_derivative(lambda x0, n: _one_plus_x2(x0, n).reciprocal(), math.atan),
+    "arctan": _via_derivative(lambda x0, n: laurent_jet({0: 1.0, 2: 1.0})(x0, n).reciprocal(), math.atan),
     "arccot": _via_derivative(
-        lambda x0, n: -(_one_plus_x2(x0, n).reciprocal()), lambda x: _PI / 2 - math.atan(x)
+        lambda x0, n: -(laurent_jet({0: 1.0, 2: 1.0})(x0, n).reciprocal()), lambda x: _PI / 2 - math.atan(x)
     ),
-    "arctanh": _via_derivative(lambda x0, n: _one_minus_x2(x0, n).reciprocal(), math.atanh),
+    "arctanh": _via_derivative(lambda x0, n: laurent_jet({0: 1.0, 2: -1.0})(x0, n).reciprocal(), math.atanh),
     "arccoth": _via_derivative(
-        lambda x0, n: _one_minus_x2(x0, n).reciprocal(), lambda x: math.atanh(1.0 / x)
+        lambda x0, n: laurent_jet({0: 1.0, 2: -1.0})(x0, n).reciprocal(), lambda x: math.atanh(1.0 / x)
     ),
     "arcsin": _via_derivative(
-        lambda x0, n: _one_minus_x2(x0, n).sqrt().reciprocal(), math.asin
+        lambda x0, n: laurent_jet({0: 1.0, 2: -1.0})(x0, n).sqrt().reciprocal(), math.asin
     ),
     "arccos": _via_derivative(
-        lambda x0, n: -(_one_minus_x2(x0, n).sqrt().reciprocal()), math.acos
+        lambda x0, n: -(laurent_jet({0: 1.0, 2: -1.0})(x0, n).sqrt().reciprocal()), math.acos
     ),
     "arcsinh": _via_derivative(
-        lambda x0, n: _one_plus_x2(x0, n).sqrt().reciprocal(), math.asinh
+        lambda x0, n: laurent_jet({0: 1.0, 2: 1.0})(x0, n).sqrt().reciprocal(), math.asinh
     ),
     "arccosh": _via_derivative(
-        lambda x0, n: _x2_minus_one(x0, n).sqrt().reciprocal(), math.acosh
+        lambda x0, n: laurent_jet({0: -1.0, 2: 1.0})(x0, n).sqrt().reciprocal(), math.acosh
     ),
     "arccsc": _via_reciprocal_arg("arcsin"),
     "arcsec": _via_reciprocal_arg("arccos"),

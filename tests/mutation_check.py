@@ -127,8 +127,8 @@ MUTANTS = [
      'substitute(substitute(_csc_binomial(n), "half_angle"), "i_times_z")',
      ["tests/test_circular.py::test_sec_examples"]),
     ("circular.py",
-     "c[n + 1 - j] -= (-1) ** j * a",
-     "c[n + 1 - j] -= a",
+     "p.turn_arg(2)",
+     "p.turn_arg(0)",
      ["tests/test_circular.py::test_csc_examples"]),
     # a route declared without its point guard, and a route form memoized without its realness check
     ("jets.py",
@@ -172,6 +172,17 @@ MUTANTS = [
      "acc = acc * w",
      "acc = acc * z",
      ["tests/test_algebra.py::test_strided_horner_is_the_naive_sum"]),
+    # the one integer quotient of every exact value: the imaginary part of (a + bi)(c - di) with
+    # the sign of ad flipped
+    ("algebra.py",
+     "b * c - a * d",
+     "b * c + a * d",
+     ["tests/test_algebra.py::test_rf_eval_bits_are_pinned"]),
+    # the inverse lifts' quadratics: arctanh's derivative read as 1/(1 + x^2)
+    ("jets.py",
+     '"arctanh": _via_derivative(lambda x0, n: laurent_jet({0: 1.0, 2: -1.0})',
+     '"arctanh": _via_derivative(lambda x0, n: laurent_jet({0: 1.0, 2: 1.0})',
+     ["tests/test_jets.py::test_arctanh_jet_is_odd_series"]),
     # the CLI contract: a failing sweep's exit code 4, and a PoleError escaping as a traceback
     ("cli.py",
      "    return 0 if all(r.passed for r in reports) else 1\n",

@@ -410,6 +410,9 @@ def test_gaussian_rational_hashes_as_it_compares():
     assert hash(GaussianRational(Fraction(1, 2))) == hash(Fraction(1, 2)) == hash(0.5)
     assert hash(GaussianRational(Fraction(1, 2), -3)) == hash((Fraction(1, 2), -3))
     assert len({GaussianRational(1, 1), GaussianRational(1), GaussianRational(0, 1)}) == 3
+    # a real-by-real quotient carries an imaginary part Fraction(0), and compares and hashes as its
+    # real part
+    assert GaussianRational(3) / 2 == Fraction(3, 2) and hash(GaussianRational(3) / 2) == hash(1.5)
 
 
 # -- rational function arithmetic -------------------------------------------

@@ -315,23 +315,25 @@ def _sech_exact_sum(n, x):
 
 
 def test_routes_are_their_own_formulas_exact_at_the_double_t_rounded_once():
+    trig = [(n, x) for n in range(11) for x in TRIG_GRID]
+    # at x = 700 the double t = exp(-x) carries about 1,060 bits
+    hyp = [(n, x) for n in range(11) for x in HYP_GRID] + [(64, 700.0)]
     cases = (
-        (csc_derivative_eval, _csc_single_sum, TRIG_GRID),
-        (sec_derivative_eval, _sec_single_sum, TRIG_GRID),
-        (csc_derivative_via_li, lambda n, x: _difference(n, _w(x)), TRIG_GRID),
-        (sec_derivative_via_li, lambda n, x: _difference(n, I * _w(x)), TRIG_GRID),
-        (csc_derivative_binomial, _csc_binomial, TRIG_GRID),
-        (sec_derivative_binomial, _sec_binomial, TRIG_GRID),
-        (csch_derivative_eval, _csch_exact_sum, HYP_GRID),
-        (sech_derivative_eval, _sech_exact_sum, HYP_GRID),
+        (csc_derivative_eval, _csc_single_sum, trig),
+        (sec_derivative_eval, _sec_single_sum, trig),
+        (csc_derivative_via_li, lambda n, x: _difference(n, _w(x)), trig),
+        (sec_derivative_via_li, lambda n, x: _difference(n, I * _w(x)), trig),
+        (csc_derivative_binomial, _csc_binomial, trig),
+        (sec_derivative_binomial, _sec_binomial, trig),
+        (csch_derivative_eval, _csch_exact_sum, hyp),
+        (sech_derivative_eval, _sech_exact_sum, hyp),
     )
-    for route, reference, grid in cases:
-        for n in range(11):
-            for x in grid:
-                exact = reference(n, x)
-                assert exact.im == 0, (route.__name__, n, x)
-                got, want = route(n, x), float(exact.re)
-                assert got == want and repr(got) == repr(want), (route.__name__, n, x)
+    for route, reference, points in cases:
+        for n, x in points:
+            exact = reference(n, x)
+            assert exact.im == 0, (route.__name__, n, x)
+            got, want = route(n, x), float(exact.re)
+            assert got == want and repr(got) == repr(want), (route.__name__, n, x)
 
 
 def test_csc_and_sec_routes_are_one_form_in_t():
