@@ -18,7 +18,9 @@ the guard radius, DomainError outside it or at a non-finite point.
 
 Jets are double precision on purpose: this oracle's job is numeric
 cross-checking at tolerances of 1e-7..1e-9, while all exact checking lives
-in the rational-function layer.
+in the rational-function layer.  The public constructor converts what it is
+given; every jet the arithmetic and the lifts build is made once, by
+``_jet``, from a tuple that already holds floats.
 """
 
 from __future__ import annotations
@@ -54,15 +56,14 @@ class Jet:
         if not self.coeffs:
             raise ValueError("a jet needs at least the order-0 coefficient")
 
-    @classmethod
-    def constant(cls, value: float, x0: float, order: int) -> "Jet":
-        return cls(x0, (value,) + (0.0,) * order)
+    @staticmethod
+    def constant(value: float, x0: float, order: int) -> "Jet":
+        return _jet(float(x0), (float(value),) + (0.0,) * order)
 
-    @classmethod
-    def identity(cls, x0: float, order: int) -> "Jet":
-        if order == 0:
-            return cls(x0, (x0,))
-        return cls(x0, (x0, 1.0) + (0.0,) * (order - 1))
+    @staticmethod
+    def identity(x0: float, order: int) -> "Jet":
+        x0 = float(x0)
+        return _jet(x0, (x0,) if order == 0 else (x0, 1.0) + (0.0,) * (order - 1))
 
     @property
     def order(self) -> int:
@@ -81,10 +82,9 @@ class Jet:
     def __add__(self, other):
         if isinstance(other, Jet):
             a, b = self._pair(other)
-            return Jet(self.x0, [x + y for x, y in zip(a, b)])
-        c = list(self.coeffs)
-        c[0] += float(other)
-        return Jet(self.x0, c)
+            return _jet(self.x0, tuple([x + y for x, y in zip(a, b)]))
+        c = self.coeffs
+        return _jet(self.x0, (c[0] + float(other), *c[1:]))
 
     __radd__ = __add__
 
@@ -95,7 +95,7 @@ class Jet:
         return (-self) + other
 
     def __neg__(self):
-        return Jet(self.x0, [-c for c in self.coeffs])
+        return _jet(self.x0, tuple([-c for c in self.coeffs]))
 
     def __mul__(self, other):
         if isinstance(other, Jet):
@@ -107,9 +107,9 @@ class Jet:
                     continue
                 for j in range(n - i):
                     out[i + j] += ai * b[j]
-            return Jet(self.x0, out)
+            return _jet(self.x0, tuple(out))
         f = float(other)
-        return Jet(self.x0, [c * f for c in self.coeffs])
+        return _jet(self.x0, tuple([c * f for c in self.coeffs]))
 
     __rmul__ = __mul__
 
@@ -128,7 +128,7 @@ class Jet:
                 for j in range(k):
                     s -= out[j] * b[k - j]
                 out[k] = s / b[0]
-            return Jet(self.x0, out)
+            return _jet(self.x0, tuple(out))
         return self * (1.0 / float(other))
 
     def __pow__(self, k: int):
@@ -151,16 +151,16 @@ class Jet:
             for j in range(1, k):
                 s -= out[j] * out[k - j]
             out[k] = s / (2.0 * out[0])
-        return Jet(self.x0, out)
+        return _jet(self.x0, tuple(out))
 
     def differentiate(self) -> "Jet":
         """Jet of the derivative; consumes one order."""
         if self.order == 0:
             raise OrderExhaustedError("jet order exhausted: no derivative information left")
-        return Jet(self.x0, [(k + 1) * c for k, c in enumerate(self.coeffs[1:])])
+        return _jet(self.x0, tuple([(k + 1) * c for k, c in enumerate(self.coeffs[1:])]))
 
     def integrate(self, constant: float) -> "Jet":
-        return Jet(self.x0, [constant] + [c / (k + 1) for k, c in enumerate(self.coeffs)])
+        return _jet(self.x0, (float(constant), *[c / (k + 1) for k, c in enumerate(self.coeffs)]))
 
     def derivative_value(self, n: int) -> float:
         """n-th derivative at x0, i.e. n! * c[n]."""
@@ -172,10 +172,17 @@ class Jet:
         return f"Jet(x0={self.x0}, coeffs={self.coeffs})"
 
 
+def _jet(x0: float, coeffs: tuple) -> Jet:
+    """A jet from a float x0 and a non-empty tuple of floats, stored as they are."""
+    jet = object.__new__(Jet)
+    jet.x0, jet.coeffs = x0, coeffs
+    return jet
+
+
 def _compose(outer: Jet, inner: Jet) -> Jet:
     """Jet of outer(inner(x)); requires outer.x0 == inner.value."""
     n = min(outer.order, inner.order)
-    d = Jet(inner.x0, inner.coeffs[: n + 1]) - outer.x0
+    d = _jet(inner.x0, inner.coeffs[: n + 1]) - outer.x0
     acc = Jet.constant(outer.coeffs[n], inner.x0, n)
     for k in range(n - 1, -1, -1):
         acc = acc * d + outer.coeffs[k]
@@ -235,7 +242,7 @@ def route(fn: str, label: str):
 
 def _cyclic(vals, x0: float, n: int) -> Jet:
     """Jet whose k-th derivative is vals[k % len(vals)]: sin and cos."""
-    return Jet(x0, [vals[k % len(vals)] / factorial(k) for k in range(n + 1)])
+    return _jet(x0, tuple([vals[k % len(vals)] / factorial(k) for k in range(n + 1)]))
 
 
 def _build_sin(x0, n):
@@ -266,7 +273,7 @@ def _hyperbolic_pair(x0: float, n: int, sigma: float) -> tuple[Jet, Jet]:
             gf += g[j] * f[k - j]
         f.append(sigma * gg / (k + 1))
         g.append(-gf / (k + 1))
-    return Jet(x0, f), Jet(x0, g)
+    return _jet(x0, tuple(f)), _jet(x0, tuple(g))
 
 
 def _via_derivative(deriv, value):

@@ -183,6 +183,11 @@ MUTANTS = [
      '"arctanh": _via_derivative(lambda x0, n: laurent_jet({0: 1.0, 2: -1.0})',
      '"arctanh": _via_derivative(lambda x0, n: laurent_jet({0: 1.0, 2: 1.0})',
      ["tests/test_jets.py::test_arctanh_jet_is_odd_series"]),
+    # the jet Cauchy product summed from its last term: every value moves in its last bits only
+    ("jets.py",
+     "            for i, ai in enumerate(a):\n",
+     "            for i, ai in reversed([*enumerate(a)]):\n",
+     ["tests/test_jets.py::test_operator_power_bits_are_pinned"]),
     # the CLI contract: a failing sweep's exit code 4, and a PoleError escaping as a traceback
     ("cli.py",
      "    return 0 if all(r.passed for r in reports) else 1\n",

@@ -1,5 +1,6 @@
 """Jet arithmetic and the differentiation oracle built on it."""
 
+import hashlib
 import math
 
 import pytest
@@ -76,6 +77,33 @@ def test_apply_operator_power_examples():
     assert apply_operator_power(x_coef, "cos", 0, 1.1) == pytest.approx(math.cos(1.1))
     # x * arctan'(x) at 1 = 1/2
     assert apply_operator_power(x_coef, "arctan", 1, 1.0) == pytest.approx(0.5)
+
+
+def test_operator_power_bits_are_pinned():
+    # Every operator round differentiates first, so the libm constant term of a lift (math.atan,
+    # math.asin, ...) never reaches the value, and in _compose that term enters coefficient 0 only.
+    # What does reach it is +, -, *, / and sqrt, each correctly rounded, so these bits hold on
+    # every platform and through any change of the jet code that keeps each operation and its order.
+    lines = [f"{ident.name} {n} {x!r} {apply_operator_power(ident.coefficient, ident.target, n + 1, x)!r}"
+             for ident in registry() for n in range(11) for x in ident.sample_points]
+    assert len(lines) == 660
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "fc88a55229356b7deadd10c3d11dceca4f8f98ab4d199dda57d3fb2673e2633b"
+
+
+def test_every_jet_holds_floats_only():
+    # internal results skip the public constructor's conversion, so no int or Fraction may get in
+    lifted = []
+    for fn in sorted(FUNCTION_IDS):
+        for x in TRIG_GRID:
+            try:
+                lifted += [jet_lift(fn, x, order) for order in range(7)]
+            except NegPolylogError:  # x off fn's domain
+                pass
+    assert {j.x0 for j in lifted} == set(TRIG_GRID) and len(lifted) > 7 * len(FUNCTION_IDS)
+    public = [Jet(1, [1, 2]), Jet.constant(1, 0, 2), Jet.identity(1, 2), Jet(0.5, [1.0]).integrate(0)]
+    for j in lifted + public:
+        assert type(j.x0) is float and all(type(c) is float for c in j.coeffs), j
 
 
 def test_operator_power_on_arctanh_collapses():
