@@ -83,24 +83,23 @@ inputs.  Each place that skips one rests on a proof:
   coprime pair.
 
 Every value of a form is read through one integer quotient,
-:func:`_quotient`: the numerator and denominator are evaluated exactly by
-Horner at the point, and over one common denominator f(z) = (x + yi)/d with
-integers x, y and d > 0.  :func:`rf_eval` reads a complex double at its exact
-value and rounds x/d and y/d once each by ``int / int``, which rounds
-correctly; :func:`rf_eval_exact` returns the quotient reduced.  Horner reads
-each polynomial as z^s q(z^g), s its lowest exponent with a nonzero
-coefficient and g the gcd of the gaps between such exponents, and steps
-through q at z^g: the odd and even numerators and denominators of chi and Ti
-and the derivative polynomials take half the steps.  A real q at a non-real
-w = (a + bi)/E, such as each numerator and denominator of li, chi and Ti on
-the unit circle, takes Knuth's two-term recurrence (TAOCP Vol. 2, 4.6.4;
-Goertzel 1958) over integers homogenized by E: two products of the running
-sums a step, and no gcd.  A Gaussian q, or any q at a real w, steps in
-Fractions.  Both readings are identities, so the exact value, and its double,
-cannot change.  Expanded high powers such as ``(1 - z^2)^11`` are
-catastrophically ill-conditioned in double-precision Horner near ``|z| = 1``;
-exact accumulation keeps every multi-route identity check meaningful at the
-stated tolerances.
+:func:`_quotient`: Horner reads the numerator and denominator exactly at the
+point as unreduced ints (a + bi)/e, combined with no lcm into f(z) =
+(x + yi)/d with integers x, y and d > 0.  :func:`rf_eval` reads a complex
+double at its exact value and rounds x/d and y/d once each by ``int / int``,
+which rounds correctly; :func:`rf_eval_exact` returns the quotient reduced.
+Horner reads z once as Z/E and each polynomial as z^s q(z^g), s its lowest
+exponent with a nonzero coefficient and g the gcd of the gaps between such
+exponents, and steps through q at z^g: the odd and even numerators and
+denominators of chi and Ti and the derivative polynomials take half the
+steps.  A real q at a non-real w, such as each numerator and denominator of
+li, chi and Ti on the unit circle, takes Knuth's two-term recurrence (TAOCP
+Vol. 2, 4.6.4; Goertzel 1958) over integers: no gcd and no Fraction.  Only a
+Gaussian q, or any q at a real w, steps in Fractions.  Both readings are
+identities, so the exact value, and its double, cannot change.  Expanded
+high powers such as ``(1 - z^2)^11`` are catastrophically ill-conditioned
+in double-precision Horner near ``|z| = 1``; exact accumulation keeps every
+multi-route identity check meaningful at the stated tolerances.
 """
 
 from __future__ import annotations
@@ -125,6 +124,7 @@ __all__ = [
     "substitute",
     "rf_eval",
     "rf_eval_exact",
+    "round_quotient",
     "poly_text",
     "rf_to_text",
     "rf_to_latex",
@@ -233,10 +233,6 @@ class GaussianRational:
         # a real value hashes as its real part, as complex does, so that it hashes as it compares
         return hash((self.re, self.im)) if self.im else hash(self.re)
 
-    def to_complex(self) -> complex:
-        """Each part rounded once, as ``rf_eval`` rounds; ``csch_derivative_eval`` rounds by it."""
-        return complex(*(_frac_to_float(x.numerator, x.denominator) for x in (self.re, self.im)))
-
     def __str__(self):
         if not self.im:
             return str(self.re)
@@ -267,7 +263,13 @@ def _power(base, k: int, out):
     return out
 
 
-def _frac_to_float(num: int, den: int) -> float:
+def _over_one_denominator(v: GaussianRational) -> tuple[GaussianRational, int]:
+    """(Z, E) with v = Z/E, Z of int parts and E > 0 the lcm of v's parts' denominators."""
+    e = math.lcm(v.re.denominator, v.im.denominator)
+    return GaussianRational(*(x.numerator * (e // x.denominator) for x in (v.re, v.im))), e
+
+
+def round_quotient(num: int, den: int) -> float:
     """num/den for den > 0, rounded once by ``int / int``; +-inf, by the sign of num, past double range."""
     try:
         return num / den
@@ -441,41 +443,41 @@ class Polynomial:
         k = range(1, len(self.re))
         return _raw([*map(operator.mul, k, self.re[1:])], [*map(operator.mul, k, self.im[1:])])
 
-    def horner(self, z: GaussianRational) -> GaussianRational:
-        """Exact evaluation at a Gaussian rational point, read as z^s q(z^g).
+    def horner(self, z: GaussianRational) -> tuple[int, int, int]:
+        """Exact evaluation at a Gaussian rational point: ints x, y and e > 0 with
+        p(z) = (x + yi)/e, unreduced, p read as z^s q(z^g).
 
-        s is the lowest exponent with a nonzero real or imaginary part and g
-        the gcd of the gaps between such exponents (0 for a monomial or
-        zero); Horner steps through q at w = z^g, and an odd or even
-        polynomial takes half the steps (Knuth, TAOCP Vol. 2, 4.6.4).  A real
-        q of degree M at a non-real w = (a + bi)/E, E the lcm of the parts'
-        denominators, takes the two-term recurrence over integers (4.6.4;
-        Goertzel 1958): B_k = q_k E^(M-k) + 2a B_(k+1) - (a^2 + b^2) B_(k+2),
-        two products of the running sums a step and no gcd, and q(w) E^M =
-        q_0 E^M + (a + bi) B_1 - (a^2 + b^2) B_2.  A Gaussian q, or any q at
-        a real w, steps through the dense loop in Fractions.  Both readings
-        are identities in exact steps, so the value, and the bits ``rf_eval``
-        rounds it to, are the same.
+        s is the lowest exponent with a nonzero part and g the gcd of the gaps between such
+        exponents (0 for a monomial or zero): an odd or even polynomial takes half the steps
+        (Knuth, TAOCP Vol. 2, 4.6.4).  z = Z/E is read once over integers.  A real q of degree
+        M at a non-real w = z^g = (a + bi)/E^g takes the two-term recurrence (4.6.4; Goertzel
+        1958), B_k = q_k E^(g(M-k)) + 2a B_(k+1) - (a^2 + b^2) B_(k+2) and q(w) E^(gM) =
+        q_0 E^(gM) + (a + bi) B_1 - (a^2 + b^2) B_2: two integer products a step, no Fraction.
+        A Gaussian q, or any q at a real w, steps in Fractions, the only reading that does.
+        Both readings are exact identities, so the value and its rounded bits are one.
         """
         support = [k for k, (x, y) in enumerate(zip(self.re, self.im)) if x or y]
         s = min(support, default=0)
         g = math.gcd(*(k - s for k in support))
-        w = z ** g
+        z, ez = _over_one_denominator(z)
+        w, e = z ** g, ez ** g
         qr, qi = self.re[s::g or 1], self.im[s::g or 1]
         if w.im and not any(qi):
-            e = math.lcm(w.re.denominator, w.im.denominator)
-            a, b = (x.numerator * (e // x.denominator) for x in (w.re, w.im))
+            a, b = w.re, w.im
             t, m, b1, b2, ek = 2 * a, a * a + b * b, 0, 0, 1
             for x in reversed(qr[1:]):
                 b1, b2, ek = x * ek + t * b1 - m * b2, b1, ek * e
-            acc = GaussianRational(Fraction(qr[0] * ek + a * b1 - m * b2, ek), Fraction(b * b1, ek))
-            return _power(z, s, acc)
-        q = zip(reversed(qr), reversed(qi))
-        acc = GaussianRational(*next(q, (0, 0)))
-        for x, y in q:
-            acc = acc * w
-            acc = GaussianRational(acc.re + x, acc.im + y)
-        return _power(z, s, acc)
+            acc = GaussianRational(qr[0] * ek + a * b1 - m * b2, b * b1)
+        else:
+            w = GaussianRational(Fraction(w.re, e), Fraction(w.im, e))
+            q = zip(reversed(qr), reversed(qi))
+            acc = GaussianRational(*next(q, (0, 0)))
+            for x, y in q:
+                acc = acc * w
+                acc = GaussianRational(acc.re + x, acc.im + y)
+            acc, ek = _over_one_denominator(acc)
+        acc = _power(z, s, acc)
+        return acc.re, acc.im, ek * ez ** s
 
     # argument transforms used by `substitute`
     def turn_arg(self, step: int) -> "Polynomial":
@@ -978,7 +980,7 @@ def rf_eval(f: RationalFunction, z) -> complex:
     if not cmath.isfinite(zc):
         raise DomainError(f"evaluation needs a finite point, got z = {zc}")
     x, y, d = _quotient(f, GaussianRational(zc.real, zc.imag))
-    return complex(_frac_to_float(x, d), _frac_to_float(y, d))
+    return complex(round_quotient(x, d), round_quotient(y, d))
 
 
 def rf_eval_exact(f: RationalFunction, z) -> GaussianRational:
@@ -990,16 +992,17 @@ def rf_eval_exact(f: RationalFunction, z) -> GaussianRational:
 
 def _quotient(f: RationalFunction, z: GaussianRational) -> tuple[int, int, int]:
     """Ints x, y and d > 0 with f(z) = (x + yi)/d, unreduced; PoleError where the denominator
-    is zero.  With the exact numerator and denominator values (a + bi)/p and (c + di)/p over
-    the lcm p of their parts' denominators, f(z) = (a + bi)(c - di)/(c^2 + d^2)."""
-    den_val = f.den.horner(z)
-    if den_val.is_zero():
+    is zero.  From the values (a + bi)/p and (c + di)/q of ``Polynomial.horner``, f(z) =
+    (a + bi) q (c - di)/((c^2 + d^2) p), or (a + bi) q/(c p) when d = 0: at a real point the
+    conjugate product would only multiply every part by c, and cost numeric-eval's real-point
+    tail about 5%."""
+    c, d, q = f.den.horner(z)
+    if not c and not d:
         raise PoleError(f"evaluation at a pole: z = {z}")
-    num_val = f.num.horner(z)
-    parts = (num_val.re, num_val.im, den_val.re, den_val.im)
-    p = math.lcm(*(x.denominator for x in parts))
-    a, b, c, d = (x.numerator * (p // x.denominator) for x in parts)
-    return a * c + b * d, b * c - a * d, c * c + d * d
+    a, b, p = f.num.horner(z)
+    if not d:
+        return (a * q, b * q, c * p) if c > 0 else (-a * q, -b * q, -c * p)
+    return (a * c + b * d) * q, (b * c - a * d) * q, (c * c + d * d) * p
 
 
 def require_real(f, label: str, n: int):

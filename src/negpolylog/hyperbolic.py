@@ -30,9 +30,8 @@ and ``verify core`` checks each family against its own recurrence.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .algebra import GaussianRational, rf_eval
+from .algebra import GaussianRational, rf_eval, round_quotient
 from .circular import DerivativePolynomial, _stirling_poly
 from .jets import nth_derivative, route
 from .polylog import chi_neg, ti_neg
@@ -81,12 +80,13 @@ def li_relation_tanh(n: int, x: float) -> float:
 def csch_derivative_eval(n: int, x: float) -> float:
     """(d/dx)^n csch x = (-1)^n 2 chi_{-n}(t), t = exp(-x), for x > 0 (csch x = 2t/(1 - t^2),
     d/dx = -t d/dt); csch is odd.  By the inversion of chi this is -2 chi_{-n}(e^x), the paper's
-    relation.  chi_neg(n)'s numerator is summed exactly at the double t by ``horner`` and times
-    the exact 2 c_0/u^(n+1): its denominator is c_0 (1 - t^2)^(n+1), c_0 its constant term
-    (+-1), read with u the double 1 - t^2 = -expm1(-2|x|), uncancelled.  The product is
-    rounded once by ``to_complex``."""
-    chi, t, u = chi_neg(n), GaussianRational(math.exp(-abs(x))), Fraction(-math.expm1(-2 * abs(x)))
-    val = (chi.num.horner(t) * (2 * chi.den.re[0] / u ** (n + 1))).to_complex().real
+    relation.  chi_neg(n)'s numerator is summed exactly at the double t, as v/e over integers,
+    and times the exact 2 c_0/u^(n+1): its denominator is c_0 (1 - t^2)^(n+1), c_0 its constant
+    term (+-1), read with u = U_n/U_d the double 1 - t^2 = -expm1(-2|x|), uncancelled.  The
+    product v 2 c_0 U_d^(n+1)/(e U_n^(n+1)) is rounded once by ``int / int``."""
+    chi, t = chi_neg(n), GaussianRational(math.exp(-abs(x)))
+    (v, _, e), (un, ud) = chi.num.horner(t), (-math.expm1(-2 * abs(x))).as_integer_ratio()
+    val = round_quotient(v * 2 * chi.den.re[0] * ud ** (n + 1), e * un ** (n + 1))
     return (-1) ** n * val if x > 0 else -val
 
 

@@ -153,8 +153,8 @@ MUTANTS = [
      "(-s) ** j",
      "(-1) ** j",
      ["tests/test_polylog.py::test_chi_ti_closed_forms"]),
-    # Knuth's two-term recurrence for a real q at a non-real w = (a + bi)/E, over integers:
-    # a^2 - b^2 for a^2 + b^2, a for 2a, and the scale E^(M-k) left unadvanced
+    # Knuth's two-term recurrence for a real q at a non-real w = (a + bi)/E^g, over integers:
+    # a^2 - b^2 for a^2 + b^2, a for 2a, and the scale E^(g(M-k)) left unadvanced
     ("algebra.py",
      "a * a + b * b",
      "a * a - b * b",
@@ -172,12 +172,26 @@ MUTANTS = [
      "acc = acc * w",
      "acc = acc * z",
      ["tests/test_algebra.py::test_strided_horner_is_the_naive_sum"]),
+    # the integer reader's z^s = Z^s/E^s taken without its E^s
+    ("algebra.py",
+     "return acc.re, acc.im, ek * ez ** s",
+     "return acc.re, acc.im, ek",
+     ["tests/test_algebra.py::test_strided_horner_is_the_naive_sum"]),
     # the one integer quotient of every exact value: the imaginary part of (a + bi)(c - di) with
-    # the sign of ad flipped
+    # the sign of ad flipped, the denominator value's scale q dropped, and a negative real
+    # denominator value left in d, which only the check of d itself sees
     ("algebra.py",
      "b * c - a * d",
      "b * c + a * d",
      ["tests/test_algebra.py::test_rf_eval_bits_are_pinned"]),
+    ("algebra.py",
+     "return (a * c + b * d) * q, (b * c - a * d) * q,",
+     "return (a * c + b * d), (b * c - a * d),",
+     ["tests/test_algebra.py::test_strided_horner_is_the_naive_sum"]),
+    ("algebra.py",
+     "(a * q, b * q, c * p) if c > 0 else (-a * q, -b * q, -c * p)",
+     "(a * q, b * q, c * p)",
+     ["tests/test_algebra.py::test_strided_horner_is_the_naive_sum"]),
     # the inverse lifts' quadratics: arctanh's derivative read as 1/(1 + x^2)
     ("jets.py",
      '"arctanh": _via_derivative(lambda x0, n: laurent_jet({0: 1.0, 2: -1.0})',

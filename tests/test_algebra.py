@@ -545,7 +545,7 @@ def test_rf_eval_raises_only_at_an_exact_pole():
         zg = GaussianRational(complex(z).real, complex(z).imag)
         assert repr(rf_eval(f, z)) == repr(rounded(rf_eval_exact(f, zg))) == want, z
     zg = GaussianRational(10**10)
-    assert min(abs(li_neg(64).num.horner(zg).re), abs(li_neg(64).den.horner(zg).re)) > 1e308
+    assert min(abs(horner_value(li_neg(64).num, zg).re), abs(horner_value(li_neg(64).den, zg).re)) > 1e308
 
 
 # Points for the pinned rf_eval bits, each the double nearest its decimal literal.
@@ -882,8 +882,7 @@ def test_over_one_plus_substitution_matches_the_full_gcd_form(num, den, g):
 @given(rationals, st.fractions(min_value=-3, max_value=3, max_denominator=7))
 @settings(max_examples=200)
 def test_rf_eval_matches_exact_rational_evaluation(f, z):
-    den_val = f.den.horner(GaussianRational(z))
-    assume(not den_val.is_zero())
+    assume(any(f.den.horner(GaussianRational(z))[:2]))
     exact = rf_eval_exact(f, z)
     assume(abs(float(exact.re)) < 1e9)
     # the double path must agree with BigRational evaluation to 1e-12 relative
@@ -916,6 +915,13 @@ def strided_polys(draw):
         k = draw(st.integers(0, len(coeffs) - 1) | st.integers(0, max(len(q) - 1, 0)).map(lambda j: s + g * j))
         coeffs[k] += draw(real_or_gauss_ints)
     return Polynomial(coeffs)
+
+
+def horner_value(p: Polynomial, z: GaussianRational) -> GaussianRational:
+    """p(z) as (x + yi)/e of ``Polynomial.horner``, whose e must be positive."""
+    x, y, e = p.horner(z)
+    assert e > 0
+    return GaussianRational(Fraction(x, e), Fraction(y, e))
 
 
 def naive_sum(p: Polynomial, z: GaussianRational) -> GaussianRational:
@@ -961,17 +967,26 @@ def naive_value(f: RationalFunction, z: GaussianRational) -> "GaussianRational |
 @example(P(3, 0, -1, 4, 1, -2), P(5, -2, 1), GaussianRational(2, Fraction(1, 2)))
 # a degree-63 real q (z A_64(z)) at a point with subnormal parts, E = 2^1074
 @example(li_neg(64).num, P(3, 1, 4, 1, 5), GaussianRational(Fraction(5e-324), Fraction(1e-320)))
+# a denominator whose value is negative at a real point, and at a non-real one (z^2 at i/2),
+# each divided without the conjugate product, its sign moved into the numerator
+@example(P(1, 2), P(-3, 1), GaussianRational(Fraction(1, 2)))
+@example(P(1, 0, 0, 4), P(0, 0, 1), GaussianRational(0, Fraction(1, 2)))
+# s = 2 and s = 3 in the two-term recurrence at z = Z/15, so z^s = Z^s/15^s
+@example(P(0, 0, 3, 0, -1, 0, 2), P(0, 0, 0, 1, 0, 0, 4), GaussianRational(Fraction(1, 3), Fraction(2, 5)))
+# a Gaussian q with s = 1 at a non-real point, in the Fraction loop
+@example(P(0, 2, 0, GaussianRational(1, -3)), P(1, 0, I), GaussianRational(Fraction(1, 2), Fraction(-1, 3)))
 def test_strided_horner_is_the_naive_sum(num, den, z):
-    assert num.horner(z) == naive_sum(num, z) and den.horner(z) == naive_sum(den, z)
+    assert horner_value(num, z) == naive_sum(num, z) and horner_value(den, z) == naive_sum(den, z)
     f = RationalFunction(num, den)
     want = naive_value(f, z)
     if want is None:
         with pytest.raises(PoleError):
             rf_eval_exact(f, z)
     else:
-        assert rf_eval_exact(f, z) == want
+        # rf_eval_exact is (x + yi)/d of _quotient reduced, which hides the sign of d
+        assert algebra._quotient(f, z)[2] > 0 and rf_eval_exact(f, z) == want
     # rf_eval at a double: the naive value at the double's exact value, rounded once
-    zd = z.to_complex()
+    zd = complex(float(z.re), float(z.im))
     want = naive_value(f, GaussianRational(Fraction(zd.real), Fraction(zd.imag)))
     if want is None:
         with pytest.raises(PoleError):
