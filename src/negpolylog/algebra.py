@@ -83,14 +83,16 @@ inputs.  Each place that skips one rests on a proof:
   coprime pair.
 
 Every value of a form is read through one integer quotient,
-:func:`_quotient`: Horner reads the numerator and denominator exactly at the
-point as unreduced ints (a + bi)/e, combined with no lcm into f(z) =
-(x + yi)/d with integers x, y and d > 0.  :func:`rf_eval` reads a complex
-double at its exact value and rounds x/d and y/d once each by ``int / int``,
+:func:`_quotient`, at a point read once as Z/E, Z of int parts: Horner reads
+the numerator and denominator exactly there as unreduced ints (a + bi)/e,
+combined with no lcm into f(z) = (x + yi)/d with integers x, y and d > 0.
+:func:`rf_eval` reads a complex double's parts straight into ints by
+``float.as_integer_ratio`` and rounds x/d and y/d once each by ``int / int``,
 which rounds correctly; :func:`rf_eval_exact` returns the quotient reduced.
-Horner reads z once as Z/E and each polynomial as z^s q(z^g), s its lowest
-exponent with a nonzero coefficient and g the gcd of the gaps between such
-exponents, and steps through q at z^g: the odd and even numerators and
+Horner reads each polynomial as z^s q(z^g), s its lowest exponent with a
+nonzero coefficient and g the gcd of the gaps between such exponents, once,
+and keeps them; it steps through q at w = z^g, which the numerator and
+denominator share when their g agree: the odd and even numerators and
 denominators of chi and Ti and the derivative polynomials take half the
 steps.  A real q at a non-real w, such as each numerator and denominator of
 li, chi and Ti on the unit circle, takes Knuth's two-term recurrence (TAOCP
@@ -263,10 +265,12 @@ def _power(base, k: int, out):
     return out
 
 
-def _over_one_denominator(v: GaussianRational) -> tuple[GaussianRational, int]:
-    """(Z, E) with v = Z/E, Z of int parts and E > 0 the lcm of v's parts' denominators."""
-    e = math.lcm(v.re.denominator, v.im.denominator)
-    return GaussianRational(*(x.numerator * (e // x.denominator) for x in (v.re, v.im))), e
+def _over_one_denominator(re, im) -> tuple[GaussianRational, int]:
+    """(Z, E) with re + im*i = Z/E, Z of int parts and E > 0 the lcm of the parts' denominators,
+    for exact parts: ints, Fractions or doubles, whose denominators are powers of 2."""
+    (xr, dr), (xi, di) = re.as_integer_ratio(), im.as_integer_ratio()
+    e = math.lcm(dr, di)
+    return GaussianRational(xr * (e // dr), xi * (e // di)), e
 
 
 def round_quotient(num: int, den: int) -> float:
@@ -360,7 +364,7 @@ class Polynomial:
 
     ``Polynomial(coeffs)`` and ``scale(c)`` take exact Gaussian integers only."""
 
-    __slots__ = ("re", "im", "__weakref__")
+    __slots__ = ("re", "im", "_stride", "__weakref__")
 
     def __init__(self, coeffs=()):
         parts = [_gauss_int(c) for c in coeffs]
@@ -449,20 +453,32 @@ class Polynomial:
 
         s is the lowest exponent with a nonzero part and g the gcd of the gaps between such
         exponents (0 for a monomial or zero): an odd or even polynomial takes half the steps
-        (Knuth, TAOCP Vol. 2, 4.6.4).  z = Z/E is read once over integers.  A real q of degree
-        M at a non-real w = z^g = (a + bi)/E^g takes the two-term recurrence (4.6.4; Goertzel
-        1958), B_k = q_k E^(g(M-k)) + 2a B_(k+1) - (a^2 + b^2) B_(k+2) and q(w) E^(gM) =
-        q_0 E^(gM) + (a + bi) B_1 - (a^2 + b^2) B_2: two integer products a step, no Fraction.
-        A Gaussian q, or any q at a real w, steps in Fractions, the only reading that does.
-        Both readings are exact identities, so the value and its rounded bits are one.
+        (Knuth, TAOCP Vol. 2, 4.6.4).  Both, and q's parts, are read on the first evaluation
+        and kept in a slot.  z = Z/E is read once over integers, and w = z^g as W/E^g.  A real
+        q of degree M at a non-real w = (a + bi)/E^g takes the two-term recurrence (4.6.4;
+        Goertzel 1958), B_k = q_k E^(g(M-k)) + 2a B_(k+1) - (a^2 + b^2) B_(k+2) and
+        q(w) E^(gM) = q_0 E^(gM) + (a + bi) B_1 - (a^2 + b^2) B_2: two integer products a step,
+        no Fraction.  A Gaussian q, or any q at a real w, steps in Fractions, the only reading
+        that does.  Both readings are exact identities, so the value and its rounded bits are one.
         """
-        support = [k for k, (x, y) in enumerate(zip(self.re, self.im)) if x or y]
-        s = min(support, default=0)
-        g = math.gcd(*(k - s for k in support))
-        z, ez = _over_one_denominator(z)
-        w, e = z ** g, ez ** g
-        qr, qi = self.re[s::g or 1], self.im[s::g or 1]
-        if w.im and not any(qi):
+        return self._read(*_over_one_denominator(z.re, z.im), {})
+
+    def _read(self, z: GaussianRational, ez: int, powers: dict) -> tuple[int, int, int]:
+        """``horner`` at z/ez, Z of int parts; powers maps each g read at this point to
+        (z^g, ez^g), so polynomials of one stride share them."""
+        try:
+            s, g, qr, qi, real = self._stride
+        except AttributeError:  # the first read keeps the stride: a polynomial never changes
+            support = [k for k, (x, y) in enumerate(zip(self.re, self.im)) if x or y]
+            s = min(support, default=0)
+            g = math.gcd(*(k - s for k in support))
+            qr, qi = self.re[s::g or 1], self.im[s::g or 1]
+            real = not any(qi)
+            self._stride = s, g, qr, qi, real
+        if g not in powers:
+            powers[g] = z ** g, ez ** g
+        w, e = powers[g]
+        if w.im and real:
             a, b = w.re, w.im
             t, m, b1, b2, ek = 2 * a, a * a + b * b, 0, 0, 1
             for x in reversed(qr[1:]):
@@ -475,7 +491,7 @@ class Polynomial:
             for x, y in q:
                 acc = acc * w
                 acc = GaussianRational(acc.re + x, acc.im + y)
-            acc, ek = _over_one_denominator(acc)
+            acc, ek = _over_one_denominator(acc.re, acc.im)
         acc = _power(z, s, acc)
         return acc.re, acc.im, ek * ez ** s
 
@@ -968,38 +984,43 @@ def substitute(f: RationalFunction, kind: str) -> RationalFunction:
 def rf_eval(f: RationalFunction, z) -> complex:
     """Evaluate at a complex double: the exact value there, rounded once per part.
 
-    The double z is read as the Gaussian rational it represents exactly, and
-    each part x/d of the integer quotient :func:`_quotient` returns is rounded
-    once by ``int / int``, which rounds correctly: the double the reduced
-    quotient would round to, as both are one number.  A part beyond double
-    range rounds to +-inf with its sign.  Raises PoleError only when the exact
-    denominator is zero at that point: a small nonzero denominator is not a
-    pole; raises DomainError when a part of z is not finite.
+    The double z is read as the Gaussian rational it represents exactly, Z/E with int parts
+    straight from ``float.as_integer_ratio``: E, the lcm of the parts' power-of-two
+    denominators, is the larger of them.  Each part x/d of the integer quotient
+    :func:`_quotient` returns is rounded once by ``int / int``, which rounds correctly: the
+    double the reduced quotient would round to, as both are one number.  A part beyond double
+    range rounds to +-inf with its sign.
+    Raises PoleError only when the exact denominator is zero at that point: a small nonzero
+    denominator is not a pole; raises DomainError when a part of z is not finite.
     """
     zc = complex(z)
     if not cmath.isfinite(zc):
         raise DomainError(f"evaluation needs a finite point, got z = {zc}")
-    x, y, d = _quotient(f, GaussianRational(zc.real, zc.imag))
+    x, y, d = _quotient(f, *_over_one_denominator(zc.real, zc.imag))
     return complex(round_quotient(x, d), round_quotient(y, d))
 
 
 def rf_eval_exact(f: RationalFunction, z) -> GaussianRational:
     """Evaluate exactly at a Gaussian rational (or int/Fraction) point: the quotient of
     :func:`_quotient`, reduced."""
-    x, y, d = _quotient(f, z if isinstance(z, GaussianRational) else GaussianRational(z))
+    z = z if isinstance(z, GaussianRational) else GaussianRational(z)
+    x, y, d = _quotient(f, *_over_one_denominator(z.re, z.im))
     return GaussianRational(Fraction(x, d), Fraction(y, d))
 
 
-def _quotient(f: RationalFunction, z: GaussianRational) -> tuple[int, int, int]:
-    """Ints x, y and d > 0 with f(z) = (x + yi)/d, unreduced; PoleError where the denominator
-    is zero.  From the values (a + bi)/p and (c + di)/q of ``Polynomial.horner``, f(z) =
-    (a + bi) q (c - di)/((c^2 + d^2) p), or (a + bi) q/(c p) when d = 0: at a real point the
-    conjugate product would only multiply every part by c, and cost numeric-eval's real-point
-    tail about 5%."""
-    c, d, q = f.den.horner(z)
+def _quotient(f: RationalFunction, z: GaussianRational, e: int) -> tuple[int, int, int]:
+    """Ints x, y and d > 0 with f(z/e) = (x + yi)/d, unreduced, for z of int parts and e > 0;
+    PoleError where the denominator is zero.  Numerator and denominator share the point's
+    powers z^g and e^g where their g agree, as for li, chi, Ti and the route forms.  From their
+    values (a + bi)/p and (c + di)/q, f = (a + bi) q (c - di)/((c^2 + d^2) p), or (a + bi) q/(c p)
+    when d = 0: at a real point the conjugate product would only multiply every part by c, and
+    cost numeric-eval's real-point tail about 5%."""
+    powers = {}
+    c, d, q = f.den._read(z, e, powers)
     if not c and not d:
+        z = GaussianRational(Fraction(z.re, e), Fraction(z.im, e))
         raise PoleError(f"evaluation at a pole: z = {z}")
-    a, b, p = f.num.horner(z)
+    a, b, p = f.num._read(z, e, powers)
     if not d:
         return (a * q, b * q, c * p) if c > 0 else (-a * q, -b * q, -c * p)
     return (a * c + b * d) * q, (b * c - a * d) * q, (c * c + d * d) * p

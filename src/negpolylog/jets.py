@@ -134,8 +134,8 @@ class Jet:
     def __pow__(self, k: int):
         if k < 0:
             return self.reciprocal() ** (-k)
-        out = Jet.constant(1.0, self.x0, self.order)
-        for _ in range(k):
+        out = self if k else Jet.constant(1.0, self.x0, self.order)
+        for _ in range(k - 1):
             out = out * self
         return out
 

@@ -177,6 +177,21 @@ MUTANTS = [
      "return acc.re, acc.im, ek * ez ** s",
      "return acc.re, acc.im, ek",
      ["tests/test_algebra.py::test_strided_horner_is_the_naive_sum"]),
+    # the point read once: the kept stride without its z^s shift, which only a second read of a
+    # polynomial sees, the numerator reading the denominator's w = z^g when their g differ, and
+    # a double's Z/E over the smaller of the parts' denominators
+    ("algebra.py",
+     "self._stride = s, g, qr, qi, real",
+     "self._stride = 0, g, qr, qi, real",
+     ["tests/test_algebra.py::test_strided_horner_is_the_naive_sum"]),
+    ("algebra.py",
+     "if g not in powers:",
+     "if not powers:",
+     ["tests/test_algebra.py::test_strided_horner_is_the_naive_sum"]),
+    ("algebra.py",
+     "e = math.lcm(dr, di)",
+     "e = min(dr, di)",
+     ["tests/test_algebra.py::test_rf_eval_bits_at_awkward_doubles_are_pinned"]),
     # the one integer quotient of every exact value: the imaginary part of (a + bi)(c - di) with
     # the sign of ad flipped, the denominator value's scale q dropped, and a negative real
     # denominator value left in d, which only the check of d itself sees

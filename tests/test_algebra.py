@@ -566,6 +566,22 @@ def test_rf_eval_bits_are_pinned():
     assert digest == "e344d85a315807aaf4351eef6aeb3dac28e794251afdef6769da225cfba1fa1f"
 
 
+# Doubles whose exact reading is awkward: E is the larger of the parts' power-of-two denominators
+AWKWARD_POINTS = (complex(0.5, -0.0), complex(-0.0, 0.3),  # a -0.0 part
+                  5e-324, 1e-320+1e-310j,  # subnormal parts
+                  1e-300+0.5j,  # mixed exponents
+                  1e300, -1e300j,  # huge parts
+                  0.5, -0.7)  # real points inside (-1, 1)
+
+
+def test_rf_eval_bits_at_awkward_doubles_are_pinned():
+    lines = [f"{kind} {n} {z!r} {rf_eval(build(n), z)!r}"
+             for kind, build in (("li", li_neg), ("chi", chi_neg), ("ti", ti_neg))
+             for n in (0, 5, 64) for z in AWKWARD_POINTS]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "33d5951e7deb48d38ae4f10463ba7573ac461d26be4d1e7891bea11cf8d4f43a"
+
+
 # the nine routes of the numeric-eval benchmark, each called as route(n, x)
 _ROUTES = ("csc_derivative_eval", "csc_derivative_via_li", "csc_derivative_binomial",
            "leibniz_csc_route", "sec_derivative_eval", "sec_derivative_via_li",
@@ -976,6 +992,7 @@ def naive_value(f: RationalFunction, z: GaussianRational) -> "GaussianRational |
 # a Gaussian q with s = 1 at a non-real point, in the Fraction loop
 @example(P(0, 2, 0, GaussianRational(1, -3)), P(1, 0, I), GaussianRational(Fraction(1, 2), Fraction(-1, 3)))
 def test_strided_horner_is_the_naive_sum(num, den, z):
+    # the first read of each polynomial keeps its stride; every later one reads it from the slot
     assert horner_value(num, z) == naive_sum(num, z) and horner_value(den, z) == naive_sum(den, z)
     f = RationalFunction(num, den)
     want = naive_value(f, z)
@@ -984,7 +1001,8 @@ def test_strided_horner_is_the_naive_sum(num, den, z):
             rf_eval_exact(f, z)
     else:
         # rf_eval_exact is (x + yi)/d of _quotient reduced, which hides the sign of d
-        assert algebra._quotient(f, z)[2] > 0 and rf_eval_exact(f, z) == want
+        assert algebra._quotient(f, *algebra._over_one_denominator(z.re, z.im))[2] > 0
+        assert rf_eval_exact(f, z) == want
     # rf_eval at a double: the naive value at the double's exact value, rounded once
     zd = complex(float(z.re), float(z.im))
     want = naive_value(f, GaussianRational(Fraction(zd.real), Fraction(zd.imag)))
@@ -993,6 +1011,20 @@ def test_strided_horner_is_the_naive_sum(num, den, z):
             rf_eval(f, zd)
     else:
         assert rf_eval(f, zd) == complex(float(want.re), float(want.im))
+
+
+def test_hash_consed_polynomials_shared_by_two_routes_read_identically():
+    # li_neg and li_neg_stirling share their canonical polynomials, so the route read second
+    # reads the stride the first one kept; an equal copy, built apart, reads its own
+    z, zd = GaussianRational(Fraction(3, 10), Fraction(1, 5)), 0.3 + 0.2j
+    for n in (1, 5, 20):
+        f, h = li_neg(n), li_neg_stirling(n)
+        assert f.num is h.num and f.den is h.den
+        assert rf_eval(f, zd) == rf_eval(h, zd) and rf_eval_exact(f, z) == rf_eval_exact(h, z)
+        for p in (f.num, f.den):
+            copy = Polynomial(p.coeffs)
+            assert copy is not p and copy.horner(z) == p.horner(z)
+            assert horner_value(p, z) == naive_sum(p, z)
 
 
 # -- rendering and serialization ---------------------------------------------
