@@ -510,12 +510,16 @@ class Polynomial:
 
     def invert_arg(self, d: int) -> "Polynomial":
         """z^d p(1/z) for d >= deg p: the coefficients padded to length d + 1 and reversed."""
+        if d < self.degree:
+            raise ValueError(f"d = {d} is below deg p = {self.degree}")
         pad = (0,) * (d - self.degree)
         return _poly((*self.re, *pad)[::-1], (*self.im, *pad)[::-1])
 
     def half_angle_arg(self, d: int) -> "Polynomial":
         """sum p_k (1 + it)^k (1 - it)^(d-k), d >= deg p, by homogeneous Horner at t = 2**w, where
         a product by 1 +- it is a shift and an add; a slot holds 2^d sum |re p_k| + |im p_k|."""
+        if d < self.degree:
+            raise ValueError(f"d = {d} is below deg p = {self.degree}")
         nb = _slot_bytes((sum(map(abs, self.re)) + sum(map(abs, self.im))) << d)
         w, ar, ai, br, bi = 8 * nb, 0, 0, 1, 0
         for pr, pi in reversed([*zip(self.re, self.im), *[(0, 0)] * (d + 1 - len(self.re))]):
@@ -526,6 +530,8 @@ class Polynomial:
     def over_one_plus_arg(self, d: int) -> "Polynomial":
         """sum p_k z^k (1 + z)^(d-k), d >= deg p, by homogeneous Horner at z = 2**w, each part
         alone; a slot holds 2^d sum |re p_k| + |im p_k|, as in ``half_angle_arg``."""
+        if d < self.degree:
+            raise ValueError(f"d = {d} is below deg p = {self.degree}")
         nb = _slot_bytes((sum(map(abs, self.re)) + sum(map(abs, self.im))) << d)
         w, ar, ai, b = 8 * nb, 0, 0, 1
         for pr, pi in reversed([*zip(self.re, self.im), *[(0, 0)] * (d + 1 - len(self.re))]):

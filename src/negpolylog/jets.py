@@ -7,14 +7,15 @@ jet of order N carries the first N derivatives with only rounding error.
 
 Elementary functions are lifted directly (sin and cos have closed
 coefficient formulas, tan, cot, sec and csc come from jet division, tanh,
-sech, coth and csch from their first-order systems).  Inverse functions
-are lifted by building the jet of their derivative from rational/square-root
-recurrences and integrating once, taking the constant term from the math
-library.  Reciprocal-argument companions (arccsc, arcsec, arccsch, arcsech)
-are composed as outer(1/x).  :func:`check_point` guards every lift and, in
-:func:`route`, the csc, sec, csch and sech routes with one table,
-``_DOMAINS`` (poles, their period, the real domain): SingularityError within
-the guard radius, DomainError outside it or at a non-finite point.
+sech, coth and csch from their first-order systems).  The twelve inverse
+functions share one builder: each derivative is sign/Q or sign/sqrt(Q) for a
+Laurent polynomial Q, whose jet is inverted and integrated once, taking the
+constant term from the math library.  The reciprocal-argument companions
+(arccsc, arcsec, arccsch, arcsech) take Q = x^4 -+ x^2 or x^2 - x^4, since
+|x| sqrt(x^2 -+ 1) = sqrt(x^4 -+ x^2).  :func:`check_point` guards every
+lift and, in :func:`route`, the csc, sec, csch and sech routes with one
+table, ``_DOMAINS`` (poles, their period, the real domain): SingularityError
+within the guard radius, DomainError outside it or at a non-finite point.
 
 Jets are double precision on purpose: this oracle's job is numeric
 cross-checking at tolerances of 1e-7..1e-9, while all exact checking lives
@@ -179,16 +180,6 @@ def _jet(x0: float, coeffs: tuple) -> Jet:
     return jet
 
 
-def _compose(outer: Jet, inner: Jet) -> Jet:
-    """Jet of outer(inner(x)); requires outer.x0 == inner.value."""
-    n = min(outer.order, inner.order)
-    d = _jet(inner.x0, inner.coeffs[: n + 1]) - outer.x0
-    acc = Jet.constant(outer.coeffs[n], inner.x0, n)
-    for k in range(n - 1, -1, -1):
-        acc = acc * d + outer.coeffs[k]
-    return acc
-
-
 def require_clear(what: str, x: float, *poles: float, period: float | None = None) -> None:
     """Raise DomainError for a non-finite x, SingularityError within SINGULARITY_GUARD of a pole.
 
@@ -276,22 +267,37 @@ def _hyperbolic_pair(x0: float, n: int, sigma: float) -> tuple[Jet, Jet]:
     return _jet(x0, tuple(f)), _jet(x0, tuple(g))
 
 
-def _via_derivative(deriv, value):
-    """Builder for functions lifted by integrating their derivative's jet."""
+def laurent_jet(terms: dict[int, float]):
+    """Coefficient-jet builder for sums of integer powers c_p * x**p (p may be < 0)."""
 
-    def build(x0, n):
-        if n == 0:
-            return Jet(x0, [value(x0)])
-        return deriv(x0, n - 1).integrate(value(x0))
+    def build(x0: float, order: int) -> Jet:
+        x = Jet.identity(x0, order)
+        recip = None
+        acc = Jet.constant(0.0, x0, order)
+        for p, c in sorted(terms.items()):
+            if p == 0:
+                acc = acc + Jet.constant(c, x0, order)
+            elif p > 0:
+                acc = acc + x**p * c
+            else:
+                if recip is None:
+                    recip = x.reciprocal()
+                acc = acc + recip ** (-p) * c
+        return acc
 
     return build
 
 
-def _via_reciprocal_arg(outer: str):
+def _inverse(terms: dict[int, float], root: bool, sign: int, value):
+    """Builder for F with F' = sign/Q or sign/sqrt(Q), Q = sum c_p x^p: Q's jet through order
+    n - 1, one square root or none, one division, and the integral from F(x0) = value(x0)."""
+    q = laurent_jet(terms)
+
     def build(x0, n):
-        u0 = 1.0 / x0
-        inner = Jet.identity(x0, n).reciprocal()
-        return _compose(_BUILDERS[outer](u0, n), inner)
+        if n == 0:
+            return _jet(x0, (value(x0),))
+        d = (q(x0, n - 1).sqrt() if root else q(x0, n - 1)).reciprocal()
+        return (d if sign > 0 else -d).integrate(value(x0))
 
     return build
 
@@ -307,30 +313,20 @@ _BUILDERS = {
     "sech": lambda x0, n: _hyperbolic_pair(x0, n, 1.0)[1],
     "coth": lambda x0, n: _hyperbolic_pair(x0, n, -1.0)[0],
     "csch": lambda x0, n: _hyperbolic_pair(x0, n, -1.0)[1],
-    "arctan": _via_derivative(lambda x0, n: laurent_jet({0: 1.0, 2: 1.0})(x0, n).reciprocal(), math.atan),
-    "arccot": _via_derivative(
-        lambda x0, n: -(laurent_jet({0: 1.0, 2: 1.0})(x0, n).reciprocal()), lambda x: _PI / 2 - math.atan(x)
-    ),
-    "arctanh": _via_derivative(lambda x0, n: laurent_jet({0: 1.0, 2: -1.0})(x0, n).reciprocal(), math.atanh),
-    "arccoth": _via_derivative(
-        lambda x0, n: laurent_jet({0: 1.0, 2: -1.0})(x0, n).reciprocal(), lambda x: math.atanh(1.0 / x)
-    ),
-    "arcsin": _via_derivative(
-        lambda x0, n: laurent_jet({0: 1.0, 2: -1.0})(x0, n).sqrt().reciprocal(), math.asin
-    ),
-    "arccos": _via_derivative(
-        lambda x0, n: -(laurent_jet({0: 1.0, 2: -1.0})(x0, n).sqrt().reciprocal()), math.acos
-    ),
-    "arcsinh": _via_derivative(
-        lambda x0, n: laurent_jet({0: 1.0, 2: 1.0})(x0, n).sqrt().reciprocal(), math.asinh
-    ),
-    "arccosh": _via_derivative(
-        lambda x0, n: laurent_jet({0: -1.0, 2: 1.0})(x0, n).sqrt().reciprocal(), math.acosh
-    ),
-    "arccsc": _via_reciprocal_arg("arcsin"),
-    "arcsec": _via_reciprocal_arg("arccos"),
-    "arccsch": _via_reciprocal_arg("arcsinh"),
-    "arcsech": _via_reciprocal_arg("arccosh"),
+    # Q's terms, root, sign, F; the last four read |x| sqrt(x^2 -+ 1) and |x| sqrt(1 - x^2), x != 0,
+    # as sqrt(x^4 -+ x^2) and sqrt(x^2 - x^4)
+    "arctan": _inverse({0: 1.0, 2: 1.0}, False, 1, math.atan),
+    "arccot": _inverse({0: 1.0, 2: 1.0}, False, -1, lambda x: _PI / 2 - math.atan(x)),
+    "arctanh": _inverse({0: 1.0, 2: -1.0}, False, 1, math.atanh),
+    "arccoth": _inverse({0: 1.0, 2: -1.0}, False, 1, lambda x: math.atanh(1.0 / x)),
+    "arcsin": _inverse({0: 1.0, 2: -1.0}, True, 1, math.asin),
+    "arccos": _inverse({0: 1.0, 2: -1.0}, True, -1, math.acos),
+    "arcsinh": _inverse({0: 1.0, 2: 1.0}, True, 1, math.asinh),
+    "arccosh": _inverse({0: -1.0, 2: 1.0}, True, 1, math.acosh),
+    "arccsc": _inverse({2: -1.0, 4: 1.0}, True, -1, lambda x: math.asin(1.0 / x)),
+    "arcsec": _inverse({2: -1.0, 4: 1.0}, True, 1, lambda x: math.acos(1.0 / x)),
+    "arccsch": _inverse({2: 1.0, 4: 1.0}, True, -1, lambda x: math.asinh(1.0 / x)),
+    "arcsech": _inverse({2: 1.0, 4: -1.0}, True, -1, lambda x: math.acosh(1.0 / x)),
 }
 
 FUNCTION_IDS = frozenset(_BUILDERS)
@@ -371,24 +367,3 @@ def apply_operator_power(a, fn: str, n: int, x0: float) -> float:
     if math.isnan(f.value):
         raise DomainError(f"operator power {n} on {fn} at {x0} is beyond double range")
     return f.value
-
-
-def laurent_jet(terms: dict[int, float]):
-    """Coefficient-jet builder for sums of integer powers c_p * x**p (p may be < 0)."""
-
-    def build(x0: float, order: int) -> Jet:
-        x = Jet.identity(x0, order)
-        recip = None
-        acc = Jet.constant(0.0, x0, order)
-        for p, c in sorted(terms.items()):
-            if p == 0:
-                acc = acc + Jet.constant(c, x0, order)
-            elif p > 0:
-                acc = acc + x**p * c
-            else:
-                if recip is None:
-                    recip = x.reciprocal()
-                acc = acc + recip ** (-p) * c
-        return acc
-
-    return build

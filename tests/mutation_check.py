@@ -130,6 +130,11 @@ MUTANTS = [
      "p.turn_arg(2)",
      "p.turn_arg(0)",
      ["tests/test_circular.py::test_csc_examples"]),
+    # the csc sum's t^(n+1) P(-1/t) inverted below the degree of P, which invert_arg refuses
+    ("circular.py",
+     "invert_arg(n + 1)",
+     "invert_arg(n - 1)",
+     ["tests/test_circular.py::test_csc_examples"]),
     # a route declared without its point guard, and a route form memoized without its realness check
     ("jets.py",
      "            check_point(fn, x)\n            return body(n, x)\n",
@@ -207,11 +212,16 @@ MUTANTS = [
      "(a * q, b * q, c * p) if c > 0 else (-a * q, -b * q, -c * p)",
      "(a * q, b * q, c * p)",
      ["tests/test_algebra.py::test_strided_horner_is_the_naive_sum"]),
-    # the inverse lifts' quadratics: arctanh's derivative read as 1/(1 + x^2)
+    # the inverse lifts' radicands: arctanh's derivative read as 1/(1 + x^2), and arcsec's as
+    # 1/sqrt(x^4 + x^2)
     ("jets.py",
-     '"arctanh": _via_derivative(lambda x0, n: laurent_jet({0: 1.0, 2: -1.0})',
-     '"arctanh": _via_derivative(lambda x0, n: laurent_jet({0: 1.0, 2: 1.0})',
+     '"arctanh": _inverse({0: 1.0, 2: -1.0},',
+     '"arctanh": _inverse({0: 1.0, 2: 1.0},',
      ["tests/test_jets.py::test_arctanh_jet_is_odd_series"]),
+    ("jets.py",
+     '"arcsec": _inverse({2: -1.0, 4: 1.0},',
+     '"arcsec": _inverse({2: 1.0, 4: 1.0},',
+     ["tests/test_jets.py::test_reciprocal_argument_lifts_match_the_composition_they_replaced"]),
     # the jet Cauchy product summed from its last term: every value moves in its last bits only
     ("jets.py",
      "            for i, ai in enumerate(a):\n",

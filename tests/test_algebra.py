@@ -895,6 +895,20 @@ def test_over_one_plus_substitution_matches_the_full_gcd_form(num, den, g):
     assert substitute(f + h, "z_over_1_plus_z") == fu + substitute(h, "z_over_1_plus_z")
 
 
+def test_homogeneous_maps_refuse_a_degree_below_deg_p():
+    # z^d p(1/z) and the two Horner maps are defined for d >= deg p only; a smaller d once
+    # reversed p at its own degree, or overflowed a packed slot
+    p = Polynomial([1, 2, 3])
+    for d in (0, 1):
+        for method in (p.invert_arg, p.half_angle_arg, p.over_one_plus_arg):
+            with pytest.raises(ValueError, match=f"d = {d} is below deg p = 2"):
+                method(d)
+    assert p.invert_arg(2) == Polynomial([3, 2, 1])
+    assert p.invert_arg(3) == Polynomial([0, 3, 2, 1])
+    assert p.half_angle_arg(2) == _half_angle_expanded(p, 2)
+    assert p.over_one_plus_arg(3) == _over_one_plus_expanded(p, 3)
+
+
 @given(rationals, st.fractions(min_value=-3, max_value=3, max_denominator=7))
 @settings(max_examples=200)
 def test_rf_eval_matches_exact_rational_evaluation(f, z):
