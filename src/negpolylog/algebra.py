@@ -181,16 +181,10 @@ class GaussianRational:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        return self + -other if isinstance(other, _SCALARS) else NotImplemented
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        return -self + other
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -252,6 +246,7 @@ class GaussianRational:
 
 
 I = GaussianRational(0, 1)
+_SCALARS = (int, Fraction, GaussianRational)  # the exact scalar operands
 
 
 def _power(base, k: int, out):
@@ -416,7 +411,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            if isinstance(other, (int, Fraction, GaussianRational)):
+            if isinstance(other, _SCALARS):
                 return self.scale(other)
             return NotImplemented
         return _raw(*_products([(self, other)]))
@@ -447,9 +442,9 @@ class Polynomial:
         k = range(1, len(self.re))
         return _raw([*map(operator.mul, k, self.re[1:])], [*map(operator.mul, k, self.im[1:])])
 
-    def horner(self, z: GaussianRational) -> tuple[int, int, int]:
-        """Exact evaluation at a Gaussian rational point: ints x, y and e > 0 with
-        p(z) = (x + yi)/e, unreduced, p read as z^s q(z^g).
+    def horner(self, z: "GaussianRational | float | complex") -> tuple[int, int, int]:
+        """Exact evaluation at a Gaussian rational point, or at the value of a finite double or
+        complex double: ints x, y and e > 0 with p(z) = (x + yi)/e, unreduced, p read as z^s q(z^g).
 
         s is the lowest exponent with a nonzero part and g the gcd of the gaps between such
         exponents (0 for a monomial or zero): an odd or even polynomial takes half the steps
@@ -461,7 +456,8 @@ class Polynomial:
         no Fraction.  A Gaussian q, or any q at a real w, steps in Fractions, the only reading
         that does.  Both readings are exact identities, so the value and its rounded bits are one.
         """
-        return self._read(*_over_one_denominator(z.re, z.im), {})
+        re, im = (z.re, z.im) if isinstance(z, GaussianRational) else (z.real, z.imag)
+        return self._read(*_over_one_denominator(re, im), {})
 
     def _read(self, z: GaussianRational, ez: int, powers: dict) -> tuple[int, int, int]:
         """``horner`` at z/ez, Z of int parts; powers maps each g read at this point to
@@ -820,17 +816,10 @@ class RationalFunction:
     def is_real(self) -> bool:
         return self.num.is_real() and self.den.is_real()
 
-    def _coerce(self, x) -> "RationalFunction | None":
-        if isinstance(x, RationalFunction):
-            return x
-        if isinstance(x, (int, Fraction, GaussianRational)):
-            return RationalFunction.constant(x)
-        return None
-
     # -- arithmetic ------------------------------------------------------
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        o = RationalFunction.constant(other) if isinstance(other, _SCALARS) else other
+        if not isinstance(o, RationalFunction):
             return NotImplemented
         p1, q1, p2, q2 = self.num, self.den, o.num, o.den
         coprime = poly_gcd(q1, q2).degree == 0
@@ -839,16 +828,10 @@ class RationalFunction:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self + -other if isinstance(other, (RationalFunction, *_SCALARS)) else NotImplemented
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return -self + other
 
     def __neg__(self):
         return RationalFunction(-self.num, self.den, _reduced=True)
@@ -862,31 +845,28 @@ class RationalFunction:
         return RationalFunction(self.num.scale(c * d), self.den.scale(d), _reduced=True)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, _SCALARS):
             return self._scaled(other)
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, RationalFunction):
             return NotImplemented
-        (p1, q2), (p2, q1) = _cancel(self.num, o.den), _cancel(o.num, self.den)
+        (p1, q2), (p2, q1) = _cancel(self.num, other.den), _cancel(other.num, self.den)
         return RationalFunction(p1 * p2, q1 * q2, _reduced=True)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, _SCALARS):
             return self._scaled(GaussianRational(1) / other)  # raises for a zero scalar
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, RationalFunction):
             return NotImplemented
-        if o.num.is_zero():
+        if other.num.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return self * RationalFunction(o.den, o.num, _reduced=True)
+        return self * RationalFunction(other.den, other.num, _reduced=True)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, _SCALARS):
             return NotImplemented
-        return o / self
+        return RationalFunction.constant(other) / self
 
     def __pow__(self, k: int):
         if k < 0:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 
-from .algebra import GaussianRational, rf_eval, round_quotient
+from .algebra import rf_eval, round_quotient
 from .circular import DerivativePolynomial, _stirling_poly
 from .jets import nth_derivative, route
 from .polylog import chi_neg, ti_neg
@@ -84,7 +84,7 @@ def csch_derivative_eval(n: int, x: float) -> float:
     and times the exact 2 c_0/u^(n+1): its denominator is c_0 (1 - t^2)^(n+1), c_0 its constant
     term (+-1), read with u = U_n/U_d the double 1 - t^2 = -expm1(-2|x|), uncancelled.  The
     product v 2 c_0 U_d^(n+1)/(e U_n^(n+1)) is rounded once by ``int / int``."""
-    chi, t = chi_neg(n), GaussianRational(math.exp(-abs(x)))
+    chi, t = chi_neg(n), math.exp(-abs(x))
     (v, _, e), (un, ud) = chi.num.horner(t), (-math.expm1(-2 * abs(x))).as_integer_ratio()
     val = round_quotient(v * 2 * chi.den.re[0] * ud ** (n + 1), e * un ** (n + 1))
     return (-1) ** n * val if x > 0 else -val

@@ -212,6 +212,24 @@ MUTANTS = [
      "(a * q, b * q, c * p) if c > 0 else (-a * q, -b * q, -c * p)",
      "(a * q, b * q, c * p)",
      ["tests/test_algebra.py::test_strided_horner_is_the_naive_sum"]),
+    # each reflected subtraction delegating the wrong way round: other - self read as self - other
+    ("algebra.py",
+     "isinstance(other, _SCALARS) else NotImplemented\n\n    def __rsub__(self, other):\n        return -self + other",
+     "isinstance(other, _SCALARS) else NotImplemented\n\n    def __rsub__(self, other):\n        return self + -other",
+     ["tests/test_algebra.py::test_mixed_operands_equal_their_lifted_forms"]),
+    ("algebra.py",
+     "(RationalFunction, *_SCALARS)) else NotImplemented\n\n    def __rsub__(self, other):\n        return -self + other",
+     "(RationalFunction, *_SCALARS)) else NotImplemented\n\n    def __rsub__(self, other):\n        return self + -other",
+     ["tests/test_algebra.py::test_mixed_operands_equal_their_lifted_forms"]),
+    # the defining-series proof with its degree bound 2n + 2 lowered, so it no longer proves
+    ("polylog.py",
+     "_equals_series(chi_neg(n), lambda k: k % 2 * k ** n, 2 * n + 2)",
+     "_equals_series(chi_neg(n), lambda k: k % 2 * k ** n, 2 * n - 2)",
+     ["tests/test_polylog.py::test_a_form_that_fools_a_lowered_series_bound_is_refused"]),
+    ("polylog.py",
+     "(-1) ** (k // 2) * k ** n, 2 * n + 2)",
+     "(-1) ** (k // 2) * k ** n, n + 4)",
+     ["tests/test_polylog.py::test_a_form_that_fools_a_lowered_series_bound_is_refused"]),
     # the inverse lifts' radicands: arctanh's derivative read as 1/(1 + x^2), and arcsec's as
     # 1/sqrt(x^4 + x^2)
     ("jets.py",

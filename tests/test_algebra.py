@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 from fractions import Fraction
 from pathlib import Path
 
@@ -451,6 +452,25 @@ def test_powers_and_reflected_operators(f):
     else:
         assert f ** -2 * f * f == one
         assert (2 / f) * f == two
+
+
+@pytest.mark.parametrize("a", [GaussianRational(Fraction(1, 2), 3), RF([0, 1], [1, -1])])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+@pytest.mark.parametrize("bad", [1.5, "x"])
+def test_operators_refuse_a_float_or_str_on_either_side(a, op, bad):
+    with pytest.raises(TypeError):
+        op(a, bad)
+    with pytest.raises(TypeError):
+        op(bad, a)
+
+
+def test_mixed_operands_equal_their_lifted_forms():
+    # subtraction adds the negation, and a reflected operator lifts its scalar and delegates
+    f = RF([0, 1], [1, -1])
+    assert GaussianRational(2) - f == RationalFunction.constant(2) - f == RF([2, -3], [1, -1])
+    assert f - I == f + -I == RationalFunction(P(-I, GaussianRational(1, 1)), P(1, -1))
+    assert 3 / f == RationalFunction.constant(3) / f == RF([3, -3], [0, 1])
+    assert 1 - I == GaussianRational(1, -1)
 
 
 def test_rf_self_cancellation_and_division():
@@ -952,6 +972,13 @@ def horner_value(p: Polynomial, z: GaussianRational) -> GaussianRational:
     x, y, e = p.horner(z)
     assert e > 0
     return GaussianRational(Fraction(x, e), Fraction(y, e))
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, 0.5, 1e300, complex(0.3, -0.2)])
+def test_horner_reads_a_double_as_the_gaussian_rational_it_represents(x):
+    z = GaussianRational(Fraction(x.real), Fraction(x.imag))
+    for p in (chi_neg(5).num, li_neg(4).den, P(1, I, GaussianRational(2, -1))):
+        assert p.horner(x) == p.horner(z)
 
 
 def naive_sum(p: Polynomial, z: GaussianRational) -> GaussianRational:

@@ -1,7 +1,8 @@
 """Closed-form construction routes, their exact agreement, and their defining series."""
 
 import sys
-from math import comb
+from fractions import Fraction
+from math import comb, lcm
 
 import pytest
 
@@ -157,6 +158,56 @@ def test_defining_series_examples(monkeypatch):
         assert not defining_series_agree(5), name
         monkeypatch.undo()
     assert defining_series_agree(5)
+
+
+def null_space(rows, width):
+    """A basis of the rational null space of an integer matrix, by exact Gauss-Jordan elimination."""
+    rows, pivots = [[Fraction(x) for x in r] for r in rows], []
+    for c in range(width):
+        r = next((i for i in range(len(pivots), len(rows)) if rows[i][c]), None)
+        if r is None:
+            continue
+        k = len(pivots)
+        rows[k], rows[r] = rows[r], rows[k]
+        rows[k] = [x / rows[k][c] for x in rows[k]]
+        for i in range(len(rows)):
+            if i != k and rows[i][c]:
+                rows[i] = [a - rows[i][c] * b for a, b in zip(rows[i], rows[k])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(width) if c not in pivots):
+        v = [Fraction(0)] * width
+        v[free] = Fraction(1)
+        for k, c in enumerate(pivots):
+            v[c] = -rows[k][free]
+        basis.append(v)
+    return basis
+
+
+@pytest.mark.parametrize("name, coeff, lowered", [
+    ("chi_neg", lambda k: k % 2 * k ** 3, 2 * 3 - 2),
+    ("ti_neg", lambda k: k % 2 * (-1) ** (k // 2) * k ** 3, 3 + 4),
+])
+def test_a_form_that_fools_a_lowered_series_bound_is_refused(monkeypatch, name, coeff, lowered):
+    # at n = 3 the bound is d = 2n + 2 = 8, the degree of B = (1 -+ z^2)^4.  Forms p/q with deg p,
+    # deg q <= 8 that agree with the series through z^(8 + lowered) solve 9 + lowered linear
+    # conditions in 18 unknowns; the multiples of the true pair span one dimension of that null
+    # space and, as lowered < 8, it has more.  Any other vector is a wrong form that the lowered
+    # bound passes and the proof's bound refuses.
+    n, d = 3, 8
+    good = getattr(polylog, name)(n)
+    rows = [[-(i == j) for i in range(d + 1)] + [coeff(j - i) if i <= j else 0 for i in range(d + 1)]
+            for j in range(d + lowered + 1)]
+    forms = []
+    for v in null_space(rows, 2 * d + 2):
+        scale = lcm(*(x.denominator for x in v))
+        v = [int(x * scale) for x in v]
+        forms.append(RationalFunction(Polynomial(v[:d + 1]), Polynomial(v[d + 1:])))
+    wrong = next(f for f in forms if f != good)
+    assert polylog._equals_series(wrong, coeff, lowered)
+    assert not polylog._equals_series(wrong, coeff, 2 * n + 2)
+    monkeypatch.setattr(polylog, name, lambda n: wrong)
+    assert defining_series_agree(n) is False
 
 
 def test_closed_forms_equal_their_defining_series():
