@@ -211,6 +211,10 @@ class GaussianRational:
             Fraction(self.im * o.re - self.re * o.im) / n,
         )
 
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o / self
+
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
@@ -1018,11 +1022,6 @@ def require_real(f, label: str, n: int):
     if not f.is_real():
         raise ImaginaryResidueError(f"{label} n={n}: its exact form has non-real coefficients")
     return f
-
-
-def real_form(label: str):
-    """Declare build(n) a route's exact form: memoized per order, like ``li_neg``, and real."""
-    return lambda build: functools.cache(lambda n: require_real(build(n), label, n))
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ those polynomials are constructed two ways:
 
 csc has four routes, the fourth the Leibniz sum in ``ladder``, and sec three;
 ``verify core`` proves the forms of one function equal.  Each is an exact
-real rational function of t = tan(x/2), built once per order by its own
-construction (``algebra.real_form``), read at the double tan(x/2) by
-``rf_eval`` and rounded once.  Here, with w = exp(ix) = (1 + it)/(1 - it):
+real rational function of t = tan(x/2), built by its own construction.  A
+route is declared once, by that construction: ``_tan_half_route`` memoizes
+the form per order, checks it real, keeps it as the route's ``.form``, and
+reads it at the double tan(x/2) by ``rf_eval``, rounded once.  Here, with
+w = exp(ix) = (1 + it)/(1 - it):
 
 * the type-B Eulerian single sums 2 i^(n-1) chi_{-n}(w) for csc and
   2 i^n Ti_{-n}(w) for sec, and the polylogarithm differences i^(n-1)
@@ -36,7 +38,7 @@ import operator
 from collections import namedtuple
 
 from .algebra import (
-    I, Polynomial, RationalFunction, _poly, _vadd, evaluate_packed, real_form, require_real, rf_eval,
+    I, Polynomial, RationalFunction, _poly, _vadd, evaluate_packed, require_real, rf_eval,
     substitute,
 )
 from .combinatorics import factorial, stirling_power_sum
@@ -128,64 +130,63 @@ def derivative_poly_recurrence(target: str, n: int) -> DerivativePolynomial:
     return DerivativePolynomial(target, n, _poly(p, [0] * len(p)))
 
 
-_csc_single_sum = real_form("csc single-sum")(
-    lambda n: substitute(chi_neg(n) * (2 * I ** ((n - 1) % 4)), "half_angle"))
-_sec_single_sum = real_form("sec single-sum")(
-    lambda n: substitute(ti_neg(n) * (2 * I ** (n % 4)), "half_angle"))
-_csc_difference = real_form("csc polylog-difference")(
-    lambda n: substitute((li_neg(n) - substitute(li_neg(n), "negate_z")) * I ** ((n - 1) % 4), "half_angle"))
-_sec_difference = real_form("sec polylog-difference")(lambda n: substitute(substitute(
-    li_neg(n) - substitute(li_neg(n), "negate_z"), "i_times_z") * I ** ((n - 1) % 4), "half_angle"))
+def _tan_half_route(fn: str, label: str):
+    """Declare build(n), a route's exact form in t = tan(x/2), the route (n, x) -> float for
+    (d/dx)^n fn: the form memoized per order, like ``li_neg``, and real (ImaginaryResidueError
+    naming label and n if not), kept as ``.form``, and read at the double tan(x/2) by ``rf_eval``,
+    rounded once.  The route takes build's name and docstring, not its signature."""
+    def declare(build):
+        form = functools.cache(lambda n: require_real(build(n), label, n))
+
+        def body(n: int, x: float) -> float:
+            return rf_eval(form(n), math.tan(x / 2)).real
+        for attr in ("__module__", "__name__", "__qualname__", "__doc__"):
+            setattr(body, attr, getattr(build, attr))
+        evaluate = route(fn, label)(body)
+        evaluate.form = form
+        return evaluate
+    return declare
 
 
-@real_form("csc binomial")
-def _csc_binomial(n: int) -> RationalFunction:
-    """(P(t) - P(-1/t))/2^(n+1), P = ``tan_derivative_poly(n)``: csc x = (tan(x/2) + cot(x/2))/2
-    and P_cot(u) = -P(-u).  Over 2^(n+1) t^(n+1), t^(n+1) P(-1/t) is P turned by i^2 and
-    inverted at degree n + 1; at t = 0 only its term from P's leading coefficient, +-n!, is left:
-    the pair is coprime by construction."""
+@_tan_half_route("csc", "csc single-sum")
+def csc_derivative_eval(n: int) -> RationalFunction:
+    """(d/dx)^n csc x by the type-B Eulerian single sum, 2 i^(n-1) chi_{-n}(exp(ix))."""
+    return substitute(chi_neg(n) * (2 * I ** ((n - 1) % 4)), "half_angle")
+
+
+@_tan_half_route("csc", "csc polylog-difference")
+def csc_derivative_via_li(n: int) -> RationalFunction:
+    """(d/dx)^n csc x as i^(n-1) times the polylogarithm difference at exp(ix)."""
+    return substitute((li_neg(n) - substitute(li_neg(n), "negate_z")) * I ** ((n - 1) % 4), "half_angle")
+
+
+@_tan_half_route("csc", "csc binomial")
+def csc_derivative_binomial(n: int) -> RationalFunction:
+    """(d/dx)^n csc x by the half-angle binomial sum, the tan polynomial at tan(x/2) and -cot(x/2).
+
+    The form is (P(t) - P(-1/t))/2^(n+1), P = ``tan_derivative_poly(n)``, as P_cot(u) = -P(-u).
+    Over 2^(n+1) t^(n+1), t^(n+1) P(-1/t) is P turned by i^2 and inverted at degree n + 1; at
+    t = 0 only its term +-n! from P's leading coefficient is left: the pair is coprime."""
     p, shift = tan_derivative_poly(n).poly, Polynomial([0] * (n + 1) + [1])  # t^(n+1)
     return RationalFunction(p * shift - p.turn_arg(2).invert_arg(n + 1), shift * 2 ** (n + 1), _reduced=True)
 
 
-@real_form("sec binomial")
-def _sec_binomial(n: int) -> RationalFunction:
-    """The csc form a quarter period on, sec x = csc(x + pi/2): t goes to (1 + t)/(1 - t), the
-    ``"half_angle"`` map at -it, so the map is followed by z -> iz and z -> -z."""
-    return substitute(substitute(substitute(_csc_binomial(n), "half_angle"), "i_times_z"), "negate_z")
-
-
-@route("csc", "csc single-sum")
-def csc_derivative_eval(n: int, x: float) -> float:
-    """(d/dx)^n csc x by the type-B Eulerian single sum, 2 i^(n-1) chi_{-n}(exp(ix))."""
-    return rf_eval(_csc_single_sum(n), math.tan(x / 2)).real
-
-
-@route("csc", "csc polylog-difference")
-def csc_derivative_via_li(n: int, x: float) -> float:
-    """(d/dx)^n csc x as i^(n-1) times the polylogarithm difference at exp(ix)."""
-    return rf_eval(_csc_difference(n), math.tan(x / 2)).real
-
-
-@route("csc", "csc binomial")
-def csc_derivative_binomial(n: int, x: float) -> float:
-    """(d/dx)^n csc x by the half-angle binomial sum, the tan polynomial at tan(x/2) and -cot(x/2)."""
-    return rf_eval(_csc_binomial(n), math.tan(x / 2)).real
-
-
-@route("sec", "sec single-sum")
-def sec_derivative_eval(n: int, x: float) -> float:
+@_tan_half_route("sec", "sec single-sum")
+def sec_derivative_eval(n: int) -> RationalFunction:
     """(d/dx)^n sec x by the alternating type-B Eulerian single sum, 2 i^n Ti_{-n}(exp(ix))."""
-    return rf_eval(_sec_single_sum(n), math.tan(x / 2)).real
+    return substitute(ti_neg(n) * (2 * I ** (n % 4)), "half_angle")
 
 
-@route("sec", "sec polylog-difference")
-def sec_derivative_via_li(n: int, x: float) -> float:
+@_tan_half_route("sec", "sec polylog-difference")
+def sec_derivative_via_li(n: int) -> RationalFunction:
     """(d/dx)^n sec x as i^(n-1) times the polylogarithm difference at i*exp(ix)."""
-    return rf_eval(_sec_difference(n), math.tan(x / 2)).real
+    return substitute(substitute(li_neg(n) - substitute(li_neg(n), "negate_z"), "i_times_z")
+                      * I ** ((n - 1) % 4), "half_angle")
 
 
-@route("sec", "sec binomial")
-def sec_derivative_binomial(n: int, x: float) -> float:
-    """(d/dx)^n sec x by the csc binomial sum a quarter period on, at x + pi/2."""
-    return rf_eval(_sec_binomial(n), math.tan(x / 2)).real
+@_tan_half_route("sec", "sec binomial")
+def sec_derivative_binomial(n: int) -> RationalFunction:
+    """(d/dx)^n sec x by the csc binomial sum a quarter period on, at x + pi/2: t goes to
+    (1 + t)/(1 - t), the ``"half_angle"`` map at -it, so the map is followed by z -> iz and z -> -z."""
+    return substitute(substitute(substitute(csc_derivative_binomial.form(n), "half_angle"), "i_times_z"),
+                      "negate_z")

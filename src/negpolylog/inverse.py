@@ -71,11 +71,6 @@ class InverseIdentity(namedtuple("InverseIdentity", [
         return f"{side}[-n]({self.arg_tag}) = {sign}({self.operator_tag})^(n+1) {self.target}(x)"
 
 
-def _sgn_sqrt1p(x: float) -> float:
-    # x * sqrt(1 + x^-2), which equals sign(x) * sqrt(1 + x^2)
-    return x * math.sqrt(1.0 + x**-2)
-
-
 _REGISTRY = (
     InverseIdentity(
         "arctanh", "chi", "arctanh", "x", "x d/dx", 1,
@@ -100,7 +95,7 @@ _REGISTRY = (
     ),
     InverseIdentity(
         "arccsch", "chi", "arccsch", "1/(x sqrt(1+x^-2))", "-(x + 1/x) d/dx", 1,
-        lambda x: 1.0 / _sgn_sqrt1p(x), laurent_jet({1: -1.0, -1: -1.0}),
+        lambda x: 1.0 / (x * math.sqrt(1.0 + x**-2)), laurent_jet({1: -1.0, -1: -1.0}),
         "x != 0",
         (-2.5, -0.5, 0.5, 1.0, 2.0),
         "includes x < 0 to exercise x*sqrt(1+x^-2) = -sqrt(1+x^2); |x| >= 0.5 keeps |g| <= 0.9",

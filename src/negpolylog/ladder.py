@@ -19,19 +19,20 @@ Leibniz rule, giving a further csc-derivative evaluator
     (d/dx)^n csc x = 2 i^(n-1) exp(-ix) S_n(exp(2ix)),
 
 a cross-check on the circular-module routes (the summand order is -k,
-matching the Leibniz expansion term by term).  Like them, it is an exact real
-form in t = tan(x/2), 2 i^(n-1) S_n(w^2)/w at w = exp(ix), rounded once.
+matching the Leibniz expansion term by term).  Like them, it is declared by
+its exact real form in t = tan(x/2), 2 i^(n-1) S_n(w^2)/w at w = exp(ix),
+with ``circular._tan_half_route``, and rounded once.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from functools import cache
 
-from .algebra import I, Polynomial, RationalFunction, poly_exact_div, real_form, rf_eval, substitute
+from .algebra import I, Polynomial, RationalFunction, poly_exact_div, substitute
+from .algebra import rf_eval  # noqa: F401  (a binding perfbench's wrapping check traces)
+from .circular import _tan_half_route
 from .combinatorics import binomial
-from .jets import route
 from .polylog import chi_neg, li_neg, ti_neg
 
 __all__ = [
@@ -105,11 +106,7 @@ def verify_ladder_sec_variant(n: int) -> bool:
     return lhs == rhs
 
 
-_leibniz_form = real_form("csc leibniz")(
-    lambda n: substitute(_two_over_z_ladder(n) * I ** ((n - 1) % 4), "half_angle"))
-
-
-@route("csc", "csc leibniz")
-def leibniz_csc_route(n: int, x: float) -> float:
+@_tan_half_route("csc", "csc leibniz")
+def leibniz_csc_route(n: int) -> RationalFunction:
     """(d/dx)^n csc x from the Leibniz expansion of exp(-ix)(i + cot x)."""
-    return rf_eval(_leibniz_form(n), math.tan(x / 2)).real
+    return substitute(_two_over_z_ladder(n) * I ** ((n - 1) % 4), "half_angle")

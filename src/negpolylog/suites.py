@@ -73,10 +73,12 @@ def _core(n_max: int, tol: float, name: str | None) -> list[VerificationReport]:
             *((f"{target} polynomial vs recurrence", lambda target=target, build=build:
                build(n).poly == circular.derivative_poly_recurrence(target, n).poly)
               for target, build in DERIVATIVE_POLYS.items()),
-            ("csc route forms agree", lambda: len({circular._csc_single_sum(n), circular._csc_difference(n),
-                                                   circular._csc_binomial(n), ladder._leibniz_form(n)}) == 1),
-            ("sec route forms agree", lambda: len({circular._sec_single_sum(n), circular._sec_difference(n),
-                                                   circular._sec_binomial(n)}) == 1),
+            ("csc route forms agree", lambda: len({r.form(n) for r in (
+                circular.csc_derivative_eval, circular.csc_derivative_via_li,
+                circular.csc_derivative_binomial, ladder.leibniz_csc_route)}) == 1),
+            ("sec route forms agree", lambda: len({r.form(n) for r in (
+                circular.sec_derivative_eval, circular.sec_derivative_via_li,
+                circular.sec_derivative_binomial)}) == 1),
             ("generic operand", lambda: substitute(li_neg(n), "z_over_1_plus_z") == h == RationalFunction(
                 evaluate_packed(lambda x: stirling_power_sum(n, x, factorial),
                                 stirling_power_sum(n, 1, factorial), n + 2), Polynomial.one())),

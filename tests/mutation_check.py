@@ -78,10 +78,10 @@ MUTANTS = [
      ["tests/test_circular.py::test_csc_and_sec_routes_are_one_form_in_t"]),
     # a sec route form built at w instead of iw: its float route still passes trig, only core catches it
     ("circular.py",
-     '''lambda n: substitute(substitute(
-    li_neg(n) - substitute(li_neg(n), "negate_z"), "i_times_z") * I ** ((n - 1) % 4), "half_angle"))''',
-     '''lambda n: substitute(
-    (li_neg(n) - substitute(li_neg(n), "negate_z")) * I ** ((n - 1) % 4), "half_angle"))''',
+     '''return substitute(substitute(li_neg(n) - substitute(li_neg(n), "negate_z"), "i_times_z")
+                      * I ** ((n - 1) % 4), "half_angle")''',
+     '''return substitute((li_neg(n) - substitute(li_neg(n), "negate_z"))
+                      * I ** ((n - 1) % 4), "half_angle")''',
      ["tests/test_suites.py::test_exact_suites_pass"]),
     # the generic operand: the kind built on z/(1 - z), and the operator step without its (1 + u)
     ("algebra.py",
@@ -123,8 +123,9 @@ MUTANTS = [
     # the binomial routes: the sec form taken a quarter period backwards, and the csc sum's
     # P(-1/t) read as P(1/t)
     ("circular.py",
-     'substitute(substitute(substitute(_csc_binomial(n), "half_angle"), "i_times_z"), "negate_z")',
-     'substitute(substitute(_csc_binomial(n), "half_angle"), "i_times_z")',
+     '''substitute(substitute(substitute(csc_derivative_binomial.form(n), "half_angle"), "i_times_z"),
+                      "negate_z")''',
+     'substitute(substitute(csc_derivative_binomial.form(n), "half_angle"), "i_times_z")',
      ["tests/test_circular.py::test_sec_examples"]),
     ("circular.py",
      "p.turn_arg(2)",
@@ -135,15 +136,20 @@ MUTANTS = [
      "invert_arg(n + 1)",
      "invert_arg(n - 1)",
      ["tests/test_circular.py::test_csc_examples"]),
-    # a route declared without its point guard, and a route form memoized without its realness check
+    # a route declared without its point guard, a route form memoized without its realness check,
+    # and the one tan(x/2) route body read at tan(x)
     ("jets.py",
      "            check_point(fn, x)\n            return body(n, x)\n",
      "            return body(n, x)\n",
      ["tests/test_circular.py::test_singularity_guards"]),
-    ("algebra.py",
+    ("circular.py",
      "functools.cache(lambda n: require_real(build(n), label, n))",
      "functools.cache(lambda n: build(n))",
      ["tests/test_circular.py::test_a_non_real_route_form_raises_naming_its_route_and_order"]),
+    ("circular.py",
+     "math.tan(x / 2)",
+     "math.tan(x)",
+     ["tests/test_circular.py"]),
     # a step coefficient of the Eulerian triangle, the type-B step at the 1-based index, and Ti's
     # binomial row built with chi's signs
     ("combinatorics.py",

@@ -471,6 +471,9 @@ def test_mixed_operands_equal_their_lifted_forms():
     assert f - I == f + -I == RationalFunction(P(-I, GaussianRational(1, 1)), P(1, -1))
     assert 3 / f == RationalFunction.constant(3) / f == RF([3, -3], [0, 1])
     assert 1 - I == GaussianRational(1, -1)
+    assert 1 / I == -I and Fraction(1, 2) / GaussianRational(3) == GaussianRational(Fraction(1, 6))
+    with pytest.raises(ZeroDivisionError):
+        1 / GaussianRational(0)
 
 
 def test_rf_self_cancellation_and_division():

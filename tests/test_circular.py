@@ -238,12 +238,12 @@ def test_a_non_real_route_form_raises_naming_its_route_and_order(monkeypatch):
     # 2 i^(n-1) Ti(w) in place of 2 i^(n-1) chi(w) is -i times sec's real form in t; forms are
     # memoized, so the cache is cleared around the build
     monkeypatch.setattr(circular, "chi_neg", ti_neg)
-    circular._csc_single_sum.cache_clear()
+    csc_derivative_eval.form.cache_clear()
     try:
         with pytest.raises(ImaginaryResidueError, match=r"^csc single-sum n=5: its exact form has non-real"):
             csc_derivative_eval(5, 1.0)
     finally:
-        circular._csc_single_sum.cache_clear()
+        csc_derivative_eval.form.cache_clear()
 
 
 # Each route's own formula, done exactly at w = exp(ix) = (1 + it)/(1 - it) for the double
@@ -341,9 +341,8 @@ def test_csc_and_sec_routes_are_one_form_in_t():
     # every route is built by its own construction; the forms in t = tan(x/2) are equal canonical
     # forms, so the routes agree exactly at every t
     for n in range(25):
-        csc = {circular._csc_single_sum(n), circular._csc_difference(n), circular._csc_binomial(n),
-               ladder._leibniz_form(n)}
-        sec = {circular._sec_single_sum(n), circular._sec_difference(n), circular._sec_binomial(n)}
+        csc = {r.form(n) for r in (*CSC_ROUTES, ladder.leibniz_csc_route)}
+        sec = {r.form(n) for r in SEC_ROUTES}
         assert len(csc) == 1 and len(sec) == 1, n
         (f,), (g,) = csc, sec
         assert f.is_real() and g.is_real() and f != g

@@ -1,10 +1,13 @@
 """The verification-suite registry used by ``negpolylog verify``."""
 
+import inspect
 import math
+import sys
 
 import pytest
 
 from negpolylog import circular, hyperbolic, ladder, suites
+from negpolylog.algebra import rf_eval
 from negpolylog.cli import main
 from negpolylog.errors import ImaginaryResidueError, PoleError
 from negpolylog.jets import FUNCTION_IDS, route
@@ -54,7 +57,7 @@ def test_a_raising_exact_check_fails_only_its_report(monkeypatch, capsys):
     def broken(n):
         raise ImaginaryResidueError("residue")
 
-    monkeypatch.setattr(circular, "_csc_difference", broken)
+    monkeypatch.setattr(circular.csc_derivative_via_li, "form", broken)
     reports = run_suite("core", 1)
     assert len(reports) == 28
     failed = [r for r in reports if not r.passed]
@@ -152,7 +155,16 @@ def test_each_route_is_declared_with_its_jet_and_label():
     assert len({r.__name__ for r in ROUTES}) == 9
     for r in ROUTES:
         assert r.fn in FUNCTION_IDS and r.label.split()[0] == r.fn, r.__name__
+        assert [*inspect.signature(r).parameters] == ["n", "x"], r.__name__
+        assert getattr(sys.modules[r.__module__], r.__name__) is r
     assert len({r.label for r in ROUTES}) == 9
+    assert len({r.__doc__ for r in ROUTES}) == 9 and all(r.__doc__ for r in ROUTES)
+    # the seven csc/sec routes are each one exact form in t = tan(x/2), memoized, rounded once
+    for r in ROUTES[:7]:
+        for n, x in ((0, 0.3), (5, 1.4), (12, 2.8), (7, -0.4)):
+            assert r.form(n) is r.form(n), (r.__name__, n)
+            got = r(n, x)
+            assert got == rf_eval(r.form(n), math.tan(x / 2)).real and isinstance(got, float), (r.__name__, n, x)
 
 
 def test_numeric_suites_keep_their_identities_in_order():
