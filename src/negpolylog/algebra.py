@@ -28,17 +28,20 @@ part is packed into one integer, sum c[k] * 2**(w*k), with w a multiple of 8
 and w >= bitlen(B) + 2, B = max|a| * max|b| * min(len a, len b), max|a|
 being the largest absolute real or imaginary part of a.  A slot of the
 product's real or imaginary part sums at most min(len a, len b) terms of one
-or two part products, so its absolute value is at most 2B < 2**(w - 1): it
-fits in w signed bits and cannot spill into its neighbour.  Unpacking reads
-each slot as a signed w-bit integer and adds back the 1 that a negative slot
-borrowed from the one above it.  A real product costs one big-integer
-product, a Gaussian one three (Karatsuba's trick on the parts).  A sum of
-products, such as the numerator p1 q2 + p2 q1 of a sum, is one packed sum:
-B is the sum of the pairs' bounds, for the real and the imaginary part
-alike, each operand is packed once and each part unpacked once.  A pair
-whose shorter operand has at most ``_SCHOOLBOOK_MAX`` coefficients is
-multiplied row by row instead, which is faster there.  A whole sum of integer
-polynomials is evaluated once at x = 2**w and read back the same way
+or two part products, so its absolute value is at most 2B < 2**(w - 1), and
+the biased slot c + 2**(w - 1) lies in [0, 2**w): it cannot spill into its
+neighbour.  Packing writes each biased slot unsigned and subtracts the bias
+once; unpacking adds it once, reads each slot unsigned and subtracts
+2**(w - 1) from it.  A real product costs one big-integer product, a
+Gaussian one three (Karatsuba's trick on the parts).  A sum of products,
+such as the numerator p1 q2 + p2 q1 of a sum, is one packed sum: B is the
+sum of the pairs' bounds, for the real and the imaginary part alike, each
+operand is packed once and each part unpacked once.  A pair whose shorter
+operand has at most ``_SCHOOLBOOK_MAX`` coefficients is multiplied row by
+row instead, which is faster there, into the one buffer that the packed sum
+is added to.  The product kernels take integer parts (re, im), so the steps
+of ``z_ddz`` build no polynomial.  A whole sum of integer polynomials is
+evaluated once at x = 2**w and read back the same way
 (:func:`evaluate_packed`).  Its bound is the sum evaluated on the coefficient
 1-norms (sum |c[k]|, subadditive and submultiplicative) of its polynomials
 and the absolute values of its scalars.
@@ -77,8 +80,7 @@ inputs.  Each place that skips one rests on a proof:
   common factors of p and q, that is none;
 * ``z_ddz``: each step's pair is coprime but for one factor z, which it
   removes when q(0) = 0, and one gcd serves all n steps; the denominator
-  q r^n (over z^n when q(0) = 0) is formed once, after them (proof in its
-  docstring);
+  q r^n (over z^n when q(0) = 0) is formed once (proof in its docstring);
 * the argument transforms of ``substitute`` map a coprime pair to a
   coprime pair.
 
@@ -108,8 +110,10 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import operator
+import struct
 import weakref
 from fractions import Fraction
 
@@ -418,7 +422,7 @@ class Polynomial:
             if isinstance(other, _SCALARS):
                 return self.scale(other)
             return NotImplemented
-        return _raw(*_products([(self, other)]))
+        return _raw(*_products([((self.re, self.im), (other.re, other.im))]))
 
     __rmul__ = __mul__
 
@@ -557,45 +561,49 @@ _SCHOOLBOOK_MAX = 8
 
 
 def _products(pairs) -> tuple[list, list]:
-    """Parts of the sum of a*b over pairs (a, b) of polynomials: by rows where the shorter
-    operand is short, the other pairs as one packed sum; a zero operand adds nothing."""
+    """Parts of the sum of a*b over pairs (a, b) of integer parts (re, im): the pairs whose shorter
+    operand has at most ``_SCHOOLBOOK_MAX`` coefficients by rows into one buffer, and the packed
+    sum of the others added to it once; a zero operand adds nothing."""
     rows, packed = [], []
     for a, b in pairs:
-        a, b = (a, b) if len(a.re) <= len(b.re) else (b, a)
-        if len(a.re) > _SCHOOLBOOK_MAX:
+        a, b = (a, b) if len(a[0]) <= len(b[0]) else (b, a)
+        if len(a[0]) > _SCHOOLBOOK_MAX:
             packed.append((a, b))
-        elif a.re:
-            rows.append(_rows(a.re, a.im, b.re, b.im))
+        elif a[0]:
+            rows.append((a, b))
+    if not rows:
+        return _kronecker(packed) if packed else ([], [])
+    n = max(len(a[0]) + len(b[0]) for a, b in rows + packed) - 1
+    re, im = [0] * n, [0] * n
+    for a, b in rows:
+        _rows(re, im, a, b)
     if packed:
-        rows.append(_kronecker(packed))
-    if len(rows) == 1:
-        return rows[0]
-    re, im = [r for r, _ in rows], [i for _, i in rows]
-    return functools.reduce(_vadd, re, ()), functools.reduce(_vadd, im, ())
-
-
-def _rows(ar, ai, br, bi) -> tuple[list, list]:
-    """Schoolbook product: b times each nonzero coefficient of a, added in place."""
-    re, im = [0] * (len(ar) + len(br) - 1), [0] * (len(ar) + len(br) - 1)
-    gauss = any(ai) or any(bi)
-    for k, t in enumerate(zip(ar, ai)):
-        if t[0] or t[1]:
-            _eliminate(re, im, k, (-t[0], -t[1]), (br, bi), gauss)
+        kr, ki = _kronecker(packed)
+        re[:len(kr)], im[:len(ki)] = map(operator.add, re, kr), map(operator.add, im, ki)
     return re, im
 
 
+def _rows(re, im, a, b):
+    """re + i*im += a*b in place, for parts a and b: b times each nonzero coefficient of a."""
+    gauss = any(a[1]) or any(b[1])
+    for k, t in enumerate(zip(*a)):
+        if t[0] or t[1]:
+            _eliminate(re, im, k, (-t[0], -t[1]), b, gauss)
+
+
 def _kronecker(pairs) -> tuple[list, list]:
-    """Packed sum of products over pairs of nonzero polynomials: each operand packed once, one
+    """Packed sum of products over pairs of nonzero parts: each operand packed once, one
     big-integer product a pair if both are real, three (Karatsuba) if not, one unpack a part."""
-    n = max(len(a.re) + len(b.re) for a, b in pairs) - 1
-    nb = _slot_bytes(sum(max(map(abs, a.re + a.im)) * max(map(abs, b.re + b.im)) * min(len(a.re), len(b.re))
+    n = max(len(a[0]) + len(b[0]) for a, b in pairs) - 1
+    nb = _slot_bytes(sum(max(map(abs, a[0] + a[1])) * max(map(abs, b[0] + b[1])) * min(len(a[0]), len(b[0]))
                          for a, b in pairs))
-    ones = int.from_bytes((b"\x01" + bytes(nb - 1)) * n, "little")
     re = im = 0
-    for a, b in pairs:
-        pa, pb = _pack(a.re, nb, ones), _pack(b.re, nb, ones)
-        if any(a.im) or any(b.im):
-            qa, qb = _pack(a.im, nb, ones), _pack(b.im, nb, ones)
+    bias = _bias(nb, n)
+    for (ar, ai), (br, bi) in pairs:
+        ba, bb = bias >> (8 * nb * (n - len(ar))), bias >> (8 * nb * (n - len(br)))
+        pa, pb = _pack(ar, nb, ba), _pack(br, nb, bb)
+        if any(ai) or any(bi):
+            qa, qb = _pack(ai, nb, ba), _pack(bi, nb, bb)
             rr, ii = pa * pb, qa * qb
             re, im = re + rr - ii, im + (pa + qa) * (pb + qb) - rr - ii
         else:
@@ -614,23 +622,25 @@ def evaluate_packed(expr, bound: int, length: int) -> Polynomial:
     return _poly(_unpack(expr(1 << (8 * nb)), nb, length), [0] * length)
 
 
-def _pack(v, nb: int, ones: int) -> int:
-    """sum v[k] * 2**(8*nb*k) for ints |v[k]| < 2**(8*nb - 1); ``ones`` marks every slot.
+def _bias(nb: int, n: int) -> int:
+    """2**(8*nb - 1) in each of n >= 1 slots of 8*nb bits; its top slot alone is that bias."""
+    return int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
 
-    A negative v[k], written in two's complement, reads as v[k] + 2**w: its
-    sign bit finds it, and the carry it adds to slot k + 1 is taken back.
-    """
-    w = 8 * nb
-    u = int.from_bytes(b"".join([x.to_bytes(nb, "little", signed=True) for x in v]), "little")
-    return u - (((u >> (w - 1)) & ones) << w)
+
+def _pack(v, nb: int, bias: int) -> int:
+    """sum v[k] * 2**(8*nb*k) for ints |v[k]| < 2**(8*nb - 1), given ``bias`` = _bias(nb, len(v)):
+    each slot written unsigned as v[k] plus the bias, in [0, 2**(8*nb)), and the bias subtracted once."""
+    half = bias >> (8 * nb * (len(v) - 1))
+    return int.from_bytes(b"".join([(x + half).to_bytes(nb, "little") for x in v]), "little") - bias
 
 
 def _unpack(x: int, nb: int, n: int) -> list:
-    """The n slots c[k] of x = sum c[k] * 2**(8*nb*k), for |c[k]| < 2**(8*nb - 1)."""
-    b = x.to_bytes(n * nb, "little", signed=True)
-    s = [int.from_bytes(b[i:i + nb], "little", signed=True) for i in range(0, n * nb, nb)]
-    # a negative slot borrowed 1 from the slot above it
-    return [s[0], *[c + (lo < 0) for c, lo in zip(s[1:], s)]]
+    """The n >= 1 slots c[k] of x = sum c[k] * 2**(8*nb*k), for |c[k]| < 2**(8*nb - 1): the bias
+    added once makes every slot c[k] plus the bias, read unsigned."""
+    bias = _bias(nb, n)
+    slots = struct.unpack(f"{nb}s" * n, (x + bias).to_bytes(n * nb, "little"))
+    half = bias >> (8 * nb * (n - 1))
+    return [c - half for c in map(int.from_bytes, slots, itertools.repeat("little"))]
 
 
 # -- content, gcd and exact division -------------------------------------------
@@ -687,7 +697,7 @@ def _pairs_pseudo_rem(a, b):
         if t[0] or t[1]:
             # r <- lc(b) * r - t * z**k * b clears coefficient db + k
             if (lr, li) != (1, 0):
-                rr, ri = _rows((lr,), (li,), rr, ri)
+                rr, ri = _products([(((lr,), (li,)), (rr, ri))])
             _eliminate(rr, ri, k, t, b, gauss)
     del rr[db:], ri[db:]
     while rr and not rr[-1] and not ri[-1]:
@@ -827,7 +837,8 @@ class RationalFunction:
             return NotImplemented
         p1, q1, p2, q2 = self.num, self.den, o.num, o.den
         coprime = poly_gcd(q1, q2).degree == 0
-        return RationalFunction(_poly(*_products([(p1, q2), (p2, q1)])), q1 * q2, _reduced=coprime)
+        num = _products([((p1.re, p1.im), (q2.re, q2.im)), ((p2.re, p2.im), (q1.re, q1.im))])
+        return RationalFunction(_poly(*num), q1 * q2, _reduced=coprime)
 
     __radd__ = __add__
 
@@ -911,10 +922,13 @@ def z_ddz(f: RationalFunction, n: int = 1) -> RationalFunction:
     q1 = q r, or q r / z, has the roots of q and no other, so its radical is
     still r, and q1'/q1 = q'/q + r'/r (- 1/z when z | q) = (v + r' (- r/z))/r:
     the carry v <- v + r' (- r/z) gives q1'/q1 = v/r again with no gcd or
-    division.  A step reads q only through v, so the loop carries p and v
-    alone: after k steps the denominator is q r^k, or q r^k / z^k when z | q
-    (z divides r, so z^k divides r^k), and it is formed once, after the n
-    steps, by repeated squaring.  N = p' r - p v is one sum of products.
+    division.  A step reads q only through v, so the loop carries p and -v
+    alone, as integer parts: after k steps the denominator is q r^k, or
+    q r^k / z^k when z | q (z divides r, so z^k divides r^k), and it is
+    formed once, by repeated squaring.  N = p' r - p v is one sum of
+    products, and z N = p' (z r) + p (-z v): when z does not divide q, the
+    factor z is one slot of offset on r, on -v and on the carry's r', put
+    there once before the loop.  One polynomial is built, after the n steps.
     Each step's pair is coprime, so the last one needs only its content and
     sector normalized.  n = 0 returns f; n < 0 raises ValueError.
     """
@@ -930,15 +944,17 @@ def z_ddz(f: RationalFunction, n: int = 1) -> RationalFunction:
     dr = r.derivative()
     if shift:
         dr -= _raw(r.re[1:], r.im[1:])  # r/z
-    for _ in range(n):
-        p = _poly(*_products([(p.derivative(), r), (p, -v)]))
-        if not shift:
-            p = _poly((0, *p.re), (0, *p.im))
-        v = v + dr
     q = _power(r, n, q)
     if shift:
         q = _raw(q.re[n:], q.im[n:])
-    return RationalFunction(p, q, _reduced=True)
+    o = () if shift else (0,)  # z N = p' (z r) + p (-z v): the factor z as one slot of offset
+    r, nv, ndr = ([(*o, *x.re), (*o, *x.im)] for x in (r, -v, -dr))
+    p = p.re, p.im
+    for _ in range(n):
+        dp = [[*map(operator.mul, range(1, len(x)), x[1:])] for x in p]
+        p = _products([(dp, r), (p, nv)])
+        nv = _vadd(nv[0], ndr[0]), _vadd(nv[1], ndr[1])
+    return RationalFunction(_poly(*p), q, _reduced=True)
 
 
 _SUBSTITUTIONS = {

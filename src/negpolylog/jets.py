@@ -277,12 +277,11 @@ def laurent_jet(terms: dict[int, float]):
         for p, c in sorted(terms.items()):
             if p == 0:
                 acc = acc + Jet.constant(c, x0, order)
-            elif p > 0:
-                acc = acc + x**p * c
             else:
-                if recip is None:
+                if p < 0 and recip is None:
                     recip = x.reciprocal()
-                acc = acc + recip ** (-p) * c
+                term = x**p if p > 0 else recip ** (-p)
+                acc = acc + (term if c == 1 else term * c)  # x * 1.0 is x for every double
         return acc
 
     return build
@@ -290,13 +289,20 @@ def laurent_jet(terms: dict[int, float]):
 
 def _inverse(terms: dict[int, float], root: bool, sign: int, value):
     """Builder for F with F' = sign/Q or sign/sqrt(Q), Q = sum c_p x^p: Q's jet through order
-    n - 1, one square root or none, one division, and the integral from F(x0) = value(x0)."""
+    n - 1, one square root or none, one division, and the integral from F(x0) = value(x0).
+
+    A square-root row whose Q's jet overflows raises DomainError: 1/sqrt(inf) would read a
+    true value near 1/|x|^2 or 1/|x| as 0.  A rational row keeps its 0, as 1/Q then lies below
+    the normal range."""
     q = laurent_jet(terms)
 
     def build(x0, n):
         if n == 0:
             return _jet(x0, (value(x0),))
-        d = (q(x0, n - 1).sqrt() if root else q(x0, n - 1)).reciprocal()
+        d = q(x0, n - 1)
+        if root and not all(map(math.isfinite, d.coeffs)):
+            raise DomainError(f"the radicand's jet at {x0} is beyond double range")
+        d = (d.sqrt() if root else d).reciprocal()
         return (d if sign > 0 else -d).integrate(value(x0))
 
     return build

@@ -50,9 +50,15 @@ MUTANTS = [
      '    if any(rr) or any(ri):\n        raise ArithmeticError("polynomial division was not exact")\n',
      "",
      ["tests/test_algebra.py::test_exact_division_by_unit_and_non_unit_leads"]),
+    # the biased slots: each slot read without its bias subtracted, and the bias taken as 2**(w - 2),
+    # which only slots below -2**(w - 2) see
     ("algebra.py",
-     "    return [s[0], *[c + (lo < 0) for c, lo in zip(s[1:], s)]]",
-     "    return s",
+     '    return [c - half for c in map(int.from_bytes, slots, itertools.repeat("little"))]',
+     '    return [*map(int.from_bytes, slots, itertools.repeat("little"))]',
+     ["tests/test_algebra.py::test_unpack_reads_every_slot_at_the_signed_extremes"]),
+    ("algebra.py",
+     r'(bytes(nb - 1) + b"\x80")',
+     r'(bytes(nb - 1) + b"\x40")',
      ["tests/test_algebra.py::test_unpack_reads_every_slot_at_the_signed_extremes"]),
     ("algebra.py",
      "        return self.num == other.num and self.den == other.den",
@@ -92,15 +98,20 @@ MUTANTS = [
      "        h = (u + 1) * z_ddz(h)\n",
      "        h = z_ddz(h)\n",
      ["tests/test_suites.py::test_exact_suites_pass"]),
-    # the carry of z_ddz(f, n): v without r', and the z | q step without its -r/z term
+    # the carry of z_ddz(f, n): -v without r', the z | q step without its -r/z term, and the
+    # factor z of a step where z does not divide q dropped from its offset
     ("algebra.py",
-     "        v = v + dr\n",
-     "        v = v\n",
+     "        nv = _vadd(nv[0], ndr[0]), _vadd(nv[1], ndr[1])\n",
+     "        nv = nv\n",
      ["tests/test_algebra.py::test_z_ddz_count_equals_repeated_single_steps"]),
     ("algebra.py",
      "        dr -= _raw(r.re[1:], r.im[1:])  # r/z\n",
      "        pass\n",
      ["tests/test_algebra.py::test_z_ddz_count_equals_repeated_single_steps"]),
+    ("algebra.py",
+     "    o = () if shift else (0,)",
+     "    o = ()",
+     ["tests/test_algebra.py::test_z_ddz_examples"]),
     # the denominator of z_ddz(f, n) formed as q r^(n-1), and the packed sum's slot width bounded
     # by its first product alone
     ("algebra.py",
@@ -111,6 +122,11 @@ MUTANTS = [
      "                         for a, b in pairs))",
      "                         for a, b in pairs[:1]))",
      ["tests/test_algebra.py::test_packed_sum_of_products_matches_two_products"]),
+    # a short pair's rows accumulated into the product buffer one slot too high
+    ("algebra.py",
+     "            _eliminate(re, im, k, (-t[0], -t[1]), b, gauss)",
+     "            _eliminate(re, im, k + 1, (-t[0], -t[1]), b, gauss)",
+     ["tests/test_algebra.py::test_three_pair_products_match_summed_schoolbook_products"]),
     # the gcd-and-divide step that cancels never dividing, and the Stirling base built on v + sign
     ("algebra.py",
      "    return (a, b) if g.degree == 0 else (poly_exact_div(a, g), poly_exact_div(b, g))\n",

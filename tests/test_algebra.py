@@ -149,6 +149,10 @@ def _gauss_poly(pairs):
     return Polynomial([GaussianRational(x, y) for x, y in pairs])
 
 
+def _re_im(p):
+    return p.re, p.im
+
+
 def _schoolbook(a, b):
     """Reference product of two lists of (re, im) integer pairs."""
     out = [(0, 0)] * (len(a) + len(b) - 1)
@@ -180,9 +184,12 @@ def test_packed_product_matches_schoolbook(a, b, a_real, b_real):
     b = [(x, 0) for x, _ in b] if b_real else b
     assume(any(x or y for x, y in a) and any(x or y for x, y in b))  # zero never reaches a product
     want = _schoolbook(a, b)
-    assert list(zip(*algebra._rows(*zip(*a), *zip(*b)))) == want
-    # the vectors as drawn, trailing zeros kept, for the one-pair packed sum and its dispatcher
-    pair = (algebra._raw(*zip(*a)), algebra._raw(*zip(*b)))
+    # the parts as drawn, trailing zeros kept, for the rows, the one-pair packed sum and their
+    # dispatcher
+    pair = (tuple(zip(*a)), tuple(zip(*b)))
+    re, im = [0] * len(want), [0] * len(want)
+    algebra._rows(re, im, *pair)
+    assert list(zip(re, im)) == want
     for product in (algebra._kronecker, algebra._products):
         re, im = product([pair])
         assert list(zip(re, im)) == want, product.__name__
@@ -202,14 +209,29 @@ _M, _K, _K2 = 2**29 - 1, 2**15, 2**29 + 16
 @example([(_M, _M)] * 16, [(_M, -_M)] * 16, [(_K, _K)] * 16, [(_K, -_K)] * 16)
 @example([(_M, 0)] * 16, [(_M, 0)] * 16, [(_K2, 0)] * 16, [(_K2, 0)] * 16)
 @example([(_M, 0)] * 16, [(_M, 0)] * 16, [], [(_K2, 0)] * 16)  # a zero operand drops its pair
+# a short pair by rows and a packed pair in one call, the rows' product the longer of the two in
+# the first example and the shorter in the second
+@example([(3, -1)] * 4, [(_M, _M)] * 30, [(_M, 0)] * 16, [(_K2, 0)] * 16)
+@example([(_M, 0)] * 16, [(-_M, _M)] * 16, [(1, 0), (0, -1)], [(_K, 0)] * 9)
 def test_packed_sum_of_products_matches_two_products(a, b, c, d):
     # the one packed sum p1 q2 + p2 q1 of RationalFunction.__add__, against two products added
     pa, pb, pc, pd = map(_gauss_poly, (a, b, c, d))
     want = pa * pb + pc * pd
-    assert algebra._poly(*algebra._products([(pa, pb), (pc, pd)])) == want
-    pairs = [(x, y) for x, y in ((pa, pb), (pc, pd)) if not x.is_zero() and not y.is_zero()]
+    assert algebra._poly(*algebra._products([(_re_im(pa), _re_im(pb)), (_re_im(pc), _re_im(pd))])) == want
+    pairs = [(_re_im(x), _re_im(y)) for x, y in ((pa, pb), (pc, pd)) if not x.is_zero() and not y.is_zero()]
     if pairs:
         assert algebra._poly(*algebra._kronecker(pairs)) == want
+
+
+@given(_operands, _operands, _operands, _operands, _operands, _operands)
+@settings(max_examples=200)
+# two short pairs by rows into the buffer and a packed pair added to it, Gaussian and real mixed
+@example([(1, -2)] * 3, [(_M, _M)] * 20, [(_K, 0)] * 8, [(-_K, 0)] * 12, [(_M, 1)] * 16, [(2, _K)] * 11)
+def test_three_pair_products_match_summed_schoolbook_products(a, b, c, d, e, f):
+    pairs = [(a, b), (c, d), (e, f)]
+    want = sum((_gauss_poly(_schoolbook(x, y)) for x, y in pairs if x and y), Polynomial.zero())
+    got = algebra._products([(tuple(zip(*x)) or ((), ()), tuple(zip(*y)) or ((), ())) for x, y in pairs])
+    assert algebra._poly(*got) == want
 
 
 @st.composite
@@ -242,9 +264,8 @@ def test_evaluate_packed_recovers_bounded_vectors(case):
 def test_unpack_reads_every_slot_at_the_signed_extremes():
     for nb in (1, 2, 5):
         top = 2 ** (8 * nb - 1) - 1  # the largest |slot| the width admits
-        ones = int.from_bytes((b"\x01" + bytes(nb - 1)) * 4, "little")
         for v in itertools.product((top, -top, -1, 0, 1), repeat=4):
-            assert algebra._unpack(algebra._pack(v, nb, ones), nb, 4) == list(v)
+            assert algebra._unpack(algebra._pack(v, nb, algebra._bias(nb, 4)), nb, 4) == list(v)
 
 
 # -- gcd: coprimality certificate at a point and PRS fallback -------------
@@ -814,6 +835,11 @@ Z = Polynomial.variable()
 @example(P(1, I), P(2), P(-I, 1), 2, 0)  # the repeated Gaussian root i, q(0) != 0
 @example(P(3, 0, I), P(1, 1), P(1, -1), 3, 1)  # q(0) = 0 at a simple root
 @example(P(1, 2), P(1), P(1, -1), 2, 2)  # q(0) = 0 at a double root
+# radicals longer than _SCHOOLBOOK_MAX: a Gaussian one with both pairs of the step packed, one
+# with a short pair by rows and a packed pair in one call, and one with z | q
+@example(P(*range(1, 12)), P(2, I, 0, 0, 0, 0, 0, 0, 1), P(1, -1), 2, 0)
+@example(P(*range(1, 10)), P(3, 0, 0, 0, 0, 0, 0, 1), P(1, I), 1, 0)
+@example(P(*range(1, 12)), P(1, 0, 0, 0, 0, 0, 0, 0, 0, -1), P(3, 1), 1, 1)
 @settings(max_examples=150)
 def test_z_ddz_matches_the_full_gcd_quotient_rule(num, base, h, k, j):
     # q = base * h^k * z^j: Gaussian coefficients, repeated roots, q(0) = 0, constant q
@@ -834,6 +860,9 @@ def test_z_ddz_matches_the_full_gcd_quotient_rule(num, base, h, k, j):
 # q r^n formed once after 64 steps: shifted by z^64 when z | q, and a Gaussian radical z - i
 @example(P(1, 1), P(1), P(1, -1), 1, 1, 64)
 @example(P(1), P(2), P(-I, 1), 2, 0, 64)
+# radicals longer than _SCHOOLBOOK_MAX, so the steps run packed: a Gaussian one, and one with z | q
+@example(P(1), P(2, I, 0, 0, 0, 0, 0, 0, 1), P(1, -1), 2, 0, 4)
+@example(P(1, 2), P(1, 0, 0, 0, 0, 0, 0, 0, 0, -1), P(3, 1), 1, 1, 4)
 @settings(max_examples=100)
 def test_z_ddz_count_equals_repeated_single_steps(num, base, h, k, j, n):
     # the carry of z_ddz(f, n) against n single steps, each with its own gcd; a single

@@ -176,6 +176,23 @@ def test_hyperbolic_jets_beyond_double_range():
     assert nth_derivative("coth", -1.01e-6, 64) == -math.inf
 
 
+@pytest.mark.parametrize("fn, x", [
+    ("arcsec", 1e80), ("arccsc", 1.2e77), ("arccsch", -1.2e77),  # x^4 overflows
+    ("arcsinh", 1e200), ("arccosh", 1.4e154),  # x^2 overflows
+])
+def test_square_root_inverse_lifts_refuse_an_overflowed_radicand(fn, x):
+    # 1/sqrt(inf) would read a true derivative near 1/x^2 or 1/|x| as 0.0
+    with pytest.raises(DomainError, match="beyond double range"):
+        nth_derivative(fn, x, 1)
+
+
+def test_square_root_inverse_lifts_below_the_overflow_keep_their_value():
+    assert nth_derivative("arcsec", 1e70, 1) == pytest.approx(1e-140, rel=1e-15)
+    assert nth_derivative("arcsinh", 1e150, 1) == pytest.approx(1e-150, rel=1e-15)
+    # a rational row keeps its 0: 1/Q lies below the normal range once Q overflows
+    assert nth_derivative("arctan", 1e200, 1) == 0.0
+
+
 def test_laurent_jet_negative_powers():
     a = laurent_jet({1: -1.0, -1: -1.0})  # -(x + 1/x)
     j = a(2.0, 4)
