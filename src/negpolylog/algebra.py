@@ -82,7 +82,11 @@ inputs.  Each place that skips one rests on a proof:
   removes when q(0) = 0, and one gcd serves all n steps; the denominator
   q r^n (over z^n when q(0) = 0) is formed once (proof in its docstring);
 * the argument transforms of ``substitute`` map a coprime pair to a
-  coprime pair.
+  coprime pair;
+* an odd part (f(z) - f(-z))/2 = O(M)/D, M = p(z) q(-z) and D = q(z) q(-z),
+  when gcd(q, q(-z)) is a unit: at a root a of q, O(M)(a) = p(a) q(-a)/2 != 0,
+  and at a root b of q(-z), O(M)(b) = -p(-b) q(b)/2 != 0; any other odd part
+  takes the full gcd.
 
 Every value of a form is read through one integer quotient,
 :func:`_quotient`, at a point read once as Z/E, Z of int parts: Horner reads
@@ -128,6 +132,7 @@ __all__ = [
     "poly_exact_div",
     "z_ddz",
     "substitute",
+    "odd_part",
     "rf_eval",
     "rf_eval_exact",
     "round_quotient",
@@ -985,6 +990,22 @@ def substitute(f: RationalFunction, kind: str) -> RationalFunction:
         raise ValueError(f"unknown substitution {kind!r}; expected one of {tuple(_SUBSTITUTIONS)}")
     transform, d = _SUBSTITUTIONS[kind], max(f.num.degree, f.den.degree)
     return RationalFunction(transform(f.num, d), transform(f.den, d), _reduced=True)
+
+
+def odd_part(f: RationalFunction) -> RationalFunction:
+    """(f(z) - f(-z))/2, the odd part of f.
+
+    For f = p/q, f = M/D with M = p(z) q(-z) and D = q(z) q(-z), and f(-z) = M(-z)/D, so the
+    odd part is O(M)/D, O keeping the coefficients of M at odd exponents: two products and no
+    rescale.  One gcd of q and q(-z) proves the pair coprime when it is a unit (the module
+    docstring); otherwise the odd part takes the full gcd, as a sum does.
+    """
+    p, q = f.num, f.den
+    qm = q.turn_arg(2)
+    coprime = poly_gcd(q, qm).degree == 0
+    re, im = _products([((p.re, p.im), (qm.re, qm.im))])
+    re[0::2] = im[0::2] = [0] * len(re[0::2])
+    return RationalFunction(_poly(re, im), q * qm, _reduced=coprime)
 
 
 def rf_eval(f: RationalFunction, z) -> complex:

@@ -20,8 +20,8 @@ w = exp(ix) = (1 + it)/(1 - it):
 
 * the type-B Eulerian single sums 2 i^(n-1) chi_{-n}(w) for csc and
   2 i^n Ti_{-n}(w) for sec, and the polylogarithm differences i^(n-1)
-  (Li_{-n}(w) - Li_{-n}(-w)), at iw for sec, all mapped to t by
-  ``substitute(f, "half_angle")``;
+  (Li_{-n}(w) - Li_{-n}(-w)), at iw for sec, each twice an odd part
+  (``odd_part``), all mapped to t by ``substitute(f, "half_angle")``;
 * the binomial sums, read off the tan derivative polynomial P in t directly:
   (P(t) - P(-1/t))/2^(n+1) for csc, as csc x = (tan(x/2) + cot(x/2))/2, and
   for sec the same form a quarter period on, at (1 + t)/(1 - t).
@@ -38,7 +38,7 @@ import operator
 from collections import namedtuple
 
 from .algebra import (
-    I, Polynomial, RationalFunction, _poly, _vadd, evaluate_packed, require_real, rf_eval,
+    I, Polynomial, RationalFunction, _poly, _vadd, evaluate_packed, odd_part, require_real, rf_eval,
     substitute,
 )
 from .combinatorics import factorial, stirling_power_sum
@@ -156,8 +156,8 @@ def csc_derivative_eval(n: int) -> RationalFunction:
 
 @_tan_half_route("csc", "csc polylog-difference")
 def csc_derivative_via_li(n: int) -> RationalFunction:
-    """(d/dx)^n csc x as i^(n-1) times the polylogarithm difference at exp(ix)."""
-    return substitute((li_neg(n) - substitute(li_neg(n), "negate_z")) * I ** ((n - 1) % 4), "half_angle")
+    """(d/dx)^n csc x as i^(n-1) (Li_{-n}(w) - Li_{-n}(-w)), twice the odd part of Li_{-n}, at w = exp(ix)."""
+    return substitute(odd_part(li_neg(n)) * (2 * I ** ((n - 1) % 4)), "half_angle")
 
 
 @_tan_half_route("csc", "csc binomial")
@@ -179,9 +179,10 @@ def sec_derivative_eval(n: int) -> RationalFunction:
 
 @_tan_half_route("sec", "sec polylog-difference")
 def sec_derivative_via_li(n: int) -> RationalFunction:
-    """(d/dx)^n sec x as i^(n-1) times the polylogarithm difference at i*exp(ix)."""
-    return substitute(substitute(li_neg(n) - substitute(li_neg(n), "negate_z"), "i_times_z")
-                      * I ** ((n - 1) % 4), "half_angle")
+    """(d/dx)^n sec x as i^(n-1) (Li_{-n}(iw) - Li_{-n}(-iw)), twice the odd part of Li_{-n}(iz),
+    at w = exp(ix)."""
+    return substitute(odd_part(substitute(li_neg(n), "i_times_z")) * (2 * I ** ((n - 1) % 4)),
+                      "half_angle")
 
 
 @_tan_half_route("sec", "sec binomial")

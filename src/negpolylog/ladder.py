@@ -11,7 +11,10 @@ central relation, its chi and Ti restatements and the rotated variant are
 S_n is built once per order, in z, memoized and shared by the four checks and
 the Leibniz route, and mapped to z^2 or -z^2 by ``substitute``; each relation
 is checked exactly, as an equality of canonical rational functions, so it
-holds at every z (no tolerances).
+holds at every z (no tolerances).  The main relation is checked as written, a
+difference of two forms, so the odd-part kernel (``odd_part``) that builds
+``chi_from_li`` meets S_n through a route that does not use it; the rotated
+relation is checked halved, as the odd part of Li[-n](iz).
 
 The Leibniz route expands csc x = exp(-ix)(i + cot x) with the general
 Leibniz rule, giving a further csc-derivative evaluator
@@ -29,7 +32,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 
-from .algebra import I, Polynomial, RationalFunction, poly_exact_div, substitute
+from .algebra import I, Polynomial, RationalFunction, odd_part, poly_exact_div, substitute
 from .algebra import rf_eval  # noqa: F401  (a binding perfbench's wrapping check traces)
 from .circular import _tan_half_route
 from .combinatorics import binomial
@@ -98,12 +101,11 @@ def ti_ladder(n: int) -> bool:
 
 
 def verify_ladder_sec_variant(n: int) -> bool:
-    """Exact check of the rotated relation, i.e. the main one under z -> iz."""
-    f = li_neg(n)
-    lhs = substitute(f, "i_times_z") - substitute(substitute(f, "negate_z"), "i_times_z")
-    two_over_iz = RationalFunction(Polynomial([2]), Polynomial([0, I]))
-    rhs = two_over_iz * substitute(substitute(_weighted_sum(n), "negate_z"), "square_z")
-    return lhs == rhs
+    """Exact check of the rotated relation, i.e. the main one under z -> iz, halved: the odd part
+    of Li[-n](iz) is S_n(-z^2)/(iz)."""
+    over_iz = RationalFunction(Polynomial([1]), Polynomial([0, I]))
+    rhs = over_iz * substitute(substitute(_weighted_sum(n), "negate_z"), "square_z")
+    return odd_part(substitute(li_neg(n), "i_times_z")) == rhs
 
 
 @_tan_half_route("csc", "csc leibniz")

@@ -20,12 +20,12 @@ first coefficients (``defining_series_agree``).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from math import comb
 
 from .algebra import (
-    GaussianRational, Polynomial, RationalFunction, _poly, evaluate_packed, require_real, substitute, z_ddz,
+    GaussianRational, Polynomial, RationalFunction, _poly, evaluate_packed, odd_part, require_real,
+    substitute, z_ddz,
 )
 from .combinatorics import eulerian_b_row, eulerian_row, factorial, stirling_power_sum
 
@@ -87,9 +87,9 @@ def _row_form(n: int, g: int, s: int) -> RationalFunction:
 
 
 def chi_from_li(n: int) -> RationalFunction:
-    """Legendre chi as the odd part (f(z) - f(-z))/2 of the polylogarithm."""
-    f = li_neg(n)
-    return (f - substitute(f, "negate_z")) * Fraction(1, 2)
+    """Legendre chi as the odd part (f(z) - f(-z))/2 of the polylogarithm f = li_neg(n), by
+    ``odd_part``: two products, no sum and no rescale."""
+    return odd_part(li_neg(n))
 
 
 def ti_from_chi(n: int) -> RationalFunction:

@@ -79,16 +79,28 @@ MUTANTS = [
      "            br, bi = br - (bi << w), bi + (br << w)\n",
      ["tests/test_algebra.py::test_half_angle_substitution_matches_the_full_gcd_form"]),
     ("circular.py",
-     'substitute((li_neg(n) - substitute(li_neg(n), "negate_z")) * I ** ((n - 1) % 4), "half_angle")',
-     'substitute(li_neg(n) - substitute(li_neg(n), "negate_z"), "half_angle")',
+     "odd_part(li_neg(n)) * (2 * I ** ((n - 1) % 4))",
+     "odd_part(li_neg(n)) * 2",
      ["tests/test_circular.py::test_csc_and_sec_routes_are_one_form_in_t"]),
     # a sec route form built at w instead of iw: its float route still passes trig, only core catches it
     ("circular.py",
-     '''return substitute(substitute(li_neg(n) - substitute(li_neg(n), "negate_z"), "i_times_z")
-                      * I ** ((n - 1) % 4), "half_angle")''',
-     '''return substitute((li_neg(n) - substitute(li_neg(n), "negate_z"))
-                      * I ** ((n - 1) % 4), "half_angle")''',
+     'odd_part(substitute(li_neg(n), "i_times_z"))',
+     "odd_part(li_neg(n))",
      ["tests/test_suites.py::test_exact_suites_pass"]),
+    # the odd part: the even exponents kept instead, the pair taken as coprime with no
+    # certificate, and the denominator q(z) q(-z) built as q(z)^2
+    ("algebra.py",
+     "    re[0::2] = im[0::2] = [0] * len(re[0::2])",
+     "    re[1::2] = im[1::2] = [0] * len(re[1::2])",
+     ["tests/test_algebra.py::test_odd_part_matches_its_definition"]),
+    ("algebra.py",
+     "q * qm, _reduced=coprime)",
+     "q * qm, _reduced=True)",
+     ["tests/test_algebra.py::test_odd_part_matches_its_definition"]),
+    ("algebra.py",
+     "q * qm, _reduced=",
+     "q * q, _reduced=",
+     ["tests/test_algebra.py::test_odd_part_matches_its_definition"]),
     # the generic operand: the kind built on z/(1 - z), and the operator step without its (1 + u)
     ("algebra.py",
      "            b = b + (b << w)\n",

@@ -22,6 +22,7 @@ from negpolylog.algebra import (
     I,
     Polynomial,
     RationalFunction,
+    odd_part,
     poly_exact_div,
     poly_gcd,
     poly_text,
@@ -534,6 +535,22 @@ def test_substitute_examples():
     for kind in ("cube_z", "conjugate_z"):
         with pytest.raises(ValueError, match="unknown substitution"):
             substitute(f, kind)
+
+
+# a planted factor h even (1 + z^2), odd (z) or neither (1 - z) makes gcd(q, q(-z)) nontrivial,
+# so the certificate declines and the full gcd runs, unless h cancels
+_odd_part_cases = st.builds(lambda a, b, h: RationalFunction(a, b * h), st.one_of(polys, gauss_polys),
+                            gauss_polys, st.sampled_from((P(1), P(1, 0, 1), P(0, 1), P(1, -1))))
+
+
+@given(_odd_part_cases)
+@settings(max_examples=200)
+@example(RF([0, 1], [1, 0, 1]))  # q = 1 + z^2 = q(-z): the certificate declines, the full gcd runs
+@example(RF([1, 0, 3], [2, 0, 1]))  # an even f: its odd part is the zero form
+@example(RationalFunction.constant(GaussianRational(3, -2)))  # a constant
+@example(li_neg(64))
+def test_odd_part_matches_its_definition(f):
+    assert odd_part(f) == (f - substitute(f, "negate_z")) * Fraction(1, 2)
 
 
 def test_substitute_i_times():
