@@ -8,13 +8,14 @@ central relation, its chi and Ti restatements and the rotated variant are
     z Ti[-n](z)              = -S_n(-z^2),
     Li[-n](iz) - Li[-n](-iz) = (2/(iz)) S_n(-z^2).
 
-S_n is built once per order, in z, memoized and shared by the four checks and
-the Leibniz route, and mapped to z^2 or -z^2 by ``substitute``; each relation
-is checked exactly, as an equality of canonical rational functions, so it
-holds at every z (no tolerances).  The main relation is checked as written, a
-difference of two forms, so the odd-part kernel (``odd_part``) that builds
-``chi_from_li`` meets S_n through a route that does not use it; the rotated
-relation is checked halved, as the odd part of Li[-n](iz).
+S_n is built once per order, in z, and memoized; every right side of the four
+checks, and the Leibniz form, is a constant times S_n(+-z^2)/z, read off
+S_n(+-z^2) by a one-slot shift with no gcd (``_ladder_rhs`` gives the proof).
+Each relation is checked exactly, as an equality of canonical rational
+functions, so it holds at every z (no tolerances).  The main relation is
+checked as written, a difference of two forms, so the odd-part kernel
+(``odd_part``) that builds ``chi_from_li`` meets S_n through a route that does
+not use it; the rotated relation is checked halved, as the odd part of Li[-n](iz).
 
 The Leibniz route expands csc x = exp(-ix)(i + cot x) with the general
 Leibniz rule, giving a further csc-derivative evaluator
@@ -32,7 +33,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 
-from .algebra import I, Polynomial, RationalFunction, odd_part, poly_exact_div, substitute
+from .algebra import I, Polynomial, RationalFunction, _raw, odd_part, poly_exact_div, substitute
 from .algebra import rf_eval  # noqa: F401  (a binding perfbench's wrapping check traces)
 from .circular import _tan_half_route
 from .combinatorics import binomial
@@ -78,37 +79,35 @@ def _weighted_sum(n: int) -> RationalFunction:
     return RationalFunction(num, den)
 
 
-def _two_over_z_ladder(n: int) -> RationalFunction:
-    """(2/z) S_n(z^2), the right side of the main relation."""
-    return RationalFunction(Polynomial([2]), Polynomial.variable()) * substitute(_weighted_sum(n), "square_z")
+def _ladder_rhs(n: int, sign: int) -> RationalFunction:
+    """S_n(sign z^2)/z, sign = +-1, with no gcd: S_n(0) = 0, so a one-slot shift of the numerator divides
+    by z; z does not divide (1 -+ z^2)^(n+1), so the pair stays coprime, with content and lead unchanged."""
+    s = _weighted_sum(n)
+    s = substitute(substitute(s, "negate_z") if sign < 0 else s, "square_z")
+    return RationalFunction(_raw(s.num.re[1:], s.num.im[1:]), s.den, _reduced=True)
 
 
 def verify_ladder_exact(n: int) -> bool:
     """Exact check of the main relation at order -n."""
-    return li_neg(n) - substitute(li_neg(n), "negate_z") == _two_over_z_ladder(n)
+    return li_neg(n) - substitute(li_neg(n), "negate_z") == _ladder_rhs(n, 1) * 2
 
 
 def chi_ladder(n: int) -> bool:
     """Exact check of z * chi[-n](z) = sum_k c_k Li[-k](z^2)."""
-    z = RationalFunction(Polynomial.variable(), Polynomial.one())
-    return z * chi_neg(n) == substitute(_weighted_sum(n), "square_z")
+    return chi_neg(n) == _ladder_rhs(n, 1)
 
 
 def ti_ladder(n: int) -> bool:
     """Exact check of z * Ti[-n](z) = -sum_k c_k Li[-k](-z^2)."""
-    z = RationalFunction(Polynomial.variable(), Polynomial.one())
-    return z * ti_neg(n) == -substitute(substitute(_weighted_sum(n), "negate_z"), "square_z")
+    return ti_neg(n) == -_ladder_rhs(n, -1)
 
 
 def verify_ladder_sec_variant(n: int) -> bool:
-    """Exact check of the rotated relation, i.e. the main one under z -> iz, halved: the odd part
-    of Li[-n](iz) is S_n(-z^2)/(iz)."""
-    over_iz = RationalFunction(Polynomial([1]), Polynomial([0, I]))
-    rhs = over_iz * substitute(substitute(_weighted_sum(n), "negate_z"), "square_z")
-    return odd_part(substitute(li_neg(n), "i_times_z")) == rhs
+    """Exact check of the rotated relation (z -> iz) halved: the odd part of Li[-n](iz) is S_n(-z^2)/(iz)."""
+    return odd_part(substitute(li_neg(n), "i_times_z")) == _ladder_rhs(n, -1) * -I
 
 
 @_tan_half_route("csc", "csc leibniz")
 def leibniz_csc_route(n: int) -> RationalFunction:
     """(d/dx)^n csc x from the Leibniz expansion of exp(-ix)(i + cot x)."""
-    return substitute(_two_over_z_ladder(n) * I ** ((n - 1) % 4), "half_angle")
+    return substitute(_ladder_rhs(n, 1) * (2 * I ** ((n - 1) % 4)), "half_angle")
