@@ -36,15 +36,15 @@ once; unpacking adds it once, reads each slot unsigned and subtracts
 Gaussian one three (Karatsuba's trick on the parts).  A sum of products,
 such as the numerator p1 q2 + p2 q1 of a sum, is one packed sum: B is the
 sum of the pairs' bounds, for the real and the imaginary part alike, each
-operand is packed once and each part unpacked once.  A pair whose shorter
-operand has at most ``_SCHOOLBOOK_MAX`` coefficients is multiplied row by
-row instead, which is faster there, into the one buffer that the packed sum
-is added to.  The product kernels take integer parts (re, im), so the steps
-of ``z_ddz`` build no polynomial.  A whole sum of integer polynomials is
-evaluated once at x = 2**w and read back the same way
-(:func:`evaluate_packed`).  Its bound is the sum evaluated on the coefficient
-1-norms (sum |c[k]|, subadditive and submultiplicative) of its polynomials
-and the absolute values of its scalars.
+operand is packed once and each part unpacked once.  A sum in which every
+pair's shorter operand has at most ``_SCHOOLBOOK_MAX`` coefficients is
+multiplied row by row into one buffer instead, which is faster there; one
+longer pair sends the whole sum to the packed kernel.  The product kernels
+take integer parts (re, im), so the steps of ``z_ddz`` build no polynomial.
+A whole sum of integer polynomials is evaluated once at x = 2**w and read
+back the same way (:func:`evaluate_packed`).  Its bound is the sum evaluated
+on the coefficient 1-norms (sum |c[k]|, subadditive and submultiplicative)
+of its polynomials and the absolute values of its scalars.
 
 Polynomial gcds use a primitive pseudo-remainder sequence (PRS) over the
 Gaussian integers, the only path that computes a gcd of positive degree.
@@ -56,12 +56,14 @@ bitlen(|re b_k| + |im b_k|), every root of b is below 2**e in absolute value,
 e = 1 + max(0, max over k < d of ceil((L_k - M + 1)/(d - k))); N = 2**w, w
 the least prime >= e + 64.  If a and b share a factor, by Gauss's lemma a
 primitive h in Z[i][z] (Z[z] for a real pair) with deg h >= 1 divides both,
-so h(N) divides a(N) and b(N) and its norm divides both norms, while |h(N)|
->= |lc h| * prod |N - r| >= N - 2**e over the roots r of h, roots of b.  So
-gcd(a(N), b(N)) < N - 2**e for a real pair, or else gcd(|a(N)|**2,
-|b(N)|**2) < (N - 2**e)**2 (a real value normed too), proves the pair
-coprime over Q(i) and the unit 1 is returned; any other outcome runs the
-PRS.  w is prime because the library's denominators have their roots at 0,
+so h(N) divides a(N) and b(N), and h(N) conj(h(N)) divides both norms and
+a(N) conj(b(N)), so both its parts, while |h(N)| >= |lc h| * prod |N - r|
+>= N - 2**e over the roots r of h, roots of b.  So gcd(a(N), b(N)) < N - 2**e
+for a real pair, or else the gcd of |a(N)|**2, |b(N)|**2 and the two parts of
+a(N) conj(b(N)) below (N - 2**e)**2 (a real value normed too), proves the
+pair coprime over Q(i) and the unit 1 is returned; any other outcome runs the
+PRS.  The parts of a(N) conj(b(N)) prove a conjugate pair, whose norms
+agree.  w is prime because the library's denominators have their roots at 0,
 +-1 and +-i, so chance common factors of the two values come from N +- 1 and
 N**2 + 1: 2**w - 1 has no prime factor below 2w + 1, 2**w + 1 only 3, and
 2**(2w) + 1 only 5.  Exact division divides by the divisor itself; every
@@ -78,9 +80,9 @@ inputs.  Each place that skips one rests on a proof:
   and p2 against q1;
 * a product or quotient by a nonzero exact scalar c: c p and q have the
   common factors of p and q, that is none;
-* ``z_ddz``: each step's pair is coprime but for one factor z, which it
-  removes when q(0) = 0, and one gcd serves all n steps; the denominator
-  q r^n (over z^n when q(0) = 0) is formed once (proof in its docstring);
+* ``z_ddz``: one gcd serves all n steps, which run unreduced over q r^n,
+  formed once; the pair is coprime but for z^n when q(0) = 0, which one
+  slice divides out of both parts at the end (proof in its docstring);
 * the argument transforms of ``substitute`` map a coprime pair to a
   coprime pair;
 * an odd part (f(z) - f(-z))/2 = O(M)/D, M = p(z) q(-z) and D = q(z) q(-z),
@@ -566,25 +568,16 @@ _SCHOOLBOOK_MAX = 8
 
 
 def _products(pairs) -> tuple[list, list]:
-    """Parts of the sum of a*b over pairs (a, b) of integer parts (re, im): the pairs whose shorter
-    operand has at most ``_SCHOOLBOOK_MAX`` coefficients by rows into one buffer, and the packed
-    sum of the others added to it once; a zero operand adds nothing."""
-    rows, packed = [], []
-    for a, b in pairs:
-        a, b = (a, b) if len(a[0]) <= len(b[0]) else (b, a)
-        if len(a[0]) > _SCHOOLBOOK_MAX:
-            packed.append((a, b))
-        elif a[0]:
-            rows.append((a, b))
-    if not rows:
-        return _kronecker(packed) if packed else ([], [])
-    n = max(len(a[0]) + len(b[0]) for a, b in rows + packed) - 1
+    """Parts of the sum of a*b over pairs (a, b) of integer parts (re, im), by one kernel: by rows
+    into one buffer when every pair's shorter operand has at most ``_SCHOOLBOOK_MAX``
+    coefficients, and as one packed sum otherwise; a zero operand adds nothing."""
+    pairs = [(a, b) if len(a[0]) <= len(b[0]) else (b, a) for a, b in pairs if a[0] and b[0]]
+    if any(len(a[0]) > _SCHOOLBOOK_MAX for a, _ in pairs):
+        return _kronecker(pairs)
+    n = max((len(a[0]) + len(b[0]) for a, b in pairs), default=1) - 1
     re, im = [0] * n, [0] * n
-    for a, b in rows:
+    for a, b in pairs:
         _rows(re, im, a, b)
-    if packed:
-        kr, ki = _kronecker(packed)
-        re[:len(kr)], im[:len(ki)] = map(operator.add, re, kr), map(operator.add, im, ki)
     return re, im
 
 
@@ -736,7 +729,8 @@ def _coprime_at_point(a, b) -> bool:
     if not any(ai) and not any(bi):
         return math.gcd(_at(ar, w), _at(br, w)) < gap
     x, y, u, v = _at(ar, w), _at(ai, w), _at(br, w), _at(bi, w)
-    return math.gcd(x * x + y * y, u * u + v * v) < gap * gap
+    # the norms, and the parts of a(N) conj(b(N)), which a conjugate pair's equal norms need
+    return math.gcd(x * x + y * y, u * u + v * v, x * u + y * v, y * u - x * v) < gap * gap
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -923,19 +917,19 @@ def z_ddz(f: RationalFunction, n: int = 1) -> RationalFunction:
     of r, so r(a) = 0 and v(a) = m r'(a) != 0; p(a) != 0 as p/q is coprime;
     hence N(a) = -p(a) v(a) != 0, and N is coprime to q r, whose roots are
     those of q.  So z N and q r share at most one factor z, exactly when
-    q(0) = 0, and that z is shifted out of q r.  The new denominator
-    q1 = q r, or q r / z, has the roots of q and no other, so its radical is
-    still r, and q1'/q1 = q'/q + r'/r (- 1/z when z | q) = (v + r' (- r/z))/r:
-    the carry v <- v + r' (- r/z) gives q1'/q1 = v/r again with no gcd or
-    division.  A step reads q only through v, so the loop carries p and -v
-    alone, as integer parts: after k steps the denominator is q r^k, or
-    q r^k / z^k when z | q (z divides r, so z^k divides r^k), and it is
-    formed once, by repeated squaring.  N = p' r - p v is one sum of
-    products, and z N = p' (z r) + p (-z v): when z does not divide q, the
-    factor z is one slot of offset on r, on -v and on the carry's r', put
-    there once before the loop.  One polynomial is built, after the n steps.
-    Each step's pair is coprime, so the last one needs only its content and
-    sector normalized.  n = 0 returns f; n < 0 raises ValueError.
+    q(0) = 0.  The steps run unreduced: after k of them the denominator q r^k
+    has the roots of q and no other, so its radical is still r, and its
+    log-derivative q'/q + k r'/r = (v + k r')/r is what the carry
+    v <- v + r' holds, with no gcd or division.  A step reads q only through
+    v, so the loop carries p and -v alone, as integer parts, and q r^n is
+    formed once, by repeated squaring.  z N = p' (z r) + p (-z v) is one sum
+    of products: the factor z is one slot of offset on r, on -v and on the
+    carry's r', put there once.  When z | q, a step's pair shares exactly one
+    z (above), and with it divided out the denominator keeps the root 0, so
+    the next pair does too: the unreduced pair after n steps is the reduced
+    one times z^n, the whole of its gcd.  One slice of n slots divides both
+    parts by it, and one polynomial is built, whose content and sector alone
+    need normalizing.  n = 0 returns f; n < 0 raises ValueError.
     """
     if n < 0:
         raise ValueError("z_ddz needs a count n >= 0")
@@ -945,20 +939,15 @@ def z_ddz(f: RationalFunction, n: int = 1) -> RationalFunction:
     dq = q.derivative()
     g = poly_gcd(q, dq).scale(GaussianRational(*_content(q.re, q.im)))
     r, v = poly_exact_div(q, g), poly_exact_div(dq, g)
-    shift = not (q.re[0] or q.im[0])  # z | q, so z | r
-    dr = r.derivative()
-    if shift:
-        dr -= _raw(r.re[1:], r.im[1:])  # r/z
     q = _power(r, n, q)
-    if shift:
-        q = _raw(q.re[n:], q.im[n:])
-    o = () if shift else (0,)  # z N = p' (z r) + p (-z v): the factor z as one slot of offset
-    r, nv, ndr = ([(*o, *x.re), (*o, *x.im)] for x in (r, -v, -dr))
+    r, nv, ndr = ([(0, *x.re), (0, *x.im)] for x in (r, -v, -r.derivative()))
     p = p.re, p.im
     for _ in range(n):
         dp = [[*map(operator.mul, range(1, len(x)), x[1:])] for x in p]
         p = _products([(dp, r), (p, nv)])
         nv = _vadd(nv[0], ndr[0]), _vadd(nv[1], ndr[1])
+    if not (q.re[0] or q.im[0]):  # z divides q, and the pair shares exactly z^n
+        p, q = [x[n:] for x in p], _raw(q.re[n:], q.im[n:])
     return RationalFunction(_poly(*p), q, _reduced=True)
 
 

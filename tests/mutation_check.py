@@ -57,6 +57,11 @@ MUTANTS = [
      "    (ar, ai), (br, bi) = a, b\n    d = len(br) - 1\n",
      "    return True\n",
      ["tests/test_algebra.py::test_gcd_falls_back_to_prs_when_certificate_declines"]),
+    # the Gaussian certificate without the parts of a(N) conj(b(N)): a conjugate pair is never proved
+    ("algebra.py",
+     "math.gcd(x * x + y * y, u * u + v * v, x * u + y * v, y * u - x * v)",
+     "math.gcd(x * x + y * y, u * u + v * v)",
+     ["tests/test_algebra.py::test_certificate_proves_the_library_forms_coprime"]),
     ("algebra.py",
      '    if any(rr) or any(ri):\n        raise ArithmeticError("polynomial division was not exact")\n',
      "",
@@ -121,19 +126,19 @@ MUTANTS = [
      "        h = (u + 1) * z_ddz(h)\n",
      "        h = z_ddz(h)\n",
      ["tests/test_suites.py::test_exact_suites_pass"]),
-    # the carry of z_ddz(f, n): -v without r', the z | q step without its -r/z term, and the
-    # factor z of a step where z does not divide q dropped from its offset
+    # the carry of z_ddz(f, n): -v without r', the final z^n shift of a z | q pair by n - 1 slots,
+    # and the factor z of each step dropped from its one slot of offset
     ("algebra.py",
      "        nv = _vadd(nv[0], ndr[0]), _vadd(nv[1], ndr[1])\n",
      "        nv = nv\n",
      ["tests/test_algebra.py::test_z_ddz_count_equals_repeated_single_steps"]),
     ("algebra.py",
-     "        dr -= _raw(r.re[1:], r.im[1:])  # r/z\n",
-     "        pass\n",
+     "        p, q = [x[n:] for x in p], _raw(q.re[n:], q.im[n:])\n",
+     "        p, q = [x[n - 1:] for x in p], _raw(q.re[n - 1:], q.im[n - 1:])\n",
      ["tests/test_algebra.py::test_z_ddz_count_equals_repeated_single_steps"]),
     ("algebra.py",
-     "    o = () if shift else (0,)",
-     "    o = ()",
+     "[(0, *x.re), (0, *x.im)]",
+     "[x.re, x.im]",
      ["tests/test_algebra.py::test_z_ddz_examples"]),
     # the denominator of z_ddz(f, n) formed as q r^(n-1), and the packed sum's slot width bounded
     # by its first product alone

@@ -210,8 +210,8 @@ _M, _K, _K2 = 2**29 - 1, 2**15, 2**29 + 16
 @example([(_M, _M)] * 16, [(_M, -_M)] * 16, [(_K, _K)] * 16, [(_K, -_K)] * 16)
 @example([(_M, 0)] * 16, [(_M, 0)] * 16, [(_K2, 0)] * 16, [(_K2, 0)] * 16)
 @example([(_M, 0)] * 16, [(_M, 0)] * 16, [], [(_K2, 0)] * 16)  # a zero operand drops its pair
-# a short pair by rows and a packed pair in one call, the rows' product the longer of the two in
-# the first example and the shorter in the second
+# a short pair and a long pair in one call, which run as one packed sum, the short pair's product
+# the longer of the two in the first example and the shorter in the second
 @example([(3, -1)] * 4, [(_M, _M)] * 30, [(_M, 0)] * 16, [(_K2, 0)] * 16)
 @example([(_M, 0)] * 16, [(-_M, _M)] * 16, [(1, 0), (0, -1)], [(_K, 0)] * 9)
 def test_packed_sum_of_products_matches_two_products(a, b, c, d):
@@ -226,7 +226,9 @@ def test_packed_sum_of_products_matches_two_products(a, b, c, d):
 
 @given(_operands, _operands, _operands, _operands, _operands, _operands)
 @settings(max_examples=200)
-# two short pairs by rows into the buffer and a packed pair added to it, Gaussian and real mixed
+# three short pairs by rows into one buffer, and two short pairs with a long one, which run as one
+# packed sum; Gaussian and real mixed
+@example([(1, -2)] * 3, [(_M, _M)] * 20, [(_K, 0)] * 8, [(-_K, 0)] * 12, [(2, 1)] * 5, [(3, _K)] * 11)
 @example([(1, -2)] * 3, [(_M, _M)] * 20, [(_K, 0)] * 8, [(-_K, 0)] * 12, [(_M, 1)] * 16, [(2, _K)] * 11)
 def test_three_pair_products_match_summed_schoolbook_products(a, b, c, d, e, f):
     pairs = [(a, b), (c, d), (e, f)]
@@ -297,6 +299,8 @@ def _prs_steps(monkeypatch):
 def test_gcd_certificate_skips_prs_on_coprime_pair(monkeypatch):
     calls = _prs_steps(monkeypatch)
     assert poly_gcd(P(1, -1) ** 5, P(0, 1, 1, 1)) == Polynomial.one()
+    # a conjugate pair: the values at N have equal norms, and the parts of a(N) conj(b(N)) prove it
+    assert poly_gcd(P(1, -I) ** 5, P(1, I) ** 5) == Polynomial.one()
     assert not calls
 
 
@@ -309,8 +313,6 @@ def test_gcd_falls_back_to_prs_when_certificate_declines(monkeypatch):
         (P(2, I) * P(-I, 1), P(3, 1) * P(-I, 1), 1),
         (P(2, 1) * P(1, 1), P(1, I) * P(1, 1), 1),
         (P(0, 1) * P(5, -1), P(0, 1) * P(7, 1), 1),
-        # coprime, but conjugate: the values at N have equal norms
-        (P(1, -I) ** 5, P(1, I) ** 5, 0),
         # coprime, but (z - N)(z + 2) vanishes at N, so the gcd there is |N + 1|
         (P(-n, 1) * P(2, 1), P(1, 1), 0),
     ]
@@ -366,6 +368,9 @@ def _certificate_cases(draw):
 @example((P(10**30, -(10**30), 1), P(-(10**30), 1), P(10**30, 1, -(10**30))))
 # mixed pair with a real common factor: a real value must be normed too
 @example((P(2, 1), P(1, I), P(1, 1)))
+# conjugate pairs with a planted real or Gaussian factor: equal norms, and a shared factor all the same
+@example((P(1, -I) ** 3, P(1, I) ** 3, P(1, 1)))
+@example((P(1, -I) ** 3, P(1, I) ** 3, P(2, I)))
 def test_certificate_never_proves_a_shared_factor(case):
     f, g, h = case
     a, b = f * h, g * h
@@ -379,20 +384,27 @@ def test_certificate_never_proves_a_shared_factor(case):
 def test_certificate_proves_the_library_forms_coprime(monkeypatch):
     calls = _prs_steps(monkeypatch)
     # each form's denominator is its base to the power n + 1; the bases are
-    # products of the irreducibles z - 1, z + 1 and z^2 + 1, so two share a
-    # factor exactly when they share a real root
+    # products of the irreducibles z - 1, z + 1, z + i and z - i, so two share
+    # a factor exactly when they share a root; Li(iz) and Li(-iz) are conjugate
     bases = {"li": P(-1, 1), "negate_z": P(1, 1), "square_z": P(-1, 0, 1),
-             "chi": P(-1, 0, 1), "ti": P(1, 0, 1)}
-    roots = {"li": {1}, "negate_z": {-1}, "square_z": {1, -1}, "chi": {1, -1}, "ti": set()}
+             "chi": P(-1, 0, 1), "ti": P(1, 0, 1), "i_times_z": P(I, 1), "minus_i_times_z": P(-I, 1)}
+    roots = {"li": {1}, "negate_z": {-1}, "square_z": {1, -1}, "chi": {1, -1}, "ti": {1j, -1j},
+             "i_times_z": {-1j}, "minus_i_times_z": {1j}}
     proved = declined = 0
     for n in range(65):
         li = li_neg(n)
+        rotated = substitute(li, "i_times_z")
         forms = {"li": li, "negate_z": substitute(li, "negate_z"),
-                 "square_z": substitute(li, "square_z"), "chi": chi_neg(n), "ti": ti_neg(n)}
+                 "square_z": substitute(li, "square_z"), "chi": chi_neg(n), "ti": ti_neg(n),
+                 "i_times_z": rotated, "minus_i_times_z": substitute(rotated, "negate_z")}
         for name, f in forms.items():
-            assert f.is_real() and f.den == bases[name] ** (n + 1)
+            # every form but the two rotated ones has real coefficients
+            assert f.is_real() or name in ("i_times_z", "minus_i_times_z")
+            assert f.den == bases[name] ** (n + 1)
             assert poly_gcd(f.num, f.den).degree == 0
             proved += 1
+        # the rotated ladder relation's odd part: its pair q(z), q(-z) is the conjugate pair
+        odd_part(rotated)
         for x, y in itertools.combinations(forms, 2):
             p, q = forms[x].den, forms[y].den
             if roots[x] & roots[y]:
@@ -401,8 +413,8 @@ def test_certificate_proves_the_library_forms_coprime(monkeypatch):
             else:
                 assert poly_gcd(p, q).degree == 0
                 proved += 1
-    assert not calls
-    assert (proved, declined) == (650, 325)
+        assert not calls, n  # at each order, so a PRS fallback fails before it grows slow
+    assert (proved, declined) == (1365, 455)
 
 
 def test_gaussian_rational_arithmetic():
@@ -517,6 +529,9 @@ def test_z_ddz_examples():
     assert z_ddz(RF([1], [1, -3, 3, -1])) == RF([0, 3], [1, -4, 6, -4, 1])
     # a count: twice gives Li[-2], zero returns the form itself, a negative count is refused
     assert z_ddz(RF([0, 1], [1, -1]), 2) == RF([0, 1, 1], [1, -3, 3, -1])
+    # z | q: the unreduced pair over z^4 shares z^3, which the final shift divides out
+    assert z_ddz(RF([1], [0, 1]), 3) == RF([-1], [0, 1])
+    assert z_ddz(RF([1], [0, 0, 1]), 2) == RF([4], [0, 0, 1])
     f = RF([1, 2], [0, 3, 1])
     assert z_ddz(f, 0) is f
     with pytest.raises(ValueError, match="n >= 0"):
@@ -853,7 +868,7 @@ Z = Polynomial.variable()
 @example(P(3, 0, I), P(1, 1), P(1, -1), 3, 1)  # q(0) = 0 at a simple root
 @example(P(1, 2), P(1), P(1, -1), 2, 2)  # q(0) = 0 at a double root
 # radicals longer than _SCHOOLBOOK_MAX: a Gaussian one with both pairs of the step packed, one
-# with a short pair by rows and a packed pair in one call, and one with z | q
+# with a short pair and a long pair in one call, which run as one packed sum, and one with z | q
 @example(P(*range(1, 12)), P(2, I, 0, 0, 0, 0, 0, 0, 1), P(1, -1), 2, 0)
 @example(P(*range(1, 10)), P(3, 0, 0, 0, 0, 0, 0, 1), P(1, I), 1, 0)
 @example(P(*range(1, 12)), P(1, 0, 0, 0, 0, 0, 0, 0, 0, -1), P(3, 1), 1, 1)
@@ -872,7 +887,7 @@ def test_z_ddz_matches_the_full_gcd_quotient_rule(num, base, h, k, j):
 )
 @example(P(1), P(2), P(1), 1, 0, 3)  # constant f: zero after one step
 @example(P(1, 1), P(2), P(-I, 1), 2, 0, 4)  # a repeated Gaussian root under a content 2
-@example(P(3, 0, I), P(1, 1), P(1, -1), 3, 1, 5)  # z | q: the carry's -r/z term
+@example(P(3, 0, I), P(1, 1), P(1, -1), 3, 1, 5)  # z | q: the final z^n shift of both parts
 @example(P(1, 2), P(1), P(1, -1), 2, 2, 6)  # a double root at 0
 # q r^n formed once after 64 steps: shifted by z^64 when z | q, and a Gaussian radical z - i
 @example(P(1, 1), P(1), P(1, -1), 1, 1, 64)
