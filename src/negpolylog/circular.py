@@ -7,8 +7,9 @@ those polynomials are constructed two ways:
   at one packed point and reading the coefficients back; for cot and tan the
   argument is then turned by i and the result by a power of i, and every
   imaginary part must cancel (checked), and
-* the classical symbolic recurrence P_{n+1} = m(u) * P_n'(u) with
-  m = -(1 + u^2) for cot and m = (1 + u^2) for tan.
+* the classical recurrence P_{n+1} = m(u) * P_n'(u), m = a + b u^2 with (a, b) = (-1, -1)
+  for cot and (1, 1) for tan: coefficient k of P_{n+1} is a (k+1) p[k+1] + b (k-1) p[k-1]
+  at k = n (mod 2), the parity of P_{n+1}, and 0 at the others.
 
 csc has four routes, the fourth the Leibniz sum in ``ladder``, and sec three;
 ``verify core`` proves the forms of one function equal.  Each is an exact
@@ -34,11 +35,10 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from collections import namedtuple
 
 from .algebra import (
-    I, Polynomial, RationalFunction, _poly, _vadd, evaluate_packed, odd_part, require_real, rf_eval,
+    I, Polynomial, RationalFunction, _poly, evaluate_packed, odd_part, require_real, rf_eval,
     substitute,
 )
 from .combinatorics import factorial, stirling_power_sum
@@ -108,25 +108,22 @@ def tan_derivative_poly(n: int) -> DerivativePolynomial:
     return _stirling_poly("tan", n, -1, 1)
 
 
-_RECURRENCE_MULT = {
-    "cot": Polynomial([-1, 0, -1]),
-    "tan": Polynomial([1, 0, 1]),
-    "coth": Polynomial([1, 0, -1]),
-    "tanh": Polynomial([1, 0, -1]),
-}
+# m(u) = a + b u^2, each family's multiplier, as the pair (a, b)
+_RECURRENCE_MULT = {"cot": (-1, -1), "tan": (1, 1), "coth": (1, -1), "tanh": (1, -1)}
 
 
 def derivative_poly_recurrence(target: str, n: int) -> DerivativePolynomial:
-    """Classical recurrence oracle: P_0 = u, P_{m+1} = m(u) * P_m', each step the sum over int
-    lists of one row c_i u^i P_m' per nonzero coefficient c_i of m."""
+    """Classical recurrence oracle: P_0 = u, P_{m+1} = m(u) * P_m', m(u) = a + b u^2, over int lists.
+    P_m has the parity of m + 1, so coefficient k of P_{m+1} is the two-term sum
+    a (k+1) p[k+1] + b (k-1) p[k-1] at k = m (mod 2), and 0 at the others."""
     if target not in _RECURRENCE_MULT:
         raise ValueError(f"no derivative-polynomial recurrence for {target!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    mult, p = _RECURRENCE_MULT[target].re, [0, 1]
-    for _ in range(n):
-        dp = [*map(operator.mul, range(1, len(p)), p[1:])]
-        p = functools.reduce(_vadd, [[0] * i + [c * x for x in dp] for i, c in enumerate(mult) if c])
+    (a, b), p = _RECURRENCE_MULT[target], [0, 1]
+    for m in range(n):
+        q, p = (0, *p, 0, 0), [0] * (m + 3)  # q[k] = p[k - 1], zero outside P_m's m + 2 slots
+        p[m % 2::2] = [a * (k + 1) * q[k + 2] + b * (k - 1) * q[k] for k in range(m % 2, m + 3, 2)]
     return DerivativePolynomial(target, n, _poly(p, [0] * len(p)))
 
 

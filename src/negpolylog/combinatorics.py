@@ -1,7 +1,7 @@
 """Exact integer sequences used by every closed form.
 
 Three triangles share one step: r_n[k] = alpha r_(n-1)[k] + beta r_(n-1)[k-1] for
-k = 0..n, from r_0 = (1,), with (alpha, beta) affine in (n, k) and read from ``_STEPS``.
+k = 0..n, from r_0 = (1,), with alpha affine in k and beta in (n, k), read from ``_STEPS``.
 Stirling numbers of the second kind take (k, 1), and the Eulerian numbers A(n, k) take
 (k + 1, n - k).  Eulerian numbers of type B are defined by the alternating single sum
 
@@ -30,11 +30,11 @@ __all__ = [
     "factorial",
 ]
 
-# triangle -> the (alpha, beta) of its step, each as (c, d, e) for c + d n + e k
+# triangle -> the (alpha, beta) of its step: alpha (c, e) is c + e k, beta (c, d, e) is c + d n + e k
 _STEPS = {
-    "stirling2": ((0, 0, 1), (1, 0, 0)),
-    "eulerian": ((1, 0, 1), (0, 1, -1)),
-    "eulerian_b": ((1, 0, 2), (1, 2, -2)),
+    "stirling2": ((0, 1), (1, 0, 0)),
+    "eulerian": ((1, 1), (0, 1, -1)),
+    "eulerian_b": ((1, 2), (1, 2, -2)),
 }
 
 
@@ -46,8 +46,8 @@ def _row(rows, triangle: str, n: int) -> tuple[int, ...]:
         return (1,)
     for m in range(n):  # ascending, so a cold call nests at most one level
         prev = rows(m)
-    (ac, ad, ae), (bc, bd, be) = _STEPS[triangle]
-    ac, bc = ac + ad * n, bc + bd * n
+    (ac, ae), (bc, bd, be) = _STEPS[triangle]
+    bc += bd * n
     p = (*prev, 0)  # p[n] = p[-1] = 0: zero outside 0..n-1
     return tuple((ac + ae * k) * p[k] + (bc + be * k) * p[k - 1] for k in range(n + 1))
 
@@ -88,6 +88,8 @@ def stirling_power_sum(n: int, base, weight, den=1):
     step acc <- acc * q + term, so no quotient is ever formed.  ``den``
     defaults to 1, the plain sum.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     row = stirling2_row(n + 1)
     power = base
     acc = power * (weight(0) * row[1])

@@ -45,14 +45,20 @@ MUTANTS = [
      "        den = f.den\n",
      "",
      ["tests/test_ladder.py"]),
+    # the recurrence's multiplier a + b u^2: tan's read as tanh's and coth's as tan's, and the
+    # step's second term b (k-1) p[k-1] read as b (k+1) p[k-1]
     ("circular.py",
-     '    "tan": Polynomial([1, 0, 1]),',
-     '    "tan": Polynomial([1, 1, 1]),',
+     '"tan": (1, 1)',
+     '"tan": (1, -1)',
      ["tests/test_circular.py::test_polynomial_routes_agree_exactly"]),
     ("circular.py",
-     '    "coth": Polynomial([1, 0, -1]),',
-     '    "coth": Polynomial([1, 0, 1]),',
+     '"coth": (1, -1)',
+     '"coth": (1, 1)',
      ["tests/test_hyperbolic.py::test_polynomials_match_recurrence"]),
+    ("circular.py",
+     "b * (k - 1) * q[k]",
+     "b * (k + 1) * q[k]",
+     ["tests/test_circular.py::test_recurrence_step_matches_the_polynomial_product"]),
     ("algebra.py",
      "    (ar, ai), (br, bi) = a, b\n    d = len(br) - 1\n",
      "    return True\n",
@@ -197,12 +203,12 @@ MUTANTS = [
     # a step coefficient of the Eulerian triangle, the type-B step at the 1-based index, and Ti's
     # binomial row built with chi's signs
     ("combinatorics.py",
-     '"eulerian": ((1, 0, 1), (0, 1, -1)),',
-     '"eulerian": ((1, 0, 1), (1, 1, -1)),',
+     '"eulerian": ((1, 1), (0, 1, -1)),',
+     '"eulerian": ((1, 1), (1, 1, -1)),',
      ["tests/test_polylog.py::test_stirling_route_matches_operator"]),
     ("combinatorics.py",
-     '"eulerian_b": ((1, 0, 2), (1, 2, -2)),',
-     '"eulerian_b": ((1, 0, 2), (3, 2, -2)),',
+     '"eulerian_b": ((1, 2), (1, 2, -2)),',
+     '"eulerian_b": ((1, 2), (3, 2, -2)),',
      ["tests/test_combinatorics.py::test_rows_equal_their_defining_sums"]),
     ("polylog.py",
      "(-s) ** j",

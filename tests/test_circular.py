@@ -58,6 +58,14 @@ def test_recurrence_base_cases():
         derivative_poly_recurrence("sec", 1)
 
 
+def test_negative_orders_raise():
+    builders = [cot_derivative_poly, tan_derivative_poly, coth_derivative_poly, tanh_derivative_poly]
+    builders += [lambda n, t=t: derivative_poly_recurrence(t, n) for t in ("cot", "tan", "coth", "tanh")]
+    for build in builders:
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            build(-1)
+
+
 def _recurrence_by_polynomial_products(target, n):
     """The recurrence as first written, a Polynomial product m * P' a step: the reference copy."""
     mult = Polynomial({"cot": [-1, 0, -1], "tan": [1, 0, 1], "coth": [1, 0, -1], "tanh": [1, 0, -1]}[target])

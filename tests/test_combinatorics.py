@@ -186,3 +186,9 @@ def test_stirling_power_sum_over_rationals():
         assert rf_eval_exact(li_neg(n), Fraction(1, 3)) == total, n
     # {3 brace 1..3} = 1, 3, 1: 1/2 + 3/4 + 1/8
     assert stirling_power_sum(2, Fraction(1, 2), lambda k: 1) == Fraction(11, 8)
+
+
+def test_stirling_power_sum_rejects_negative_orders():
+    for n in (-1, -2):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            stirling_power_sum(n, Fraction(1, 2), factorial)
