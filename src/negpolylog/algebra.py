@@ -7,7 +7,10 @@ coefficients are Gaussian integers with joint content 1, and the
 denominator's leading coefficient lies in the half-open sector
 ``re > 0, im >= 0`` (positive in the purely real case); a content of norm 1
 is not divided out, as that sector turn picks the same associate.  That makes
-structural equality of the stored pair a valid identity test.  Canonical
+structural equality of the stored pair a valid identity test.  The content
+is read from the denominator's coefficients first: the library's
+denominators mostly start with a unit, such as the 1 of (1 - z)**(n+1), and
+then the gcd is 1 after one step, however long the numerator.  Canonical
 numerators and denominators are hash-consed: equal ones are one shared
 object, whose table entry lives as long as the polynomial.
 
@@ -53,23 +56,29 @@ point proves without the PRS: the heuristic gcd of Char, Geddes and Gonnet
 (1989), made a proof by Fujiwara's root bound (1916).  For primitive a, b
 with d = deg b >= 1, M = bitlen(max(|re b_d|, |im b_d|)) and L_k =
 bitlen(|re b_k| + |im b_k|), every root of b is below 2**e in absolute value,
-e = 1 + max(0, max over k < d of ceil((L_k - M + 1)/(d - k))); N = 2**w, w
-the least prime >= e + 64.  If a and b share a factor, by Gauss's lemma a
-primitive h in Z[i][z] (Z[z] for a real pair) with deg h >= 1 divides both,
-so h(N) divides a(N) and b(N), and h(N) conj(h(N)) divides both norms and
-a(N) conj(b(N)), so both its parts, while |h(N)| >= |lc h| * prod |N - r|
->= N - 2**e over the roots r of h, roots of b.  So gcd(a(N), b(N)) < N - 2**e
-for a real pair, or else the gcd of |a(N)|**2, |b(N)|**2 and the two parts of
-a(N) conj(b(N)) below (N - 2**e)**2 (a real value normed too), proves the
-pair coprime over Q(i) and the unit 1 is returned; any other outcome runs the
-PRS.  The parts of a(N) conj(b(N)) prove a conjugate pair, whose norms
-agree.  w is prime because the library's denominators have their roots at 0,
-+-1 and +-i, so chance common factors of the two values come from N +- 1 and
+e = 1 + max(0, max over k < d of ceil((L_k - M + 1)/(d - k))); N = 2**w.  If a
+and b share a factor, by Gauss's lemma a primitive h in Z[i][z] (Z[z] for a
+real pair) with deg h >= 1 divides both, so h(N) divides a(N) and b(N), and
+h(N) conj(h(N)) divides both norms and a(N) conj(b(N)), so both its parts,
+while |h(N)| >= |lc h| * prod |N - r| >= N - 2**e over the roots r of h, roots
+of b.  So gcd(a(N), b(N)) < N - 2**e for a real pair, or else the gcd of
+|a(N)|**2, |b(N)|**2 and the two parts of a(N) conj(b(N)) below
+(N - 2**e)**2 (a real value normed too), proves the pair coprime over Q(i)
+and the unit 1 is returned.  The parts of a(N) conj(b(N)) prove a conjugate
+pair, whose norms agree.  Two points are tried, each a proof on its own: w
+the least prime >= e + 16, and only if it declines, the least prime
+>= e + 64.  A coprime pair is declined at a point only by a chance common
+factor of its two values near N in size; the narrow point, whose values are
+short, meets none on the benchmark workloads or ``verify all`` up to n = 64,
+and a pair reaches the PRS only if the wide point declines it too.  w is
+prime because the library's denominators have their roots at 0, +-1 and
++-i, so chance common factors of the two values come from N +- 1 and
 N**2 + 1: 2**w - 1 has no prime factor below 2w + 1, 2**w + 1 only 3, and
 2**(2w) + 1 only 5.  Exact division divides by the divisor itself; every
-divisor the library passes is primitive (a gcd, or a canonical denominator of
-content 1), so the quotient has Gaussian-integer coefficients (Gauss's lemma),
-or in ``z_ddz`` gcd(q, q') times the content of q, which divides both (proof there).
+divisor the library passes is primitive (a gcd, or a canonical denominator
+of content 1), so the quotient has Gaussian-integer coefficients (Gauss's
+lemma), or in ``z_ddz`` gcd(q, q') times the content of q, which divides
+both (proof there).
 
 Canonicalization runs a gcd only where coprimality is not known from the
 inputs.  Each place that skips one rests on a proof:
@@ -710,8 +719,8 @@ def _prime_at_least(n: int) -> int:
 
 
 def _at(v, w: int) -> int:
-    """sum v[k] * 2**(w*k) by Horner with shifts; the v[k] may be wider than w bits."""
-    return functools.reduce(lambda acc, c: (acc << w) + c, reversed(v), 0)
+    """sum v[k] * 2**(w*k) as one sum of shifts; the v[k] may be wider than w bits."""
+    return sum(map(operator.lshift, v, range(0, w * len(v), w)))
 
 
 def _coprime_at_point(a, b) -> bool:
@@ -724,13 +733,19 @@ def _coprime_at_point(a, b) -> bool:
     m = max(abs(br[d]), abs(bi[d])).bit_length()
     e = 1 + max(0, *[((abs(x) + abs(y)).bit_length() - m + d - k) // (d - k)
                      for k, (x, y) in enumerate(zip(br[:d], bi[:d]))])
-    w = _prime_at_least(e + 64)
-    gap = (1 << w) - (1 << e)
-    if not any(ai) and not any(bi):
-        return math.gcd(_at(ar, w), _at(br, w)) < gap
-    x, y, u, v = _at(ar, w), _at(ai, w), _at(br, w), _at(bi, w)
-    # the norms, and the parts of a(N) conj(b(N)), which a conjugate pair's equal norms need
-    return math.gcd(x * x + y * y, u * u + v * v, x * u + y * v, y * u - x * v) < gap * gap
+    real = not any(ai) and not any(bi)
+    # each point is a proof: the narrow one proves the pairs met in practice, the wide one what it declines
+    for w in (_prime_at_least(e + 16), _prime_at_least(e + 64)):
+        gap = (1 << w) - (1 << e)
+        if real:
+            proved = math.gcd(_at(ar, w), _at(br, w)) < gap
+        else:
+            x, y, u, v = _at(ar, w), _at(ai, w), _at(br, w), _at(bi, w)
+            # the norms, and the parts of a(N) conj(b(N)), which a conjugate pair's equal norms need
+            proved = math.gcd(x * x + y * y, u * u + v * v, x * u + y * v, y * u - x * v) < gap * gap
+        if proved:
+            return True
+    return False
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -804,15 +819,16 @@ class RationalFunction:
             return
         if not _reduced:
             num, den = _cancel(num, den)
-        # joint content 1 and a sector-normal lead
-        n = len(num.re)
-        re, im = [*num.re, *den.re], [*num.im, *den.im]
+        # joint content 1 and a sector-normal lead; the denominator's parts come first, as its
+        # coefficients, often a unit at z^0, end the content's gcd early
+        n = len(den.re)
+        re, im = [*den.re, *num.re], [*den.im, *num.im]
         g = _content(re, im)
         if g[0] * g[0] + g[1] * g[1] != 1:  # a unit content is left to the sector turn
             re, im = _divided(re, im, g)
-        re, im = _rotate(re, im, _sector_turns(re[-1], im[-1]))
-        self.num = _canonical(re[:n], im[:n])
-        self.den = _canonical(re[n:], im[n:])
+        re, im = _rotate(re, im, _sector_turns(re[n - 1], im[n - 1]))
+        self.num = _canonical(re[n:], im[n:])
+        self.den = _canonical(re[:n], im[:n])
 
     # -- constructors ----------------------------------------------------
     @classmethod

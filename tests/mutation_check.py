@@ -63,6 +63,16 @@ MUTANTS = [
      "    (ar, ai), (br, bi) = a, b\n    d = len(br) - 1\n",
      "    return True\n",
      ["tests/test_algebra.py::test_gcd_falls_back_to_prs_when_certificate_declines"]),
+    # the certificate's two points: the first skipped, so every pair is tried at the wide one only,
+    # and the second dropped, so a pair the first declines goes straight to the PRS
+    ("algebra.py",
+     "(_prime_at_least(e + 16), _prime_at_least(e + 64))",
+     "(_prime_at_least(e + 64),)",
+     ["tests/test_algebra.py::test_second_point_proves_what_the_first_declines"]),
+    ("algebra.py",
+     "(_prime_at_least(e + 16), _prime_at_least(e + 64))",
+     "(_prime_at_least(e + 16),)",
+     ["tests/test_algebra.py::test_second_point_proves_what_the_first_declines"]),
     # the Gaussian certificate without the parts of a(N) conj(b(N)): a conjugate pair is never proved
     ("algebra.py",
      "math.gcd(x * x + y * y, u * u + v * v, x * u + y * v, y * u - x * v)",

@@ -304,8 +304,26 @@ def test_gcd_certificate_skips_prs_on_coprime_pair(monkeypatch):
     assert not calls
 
 
+def _points(monkeypatch):
+    """The widths w of the points 2**w at which the certificate evaluates, in order, once each."""
+    widths = []
+    real = algebra._at
+
+    def counted(v, w):
+        if w not in widths:
+            widths.append(w)
+        return real(v, w)
+
+    monkeypatch.setattr(algebra, "_at", counted)
+    return widths
+
+
+# the root of 1 + z is below 2**2, so the certificate's two points for it are these
+_W1, _W2 = algebra._prime_at_least(2 + 16), algebra._prime_at_least(2 + 64)
+
+
 def test_gcd_falls_back_to_prs_when_certificate_declines(monkeypatch):
-    n = 1 << algebra._prime_at_least(2 + 64)  # the root of 1 + z is below 2**2
+    n1, n2 = 1 << _W1, 1 << _W2
     calls = _prs_steps(monkeypatch)
     cases = [
         # planted common factors: real, Gaussian, real in a mixed pair, and z
@@ -313,8 +331,8 @@ def test_gcd_falls_back_to_prs_when_certificate_declines(monkeypatch):
         (P(2, I) * P(-I, 1), P(3, 1) * P(-I, 1), 1),
         (P(2, 1) * P(1, 1), P(1, I) * P(1, 1), 1),
         (P(0, 1) * P(5, -1), P(0, 1) * P(7, 1), 1),
-        # coprime, but (z - N)(z + 2) vanishes at N, so the gcd there is |N + 1|
-        (P(-n, 1) * P(2, 1), P(1, 1), 0),
+        # coprime, but (z - N1)(z - N2)(z + 2) vanishes at both points, so the gcd there is |N + 1|
+        (P(-n1, 1) * P(-n2, 1) * P(2, 1), P(1, 1), 0),
     ]
     for f, g, want in cases:
         calls.clear()
@@ -323,6 +341,14 @@ def test_gcd_falls_back_to_prs_when_certificate_declines(monkeypatch):
         assert d.degree == want, (f, g)
         poly_exact_div(f, d)
         poly_exact_div(g, d)
+
+
+def test_second_point_proves_what_the_first_declines(monkeypatch):
+    calls, widths = _prs_steps(monkeypatch), _points(monkeypatch)
+    # (z - N1)(z + 2) vanishes at the first point only; the second proves the pair
+    assert poly_gcd(P(-(1 << _W1), 1) * P(2, 1), P(1, 1)) == Polynomial.one()
+    assert widths == [_W1, _W2]
+    assert not calls
 
 
 def _certify(f: Polynomial, g: Polynomial) -> bool:
@@ -382,7 +408,13 @@ def test_certificate_never_proves_a_shared_factor(case):
 
 
 def test_certificate_proves_the_library_forms_coprime(monkeypatch):
-    calls = _prs_steps(monkeypatch)
+    calls, widths = _prs_steps(monkeypatch), _points(monkeypatch)
+
+    def coprime(p: Polynomial, q: Polynomial) -> bool:
+        """The pair proved coprime, with no PRS step, at the first point alone."""
+        widths.clear()
+        return poly_gcd(p, q).degree == 0 and len(widths) == 1 and not calls
+
     # each form's denominator is its base to the power n + 1; the bases are
     # products of the irreducibles z - 1, z + 1, z + i and z - i, so two share
     # a factor exactly when they share a root; Li(iz) and Li(-iz) are conjugate
@@ -401,7 +433,7 @@ def test_certificate_proves_the_library_forms_coprime(monkeypatch):
             # every form but the two rotated ones has real coefficients
             assert f.is_real() or name in ("i_times_z", "minus_i_times_z")
             assert f.den == bases[name] ** (n + 1)
-            assert poly_gcd(f.num, f.den).degree == 0
+            assert coprime(f.num, f.den), (name, n)
             proved += 1
         # the rotated ladder relation's odd part: its pair q(z), q(-z) is the conjugate pair
         odd_part(rotated)
@@ -411,7 +443,7 @@ def test_certificate_proves_the_library_forms_coprime(monkeypatch):
                 assert not _certify(p, q)
                 declined += 1
             else:
-                assert poly_gcd(p, q).degree == 0
+                assert coprime(p, q), (x, y, n)
                 proved += 1
         assert not calls, n  # at each order, so a PRS fallback fails before it grows slow
     assert (proved, declined) == (1365, 455)
