@@ -65,20 +65,20 @@ of b.  So gcd(a(N), b(N)) < N - 2**e for a real pair, or else the gcd of
 |a(N)|**2, |b(N)|**2 and the two parts of a(N) conj(b(N)) below
 (N - 2**e)**2 (a real value normed too), proves the pair coprime over Q(i)
 and the unit 1 is returned.  The parts of a(N) conj(b(N)) prove a conjugate
-pair, whose norms agree.  Two points are tried, each a proof on its own: w
-the least prime >= e + 16, and only if it declines, the least prime
->= e + 64.  A coprime pair is declined at a point only by a chance common
-factor of its two values near N in size; the narrow point, whose values are
-short, meets none on the benchmark workloads or ``verify all`` up to n = 64,
-and a pair reaches the PRS only if the wide point declines it too.  w is
-prime because the library's denominators have their roots at 0, +-1 and
-+-i, so chance common factors of the two values come from N +- 1 and
-N**2 + 1: 2**w - 1 has no prime factor below 2w + 1, 2**w + 1 only 3, and
-2**(2w) + 1 only 5.  Exact division divides by the divisor itself; every
-divisor the library passes is primitive (a gcd, or a canonical denominator
-of content 1), so the quotient has Gaussian-integer coefficients (Gauss's
-lemma), or in ``z_ddz`` gcd(q, q') times the content of q, which divides
-both (proof there).
+pair, whose norms agree.  One point is tried: w the least prime >= e + 16.
+A coprime pair is declined there only by a chance common factor of its two
+values of at least N - 2**e, and the library's pairs meet none: on the
+benchmark workloads, the demos and ``verify all`` up to n = 64, every pair
+declined has a true common factor, a gcd(q, q') of a denominator with
+repeated roots.  Every pair the point declines goes to the PRS, so the point
+decides how fast a gcd is found, never what it is.  w is prime because the
+library's denominators have their roots at 0, +-1 and +-i, so chance common
+factors of the two values come from N +- 1 and N**2 + 1: 2**w - 1 has no
+prime factor below 2w + 1, 2**w + 1 only 3, and 2**(2w) + 1 only 5.  Exact
+division divides by the divisor itself; every divisor the library passes is
+primitive (a gcd, or a canonical denominator of content 1), so the quotient
+has Gaussian-integer coefficients (Gauss's lemma), or in ``z_ddz`` gcd(q, q')
+times the content of q, which divides both (proof there).
 
 Canonicalization runs a gcd only where coprimality is not known from the
 inputs.  Each place that skips one rests on a proof:
@@ -123,7 +123,6 @@ multi-route identity check meaningful at the stated tolerances.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
@@ -286,8 +285,12 @@ def _power(base, k: int, out):
 
 def _over_one_denominator(re, im) -> tuple[GaussianRational, int]:
     """(Z, E) with re + im*i = Z/E, Z of int parts and E > 0 the lcm of the parts' denominators,
-    for exact parts: ints, Fractions or doubles, whose denominators are powers of 2."""
-    (xr, dr), (xi, di) = re.as_integer_ratio(), im.as_integer_ratio()
+    for exact parts: ints, Fractions or doubles, whose denominators are powers of 2; DomainError
+    for an infinite or nan double."""
+    try:
+        (xr, dr), (xi, di) = re.as_integer_ratio(), im.as_integer_ratio()
+    except (OverflowError, ValueError):
+        raise DomainError(f"evaluation needs a finite point, got z = {complex(re, im)}") from None
     e = math.lcm(dr, di)
     return GaussianRational(xr * (e // dr), xi * (e // di)), e
 
@@ -469,6 +472,7 @@ class Polynomial:
     def horner(self, z: "GaussianRational | float | complex") -> tuple[int, int, int]:
         """Exact evaluation at a Gaussian rational point, or at the value of a finite double or
         complex double: ints x, y and e > 0 with p(z) = (x + yi)/e, unreduced, p read as z^s q(z^g).
+        A point with an infinite or nan part raises DomainError.
 
         s is the lowest exponent with a nonzero part and g the gcd of the gaps between such
         exponents (0 for a monomial or zero): an odd or even polynomial takes half the steps
@@ -602,8 +606,11 @@ def _kronecker(pairs) -> tuple[list, list]:
     """Packed sum of products over pairs of nonzero parts: each operand packed once, one
     big-integer product a pair if both are real, three (Karatsuba) if not, one unpack a part."""
     n = max(len(a[0]) + len(b[0]) for a, b in pairs) - 1
-    nb = _slot_bytes(sum(max(map(abs, a[0] + a[1])) * max(map(abs, b[0] + b[1])) * min(len(a[0]), len(b[0]))
-                         for a, b in pairs))
+    bounds = [max(map(abs, a[0] + a[1])) * max(map(abs, b[0] + b[1])) * min(len(a[0]), len(b[0]))
+              for a, b in pairs]
+    nb = _slot_bytes(sum(bounds))
+    # a pair with an all-zero operand adds nothing, and its other operand may not fit a slot
+    pairs = [pair for pair, bound in zip(pairs, bounds) if bound]
     re = im = 0
     bias = _bias(nb, n)
     for (ar, ai), (br, bi) in pairs:
@@ -733,19 +740,13 @@ def _coprime_at_point(a, b) -> bool:
     m = max(abs(br[d]), abs(bi[d])).bit_length()
     e = 1 + max(0, *[((abs(x) + abs(y)).bit_length() - m + d - k) // (d - k)
                      for k, (x, y) in enumerate(zip(br[:d], bi[:d]))])
-    real = not any(ai) and not any(bi)
-    # each point is a proof: the narrow one proves the pairs met in practice, the wide one what it declines
-    for w in (_prime_at_least(e + 16), _prime_at_least(e + 64)):
-        gap = (1 << w) - (1 << e)
-        if real:
-            proved = math.gcd(_at(ar, w), _at(br, w)) < gap
-        else:
-            x, y, u, v = _at(ar, w), _at(ai, w), _at(br, w), _at(bi, w)
-            # the norms, and the parts of a(N) conj(b(N)), which a conjugate pair's equal norms need
-            proved = math.gcd(x * x + y * y, u * u + v * v, x * u + y * v, y * u - x * v) < gap * gap
-        if proved:
-            return True
-    return False
+    w = _prime_at_least(e + 16)
+    gap = (1 << w) - (1 << e)
+    if not any(ai) and not any(bi):
+        return math.gcd(_at(ar, w), _at(br, w)) < gap
+    x, y, u, v = _at(ar, w), _at(ai, w), _at(br, w), _at(bi, w)
+    # the norms, and the parts of a(N) conj(b(N)), which a conjugate pair's equal norms need
+    return math.gcd(x * x + y * y, u * u + v * v, x * u + y * v, y * u - x * v) < gap * gap
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -1026,8 +1027,6 @@ def rf_eval(f: RationalFunction, z) -> complex:
     denominator is not a pole; raises DomainError when a part of z is not finite.
     """
     zc = complex(z)
-    if not cmath.isfinite(zc):
-        raise DomainError(f"evaluation needs a finite point, got z = {zc}")
     x, y, d = _quotient(f, *_over_one_denominator(zc.real, zc.imag))
     return complex(round_quotient(x, d), round_quotient(y, d))
 

@@ -63,16 +63,13 @@ MUTANTS = [
      "    (ar, ai), (br, bi) = a, b\n    d = len(br) - 1\n",
      "    return True\n",
      ["tests/test_algebra.py::test_gcd_falls_back_to_prs_when_certificate_declines"]),
-    # the certificate's two points: the first skipped, so every pair is tried at the wide one only,
-    # and the second dropped, so a pair the first declines goes straight to the PRS
+    # the certificate's point without its margin over the root bound: N - 2**e shrinks to at most
+    # 2**e, below the gcds of the values of coprime pairs
     ("algebra.py",
-     "(_prime_at_least(e + 16), _prime_at_least(e + 64))",
-     "(_prime_at_least(e + 64),)",
-     ["tests/test_algebra.py::test_second_point_proves_what_the_first_declines"]),
-    ("algebra.py",
-     "(_prime_at_least(e + 16), _prime_at_least(e + 64))",
-     "(_prime_at_least(e + 16),)",
-     ["tests/test_algebra.py::test_second_point_proves_what_the_first_declines"]),
+     "_prime_at_least(e + 16)",
+     "_prime_at_least(e)",
+     ["tests/test_algebra.py::test_certificate_proves_the_library_forms_coprime",
+      "tests/test_algebra.py::test_gcd_certificate_skips_prs_on_coprime_pair"]),
     # the Gaussian certificate without the parts of a(N) conj(b(N)): a conjugate pair is never proved
     ("algebra.py",
      "math.gcd(x * x + y * y, u * u + v * v, x * u + y * v, y * u - x * v)",
@@ -163,8 +160,8 @@ MUTANTS = [
      "    q = _power(r, n - 1, q)\n",
      ["tests/test_algebra.py::test_z_ddz_matches_the_full_gcd_quotient_rule"]),
     ("algebra.py",
-     "                         for a, b in pairs))",
-     "                         for a, b in pairs[:1]))",
+     "nb = _slot_bytes(sum(bounds))",
+     "nb = _slot_bytes(bounds[0])",
      ["tests/test_algebra.py::test_packed_sum_of_products_matches_two_products"]),
     # a short pair's rows accumulated into the product buffer one slot too high
     ("algebra.py",
